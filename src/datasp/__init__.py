@@ -21,7 +21,7 @@ from .graph import (
     exclude_node,
     sample_subgraph,
 )
-from .engine import datasp_backward, datasp_forward, datasp_forward_efficient
+from .engine import datasp_backward, datasp_forward_efficient
 from .trajectories import (
     ContextSample,
     Dataset,

@@ -619,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallelism bound for sampling work")
         p.add_argument("--out", default=".", help="output directory")
         p.set_defaults(func=func)
     return parser

@@ -1,170 +1,144 @@
 """Differentiable all-to-all shortest paths.
 
 The forward pass runs a smoothed Floyd-Warshall sweep: for each pivot node k
-in ascending order, every pair (i, j) compares the two-hop cost through k
-against its current cost with a smooth min, writes the via-branch weight into
-the shortcut tensor P[i, j, k], and rescales the previously filled slots by
-the direct-branch weight.  P[i, j, k] is then the probability that k is the
-highest intermediate node on an i -> j path, and P[i, j, i] the probability
-of a direct connection.  The final matrix M holds the smooth minimum of the
-costs of all visitable walks per pair.
-
+in ascending order, every pair (i, j) replaces its running cost with the
+smooth min of that cost and the two-hop cost through k.  The final matrix D
+holds the smooth minimum of the costs of all visitable walks per pair.
 Redundant updates are skipped: i == j (self loops), i == k or k == j (direct
 paths are fixed at initialization), and pairs whose two-hop cost through k is
 infinite.
 
-The tape records, per pivot, the active-pair mask and both softmin weights,
-which is enough to replay the forward pass exactly and to run the
-reverse-mode adjoint in O(V^3) memory.
+The shortcut tensor P[i, j, k] is the probability that k is the highest
+intermediate node on an i -> j walk, and P[i, j, i] the probability of the
+direct edge.  The softmin weights a pair collects over the sweep telescope,
+so P has a closed form in values the sweep already passes through:
+
+    P[i, j, k] = exp(-beta * (C[i, k] + R[k, j] - D[i, j]))   for k not in {i, j}
+    P[i, j, i] = exp(-beta * (M[i, j] - D[i, j]))
+
+where C[:, k] and R[k, :] are column k and row k of the running matrix just
+before pivot k, and M is the input matrix.  The sweep therefore keeps only
+O(V^2) state (C, R and the running matrix, plus a snapshot of the running
+matrix every ceil(sqrt(V)) pivots) and P is built once, at the end, in O(V^3)
+time.  The backward pass reduces the upstream gradient on P to gradients on
+D, C, R and the direct slots, then runs one reverse sweep over the pivots,
+recomputing each sqrt(V)-pivot segment from its snapshot (checkpointing as
+in Griewank & Walther's "revolve").
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .smoothing import INF, check_beta, pair_softmin
+from .smoothing import INF, check_beta
 from .graph import validate_cost_matrix
 
 
 @dataclass
-class TapeStep:
-    """Per-pivot record: which pairs updated and with what softmin weights."""
+class EngineTape:
+    """What the adjoint needs: O(V^2) arrays plus sqrt(V) snapshots.
 
-    k: int
-    active: np.ndarray    # (V, V) bool
-    w_via: np.ndarray     # softmin weight of the two-hop branch, 0 where inactive
-    w_direct: np.ndarray  # softmin weight of the current-cost branch, 1 where inactive
-    value: np.ndarray     # updated smooth cost, only meaningful where active
-
-
-@dataclass
-class ForwardTape:
-    """Everything needed to replay a forward pass or run its adjoint."""
+    P itself is only referenced weakly: the backward reuses the forward's P
+    while the caller still holds it (it must not be modified in place), and
+    rebuilds it from (m_input, col, row, dist) otherwise.
+    """
 
     beta: float
     size: int
     m_input: np.ndarray
-    steps: list[TapeStep]
-    p_final: np.ndarray
-    m_final: np.ndarray
+    col: np.ndarray        # col[:, k] = column k of the running matrix before pivot k
+    row: np.ndarray        # row[k, :] = row k of the running matrix before pivot k
+    dist: np.ndarray
+    stride: int
+    snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
+    p_ref: weakref.ref
+
+    def shortcuts(self) -> np.ndarray:
+        p = self.p_ref()
+        if p is None:
+            p = _shortcuts(self.m_input, self.col, self.row, self.dist, self.beta)
+        return p
 
 
-def _init_shortcuts(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    p = np.zeros((n, n, n))
-    src, dst = np.nonzero(np.isfinite(m))
-    p[src, dst, src] = 1.0
+def _pivot(cur: np.ndarray, k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """One smoothed pivot step.
+
+    Returns the updated running matrix and the softmin weight of the two-hop
+    branch, 0 where the pair is not updated; the direct branch weighs
+    1 - w_via there.  The arithmetic matches `smoothing.pair_softmin`
+    operation for operation, so the values are bit-identical to it.
+    """
+    two_hop = cur[:, k, None] + cur[None, k, :]
+    active = np.isfinite(two_hop)
+    active[k, :] = False
+    active[:, k] = False
+    np.fill_diagonal(active, False)
+    with np.errstate(invalid="ignore"):
+        shift = np.minimum(two_hop, cur)
+        gap = np.abs(two_hop - cur)
+    e = np.exp(-beta * gap)
+    denom = 1.0 + e
+    value = shift - np.log(denom) / beta
+    w_via = np.where(active, np.where(two_hop <= cur, 1.0, e) / denom, 0.0)
+    return np.where(active, value, cur), w_via
+
+
+def _shortcuts(m: np.ndarray, col: np.ndarray, row: np.ndarray, dist: np.ndarray,
+               beta: float) -> np.ndarray:
+    """Build P from the closed form; unreachable pairs and i == j get 0."""
+    # A pair at infinite distance (i == j, or unreachable) gets -inf instead,
+    # which sends every term of its slice, finite or infinite, to exp(-inf).
+    d = np.where(np.isfinite(dist), dist, -INF)
+    p = col[:, None, :] + row.T[None, :, :]
+    p -= d[:, :, None]
+    p *= -beta
+    np.exp(p, out=p)
+    nodes = np.arange(m.shape[0])
+    p[nodes[:, None], nodes[None, :], nodes[:, None]] = np.exp(-beta * (m - d))
     return p
 
 
-def datasp_forward(m: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, ForwardTape]:
-    """Reference forward pass with explicit scalar loops.
-
-    Returns (shortcut tensor P, smoothed distance matrix M, tape).
-    """
-    m_input = validate_cost_matrix(m)
-    beta = check_beta(beta)
-    n = m_input.shape[0]
-    cur = m_input.copy()
-    p = _init_shortcuts(cur)
-    steps: list[TapeStep] = []
-    for k in range(n):
-        active = np.zeros((n, n), dtype=bool)
-        w_via = np.zeros((n, n))
-        w_direct = np.ones((n, n))
-        value = np.full((n, n), INF)
-        col = cur[:, k].copy()
-        row = cur[k, :].copy()
-        for i in range(n):
-            if i == k or not math.isfinite(col[i]):
-                continue
-            for j in range(n):
-                if j == k or j == i or not math.isfinite(row[j]):
-                    continue
-                a = col[i] + row[j]
-                b = cur[i, j]
-                val, ws, wd = pair_softmin(a, b, beta)
-                active[i, j] = True
-                w_via[i, j] = ws
-                w_direct[i, j] = wd
-                value[i, j] = val
-                p[i, j, :k] *= wd
-                p[i, j, i] *= wd if i > k else 1.0
-                p[i, j, k] = ws
-                cur[i, j] = val
-        steps.append(TapeStep(k=k, active=active, w_via=w_via, w_direct=w_direct, value=value))
-    tape = ForwardTape(beta=beta, size=n, m_input=m_input.copy(), steps=steps,
-                       p_final=p, m_final=cur)
-    return p, cur, tape
-
-
-def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, ForwardTape]:
-    """Vectorized forward pass; identical outputs to datasp_forward.
+def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, EngineTape]:
+    """Forward pass: returns (shortcut tensor P, smoothed distance matrix D, tape).
 
     For a fixed pivot k the (i, j) updates are independent: row k and
-    column k of M are never written during iteration k (those pairs are
-    skipped as redundant), so the whole update is a batched operation.
+    column k are never written during iteration k (those pairs are skipped
+    as redundant), so each pivot is one batched operation.
     """
-    m_input = validate_cost_matrix(m)
+    m_input = validate_cost_matrix(m).copy()
     beta = check_beta(beta)
     n = m_input.shape[0]
-    cur = m_input.copy()
-    p = _init_shortcuts(cur)
-    steps: list[TapeStep] = []
-    offdiag = ~np.eye(n, dtype=bool)
+    stride = max(1, math.ceil(math.sqrt(n)))
+    col = np.empty((n, n))
+    row = np.empty((n, n))
+    snapshots = []
+    cur = m_input
     for k in range(n):
-        two_hop = cur[:, k][:, None] + cur[k, :][None, :]
-        active = np.isfinite(two_hop) & offdiag
-        active[k, :] = False
-        active[:, k] = False
-        value, ws, wd = pair_softmin(two_hop, cur, beta)
-        w_via = np.where(active, ws, 0.0)
-        w_direct = np.where(active, wd, 1.0)
-        if k > 0:
-            p[:, :, :k] *= w_direct[:, :, None]
-        if k + 1 < n:
-            rows = np.arange(k + 1, n)
-            cols = np.arange(n)
-            p[rows[:, None], cols[None, :], rows[:, None]] *= w_direct[rows, :]
-        p[:, :, k] = np.where(active, w_via, p[:, :, k])
-        cur = np.where(active, value, cur)
-        steps.append(TapeStep(k=k, active=active, w_via=w_via, w_direct=w_direct,
-                              value=np.where(active, value, INF)))
-    tape = ForwardTape(beta=beta, size=n, m_input=m_input.copy(), steps=steps,
-                       p_final=p, m_final=cur)
+        if k % stride == 0:
+            snapshots.append(cur)
+        col[:, k] = cur[:, k]
+        row[k, :] = cur[k, :]
+        cur, _ = _pivot(cur, k, beta)
+    p = _shortcuts(m_input, col, row, cur, beta)
+    tape = EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
+                      stride=stride, snapshots=snapshots, p_ref=weakref.ref(p))
     return p, cur, tape
 
 
-def replay_tape(tape: ForwardTape) -> tuple[np.ndarray, np.ndarray]:
-    """Re-run the recorded updates; must reproduce (P, M) bit-identically."""
-    n = tape.size
-    cur = tape.m_input.copy()
-    p = _init_shortcuts(cur)
-    for step in tape.steps:
-        k = step.k
-        if k > 0:
-            p[:, :, :k] *= step.w_direct[:, :, None]
-        if k + 1 < n:
-            rows = np.arange(k + 1, n)
-            cols = np.arange(n)
-            p[rows[:, None], cols[None, :], rows[:, None]] *= step.w_direct[rows, :]
-        p[:, :, k] = np.where(step.active, step.w_via, p[:, :, k])
-        cur = np.where(step.active, step.value, cur)
-    return p, cur
-
-
-def datasp_backward(tape: ForwardTape, grad_p: np.ndarray, grad_m: np.ndarray) -> np.ndarray:
+def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) -> np.ndarray:
     """Reverse-mode adjoint: gradients of a scalar loss w.r.t. the input matrix.
 
-    grad_p / grad_m are the upstream gradients w.r.t. the returned P and M.
-    The pre-update shortcut state is reconstructed by dividing out the
-    recorded direct-branch weights; a weight of exactly zero only occurs
-    when the pair was previously unreachable, in which case the pre-update
-    slots were structurally zero.
+    grad_p / grad_m are the upstream gradients w.r.t. the returned P and D.
+    Through the closed form, G = grad_p * P moves beta * sum_k G[i, j, k]
+    onto D[i, j], -beta * G[i, j, k] onto C[i, k] and R[k, j], and
+    -beta * G[i, j, i] onto the input entry M[i, j].  The reverse sweep then
+    carries the running-matrix gradient back through each pivot, adding the
+    C and R gradients of pivot k as it passes.
     """
     n = tape.size
     grad_p = np.asarray(grad_p, dtype=float)
@@ -175,64 +149,30 @@ def datasp_backward(tape: ForwardTape, grad_p: np.ndarray, grad_m: np.ndarray) -
             f"got {grad_p.shape} and {grad_m.shape}"
         )
     beta = tape.beta
-    g_p = grad_p.copy()
-    g_m = grad_m.copy()
-    p_cur = tape.p_final.copy()
-    cols = np.arange(n)
-    for step in reversed(tape.steps):
-        k = step.k
-        active = step.active
-        wv = step.w_via
-        wd = step.w_direct
-        safe = np.where(wd > 0.0, wd, 1.0)
-        zero_scale = wd == 0.0
+    g_p = grad_p * tape.shortcuts()
+    nodes = np.arange(n)
+    direct = (nodes[:, None], nodes[None, :], nodes[:, None])
+    g_direct = g_p[direct]
+    g = grad_m + beta * g_p.sum(axis=2)
+    g_p[direct] = 0.0
+    g_col = -beta * g_p.sum(axis=1)    # [i, k]
+    g_row = -beta * g_p.sum(axis=0).T  # [k, j]
+    del g_p
 
-        g_ps = np.where(active, g_p[:, :, k], 0.0)
-        g_p[:, :, k] = np.where(active, 0.0, g_p[:, :, k])
+    for start in reversed(range(0, n, tape.stride)):
+        cur = tape.snapshots[start // tape.stride]
+        w_via = []
+        for k in range(start, min(start + tape.stride, n)):
+            cur, w = _pivot(cur, k, beta)
+            w_via.append(w)
+        for k in reversed(range(start, start + len(w_via))):
+            g[:, k] += g_col[:, k]
+            g[k, :] += g_row[k, :]
+            g_two_hop = g * w_via[k - start]
+            g -= g_two_hop
+            g[:, k] += g_two_hop.sum(axis=1)
+            g[k, :] += g_two_hop.sum(axis=0)
 
-        p_old_prefix = p_cur[:, :, :k] / safe[:, :, None]
-        p_old_prefix[zero_scale, :] = 0.0
-        g_pd = (g_p[:, :, :k] * p_old_prefix).sum(axis=2)
-        g_p[:, :, :k] *= wd[:, :, None]
-
-        if k + 1 < n:
-            rows = np.arange(k + 1, n)
-            idx = (rows[:, None], cols[None, :], rows[:, None])
-            p_old_diag = p_cur[idx] / safe[rows, :]
-            p_old_diag[zero_scale[rows, :]] = 0.0
-            g_pd[rows, :] += g_p[idx] * p_old_diag
-            g_p[idx] *= wd[rows, :]
-            p_cur[idx] = p_old_diag
-
-        core = beta * wv * wd
-        ga = np.where(active, g_m * wv + core * (g_pd - g_ps), 0.0)
-        gb = np.where(active, g_m * wd + core * (g_ps - g_pd), 0.0)
-        g_m = np.where(active, gb, g_m)
-        g_m[:, k] += ga.sum(axis=1)
-        g_m[k, :] += ga.sum(axis=0)
-
-        p_cur[:, :, :k] = p_old_prefix
-        p_cur[:, :, k] = np.where(active, 0.0, p_cur[:, :, k])
-
-    g_m[~np.isfinite(tape.m_input)] = 0.0
-    return g_m
-
-
-def check_shortcut_tensor(p: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless P satisfies its distribution invariants."""
-    n = p.shape[0]
-    if p.shape != (n, n, n):
-        raise ValidationError(f"shortcut tensor must be cubic, got {p.shape}")
-    if (p < -tol).any() or (p > 1 + tol).any():
-        raise ValidationError("shortcut entries must lie in [0, 1]")
-    sums = p.sum(axis=2)
-    offdiag = ~np.eye(n, dtype=bool)
-    reachable = offdiag & (sums > 0.5)
-    if not np.allclose(sums[reachable], 1.0, atol=tol):
-        raise ValidationError("reachable rows of P must sum to 1")
-    jj = np.arange(n)
-    for i in range(n):
-        bad = np.abs(p[i, jj, jj]) > tol
-        bad[i] = False
-        if bad.any():
-            raise ValidationError("P[i, j, j] must be 0 for i != j")
+    g -= beta * g_direct
+    g[~np.isfinite(tape.m_input)] = 0.0
+    return g

@@ -123,8 +123,6 @@ def graph_from_json_dict(doc: dict) -> tuple[Graph, np.ndarray | None, np.ndarra
             per_edge = float(np.hypot(*(positions[u] - positions[v])))
         directions = [(u, v)] if directed else [(u, v), (v, u)]
         for e in directions:
-            if e in set(edges):
-                raise ValidationError(f"duplicate edge {e} after expansion")
             edges.append(e)
             if per_edge is not None:
                 expanded_prior.append(per_edge)

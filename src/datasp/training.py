@@ -169,6 +169,8 @@ class StepMetrics:
             "grad_norm": self.grad_norm,
             "kept_nodes": self.kept_nodes,
             "skipped": self.skipped,
+            "floored": self.floored,
+            "reason": self.reason,
         }
 
 

@@ -232,6 +232,17 @@ def test_predict_dest_custom_two_candidates(gen_dir, tmp_path):
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_duplicate_undirected_edge_exits_2(tmp_path):
+    graph_doc = {"num_nodes": 3, "directed": False, "edges": [[0, 1], [1, 2], [2, 1]],
+                 "prior_costs": [1.0, 1.0, 1.0]}
+    graph_path = tmp_path / "dup_graph.json"
+    graph_path.write_text(json.dumps(graph_doc))
+    cfg = write_config(tmp_path, "dup.json", {
+        "graph": str(graph_path), "source": 0, "target": 2, "num_samples": 5,
+    })
+    assert run_cli("sample-paths", "--config", cfg, "--out", str(tmp_path / "dup")) == 2
+
+
 def test_verify_command(tmp_path):
     out = str(tmp_path / "verify")
     assert run_cli("verify", "--out", out) == 0

@@ -74,6 +74,12 @@ def test_undirected_json_expansion():
     assert by_edge[(0, 1)] == by_edge[(1, 0)] == 2.0
 
 
+def test_undirected_json_listing_both_directions_is_rejected():
+    doc = {"num_nodes": 3, "directed": False, "edges": [[0, 1], [1, 0]]}
+    with pytest.raises(ValidationError):
+        graph_from_json_dict(doc)
+
+
 def test_json_prior_defaults_to_euclidean():
     doc = {"num_nodes": 2, "directed": True, "edges": [[0, 1]],
            "node_positions": [[0.0, 0.0], [3.0, 4.0]]}

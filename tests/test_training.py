@@ -74,6 +74,18 @@ def test_shortcut_loss_floors_unreachable_terms():
     assert np.array_equal(grad, np.zeros_like(grad))
 
 
+def test_step_log_records_floored_terms_and_skip_reason():
+    from datasp.training import StepMetrics
+
+    metrics = StepMetrics(step=3, shortcut=0.5, prior=0.1, grad_norm=1.0, kept_nodes=[0, 1],
+                          skipped=False, floored=2)
+    entry = metrics.to_log_dict()
+    assert entry["floored"] == 2 and entry["reason"] == ""
+    skipped = StepMetrics(step=4, shortcut=float("nan"), prior=float("nan"), grad_norm=0.0,
+                          kept_nodes=[0, 1], skipped=True, reason="no trajectories")
+    assert skipped.to_log_dict()["reason"] == "no trajectories"
+
+
 def test_shortcut_loss_gradient_outside_observed_pairs_is_zero(k4):
     from datasp.trajectories import FrequencyTensor
 
