@@ -11,14 +11,14 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .smoothing import softmin_value, softmin_weights, softmin_vjp
+from .smoothing import pivot, pivot_adjoint, softmin_value, softmin_weights
 from .graph import (
     Graph,
     build_cost_matrix,
     classical_floyd_warshall,
     complete_graph,
     dijkstra,
-    exclude_node,
+    exclude_nodes,
     sample_subgraph,
 )
 from .engine import datasp_backward, datasp_forward_efficient
@@ -28,13 +28,11 @@ from .trajectories import (
     FrequencyTensor,
     TrajectoryRecord,
     apply_node_exclusion_to_path,
-    batch_by_context_similarity,
     build_frequency_tensor,
     highest_intermediate_decomposition,
-    remove_cycles,
 )
 from .costmodel import ModelParams, backward_params, init_params, predict_costs
-from .training import TrainConfig, prior_loss, shortcut_loss, train_loop, train_step
+from .training import TrainConfig, prior_loss, shortcut_loss, train_loop
 from .inference import (
     DestinationPrior,
     destination_likelihood,

@@ -4,7 +4,8 @@ Subcommands: gen, train, eval, sample-paths, predict-dest, verify.  Every
 command reads a JSON config (all fields optional, defaults documented in
 DEFAULTS below), writes its fully-resolved config next to its outputs, and
 is byte-reproducible for a fixed seed.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure, 4 verification failure.
+error (including unreadable files and malformed JSON or binary input),
+3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import copy
 import json
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -232,8 +234,6 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args, "train")
-    if os.environ.get("DATASP_SEED"):
-        config["seed"] = int(os.environ["DATASP_SEED"])
     if not config["dataset"]:
         raise ValidationError("train config requires a dataset manifest path")
     out_dir = args.out
@@ -628,7 +628,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, GenerationError, NoPathError) as exc:
+    except (ValidationError, GenerationError, NoPathError,
+            OSError, json.JSONDecodeError, struct.error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

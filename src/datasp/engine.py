@@ -6,7 +6,10 @@ smooth min of that cost and the two-hop cost through k.  The final matrix D
 holds the smooth minimum of the costs of all visitable walks per pair.
 Redundant updates are skipped: i == j (self loops), i == k or k == j (direct
 paths are fixed at initialization), and pairs whose two-hop cost through k is
-infinite.
+infinite.  One pivot is `smoothing.pivot` and its adjoint
+`smoothing.pivot_adjoint`; node exclusion (`graph.exclude_nodes`) runs the
+same pivot over the removed nodes, so the forward sweep, the backward sweep
+and exclusion share one update and one adjoint.
 
 The shortcut tensor P[i, j, k] is the probability that k is the highest
 intermediate node on an i -> j walk, and P[i, j, i] the probability of the
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .smoothing import INF, check_beta
+from .smoothing import INF, check_beta, pivot, pivot_adjoint
 from .graph import validate_cost_matrix
 
 
@@ -63,29 +66,6 @@ class EngineTape:
         if p is None:
             p = _shortcuts(self.m_input, self.col, self.row, self.dist, self.beta)
         return p
-
-
-def _pivot(cur: np.ndarray, k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One smoothed pivot step.
-
-    Returns the updated running matrix and the softmin weight of the two-hop
-    branch, 0 where the pair is not updated; the direct branch weighs
-    1 - w_via there.  The arithmetic matches `smoothing.pair_softmin`
-    operation for operation, so the values are bit-identical to it.
-    """
-    two_hop = cur[:, k, None] + cur[None, k, :]
-    active = np.isfinite(two_hop)
-    active[k, :] = False
-    active[:, k] = False
-    np.fill_diagonal(active, False)
-    with np.errstate(invalid="ignore"):
-        shift = np.minimum(two_hop, cur)
-        gap = np.abs(two_hop - cur)
-    e = np.exp(-beta * gap)
-    denom = 1.0 + e
-    value = shift - np.log(denom) / beta
-    w_via = np.where(active, np.where(two_hop <= cur, 1.0, e) / denom, 0.0)
-    return np.where(active, value, cur), w_via
 
 
 def _shortcuts(m: np.ndarray, col: np.ndarray, row: np.ndarray, dist: np.ndarray,
@@ -123,7 +103,7 @@ def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np
             snapshots.append(cur)
         col[:, k] = cur[:, k]
         row[k, :] = cur[k, :]
-        cur, _ = _pivot(cur, k, beta)
+        cur, _ = pivot(cur, k, beta)
     p = _shortcuts(m_input, col, row, cur, beta)
     tape = EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
                       stride=stride, snapshots=snapshots, p_ref=weakref.ref(p))
@@ -161,17 +141,14 @@ def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) ->
 
     for start in reversed(range(0, n, tape.stride)):
         cur = tape.snapshots[start // tape.stride]
-        w_via = []
+        steps = []
         for k in range(start, min(start + tape.stride, n)):
-            cur, w = _pivot(cur, k, beta)
-            w_via.append(w)
-        for k in reversed(range(start, start + len(w_via))):
+            cur, step = pivot(cur, k, beta)
+            steps.append(step)
+        for k in reversed(range(start, start + len(steps))):
             g[:, k] += g_col[:, k]
             g[k, :] += g_row[k, :]
-            g_two_hop = g * w_via[k - start]
-            g -= g_two_hop
-            g[:, k] += g_two_hop.sum(axis=1)
-            g[k, :] += g_two_hop.sum(axis=0)
+            pivot_adjoint(g, k, steps[k - start])
 
     g -= beta * g_direct
     g[~np.isfinite(tape.m_input)] = 0.0

@@ -5,6 +5,13 @@ Cost matrices are dense (V, V) float64 arrays.  A finite entry (i, j) is the
 cost of edge i -> j; +inf marks an absent edge; the diagonal is always inf
 (self-loops are never considered).  All operations here are pure: they return
 new arrays and never mutate their inputs.
+
+Node exclusion reconnects the neighbors of each removed node through local
+smooth mins.  That is the engine's smoothed Floyd-Warshall pivot
+(`smoothing.pivot`) run over the removed nodes in ascending order, each
+followed by setting the removed node's row and column to inf; the kept
+block of the result is the compressed matrix, and `smoothing.pivot_adjoint`
+run in reverse is its gradient.
 """
 
 from __future__ import annotations
@@ -12,12 +19,12 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .smoothing import INF, check_beta, pair_softmin
+from .smoothing import INF, check_beta, pivot, pivot_adjoint
 
 
 class Graph:
@@ -296,109 +303,63 @@ def _dijkstra_distances(m: np.ndarray, source: int) -> np.ndarray:
 
 
 @dataclass
-class ExclusionStep:
-    """One node-exclusion update, retaining what the adjoint needs.
-
-    For every in-neighbor i and out-neighbor j of the removed node k
-    (i != j), the surviving entry was replaced by
-    softmin(old[i, j], old[i, k] + old[k, j]); w_via / w_direct are the
-    softmin weights of the two branches.
-    """
-
-    removed: int
-    size_before: int
-    in_nodes: np.ndarray
-    out_nodes: np.ndarray
-    updated: np.ndarray
-    w_via: np.ndarray
-    w_direct: np.ndarray
-    remap: np.ndarray
-    matrix: np.ndarray
-
-    def backward(self, grad_new: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the pre-exclusion matrix given one w.r.t. the result."""
-        n = self.size_before
-        if grad_new.shape != (n - 1, n - 1):
-            raise ValidationError(
-                f"expected gradient of shape {(n - 1, n - 1)}, got {grad_new.shape}"
-            )
-        keep = np.array([x for x in range(n) if x != self.removed], dtype=np.int64)
-        grad_old = np.zeros((n, n))
-        grad_old[np.ix_(keep, keep)] = grad_new
-        if self.in_nodes.size and self.out_nodes.size:
-            block = grad_old[np.ix_(self.in_nodes, self.out_nodes)]
-            g_upd = np.where(self.updated, block, 0.0)
-            grad_old[np.ix_(self.in_nodes, self.out_nodes)] = np.where(
-                self.updated, block * self.w_direct, block
-            )
-            via = g_upd * self.w_via
-            np.add.at(grad_old[:, self.removed], self.in_nodes, via.sum(axis=1))
-            np.add.at(grad_old[self.removed, :], self.out_nodes, via.sum(axis=0))
-        return grad_old
-
-
-def exclude_node(m: np.ndarray, k: int, beta: float) -> ExclusionStep:
-    """Remove node k, reconnecting its neighbors through local smooth mins.
-
-    Only entries between in-neighbors and out-neighbors of k are updated
-    (two-hop paths through k); the diagonal is never touched.  Returns the
-    reduced matrix plus an old -> new index remapping (-1 for k).
-    """
-    m = validate_cost_matrix(m)
-    beta = check_beta(beta)
-    n = m.shape[0]
-    if not (0 <= k < n):
-        raise ValidationError(f"node {k} out of range for matrix of size {n}")
-
-    in_nodes = np.where(np.isfinite(m[:, k]))[0]
-    out_nodes = np.where(np.isfinite(m[k, :]))[0]
-    new_full = m.copy()
-    if in_nodes.size and out_nodes.size:
-        a = m[in_nodes, k][:, None] + m[k, out_nodes][None, :]
-        b = m[np.ix_(in_nodes, out_nodes)]
-        updated = in_nodes[:, None] != out_nodes[None, :]
-        value, w_via, w_direct = pair_softmin(a, b, beta)
-        new_full[np.ix_(in_nodes, out_nodes)] = np.where(updated, value, b)
-        w_via = np.where(updated, w_via, 0.0)
-        w_direct = np.where(updated, w_direct, 1.0)
-    else:
-        updated = np.zeros((in_nodes.size, out_nodes.size), dtype=bool)
-        w_via = np.zeros_like(updated, dtype=float)
-        w_direct = np.ones_like(updated, dtype=float)
-
-    keep = np.array([x for x in range(n) if x != k], dtype=np.int64)
-    reduced = new_full[np.ix_(keep, keep)]
-    remap = np.full(n, -1, dtype=np.int64)
-    remap[keep] = np.arange(n - 1)
-    return ExclusionStep(
-        removed=k,
-        size_before=n,
-        in_nodes=in_nodes,
-        out_nodes=out_nodes,
-        updated=updated,
-        w_via=w_via,
-        w_direct=w_direct,
-        remap=remap,
-        matrix=reduced,
-    )
-
-
-@dataclass
 class Compression:
-    """Result of sequentially excluding nodes down to a kept subset."""
+    """Result of excluding the removed nodes, in ascending order.
+
+    steps[t] is the (rows, w_via) pair `pivot` returned for removed[t];
+    node_map sends an original node id to its compressed index, or -1 when
+    the node was removed.
+    """
 
     matrix: np.ndarray
     kept: list[int]
     removed: list[int]
-    steps: list[ExclusionStep] = field(default_factory=list)
-    node_map: np.ndarray | None = None  # original id -> compressed index, -1 if removed
+    steps: list[tuple[np.ndarray, np.ndarray]]
+    node_map: np.ndarray
 
     def backward(self, grad_compressed: np.ndarray) -> np.ndarray:
         """Chain a gradient w.r.t. the compressed matrix back to the full one."""
-        grad = np.asarray(grad_compressed, dtype=float)
-        for step in reversed(self.steps):
-            grad = step.backward(grad)
+        n = self.node_map.size
+        grad = np.zeros((n, n))
+        grad[np.ix_(self.kept, self.kept)] = grad_compressed
+        for k, step in zip(reversed(self.removed), reversed(self.steps)):
+            pivot_adjoint(grad, k, step)
         return grad
+
+
+def exclude_nodes(m: np.ndarray, removed, beta: float) -> Compression:
+    """Remove nodes, reconnecting their neighbors through local smooth mins.
+
+    For each removed node k in ascending order this is the engine's pivot
+    through k, after which row k and column k are set to inf.  The
+    compressed matrix is the block of the kept nodes.  After pivot k no
+    later update of the kept block reads row k or column k, and the inf
+    knock-out also takes k out of every later pivot, so this equals
+    deleting k from a shrinking matrix.  The gradient that reaches a
+    knocked-out entry is 0, so the adjoint is `pivot_adjoint` alone.
+    """
+    m = validate_cost_matrix(m)
+    beta = check_beta(beta)
+    n = m.shape[0]
+    removed = sorted(int(k) for k in removed)
+    if any(not 0 <= k < n for k in removed):
+        raise ValidationError(f"removed nodes must lie in [0, {n}), got {removed}")
+    if len(set(removed)) != len(removed):
+        raise ValidationError(f"removed nodes must be distinct, got {removed}")
+
+    cur = m
+    steps = []
+    for k in removed:
+        cur, step = pivot(cur, k, beta)
+        cur[k, :] = INF
+        cur[:, k] = INF
+        steps.append(step)
+
+    kept = sorted(set(range(n)) - set(removed))
+    node_map = np.full(n, -1, dtype=np.int64)
+    node_map[kept] = np.arange(len(kept))
+    return Compression(matrix=cur[np.ix_(kept, kept)], kept=kept, removed=removed,
+                       steps=steps, node_map=node_map)
 
 
 def sample_subgraph(
@@ -409,16 +370,15 @@ def sample_subgraph(
     rng_seed: int,
     beta: float,
 ) -> Compression:
-    """Pick keep_count nodes and exclude the rest sequentially.
+    """Pick keep_count nodes and exclude the rest.
 
     Half of the kept set (rounded up) is grown as a connected subgraph by a
     randomized BFS from a frequency-weighted seed node; the remainder is
     drawn without replacement with probability proportional to
     node_frequencies.  Deterministic for a given rng_seed.
     """
-    m = validate_cost_matrix(m)
     n = graph.num_nodes
-    if m.shape[0] != n:
+    if np.shape(m) != (n, n):
         raise ValidationError("cost matrix size does not match graph")
     if not (2 <= keep_count <= n):
         raise ValidationError(f"keep_count must be in [2, {n}], got {keep_count}")
@@ -426,37 +386,18 @@ def sample_subgraph(
     if freqs.shape != (n,) or (freqs < 0).any():
         raise ValidationError("node_frequencies must be nonnegative with one entry per node")
 
-    rng = np.random.default_rng(rng_seed)
-    if keep_count == n:
-        node_map = np.arange(n, dtype=np.int64)
-        return Compression(matrix=m.copy(), kept=list(range(n)), removed=[], steps=[], node_map=node_map)
-
-    kept = _grow_connected(graph, freqs, math.ceil(keep_count / 2), rng)
-    remaining = sorted(set(range(n)) - kept)
-    extra = keep_count - len(kept)
-    if extra > 0:
-        weights = freqs[remaining] + 1e-9
-        weights = weights / weights.sum()
-        chosen = rng.choice(len(remaining), size=extra, replace=False, p=weights)
-        kept.update(remaining[int(c)] for c in chosen)
-
-    removed = sorted(set(range(n)) - kept)
-    current = m
-    steps: list[ExclusionStep] = []
-    # Excluding in ascending original order; each step's index is the node's
-    # position in the current (shrinking) matrix.
-    alive = list(range(n))
-    for node in removed:
-        idx = alive.index(node)
-        step = exclude_node(current, idx, beta)
-        steps.append(step)
-        current = step.matrix
-        alive.pop(idx)
-
-    node_map = np.full(n, -1, dtype=np.int64)
-    for new_idx, node in enumerate(alive):
-        node_map[node] = new_idx
-    return Compression(matrix=current, kept=alive, removed=removed, steps=steps, node_map=node_map)
+    kept: set[int] = set(range(n))
+    if keep_count < n:
+        rng = np.random.default_rng(rng_seed)
+        kept = _grow_connected(graph, freqs, math.ceil(keep_count / 2), rng)
+        remaining = sorted(set(range(n)) - kept)
+        extra = keep_count - len(kept)
+        if extra > 0:
+            weights = freqs[remaining] + 1e-9
+            weights = weights / weights.sum()
+            chosen = rng.choice(len(remaining), size=extra, replace=False, p=weights)
+            kept.update(remaining[int(c)] for c in chosen)
+    return exclude_nodes(m, set(range(n)) - kept, beta)
 
 
 def _grow_connected(graph: Graph, freqs: np.ndarray, target_size: int, rng) -> set[int]:

@@ -44,10 +44,9 @@ def load_tensor(path) -> np.ndarray:
         shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
         payload = fh.read()
     expected = int(np.prod(shape)) if ndim else 1
-    data = np.frombuffer(payload, dtype=np.float64)
-    if data.size != expected:
-        raise ValidationError(f"tensor payload has {data.size} values, expected {expected}")
-    return data.reshape(shape).copy()
+    if len(payload) != 8 * expected:
+        raise ValidationError(f"tensor payload has {len(payload)} bytes, expected {8 * expected}")
+    return np.frombuffer(payload, dtype=np.float64).reshape(shape).copy()
 
 
 def save_checkpoint(path, params: ModelParams, step: int = 0, extra: dict | None = None,
@@ -97,6 +96,8 @@ def load_checkpoint(path) -> tuple[ModelParams, int, dict, dict | None]:
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
+        if len(payload) < offset + 8 * count:
+            raise ValidationError(f"{path}: checkpoint payload is truncated")
         chunk = np.frombuffer(payload, dtype=np.float64, count=count, offset=offset)
         arrays[spec["name"]] = chunk.reshape(shape).copy()
         offset += count * 8

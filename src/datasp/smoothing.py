@@ -1,4 +1,5 @@
-"""Numerically stable smooth minimum and its weights over extended reals.
+"""Numerically stable smooth minimum and its weights over extended reals,
+and the smoothed Floyd-Warshall pivot built on them.
 
 The smooth minimum of a vector v is -(1/beta) * log(sum_i exp(-beta*v[i]))
 and its gradient is the softmin weight vector exp(-beta*v)/sum(exp(-beta*v)).
@@ -64,26 +65,6 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     return w
 
 
-def softmin_vjp(values, beta: float, value_grad: float = 0.0, weight_grads=None) -> np.ndarray:
-    """Gradient of (value_grad * softmin_value + <weight_grads, softmin_weights>) w.r.t. the inputs.
-
-    Uses d(value)/dv = w and the weight Jacobian dw[a]/dv[b] = beta*w[a]*(w[b] - delta_ab).
-    Entries for inf inputs receive gradient exactly 0.
-    """
-    beta = check_beta(beta)
-    v = np.asarray(values, dtype=float)
-    w = softmin_weights(v, beta)
-    grad = float(value_grad) * w
-    if weight_grads is not None:
-        u = np.asarray(weight_grads, dtype=float)
-        if u.shape != w.shape:
-            raise ValidationError(f"weight_grads shape {u.shape} != input shape {w.shape}")
-        if not np.isfinite(u).all():
-            raise ValidationError("weight_grads must be finite")
-        grad = grad + beta * w * (float(u @ w) - u)
-    return grad
-
-
 def pair_softmin(a, b, beta: float):
     """Elementwise smooth min of two extended-real arrays, with both weights.
 
@@ -111,3 +92,49 @@ def pair_softmin(a, b, beta: float):
     wa = np.where(any_finite, ea / safe, 0.0)
     wb = np.where(any_finite, eb / safe, 0.0)
     return value, wa, wb
+
+
+def pivot(cur: np.ndarray, k: int, beta: float):
+    """One smoothed Floyd-Warshall pivot through node k.
+
+    Every pair (i, j) with a finite two-hop cost cur[i, k] + cur[k, j] takes
+    the smooth min of its running cost and that two-hop cost, except
+    i == j.  cur[k, k] is inf, as every diagonal entry is, so pairs with
+    i == k or j == k never have a finite two-hop cost.  Only the rows i
+    with a finite cur[i, k] can change, so only those are computed.
+
+    Returns (new, (rows, w_via)): a copy of cur with the update applied,
+    and the softmin weight of the two-hop branch on those rows (0 where the
+    pair is not updated; the running cost weighs 1 - w_via).  The
+    arithmetic matches `pair_softmin` operation for operation, so the
+    values are bit-identical to it.
+    """
+    rows = np.flatnonzero(np.isfinite(cur[:, k]))
+    old = cur[rows]
+    two_hop = cur[rows, k, None] + cur[None, k, :]
+    active = np.isfinite(two_hop)
+    active[np.arange(rows.size), rows] = False
+    with np.errstate(invalid="ignore"):
+        shift = np.minimum(two_hop, old)
+        gap = np.abs(two_hop - old)
+    e = np.exp(-beta * gap)
+    denom = 1.0 + e
+    value = shift - np.log(denom) / beta
+    w_via = np.where(active, np.where(two_hop <= old, 1.0, e) / denom, 0.0)
+    new = cur.copy()
+    new[rows] = np.where(active, value, old)
+    return new, (rows, w_via)
+
+
+def pivot_adjoint(g: np.ndarray, k: int, step) -> None:
+    """Carry a gradient w.r.t. the output of `pivot` back to its input, in place.
+
+    step is the (rows, w_via) pair `pivot` returned for node k.  An updated
+    pair passes the share w_via of its gradient to the two-hop branch, that
+    is to the entries (i, k) and (k, j); the rest stays on (i, j).
+    """
+    rows, w_via = step
+    g_two_hop = g[rows] * w_via
+    g[rows] -= g_two_hop
+    g[rows, k] += g_two_hop.sum(axis=1)
+    g[k, :] += g_two_hop.sum(axis=0)

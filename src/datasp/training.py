@@ -248,31 +248,6 @@ def anchor_gradients(
     return grads, metrics
 
 
-def train_step(
-    params: ModelParams,
-    anchor: int,
-    dataset: Dataset,
-    graph: Graph,
-    prior: np.ndarray,
-    config: TrainConfig,
-    opt_state: AdamState,
-    node_freqs: np.ndarray | None = None,
-    similarity: SimilarityCache | None = None,
-    sample_seed: int = 0,
-) -> StepMetrics:
-    """One anchor, one optimizer update (batch accumulation happens in the loop)."""
-    if node_freqs is None:
-        node_freqs = node_visit_frequencies(dataset)
-    if similarity is None:
-        similarity = SimilarityCache(dataset, config.similarity_fraction,
-                                     list(range(len(dataset.records))))
-    grads, metrics = anchor_gradients(params, anchor, dataset, graph, prior, config,
-                                      node_freqs, similarity, sample_seed)
-    if grads is not None:
-        adam_update(params, grads, opt_state, config)
-    return metrics
-
-
 @dataclass
 class TrainResult:
     params: ModelParams

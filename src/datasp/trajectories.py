@@ -67,19 +67,6 @@ def validate_trajectory(path, graph: Graph) -> tuple[int, ...]:
     return path
 
 
-def remove_cycles(walk) -> tuple[int, ...] | None:
-    """Reject walks that revisit any node; no splicing is attempted.
-
-    Returns the walk unchanged when it is cycle-free, else None.
-    """
-    walk = tuple(int(x) for x in walk)
-    if len(walk) < 2:
-        raise ValidationError("a walk needs at least two nodes")
-    if len(set(walk)) != len(walk):
-        return None
-    return walk
-
-
 def highest_intermediate_decomposition(path) -> list[tuple[int, int, int]]:
     """All (i, j, k) subpath triples of a cycle-free trajectory.
 
@@ -186,13 +173,6 @@ def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
     dists = context_distances(dataset, anchor_index, candidate_indices)
     order = np.argsort(dists, kind="stable")[:count]
     return [candidate_indices[int(x)] for x in order]
-
-
-def batch_by_context_similarity(dataset: Dataset, anchor_index: int, fraction: float,
-                                candidate_indices=None) -> list[tuple[int, ...]]:
-    """Trajectories of the most context-similar samples (anchor included)."""
-    picked = similar_indices(dataset, anchor_index, fraction, candidate_indices)
-    return [dataset.records[idx].path for idx in picked]
 
 
 def node_visit_frequencies(dataset: Dataset, indices=None) -> np.ndarray:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from datasp.cli import main
-from datasp.serialize import load_checkpoint, load_tensor
+from datasp.costmodel import init_params
+from datasp.serialize import load_checkpoint, load_tensor, save_checkpoint
 
 
 def run_cli(*argv):
@@ -148,17 +149,18 @@ def test_train_resume_continues_step_counter(gen_dir, tmp_path):
     assert first_step == step1
 
 
-def test_train_seed_env_override(gen_dir, tmp_path, monkeypatch):
+def test_train_seed_flag_sets_config_seed(gen_dir, tmp_path):
     manifest = os.path.join(gen_dir, "manifest.json")
-    cfg = write_config(tmp_path, "env.json", {
+    cfg = write_config(tmp_path, "seed.json", {
         "dataset": manifest,
+        "seed": 5,
         "training": {"epochs": 0, "hidden_sizes": [8]},
     })
-    out = str(tmp_path / "env_run")
-    monkeypatch.setenv("DATASP_SEED", "99")
-    assert run_cli("train", "--config", cfg, "--out", out) == 0
+    out = str(tmp_path / "seed_run")
+    assert run_cli("train", "--config", cfg, "--out", out, "--seed", "99") == 0
     resolved = json.load(open(os.path.join(out, "train_config.json")))
     assert resolved["seed"] == 99
+    assert resolved["training"]["seed"] == 99
 
 
 def test_sample_paths_command(gen_dir, tmp_path):
@@ -261,3 +263,35 @@ def test_unknown_config_key_is_validation_error(tmp_path):
 def test_missing_dataset_is_validation_error(tmp_path):
     cfg = write_config(tmp_path, "t.json", {"training": {"epochs": 1}})
     assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "x")) == 2
+
+
+
+def _broken_eval_config(case, tmp_path, manifest):
+    """Path of an eval config that fails to load in the way `case` names."""
+    if case.startswith("checkpoint-cut-in-"):
+        path = tmp_path / "truncated.bin"
+        save_checkpoint(path, init_params(3, [4], 5, seed=0))
+        blob = path.read_bytes()
+        cut = {"length": 6, "header": 30, "payload": len(blob) - 8}[case.rsplit("-", 1)[1]]
+        path.write_bytes(blob[:cut])
+        return write_config(tmp_path, "eval.json", {"dataset": manifest,
+                                                    "checkpoint": str(path)})
+    if case == "malformed-config":
+        path = tmp_path / "malformed.json"
+        path.write_text('{"dataset": ')
+        return str(path)
+    if case == "missing-manifest":
+        return write_config(tmp_path, "eval.json",
+                            {"dataset": str(tmp_path / "no_such_manifest.json")})
+    return str(tmp_path / "no_such_config.json")
+
+
+@pytest.mark.parametrize("case", ["checkpoint-cut-in-length", "checkpoint-cut-in-header",
+                                  "checkpoint-cut-in-payload", "malformed-config",
+                                  "missing-manifest", "missing-config"])
+def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, capsys):
+    cfg = _broken_eval_config(case, tmp_path, os.path.join(gen_dir, "manifest.json"))
+    assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from datasp.engine import _pivot, datasp_backward, datasp_forward_efficient
+from datasp.engine import datasp_backward, datasp_forward_efficient
 from datasp.errors import ValidationError
 from datasp.graph import (
     Graph,
@@ -19,7 +19,7 @@ from datasp.oracle import (
     verify_distance_consistency,
     verify_shortcut_consistency,
 )
-from datasp.smoothing import INF, pair_softmin
+from datasp.smoothing import INF, pair_softmin, pivot
 
 
 def assert_shortcut_invariants(p, tol=1e-9):
@@ -75,9 +75,10 @@ def test_pivot_is_bit_identical_to_pair_softmin(rng):
         active[k, :] = False
         active[:, k] = False
         value, w_two_hop, _ = pair_softmin(two_hop, cur, 0.7)
-        new, w_via = _pivot(cur, k, 0.7)
+        new, (rows, w_via) = pivot(cur, k, 0.7)
         assert np.array_equal(new, np.where(active, value, cur))
-        assert np.array_equal(w_via, np.where(active, w_two_hop, 0.0))
+        assert np.array_equal(rows, np.flatnonzero(np.isfinite(cur[:, k])))
+        assert np.array_equal(w_via, np.where(active, w_two_hop, 0.0)[rows])
         cur = new
 
 

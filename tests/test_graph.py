@@ -12,13 +12,13 @@ from datasp.graph import (
     classical_floyd_warshall,
     complete_graph,
     dijkstra,
-    exclude_node,
+    exclude_nodes,
     graph_from_json_dict,
     path_cost,
     reconstruct_path,
     sample_subgraph,
 )
-from datasp.smoothing import INF
+from datasp.smoothing import INF, pair_softmin
 
 
 # --- Graph / cost matrix construction ---------------------------------------
@@ -173,33 +173,66 @@ def test_dijkstra_rejects_nonpositive_costs():
 
 # --- node exclusion ----------------------------------------------------------
 
+def _shrinking_exclusion(m, removed, beta):
+    """Reference: delete each removed node, in ascending order, from a
+    shrinking matrix, reconnecting its neighbors through pair_softmin."""
+    cur = m
+    alive = list(range(m.shape[0]))
+    for node in sorted(removed):
+        k = alive.index(node)
+        two_hop = cur[:, k, None] + cur[None, k, :]
+        value, _, _ = pair_softmin(two_hop, cur, beta)
+        update = np.isfinite(two_hop) & ~np.eye(len(alive), dtype=bool)
+        cur = np.where(update, value, cur)
+        keep = [x for x in range(len(alive)) if x != k]
+        cur = cur[np.ix_(keep, keep)]
+        alive.pop(k)
+    return cur
+
+
 def test_exclude_hard_min_prefers_two_hop():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     m = build_cost_matrix([1.0, 2.0, 5.0], g)
-    step = exclude_node(m, 1, beta=100.0)
+    comp = exclude_nodes(m, [1], beta=100.0)
     # new (0, 2) entry ~ min(5, 1+2) = 3 in the hard limit
-    assert step.matrix[0, 1] == pytest.approx(3.0, abs=1e-2)
-    assert step.remap[0] == 0 and step.remap[1] == -1 and step.remap[2] == 1
+    assert comp.matrix[0, 1] == pytest.approx(3.0, abs=1e-2)
+    assert list(comp.node_map) == [0, -1, 1]
+    assert comp.kept == [0, 2] and comp.removed == [1]
 
 
 def test_exclude_isolated_node_just_drops_it(k4):
     g = Graph(3, [(0, 1)])
     m = build_cost_matrix([4.0], g)
-    step = exclude_node(m, 2, beta=1.0)
-    assert step.matrix.shape == (2, 2)
-    assert step.matrix[0, 1] == 4.0
+    comp = exclude_nodes(m, [2], beta=1.0)
+    assert comp.matrix.shape == (2, 2)
+    assert comp.matrix[0, 1] == 4.0
 
 
 def test_exclude_tied_branches_undershoot():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     m = build_cost_matrix([1.0, 2.0, 3.0], g)
-    step = exclude_node(m, 1, beta=1.0)
-    assert step.matrix[0, 1] == pytest.approx(3.0 - math.log(2.0), abs=1e-12)
+    comp = exclude_nodes(m, [1], beta=1.0)
+    assert comp.matrix[0, 1] == pytest.approx(3.0 - math.log(2.0), abs=1e-12)
 
 
 def test_exclude_out_of_range(k4):
-    with pytest.raises(ValidationError):
-        exclude_node(k4, 7, beta=1.0)
+    for removed in ([7], [-1], [1, 1]):
+        with pytest.raises(ValidationError):
+            exclude_nodes(k4, removed, beta=1.0)
+
+
+def test_exclude_nodes_is_bit_identical_to_shrinking_reference():
+    nonpositive = False
+    for seed, (low, high) in enumerate([(0.5, 2.0), (0.5, 40.0), (0.1, 0.6)]):
+        rng = np.random.default_rng(seed)
+        graph, costs = random_connected_graph(14, rng, extra_edges=7, low=low, high=high)
+        m = build_cost_matrix(costs, graph)
+        removed = [int(x) for x in rng.choice(14, size=9, replace=False)]
+        for beta in (1.0, 30.0):
+            comp = exclude_nodes(m, removed, beta)
+            assert np.array_equal(comp.matrix, _shrinking_exclusion(m, removed, beta))
+            nonpositive |= bool((comp.matrix[np.isfinite(comp.matrix)] <= 0).any())
+    assert nonpositive
 
 
 def test_exclusion_preserves_hard_distances(rng):
@@ -208,16 +241,10 @@ def test_exclusion_preserves_hard_distances(rng):
         graph, costs = random_connected_graph(9, rng)
         m = build_cost_matrix(costs, graph)
         dist_full, _ = classical_floyd_warshall(m)
-        current = m
-        alive = list(range(9))
-        for node in (8, 3):
-            idx = alive.index(node)
-            step = exclude_node(current, idx, beta=200.0)
-            current = step.matrix
-            alive.remove(node)
-        dist_sub, _ = classical_floyd_warshall(current)
-        for a, u in enumerate(alive):
-            for b, v in enumerate(alive):
+        comp = exclude_nodes(m, [8, 3], beta=200.0)
+        dist_sub, _ = classical_floyd_warshall(comp.matrix)
+        for a, u in enumerate(comp.kept):
+            for b, v in enumerate(comp.kept):
                 if u == v:
                     continue
                 assert dist_sub[a, b] == pytest.approx(dist_full[u, v], abs=1e-4)
@@ -226,18 +253,22 @@ def test_exclusion_preserves_hard_distances(rng):
 def test_exclusion_backward_matches_finite_differences(rng):
     from datasp.oracle import finite_difference_gradcheck
 
-    graph, costs = random_connected_graph(6, rng)
+    graph, costs = random_connected_graph(8, rng)
     m = build_cost_matrix(costs, graph)
-    upstream = rng.standard_normal((5, 5))
+    # At beta = 30 some gradients are ~1e-8, where round-off in a 1e-6
+    # central difference is already a relative error of 1e-3.
+    for beta, step, tol in ((1.0, 1e-6, 1e-6), (30.0, 1e-4, 1e-4)):
+        for removed in ([2, 4, 5], [0, 3, 6, 7]):
+            size = 8 - len(removed)
+            upstream = rng.standard_normal((size, size))
+            comp = exclude_nodes(m, removed, beta)
+            grad = comp.backward(np.where(np.isfinite(comp.matrix), upstream, 0.0))
 
-    step = exclude_node(m, 2, beta=1.0)
-    grad = step.backward(np.where(np.isfinite(step.matrix), upstream, 0.0))
+            def loss(matrix):
+                out = exclude_nodes(matrix, removed, beta).matrix
+                return float(np.where(np.isfinite(out), out * upstream, 0.0).sum())
 
-    def loss(matrix):
-        out = exclude_node(matrix, 2, beta=1.0).matrix
-        return float(np.where(np.isfinite(out), out * upstream, 0.0).sum())
-
-    assert finite_difference_gradcheck(loss, grad, m, step=1e-6) <= 1e-6
+            assert finite_difference_gradcheck(loss, grad, m, step=step) <= tol
 
 
 # --- subgraph sampling --------------------------------------------------------

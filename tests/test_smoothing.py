@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from datasp.errors import ValidationError
-from datasp.smoothing import INF, pair_softmin, softmin_value, softmin_vjp, softmin_weights
+from datasp.smoothing import INF, pair_softmin, softmin_value, softmin_weights
 
 # Walk costs of the bundled 4-node fixture's tabulated pair: 4 walks of cost
 # 3, 4 of cost 5, 7 of cost 7, 5 of cost 9.
@@ -116,23 +116,6 @@ def test_hard_limit():
     assert softmin_weights([2.0, 2.0], 1e4) == pytest.approx([0.5, 0.5])
 
 
-def test_vjp_value_grad_equals_weights():
-    g = softmin_vjp([3.0, 5.0], 1.0, value_grad=1.0)
-    assert g == pytest.approx([0.8808, 0.1192], abs=1e-4)
-    assert np.allclose(g, softmin_weights([3.0, 5.0], 1.0))
-
-
-def test_vjp_zero_upstream_is_zero():
-    g = softmin_vjp([1.0, 4.0, INF], 2.0, value_grad=0.0, weight_grads=[0.0, 0.0, 0.0])
-    assert np.array_equal(g, [0.0, 0.0, 0.0])
-
-
-def test_vjp_infinite_entries_get_zero_gradient(rng):
-    v = [1.0, INF, 2.0]
-    g = softmin_vjp(v, 1.0, value_grad=0.7, weight_grads=rng.standard_normal(3))
-    assert g[1] == 0.0
-
-
 def _fd_vjp(v, beta, value_grad, weight_grads, step=1e-6):
     v = np.asarray(v, dtype=float)
     grad = np.zeros_like(v)
@@ -149,15 +132,6 @@ def _fd_vjp(v, beta, value_grad, weight_grads, step=1e-6):
             np.dot(weight_grads, softmin_weights(down, beta)))
         grad[idx] = (f_up - f_down) / (2 * step)
     return grad
-
-
-def test_vjp_matches_finite_differences(rng):
-    v = rng.uniform(0.0, 3.0, size=5)
-    u = rng.standard_normal(5)
-    analytic = softmin_vjp(v, 2.0, value_grad=0.3, weight_grads=u)
-    fd = _fd_vjp(v, 2.0, 0.3, u)
-    rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)
-    assert rel.max() <= 1e-6
 
 
 def test_value_gradient_identity_by_finite_differences(rng):

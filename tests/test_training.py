@@ -22,13 +22,13 @@ from datasp.training import (
     AdamState,
     SimilarityCache,
     TrainConfig,
+    adam_update,
     anchor_gradients,
     evaluate_jaccard,
     init_adam,
     prior_loss,
     shortcut_loss,
     train_loop,
-    train_step,
 )
 
 
@@ -120,7 +120,7 @@ def small_dataset(num_samples=60, num_nodes=12, seed=0):
     return result, dataset
 
 
-# --- train_step -----------------------------------------------------------------
+# --- anchor step ----------------------------------------------------------------
 
 def test_train_step_zero_learning_rate_keeps_params():
     result, dataset = small_dataset()
@@ -129,9 +129,14 @@ def test_train_step_zero_learning_rate_keeps_params():
     params = init_params(3, [8], result.graph.num_edges, seed=0)
     before = [w.copy() for w in params.weights]
     state = init_adam(params)
-    metrics = train_step(params, 0, dataset, result.graph, result.prior, config, state)
+    similarity = SimilarityCache(dataset, config.similarity_fraction,
+                                 list(range(len(dataset.records))))
+    grads, metrics = anchor_gradients(params, 0, dataset, result.graph, result.prior,
+                                      config, node_visit_frequencies(dataset),
+                                      similarity, sample_seed=0)
     assert not metrics.skipped
     assert math.isfinite(metrics.shortcut)
+    adam_update(params, grads, state, config)
     for w, old in zip(params.weights, before):
         assert np.array_equal(w, old)
 

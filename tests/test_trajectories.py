@@ -8,11 +8,9 @@ from datasp.trajectories import (
     Dataset,
     TrajectoryRecord,
     apply_node_exclusion_to_path,
-    batch_by_context_similarity,
     build_frequency_tensor,
     highest_intermediate_decomposition,
     node_visit_frequencies,
-    remove_cycles,
     similar_indices,
 )
 
@@ -117,12 +115,6 @@ def test_exclusion_commutes_with_decomposition():
     assert direct == projected
 
 
-def test_remove_cycles():
-    assert remove_cycles([0, 1, 0, 3]) is None
-    assert remove_cycles([0, 1, 3]) == (0, 1, 3)
-    assert remove_cycles([2, 2]) is None
-
-
 def _toy_dataset(contexts, paths=None, discrete=None):
     graph = complete_graph(4)
     records = []
@@ -136,7 +128,7 @@ def _toy_dataset(contexts, paths=None, discrete=None):
 
 def test_similarity_fraction_one_returns_all():
     ds = _toy_dataset([[0.0], [1.0], [2.0]])
-    assert len(batch_by_context_similarity(ds, 0, 1.0)) == 3
+    assert similar_indices(ds, 0, 1.0) == [0, 1, 2]
 
 
 def test_similarity_identical_context_is_nearest():
