@@ -21,7 +21,7 @@ from .graph import (
     exclude_nodes,
     sample_subgraph,
 )
-from .engine import datasp_backward, datasp_forward_efficient
+from .engine import datasp_backward, datasp_forward_efficient, sweep
 from .trajectories import (
     ContextSample,
     Dataset,
@@ -41,7 +41,6 @@ from .inference import (
     match_rate,
     monte_carlo_path_distribution,
     optimal_cost_rate,
-    sample_path,
 )
 from .synthetic import GeneratorConfig, generate_synthetic_dataset
 from .oracle import (

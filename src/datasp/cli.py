@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .costmodel import init_params, predict_costs
-from .engine import datasp_forward_efficient
+from .engine import datasp_forward_efficient, sweep
 from .errors import (
     GenerationError,
     NoPathError,
@@ -159,6 +159,18 @@ def _write_resolved(config: dict, out_dir: str, command: str) -> None:
     name = command.replace("-", "_") + "_config.json"
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(config))
+
+
+def _node_index(value, num_nodes: int, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < num_nodes:
+        raise ValidationError(f"{name} must be a node index in [0, {num_nodes}), got {value!r}")
+    return value
+
+
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _model_costs(config, graph, prior, out_meta: dict):
@@ -378,15 +390,16 @@ def cmd_sample_paths(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     graph, prior, _ = load_graph_json(config["graph"])
+    source = _node_index(config["source"], graph.num_nodes, "source")
+    target = _node_index(config["target"], graph.num_nodes, "target")
+    num_samples = _positive_int(config["num_samples"], "num_samples")
     meta: dict = {"beta": config["beta"]}
     costs = _model_costs(config, graph, prior, meta)
-    m = build_cost_matrix(costs, graph)
-    p, _, _ = datasp_forward_efficient(m, config["beta"])
+    tape = sweep(build_cost_matrix(costs, graph), config["beta"])
 
     rng = np.random.default_rng(config["seed"])
     estimate = monte_carlo_path_distribution(
-        p, int(config["source"]), int(config["target"]),
-        int(config["num_samples"]), rng, reject_cycles=bool(config["reject_cycles"]),
+        tape, source, target, num_samples, rng, reject_cycles=bool(config["reject_cycles"]),
     )
     samples_path = os.path.join(out_dir, "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
@@ -398,9 +411,11 @@ def cmd_sample_paths(args) -> int:
     meta.update({
         "sample_count": estimate.sample_count,
         "rejected_count": estimate.rejected_count,
-        "resample_events": estimate.resample_events,
-        "source": int(config["source"]),
-        "target": int(config["target"]),
+        # The sampler cannot dead-end, so it never resamples; the key stays
+        # because existing readers of samples_meta.json (the benchmark) use it.
+        "resample_events": 0,
+        "source": source,
+        "target": target,
     })
     with open(os.path.join(out_dir, "samples_meta.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(meta))
@@ -418,33 +433,35 @@ def cmd_predict_dest(args) -> int:
     config = _load_config(args, "predict-dest")
     if not config["graph"]:
         raise ValidationError("predict-dest config requires a graph path")
-    if not config["partial"]:
-        raise ValidationError("predict-dest config requires a partial path")
+    if not isinstance(config["partial"], list) or len(config["partial"]) < 2:
+        raise ValidationError("predict-dest config requires a partial path of at least two nodes")
+    prior_cfg = config["prior"]
+    if not isinstance(prior_cfg, dict):
+        raise ValidationError(f"prior must be an object with a 'kind', got {prior_cfg!r}")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
     graph, prior, _ = load_graph_json(config["graph"])
+    partial = [_node_index(x, graph.num_nodes, "partial path node") for x in config["partial"]]
+    current = partial[-1]
     meta: dict = {"beta": config["beta"]}
     costs = _model_costs(config, graph, prior, meta)
     m = build_cost_matrix(costs, graph)
 
-    partial = [int(x) for x in config["partial"]]
-    current = partial[-1]
-    m_swapped = swap_nodes_in_matrix(m, current, graph.num_nodes - 1)
-    p, _, _ = datasp_forward_efficient(m_swapped, config["beta"])
-
-    prior_cfg = config["prior"]
     kind = prior_cfg.get("kind", "uniform")
     if kind == "uniform":
         dest_prior = DestinationPrior.uniform(graph.num_nodes)
     elif kind == "exp-negative-distance":
         dest_prior = DestinationPrior.exp_negative_distance(m, current)
     elif kind == "custom":
-        dest_prior = DestinationPrior(weights=np.asarray(prior_cfg["weights"], dtype=float))
+        if "weights" not in prior_cfg:
+            raise ValidationError("a custom prior needs a 'weights' list")
+        dest_prior = DestinationPrior(weights=prior_cfg["weights"])
     else:
         raise ValidationError(f"unknown destination prior kind {kind!r}")
 
-    probs = destination_likelihood(p, partial, dest_prior)
+    tape = sweep(swap_nodes_in_matrix(m, current, graph.num_nodes - 1), config["beta"])
+    probs = destination_likelihood(tape, partial, dest_prior)
     doc = {
         "probabilities": {str(node): float(prob) for node, prob in enumerate(probs)
                           if prob > 0},
@@ -518,9 +535,10 @@ def cmd_verify(args) -> int:
     if dev2 > tol:
         failures.append("shortcut_consistency")
 
-    p, _, _ = datasp_forward_efficient(m, beta)
+    tape = sweep(m, beta)
     rng = np.random.default_rng(config["seed"])
-    estimate = monte_carlo_path_distribution(p, 0, 3, int(config["num_samples"]), rng)
+    estimate = monte_carlo_path_distribution(
+        tape, 0, 3, _positive_int(config["num_samples"], "num_samples"), rng)
     freq_checks = []
     ok_freq = True
     for walk, prob in sorted(theory.items(), key=lambda kv: -kv[1]):
@@ -540,7 +558,8 @@ def cmd_verify(args) -> int:
     if not ok_freq:
         failures.append("sampling_frequencies")
 
-    tv = sampler_total_variation(p, m, 0, 3, beta, int(config["tv_num_samples"]),
+    tv = sampler_total_variation(tape, 0, 3,
+                                 _positive_int(config["tv_num_samples"], "tv_num_samples"),
                                  np.random.default_rng([config["seed"], 1]))
     tv_ok = tv <= float(config["tv_tolerance"])
     report["checks"]["sampling_total_variation"] = {"tv": float(tv), "ok": bool(tv_ok)}

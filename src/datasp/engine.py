@@ -1,15 +1,15 @@
 """Differentiable all-to-all shortest paths.
 
-The forward pass runs a smoothed Floyd-Warshall sweep: for each pivot node k
-in ascending order, every pair (i, j) replaces its running cost with the
-smooth min of that cost and the two-hop cost through k.  The final matrix D
-holds the smooth minimum of the costs of all visitable walks per pair.
-Redundant updates are skipped: i == j (self loops), i == k or k == j (direct
-paths are fixed at initialization), and pairs whose two-hop cost through k is
+`sweep` runs a smoothed Floyd-Warshall sweep: for each pivot node k in
+ascending order, every pair (i, j) replaces its running cost with the smooth
+min of that cost and the two-hop cost through k.  The final matrix D holds
+the smooth minimum of the costs of all visitable walks per pair.  Redundant
+updates are skipped: i == j (self loops), i == k or k == j (direct paths are
+fixed at initialization), and pairs whose two-hop cost through k is
 infinite.  One pivot is `smoothing.pivot` and its adjoint
 `smoothing.pivot_adjoint`; node exclusion (`graph.exclude_nodes`) runs the
-same pivot over the removed nodes, so the forward sweep, the backward sweep
-and exclusion share one update and one adjoint.
+same pivot over the removed nodes, so the sweep, the backward sweep and
+exclusion share one update and one adjoint.
 
 The shortcut tensor P[i, j, k] is the probability that k is the highest
 intermediate node on an i -> j walk, and P[i, j, i] the probability of the
@@ -20,13 +20,20 @@ so P has a closed form in values the sweep already passes through:
     P[i, j, i] = exp(-beta * (M[i, j] - D[i, j]))
 
 where C[:, k] and R[k, :] are column k and row k of the running matrix just
-before pivot k, and M is the input matrix.  The sweep therefore keeps only
-O(V^2) state (C, R and the running matrix, plus a snapshot of the running
-matrix every ceil(sqrt(V)) pivots) and P is built once, at the end, in O(V^3)
-time.  The backward pass reduces the upstream gradient on P to gradients on
-D, C, R and the direct slots, then runs one reverse sweep over the pivots,
-recomputing each sqrt(V)-pivot segment from its snapshot (checkpointing as
-in Griewank & Walther's "revolve").
+before pivot k, and M is the input matrix.  `shortcut_costs` returns the
+costs in those exponents for one pair, C[i, :] + R[:, j] with M[i, j] in the
+direct slot.  The sweep keeps only O(V^2) state (C, R and the running
+matrix, plus a snapshot of the running matrix every ceil(sqrt(V)) pivots) in
+an `EngineTape`.
+
+Queries (path sampling, destination likelihoods) call `sweep` and read the
+rows they need through `shortcut_costs`; no V^3 array is allocated for them.
+`datasp_forward_efficient` is `sweep` plus the dense O(V^3) build of P, which
+only the training loss and the oracle checks use.  The backward pass reduces
+the upstream gradient on P to gradients on D, C, R and the direct slots,
+then runs one reverse sweep over the pivots, recomputing each
+sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank &
+Walther's "revolve").
 """
 
 from __future__ import annotations
@@ -44,11 +51,11 @@ from .graph import validate_cost_matrix
 
 @dataclass
 class EngineTape:
-    """What the adjoint needs: O(V^2) arrays plus sqrt(V) snapshots.
+    """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots.
 
-    P itself is only referenced weakly: the backward reuses the forward's P
-    while the caller still holds it (it must not be modified in place), and
-    rebuilds it from (m_input, col, row, dist) otherwise.
+    A tape from `datasp_forward_efficient` refers to its P weakly: the
+    backward reuses that P while the caller still holds it (it must not be
+    modified in place), and rebuilds it from the tape otherwise.
     """
 
     beta: float
@@ -59,36 +66,48 @@ class EngineTape:
     dist: np.ndarray
     stride: int
     snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
-    p_ref: weakref.ref
+    p_ref: weakref.ref | None = None
 
     def shortcuts(self) -> np.ndarray:
-        p = self.p_ref()
+        p = self.p_ref() if self.p_ref is not None else None
         if p is None:
-            p = _shortcuts(self.m_input, self.col, self.row, self.dist, self.beta)
+            p = _shortcuts(self)
         return p
 
 
-def _shortcuts(m: np.ndarray, col: np.ndarray, row: np.ndarray, dist: np.ndarray,
-               beta: float) -> np.ndarray:
+def shortcut_costs(tape: EngineTape, a: int, b: int) -> np.ndarray:
+    """Per-slot walk costs of the pair (a, b): P[a, b, :] = exp(-beta * (costs - D[a, b])).
+
+    Slot k holds C[a, k] + R[k, b], slot a the direct cost M[a, b] and slot
+    b inf.  Returns a new array.
+    """
+    costs = tape.col[a] + tape.row[:, b]
+    costs[a] = tape.m_input[a, b]
+    costs[b] = INF
+    return costs
+
+
+def _shortcuts(tape: EngineTape) -> np.ndarray:
     """Build P from the closed form; unreachable pairs and i == j get 0."""
     # A pair at infinite distance (i == j, or unreachable) gets -inf instead,
     # which sends every term of its slice, finite or infinite, to exp(-inf).
-    d = np.where(np.isfinite(dist), dist, -INF)
-    p = col[:, None, :] + row.T[None, :, :]
+    beta = tape.beta
+    d = np.where(np.isfinite(tape.dist), tape.dist, -INF)
+    p = tape.col[:, None, :] + tape.row.T[None, :, :]
     p -= d[:, :, None]
     p *= -beta
     np.exp(p, out=p)
-    nodes = np.arange(m.shape[0])
-    p[nodes[:, None], nodes[None, :], nodes[:, None]] = np.exp(-beta * (m - d))
+    nodes = np.arange(tape.size)
+    p[nodes[:, None], nodes[None, :], nodes[:, None]] = np.exp(-beta * (tape.m_input - d))
     return p
 
 
-def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, EngineTape]:
-    """Forward pass: returns (shortcut tensor P, smoothed distance matrix D, tape).
+def sweep(m: np.ndarray, beta: float) -> EngineTape:
+    """The smoothed Floyd-Warshall sweep: D, C, R and the snapshots.
 
     For a fixed pivot k the (i, j) updates are independent: row k and
     column k are never written during iteration k (those pairs are skipped
-    as redundant), so each pivot is one batched operation.
+    as redundant), so each pivot is one batched in-place operation.
     """
     m_input = validate_cost_matrix(m).copy()
     beta = check_beta(beta)
@@ -96,18 +115,24 @@ def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np
     stride = max(1, math.ceil(math.sqrt(n)))
     col = np.empty((n, n))
     row = np.empty((n, n))
-    snapshots = []
-    cur = m_input
+    snapshots = [m_input]
+    cur = m_input.copy()
     for k in range(n):
-        if k % stride == 0:
-            snapshots.append(cur)
+        if k and k % stride == 0:
+            snapshots.append(cur.copy())
         col[:, k] = cur[:, k]
         row[k, :] = cur[k, :]
-        cur, _ = pivot(cur, k, beta)
-    p = _shortcuts(m_input, col, row, cur, beta)
-    tape = EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
-                      stride=stride, snapshots=snapshots, p_ref=weakref.ref(p))
-    return p, cur, tape
+        pivot(cur, k, beta)
+    return EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
+                      stride=stride, snapshots=snapshots)
+
+
+def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, EngineTape]:
+    """Forward pass: returns (shortcut tensor P, smoothed distance matrix D, tape)."""
+    tape = sweep(m, beta)
+    p = _shortcuts(tape)
+    tape.p_ref = weakref.ref(p)
+    return p, tape.dist, tape
 
 
 def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) -> np.ndarray:
@@ -140,11 +165,8 @@ def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) ->
     del g_p
 
     for start in reversed(range(0, n, tape.stride)):
-        cur = tape.snapshots[start // tape.stride]
-        steps = []
-        for k in range(start, min(start + tape.stride, n)):
-            cur, step = pivot(cur, k, beta)
-            steps.append(step)
+        cur = tape.snapshots[start // tape.stride].copy()
+        steps = [pivot(cur, k, beta) for k in range(start, min(start + tape.stride, n))]
         for k in reversed(range(start, start + len(steps))):
             g[:, k] += g_col[:, k]
             g[k, :] += g_row[k, :]

@@ -59,9 +59,6 @@ class Graph:
         """(E, 2) int array of (u, v) pairs, aligned with the edge ordering."""
         return self._edge_array
 
-    def edge_position(self, u: int, v: int) -> int:
-        return self._edge_index[(u, v)]
-
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_index
 
@@ -200,39 +197,16 @@ def validate_cost_matrix(m: np.ndarray, positive: bool = False) -> np.ndarray:
     return m
 
 
-def classical_floyd_warshall(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs shortest distances with a predecessor matrix.
+def classical_floyd_warshall(m: np.ndarray) -> np.ndarray:
+    """All-pairs shortest distances, the hard-min reference for the engine.
 
     Runs the textbook relaxation, including i == j, so the diagonal of the
     result is the cheapest cycle cost (inf when no cycle exists).
-    predecessors[i, j] is the node before j on a reconstructed optimal
-    i -> j path, or -1 when j is unreachable from i.
     """
     dist = validate_cost_matrix(m).copy()
-    n = dist.shape[0]
-    pred = np.full((n, n), -1, dtype=np.int64)
-    src, dst = np.nonzero(np.isfinite(dist))
-    pred[src, dst] = src
-    for k in range(n):
-        alt = dist[:, k, None] + dist[None, k, :]
-        better = alt < dist
-        dist = np.where(better, alt, dist)
-        pred = np.where(better, pred[k, :][None, :], pred)
-    return dist, pred
-
-
-def reconstruct_path(pred: np.ndarray, i: int, j: int) -> list[int] | None:
-    """Path i -> j from a predecessor matrix, or None when unreachable."""
-    if pred[i, j] < 0:
-        return None
-    nodes = [j]
-    guard = pred.shape[0] + 1
-    while nodes[-1] != i:
-        nodes.append(int(pred[i, nodes[-1]]))
-        if len(nodes) > guard:
-            raise ValidationError("predecessor matrix does not reach the source")
-    nodes.reverse()
-    return nodes
+    for k in range(dist.shape[0]):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    return dist
 
 
 def path_cost(m: np.ndarray, path) -> float:
@@ -347,13 +321,13 @@ def exclude_nodes(m: np.ndarray, removed, beta: float) -> Compression:
     if len(set(removed)) != len(removed):
         raise ValidationError(f"removed nodes must be distinct, got {removed}")
 
-    cur = m
+    # validate_cost_matrix returns the caller's array; pivot writes in place.
+    cur = m.copy()
     steps = []
     for k in removed:
-        cur, step = pivot(cur, k, beta)
+        steps.append(pivot(cur, k, beta))
         cur[k, :] = INF
         cur[:, k] = INF
-        steps.append(step)
 
     kept = sorted(set(range(n)) - set(removed))
     node_map = np.full(n, -1, dtype=np.int64)

@@ -1,5 +1,9 @@
-"""Path sampling from a shortcut tensor, destination likelihoods, expected
-optimal paths, and evaluation metrics.
+"""Path sampling and destination likelihoods read from the engine's sweep,
+expected optimal paths, and evaluation metrics.
+
+Queries take the `EngineTape` of `engine.sweep`, not the shortcut tensor P:
+every row they need is read through `engine.shortcut_costs`, in log space,
+so no V^3 array is built and no row underflows to all zeros.
 
 Sampling recursively draws the highest intermediate node H between the
 endpoints, then recurses into both halves with all slots above H masked out
@@ -9,24 +13,27 @@ half's pivot, the mask a row would accumulate along a branch always equals
 the mask imposed by its immediate parent, so passing a single bound down the
 recursion reproduces the tensor-masking semantics exactly without copying
 anything.
+
+The recursion cannot dead-end.  A draw of H from row (a, b) has a finite
+cost C[a, H] + R[H, b].  C[a, H] is the smooth min of the costs row (a, H)
+keeps under the mask at H (its direct slot and the slots below H), and
+R[H, b] is the same for row (H, b), so both halves have a finite slot to
+draw.  Weights are taken relative to the cheapest slot left in the row,
+which therefore always weighs exactly 1.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import EngineTape, shortcut_costs
 from .errors import NoPathError, ValidationError
 from .graph import Graph, build_cost_matrix, classical_floyd_warshall, dijkstra, path_cost
 from .smoothing import INF
-
-_PARENT_RETRIES = 50
-
-
-class _DeadEnd(Exception):
-    """A masked row lost all mass; the parent draw must be resampled."""
 
 
 @dataclass
@@ -34,95 +41,55 @@ class PathDistributionEstimate:
     frequencies: dict[tuple[int, ...], float]
     sample_count: int
     rejected_count: int
-    resample_events: int = 0
 
 
 class ShortcutSampler:
-    """Recursive walk sampler over a fixed shortcut tensor.
+    """Recursive walk sampler over the rows of a sweep's tape.
 
-    Masked row distributions are cached per (source, target, bound), so
-    repeated draws (Monte Carlo) cost one bisection per recursion step.
+    Masked row distributions are cached per (source, target, bound) as
+    cumulative weights, so repeated draws (Monte Carlo) cost one bisection
+    per recursion step.
     """
 
-    def __init__(self, p: np.ndarray):
-        if p.ndim != 3 or len(set(p.shape)) != 1:
-            raise ValidationError(f"shortcut tensor must be cubic, got shape {p.shape}")
-        self.p = p
-        self.n = p.shape[0]
-        self._rows: dict[tuple[int, int, int], tuple[list[float], float] | None] = {}
+    def __init__(self, tape: EngineTape):
+        self.tape = tape
+        self.n = tape.size
+        self._rows: dict[tuple[int, int, int], list[float]] = {}
 
-    def _row(self, a: int, b: int, bound: int):
+    def _cumulative(self, a: int, b: int, bound: int) -> list[float]:
         key = (a, b, bound)
-        hit = self._rows.get(key, False)
-        if hit is not False:
-            return hit
-        hi = min(bound, self.n - 1)
-        weights = [0.0] * self.n
-        row = self.p[a, b]
-        for k in range(hi + 1):
-            weights[k] = float(row[k])
-        weights[a] = float(row[a])  # the direct slot survives every mask
-        weights[b] = 0.0
-        total = 0.0
-        cumulative = []
-        for w in weights:
-            total += w
-            cumulative.append(total)
-        entry = (cumulative, total) if total > 0.0 else None
-        self._rows[key] = entry
-        return entry
+        cumulative = self._rows.get(key)
+        if cumulative is None:
+            costs = shortcut_costs(self.tape, a, b)
+            direct = costs[a]
+            costs[bound + 1:] = INF
+            costs[a] = direct  # the direct slot survives every mask
+            weights = np.exp(-self.tape.beta * (costs - costs.min()))
+            cumulative = self._rows[key] = np.cumsum(weights).tolist()
+        return cumulative
 
     def draw(self, a: int, b: int, bound: int, rng) -> int:
-        entry = self._row(a, b, bound)
-        if entry is None:
-            raise _DeadEnd
-        cumulative, total = entry
-        return bisect_right(cumulative, rng.random() * total)
+        cumulative = self._cumulative(a, b, bound)
+        return bisect_right(cumulative, rng.random() * cumulative[-1])
 
-    def sample(self, i: int, j: int, rng) -> tuple[list[int], int]:
-        """One walk i -> j plus the number of parent-resample events."""
+    def sample(self, i: int, j: int, rng) -> list[int]:
+        """One walk i -> j."""
         if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
             raise ValidationError(f"invalid pair ({i}, {j}) for {self.n} nodes")
-        if self.p[i, j, :].sum() <= 0.0:
-            raise NoPathError(f"pair ({i}, {j}) is unreachable in the shortcut tensor")
-        resamples = 0
+        if not np.isfinite(self.tape.dist[i, j]):
+            raise NoPathError(f"pair ({i}, {j}) is unreachable")
 
         def recurse(a: int, b: int, bound: int) -> list[int]:
-            nonlocal resamples
-            for _ in range(_PARENT_RETRIES):
-                h = self.draw(a, b, bound, rng)
-                if h == a:
-                    return [a, b]
-                try:
-                    left = recurse(a, h, h)
-                    right = recurse(h, b, h)
-                except _DeadEnd:
-                    resamples += 1
-                    continue
-                return left + right[1:]
-            raise _DeadEnd
+            h = self.draw(a, b, bound, rng)
+            if h == a:
+                return [a, b]
+            return recurse(a, h, h) + recurse(h, b, h)[1:]
 
-        try:
-            walk = recurse(i, j, self.n - 1)
-        except _DeadEnd:
-            raise NoPathError(
-                f"sampling for pair ({i}, {j}) dead-ended after repeated resampling"
-            ) from None
-        return walk, resamples
-
-
-def sample_path(p: np.ndarray, i: int, j: int, rng) -> list[int]:
-    """Draw one walk i -> j from the shortcut tensor.
-
-    Raises NoPathError when the pair has no mass at all.  Zero rows hit
-    after masking trigger a bounded resample of the parent draw.
-    """
-    walk, _ = ShortcutSampler(p).sample(i, j, rng)
-    return walk
+        return recurse(i, j, self.n - 1)
 
 
 def monte_carlo_path_distribution(
-    p: np.ndarray,
+    tape: EngineTape,
     i: int,
     j: int,
     num_samples: int,
@@ -137,17 +104,15 @@ def monte_carlo_path_distribution(
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
-    sampler = ShortcutSampler(p)
+    sampler = ShortcutSampler(tape)
     counts: dict[tuple[int, ...], int] = {}
     accepted = 0
     rejected = 0
-    resample_events = 0
     attempts = 0
     cap = 100 * num_samples
     while accepted < num_samples and attempts < cap:
         attempts += 1
-        walk, resamples = sampler.sample(i, j, rng)
-        resample_events += resamples
+        walk = sampler.sample(i, j, rng)
         if reject_cycles and len(set(walk)) != len(walk):
             rejected += 1
             continue
@@ -163,7 +128,6 @@ def monte_carlo_path_distribution(
         frequencies=freqs,
         sample_count=accepted,
         rejected_count=rejected,
-        resample_events=resample_events,
     )
 
 
@@ -175,9 +139,14 @@ class DestinationPrior:
     kind: str = "custom"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if (self.weights < 0).any() or not (self.weights > 0).any():
-            raise ValidationError("prior weights must be nonnegative with at least one positive")
+        try:
+            self.weights = np.asarray(self.weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"prior weights must be numbers: {exc}") from None
+        w = self.weights
+        if not np.isfinite(w).all() or (w < 0).any() or not (w > 0).any():
+            raise ValidationError("prior weights must be finite and nonnegative with at "
+                                  "least one positive")
 
     @classmethod
     def uniform(cls, num_nodes: int) -> "DestinationPrior":
@@ -187,7 +156,7 @@ class DestinationPrior:
     def exp_negative_distance(cls, m: np.ndarray, origin: int) -> "DestinationPrior":
         """Weights exp(-d/scale) from cost distances out of the origin node;
         scale is the mean finite distance so the decay is unit-free."""
-        dist, _ = classical_floyd_warshall(m)
+        dist = classical_floyd_warshall(m)
         row = dist[origin].copy()
         row[origin] = 0.0
         finite = np.isfinite(row)
@@ -205,20 +174,22 @@ def swap_nodes_in_matrix(m: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def destination_likelihood(
-    p: np.ndarray,
+    tape: EngineTape,
     partial: list[int],
     prior: DestinationPrior,
 ) -> np.ndarray:
     """Per-node destination probabilities given a partial path.
 
-    p must come from a cost matrix in which the partial path's final node
-    was swapped with index V-1 before the forward pass, so that "the final
-    node is the highest intermediate" is a single slot.  Nodes already
+    tape must come from `engine.sweep` on a cost matrix in which the
+    partial path's final node was swapped with index V-1, so that "the
+    final node is the highest intermediate" is a single slot.  Nodes already
     visited (except the current one) get probability zero; the current node
-    itself is scored by its direct-connection slot.  Probabilities are
-    returned in original node indexing.
+    itself is scored by its direct-connection slot.  Scores are summed in
+    log space, log P[s, t, V-1] + log prior, so destinations whose P
+    underflows still rank.  Probabilities are returned in original node
+    indexing.
     """
-    n = p.shape[0]
+    n = tape.size
     partial = [int(x) for x in partial]
     if len(partial) < 2:
         raise ValidationError("partial path must contain at least two nodes")
@@ -238,20 +209,21 @@ def destination_likelihood(
             return current
         return x
 
+    s = swapped(start)
     visited = set(partial[:-1])
-    scores = np.zeros(n)
+    log_scores = np.full(n, -INF)
     for node in range(n):
-        if node in visited:
+        weight = prior.weights[node]
+        if node in visited or weight == 0.0:
             continue
-        if node == current:
-            s_start = swapped(start)
-            scores[node] = p[s_start, n - 1, s_start] * prior.weights[node]
-        else:
-            scores[node] = p[swapped(start), swapped(node), n - 1] * prior.weights[node]
-    total = scores.sum()
-    if total <= 0.0:
+        t = swapped(node)
+        cost = shortcut_costs(tape, s, t)[s if node == current else n - 1]
+        if np.isfinite(cost):
+            log_scores[node] = -tape.beta * (cost - tape.dist[s, t]) + math.log(weight)
+    if not np.isfinite(log_scores).any():
         raise NoPathError("no destination has positive score under this prior")
-    return scores / total
+    scores = np.exp(log_scores - log_scores.max())
+    return scores / scores.sum()
 
 
 def expected_optimal_path(costs, graph: Graph, i: int, j: int) -> tuple[list[int] | None, float]:

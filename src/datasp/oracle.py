@@ -21,7 +21,7 @@ import numpy as np
 from .errors import EnumerationLimitError, ValidationError
 from .graph import validate_cost_matrix, path_cost
 from .smoothing import softmin_value
-from .engine import datasp_forward_efficient
+from .engine import EngineTape, datasp_forward_efficient
 
 MAX_ORACLE_NODES = 10
 MAX_ORACLE_WALKS = 1_000_000
@@ -188,23 +188,22 @@ def verify_shortcut_consistency(m: np.ndarray, beta: float,
 
 
 def sampler_total_variation(
-    p: np.ndarray,
-    m: np.ndarray,
+    tape: EngineTape,
     i: int,
     j: int,
-    beta: float,
     num_samples: int,
     rng,
 ) -> float:
     """TV distance between Monte-Carlo path frequencies and the walk-space
-    max-entropy distribution for a single pair."""
+    max-entropy distribution for a single pair, on the tape's input matrix
+    and beta."""
     from .inference import monte_carlo_path_distribution
 
-    walks = enumerate_visitable_walks(m, i, j)
+    walks = enumerate_visitable_walks(tape.m_input, i, j)
     if not walks:
         raise ValidationError(f"pair ({i}, {j}) has no visitable walks")
-    theory = maxent_distribution(walks, beta)
-    estimate = monte_carlo_path_distribution(p, i, j, num_samples, rng, reject_cycles=False)
+    theory = maxent_distribution(walks, tape.beta)
+    estimate = monte_carlo_path_distribution(tape, i, j, num_samples, rng, reject_cycles=False)
     support = set(theory) | set(estimate.frequencies)
     return 0.5 * sum(
         abs(theory.get(w, 0.0) - estimate.frequencies.get(w, 0.0)) for w in support

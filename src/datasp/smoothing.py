@@ -22,7 +22,10 @@ INF = float("inf")
 
 
 def check_beta(beta: float) -> float:
-    beta = float(beta)
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError):
+        raise ValidationError(f"beta must be a positive finite real, got {beta!r}") from None
     if not np.isfinite(beta) or beta <= 0.0:
         raise ValidationError(f"beta must be a positive finite real, got {beta!r}")
     return beta
@@ -95,19 +98,19 @@ def pair_softmin(a, b, beta: float):
 
 
 def pivot(cur: np.ndarray, k: int, beta: float):
-    """One smoothed Floyd-Warshall pivot through node k.
+    """One smoothed Floyd-Warshall pivot through node k, applied to cur in place.
 
     Every pair (i, j) with a finite two-hop cost cur[i, k] + cur[k, j] takes
     the smooth min of its running cost and that two-hop cost, except
     i == j.  cur[k, k] is inf, as every diagonal entry is, so pairs with
-    i == k or j == k never have a finite two-hop cost.  Only the rows i
-    with a finite cur[i, k] can change, so only those are computed.
+    i == k or j == k never have a finite two-hop cost, and row k and
+    column k are read but never changed.  Only the rows i with a finite
+    cur[i, k] can change, so only those are computed.
 
-    Returns (new, (rows, w_via)): a copy of cur with the update applied,
-    and the softmin weight of the two-hop branch on those rows (0 where the
-    pair is not updated; the running cost weighs 1 - w_via).  The
-    arithmetic matches `pair_softmin` operation for operation, so the
-    values are bit-identical to it.
+    Returns (rows, w_via): those rows, and the softmin weight of the
+    two-hop branch on them (0 where the pair is not updated; the running
+    cost weighs 1 - w_via).  The arithmetic matches `pair_softmin`
+    operation for operation, so the values are bit-identical to it.
     """
     rows = np.flatnonzero(np.isfinite(cur[:, k]))
     old = cur[rows]
@@ -121,9 +124,8 @@ def pivot(cur: np.ndarray, k: int, beta: float):
     denom = 1.0 + e
     value = shift - np.log(denom) / beta
     w_via = np.where(active, np.where(two_hop <= old, 1.0, e) / denom, 0.0)
-    new = cur.copy()
-    new[rows] = np.where(active, value, old)
-    return new, (rows, w_via)
+    cur[rows] = np.where(active, value, old)
+    return rows, w_via
 
 
 def pivot_adjoint(g: np.ndarray, k: int, step) -> None:

@@ -40,6 +40,9 @@ from .trajectories import (
 )
 
 P_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -54,10 +57,6 @@ class TrainConfig:
     seed: int = 0
     hidden_sizes: list[int] = field(default_factory=lambda: [128, 128, 128])
     cost_floor: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    p_floor: float = P_FLOOR
 
     def validate(self, num_nodes: int) -> "TrainConfig":
         if self.learning_rate < 0:
@@ -89,31 +88,29 @@ def adam_update(params: ModelParams, grads: ParamGrads, state: AdamState,
                 config: TrainConfig) -> None:
     """In-place Adam step on the parameters."""
     state.t += 1
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     flat_params = params.flat_arrays()
     flat_grads = []
     for w, b in zip(grads.weights, grads.biases):
         flat_grads.append(w)
         flat_grads.append(b)
-    correction1 = 1.0 - b1 ** state.t
-    correction2 = 1.0 - b2 ** state.t
+    correction1 = 1.0 - ADAM_BETA1 ** state.t
+    correction2 = 1.0 - ADAM_BETA2 ** state.t
     for arr, g, m, v in zip(flat_params, flat_grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / correction1
         v_hat = v / correction2
-        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def shortcut_loss(p: np.ndarray, freq: FrequencyTensor,
-                  p_floor: float = P_FLOOR) -> tuple[float, np.ndarray, int]:
+def shortcut_loss(p: np.ndarray, freq: FrequencyTensor) -> tuple[float, np.ndarray, int]:
     """KL divergence between observed and inferred shortcut distributions.
 
     Returns (loss, gradient w.r.t. P, floored-term count).  The gradient is
     supported only on observed pairs; terms with zero observed frequency
-    contribute nothing.  Inferred probabilities are floored at p_floor
+    contribute nothing.  Inferred probabilities are floored at P_FLOOR
     inside the log, and such events are counted: they indicate shortcuts
     observed in the data that the current graph view deems (near-)impossible.
     """
@@ -131,11 +128,11 @@ def shortcut_loss(p: np.ndarray, freq: FrequencyTensor,
             if f <= 0.0:
                 continue
             p_val = p[i, j, k]
-            if p_val > p_floor:
+            if p_val > P_FLOOR:
                 loss += f * (math.log(f) - math.log(p_val))
                 grad[i, j, k] = -f / p_val / num_pairs
             else:
-                loss += f * (math.log(f) - math.log(p_floor))
+                loss += f * (math.log(f) - math.log(P_FLOOR))
                 floored += 1
     return loss / num_pairs, grad, floored
 
@@ -230,7 +227,7 @@ def anchor_gradients(
 
     freq = build_frequency_tensor(paths)
     p, _, tape = datasp_forward_efficient(compression.matrix, config.beta)
-    l_s, grad_p, floored = shortcut_loss(p, freq, config.p_floor)
+    l_s, grad_p, floored = shortcut_loss(p, freq)
     l_p, grad_costs_prior = prior_loss(costs, prior)
 
     grad_m_c = datasp_backward(tape, grad_p, np.zeros_like(compression.matrix))

@@ -295,3 +295,23 @@ def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("predict-dest", {"partial": [0, 99]}),
+    ("predict-dest", {"partial": [0, "x"]}),
+    ("predict-dest", {"partial": [0, 2], "prior": {"kind": "custom"}}),
+    ("predict-dest", {"partial": [0, 2], "prior": "uniform"}),
+    ("sample-paths", {"target": "x"}),
+    ("sample-paths", {"num_samples": "many"}),
+    ("sample-paths", {"beta": "x"}),
+], ids=["partial-out-of-range", "partial-not-int", "custom-prior-no-weights",
+        "prior-not-object", "target-not-int", "num-samples-not-int", "beta-not-number"])
+def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tmp_path,
+                                                    capsys):
+    cfg = write_config(tmp_path, "q.json",
+                       {"graph": os.path.join(gen_dir, "graph.json"), **fields})
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

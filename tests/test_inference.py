@@ -1,68 +1,57 @@
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
-from datasp.engine import datasp_forward_efficient
+from conftest import random_connected_graph, tractable_random_graph
+from datasp.engine import datasp_forward_efficient, sweep
 from datasp.errors import NoPathError, ValidationError
 from datasp.graph import Graph, build_cost_matrix, complete_graph, dijkstra
 from datasp.inference import (
     DestinationPrior,
+    ShortcutSampler,
     destination_likelihood,
     expected_optimal_path,
     jaccard_edges,
     match_rate,
     monte_carlo_path_distribution,
     optimal_cost_rate,
-    sample_path,
     swap_nodes_in_matrix,
 )
-from datasp.oracle import enumerate_visitable_walks, maxent_distribution
-
-
-def direct_only_tensor(n):
-    p = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                p[i, j, i] = 1.0
-    return p
+from datasp.oracle import WalkEnumerator, enumerate_visitable_walks, maxent_distribution
 
 
 def test_sample_path_direct_tensor(rng):
-    p = direct_only_tensor(5)
+    # the edge itself is the only 1 -> 4 walk
+    tape = sweep(build_cost_matrix([1.0], Graph(5, [(1, 4)])), 1.0)
+    sampler = ShortcutSampler(tape)
     for _ in range(10):
-        assert sample_path(p, 1, 4, rng) == [1, 4]
+        assert sampler.sample(1, 4, rng) == [1, 4]
 
 
 def test_sample_path_unreachable(rng):
-    p = np.zeros((3, 3, 3))
+    tape = sweep(build_cost_matrix([1.0], Graph(3, [(0, 1)])), 1.0)
     with pytest.raises(NoPathError):
-        sample_path(p, 0, 2, rng)
+        ShortcutSampler(tape).sample(0, 2, rng)
 
 
 def test_sample_path_invalid_pair(rng, k4):
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
     with pytest.raises(ValidationError):
-        sample_path(p, 2, 2, rng)
+        ShortcutSampler(sweep(k4, 1.0)).sample(2, 2, rng)
 
 
 def test_direct_walk_frequency(k4):
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
-    est = monte_carlo_path_distribution(p, 0, 3, 10000, np.random.default_rng(11))
+    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 10000, np.random.default_rng(11))
     assert est.frequencies.get((0, 3), 0.0) == pytest.approx(0.2136, abs=0.02)
     assert est.frequencies.get((0, 1, 0, 2, 3), 0.0) == pytest.approx(0.0289, abs=0.01)
     assert est.rejected_count == 0
 
 
 def test_revisited_high_node_never_sampled(k4):
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
-    est = monte_carlo_path_distribution(p, 0, 3, 20000, np.random.default_rng(4))
+    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 20000, np.random.default_rng(4))
     assert (0, 2, 0, 2, 3) not in est.frequencies
 
 
 def test_cycle_rejection_support_and_frequencies(k4):
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
-    est = monte_carlo_path_distribution(p, 0, 3, 10000, np.random.default_rng(5),
+    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 10000, np.random.default_rng(5),
                                         reject_cycles=True)
     walks = enumerate_visitable_walks(k4, 0, 3)
     acyclic = [w for w in walks if len(set(w.nodes)) == len(w.nodes)]
@@ -75,13 +64,10 @@ def test_cycle_rejection_support_and_frequencies(k4):
 
 
 def test_all_samples_rejected_raises():
-    # force a tensor whose only walk is cyclic: 3 nodes, i -> j only via a
-    # revisit is impossible, so craft a 2-node direct tensor and reject all
-    # acyclic walks by rejecting nothing -> instead use cap exhaustion on an
-    # empty-after-rejection support
-    p = np.zeros((2, 2, 2))
-    p[0, 1, 0] = 1.0
-    est = monte_carlo_path_distribution(p, 0, 1, 5, np.random.default_rng(0),
+    # a 2-node graph whose only walk, the edge, is acyclic: cycle rejection
+    # accepts every draw
+    tape = sweep(build_cost_matrix([1.0], Graph(2, [(0, 1)])), 1.0)
+    est = monte_carlo_path_distribution(tape, 0, 1, 5, np.random.default_rng(0),
                                         reject_cycles=True)
     assert est.frequencies == {(0, 1): 1.0}
 
@@ -89,60 +75,81 @@ def test_all_samples_rejected_raises():
 def test_sampled_walks_are_edge_feasible(rng):
     graph, costs = random_connected_graph(7, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
-    p, dist, _ = datasp_forward_efficient(m, 1.0)
+    tape = sweep(m, 1.0)
+    sampler = ShortcutSampler(tape)
     for i, j in [(0, 6), (2, 5)]:
-        if not np.isfinite(dist[i, j]):
+        if not np.isfinite(tape.dist[i, j]):
             continue
         for _ in range(200):
-            walk = sample_path(p, i, j, rng)
+            walk = sampler.sample(i, j, rng)
             for u, v in zip(walk[:-1], walk[1:]):
                 assert np.isfinite(m[u, v])
+
+
+def test_sampler_never_dead_ends_and_stays_in_walk_space():
+    # Every reachable pair, from the smooth regime to the hard-min limit: no
+    # draw may fail, and every walk must be a visitable walk of the pair.
+    for seed, size in enumerate((4, 5, 6, 7, 8)):
+        _, m = tractable_random_graph(size, seed=300 + seed, max_walks=20_000)
+        enum = WalkEnumerator(m, max_walks=20_000)
+        rng = np.random.default_rng(seed)
+        for beta in (1.0, 30.0, 1000.0):
+            tape = sweep(m, beta)
+            sampler = ShortcutSampler(tape)
+            for i in range(size):
+                for j in range(size):
+                    if i == j or not np.isfinite(tape.dist[i, j]):
+                        continue
+                    walks = {w.nodes for w in enum.walks(i, j)}
+                    for _ in range(20):
+                        assert tuple(sampler.sample(i, j, rng)) in walks
 
 
 def test_hard_limit_sampling_returns_optimal_path(rng):
     graph, costs = random_connected_graph(7, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
-    p, dist, _ = datasp_forward_efficient(m, 1000.0)
     best, _ = dijkstra(m, 0, 6)
-    est = monte_carlo_path_distribution(p, 0, 6, 3000, np.random.default_rng(1))
+    est = monte_carlo_path_distribution(sweep(m, 1000.0), 0, 6, 3000, np.random.default_rng(1))
     assert est.frequencies.get(tuple(best), 0.0) >= 0.999
 
 
 # --- destination likelihood ---------------------------------------------------
 
+def _two_candidate_tape():
+    """0 -> 1 directly (cost 2) or through 3 (1 + 1); 0 -> 2 only through 3.
+
+    At beta = 1, P[0, 1, 3] = 1/2 and P[0, 2, 3] = 1, so with the current
+    node 3 weighted out, destinations 1 and 2 score 1/3 and 2/3.
+    """
+    graph = Graph(4, [(0, 1), (0, 3), (3, 1), (3, 2)])
+    return sweep(build_cost_matrix([2.0, 1.0, 1.0, 1.0], graph), 1.0)
+
+
 def test_destination_two_candidates_normalize():
-    n = 4
-    p = np.zeros((n, n, n))
-    # partial [0, 3]: current node 3 is already the top index, no swap effect
-    p[0, 1, 3] = 0.2
-    p[0, 2, 3] = 0.1
-    probs = destination_likelihood(p, [0, 3], DestinationPrior.uniform(n))
-    assert probs[1] == pytest.approx(2.0 / 3.0)
-    assert probs[2] == pytest.approx(1.0 / 3.0)
-    assert probs[0] == 0.0
+    prior = DestinationPrior(weights=np.array([1.0, 1.0, 1.0, 0.0]))
+    probs = destination_likelihood(_two_candidate_tape(), [0, 3], prior)
+    assert probs[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert probs[2] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert probs[0] == 0.0 and probs[3] == 0.0
 
 
 def test_destination_prior_mask_selects_single_node():
-    n = 4
-    p = np.zeros((n, n, n))
-    p[0, 1, 3] = 0.2
-    p[0, 2, 3] = 0.4
     prior = DestinationPrior(weights=np.array([0.0, 1.0, 0.0, 0.0]))
-    probs = destination_likelihood(p, [0, 3], prior)
+    probs = destination_likelihood(_two_candidate_tape(), [0, 3], prior)
     assert probs[1] == 1.0
 
 
 def test_destination_zero_scores_raise():
-    p = np.zeros((3, 3, 3))
+    # partial [0, 2] on 0 -> 1 -> 2: no edge 0 -> 2 and no edge out of 2
+    tape = sweep(build_cost_matrix([1.0, 1.0], Graph(3, [(0, 1), (1, 2)])), 1.0)
     with pytest.raises(NoPathError):
-        destination_likelihood(p, [0, 2], DestinationPrior.uniform(3))
+        destination_likelihood(tape, [0, 2], DestinationPrior.uniform(3))
 
 
 def test_destination_matches_walk_space_bayes(k4):
     # partial [0, 3]: P(destination = x) proportional to the Boltzmann mass
     # of walks 0 -> x whose highest intermediate is node 3, renormalized.
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
-    probs = destination_likelihood(p, [0, 3], DestinationPrior.uniform(4))
+    probs = destination_likelihood(sweep(k4, 1.0), [0, 3], DestinationPrior.uniform(4))
 
     expected = np.zeros(4)
     for x in (1, 2):
@@ -151,28 +158,65 @@ def test_destination_matches_walk_space_bayes(k4):
         expected[x] = sum(prob for w, prob in mass.items()
                           if len(w) > 2 and max(w[1:-1]) == 3)
     # the current node itself scores through its direct-connection slot
-    expected[3] = p[0, 3, 0]
+    expected[3] = maxent_distribution(enumerate_visitable_walks(k4, 0, 3), 1.0)[(0, 3)]
     expected /= expected.sum()
     assert probs == pytest.approx(expected, abs=1e-9)
 
 
 def test_destination_swaps_final_node(k4):
-    # partial ending at node 1: scores must come from the tensor computed on
-    # the matrix with nodes 1 and 3 swapped
-    m_swapped = swap_nodes_in_matrix(k4, 1, 3)
-    p, _, _ = datasp_forward_efficient(m_swapped, 1.0)
-    probs = destination_likelihood(p, [0, 1], DestinationPrior.uniform(4))
+    # partial ending at node 1: scores must come from the sweep of the
+    # matrix with nodes 1 and 3 swapped
+    tape = sweep(swap_nodes_in_matrix(k4, 1, 3), 1.0)
+    probs = destination_likelihood(tape, [0, 1], DestinationPrior.uniform(4))
     assert probs[0] == 0.0
     assert probs.sum() == pytest.approx(1.0)
     assert (probs[[1, 2, 3]] > 0).all()
 
 
+def _tensor_destination_likelihood(p, partial, weights):
+    """Reference: the scores read from a dense shortcut tensor P."""
+    n = p.shape[0]
+    start, current = partial[0], partial[-1]
+
+    def swapped(x):
+        return n - 1 if x == current else current if x == n - 1 else x
+
+    scores = np.zeros(n)
+    for node in range(n):
+        if node in partial[:-1]:
+            continue
+        if node == current:
+            scores[node] = p[swapped(start), n - 1, swapped(start)] * weights[node]
+        else:
+            scores[node] = p[swapped(start), swapped(node), n - 1] * weights[node]
+    return scores / scores.sum()
+
+
+def test_destination_likelihood_matches_tensor_formula():
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        size = int(rng.integers(5, 10))
+        graph, costs = random_connected_graph(size, rng)
+        m = build_cost_matrix(costs, graph)
+        partial = [int(x) for x in rng.choice(size, size=int(rng.integers(2, 5)), replace=False)]
+        weights = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) > 0.2)
+        weights[rng.integers(size)] = 1.0
+        beta = float(rng.choice([0.5, 1.0, 5.0]))
+        m_swapped = swap_nodes_in_matrix(m, partial[-1], size - 1)
+        p, _, _ = datasp_forward_efficient(m_swapped, beta)
+        expected = _tensor_destination_likelihood(p, partial, weights)
+        probs = destination_likelihood(sweep(m_swapped, beta), partial,
+                                       DestinationPrior(weights=weights))
+        assert np.array_equal(probs == 0.0, expected == 0.0)
+        np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)
+
+
 def test_destination_validates_partial():
-    p = np.zeros((3, 3, 3))
+    tape = sweep(build_cost_matrix(np.ones(6), complete_graph(3)), 1.0)
     with pytest.raises(ValidationError):
-        destination_likelihood(p, [1], DestinationPrior.uniform(3))
+        destination_likelihood(tape, [1], DestinationPrior.uniform(3))
     with pytest.raises(ValidationError):
-        destination_likelihood(p, [0, 1, 0], DestinationPrior.uniform(3))
+        destination_likelihood(tape, [0, 1, 0], DestinationPrior.uniform(3))
 
 
 def test_exp_negative_distance_prior(k4):

@@ -15,7 +15,7 @@ from datasp.oracle import (
     verify_shortcut_consistency,
     walk_cost_census,
 )
-from datasp.engine import datasp_forward_efficient
+from datasp.engine import datasp_forward_efficient, sweep
 from datasp.smoothing import softmin_value
 
 # The tabulated walk census of the bundled fixture for pair (0, 3): every
@@ -122,8 +122,7 @@ def test_distance_consistency_direct_formula(k4):
 def test_sampler_support_equals_walk_space(k4, rng):
     from datasp.inference import monte_carlo_path_distribution
 
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
-    est = monte_carlo_path_distribution(p, 0, 3, 60000, rng)
+    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 60000, rng)
     enumerated = {w.nodes for w in enumerate_visitable_walks(k4, 0, 3)}
     sampled = set(est.frequencies)
     assert sampled <= enumerated
@@ -136,8 +135,7 @@ def test_sampler_total_variation_small_graphs(rng):
     for size in (4, 5):
         graph, costs = random_connected_graph(size, rng, extra_edges=2)
         m = build_cost_matrix(costs, graph)
-        p, _, _ = datasp_forward_efficient(m, 1.0)
-        tv = sampler_total_variation(p, m, 0, size - 1, 1.0, 40000,
+        tv = sampler_total_variation(sweep(m, 1.0), 0, size - 1, 40000,
                                      np.random.default_rng(7))
         assert tv <= 0.015
 
