@@ -61,6 +61,7 @@ from .serialize import (
     save_checkpoint,
     save_tensor,
 )
+from .smoothing import check_beta
 from .synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from .trajectories import load_dataset, write_trajectories_jsonl
 from .training import TrainConfig, evaluate_jaccard, init_params_for, train_loop
@@ -151,6 +152,9 @@ def _load_config(args, command: str) -> dict:
     config = _merge_config(DEFAULTS[command], overrides)
     if args.seed is not None:
         config["seed"] = args.seed
+    seed = config["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     return config
 
 
@@ -171,6 +175,13 @@ def _positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def _positive_float(value, name: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _model_costs(config, graph, prior, out_meta: dict):
@@ -309,14 +320,15 @@ def _metric_rows(dataset, graph, prior, params, split, true_costs):
     indices = dataset.split_indices(split)
     if not indices:
         raise ValidationError(f"split {split!r} is empty")
+    obs = [list(dataset.records[idx].path) for idx in indices]
+    matrices = ([build_cost_matrix(true_costs[idx], graph) for idx in indices]
+                if true_costs is not None else None)
     rows = []
     methods = [("PRIOR", None)]
     if params is not None:
         methods.append(("DataSP", params))
     for name, model in methods:
         preds = []
-        obs = []
-        matrices = []
         for idx in indices:
             rec = dataset.records[idx]
             costs = prior if model is None else predict_costs(model, rec.context.features, prior)[0]
@@ -324,9 +336,6 @@ def _metric_rows(dataset, graph, prior, params, split, true_costs):
             if pred is None:
                 raise NoPathError(f"pair in record {idx} unreachable under {name} costs")
             preds.append(pred)
-            obs.append(list(rec.path))
-            if true_costs is not None:
-                matrices.append(build_cost_matrix(true_costs[idx], graph))
         jacc = [jaccard_edges(p, o) for p, o in zip(preds, obs)]
         row = {
             "method": name,
@@ -334,7 +343,7 @@ def _metric_rows(dataset, graph, prior, params, split, true_costs):
             "jaccard_std": float(np.std(jacc)),
             "match_pct": 100.0 * match_rate(preds, obs),
             "optimal_cost_pct": (100.0 * optimal_cost_rate(preds, matrices)
-                                 if true_costs is not None else None),
+                                 if matrices is not None else None),
             "n_test": len(indices),
         }
         rows.append(row)
@@ -501,8 +510,9 @@ def cmd_verify(args) -> int:
     config = _load_config(args, "verify")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    beta = float(config["beta"])
-    tol = float(config["tolerance"])
+    beta = check_beta(config["beta"])
+    tol, tv_tol, grad_tol = (_positive_float(config[name], name) for name in
+                             ("tolerance", "tv_tolerance", "gradcheck_tolerance"))
     report: dict = {"beta": beta, "checks": {}}
     failures = []
 
@@ -561,13 +571,13 @@ def cmd_verify(args) -> int:
     tv = sampler_total_variation(tape, 0, 3,
                                  _positive_int(config["tv_num_samples"], "tv_num_samples"),
                                  np.random.default_rng([config["seed"], 1]))
-    tv_ok = tv <= float(config["tv_tolerance"])
+    tv_ok = tv <= tv_tol
     report["checks"]["sampling_total_variation"] = {"tv": float(tv), "ok": bool(tv_ok)}
     if not tv_ok:
         failures.append("sampling_total_variation")
 
     grad_err = _verify_gradients(m, beta)
-    grad_ok = grad_err <= float(config["gradcheck_tolerance"])
+    grad_ok = grad_err <= grad_tol
     report["checks"]["gradients"] = {"max_relative_error": float(grad_err),
                                  "ok": bool(grad_ok)}
     if not grad_ok:

@@ -59,37 +59,6 @@ class ModelParams:
         return out
 
 
-@dataclass
-class ParamGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def scale(self, factor: float) -> None:
-        for w in self.weights:
-            w *= factor
-        for b in self.biases:
-            b *= factor
-
-    def add(self, other: "ParamGrads") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
-
-    def norm(self) -> float:
-        total = 0.0
-        for arr in self.weights + self.biases:
-            total += float((arr * arr).sum())
-        return float(np.sqrt(total))
-
-
-def zero_grads(params: ModelParams) -> ParamGrads:
-    return ParamGrads(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-
-
 def init_params(feature_dim: int, hidden_sizes, edge_count: int, seed: int,
                 cost_floor: float = DEFAULT_COST_FLOOR) -> ModelParams:
     """Scaled-uniform fan-in init; the final layer starts at zero so the
@@ -155,20 +124,21 @@ def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCac
     return costs, cache
 
 
-def backward_params(cache: ForwardCache, grad_costs) -> tuple[ParamGrads, np.ndarray]:
-    """Exact reverse-mode gradients through the softplus head and the MLP."""
+def backward_params(cache: ForwardCache, grad_costs) -> tuple[list[np.ndarray], np.ndarray]:
+    """Exact reverse-mode gradients through the softplus head and the MLP.
+
+    Returns (gradients in `ModelParams.flat_arrays()` order, gradient
+    w.r.t. the context features).
+    """
     params = cache.params
     grad_costs = np.asarray(grad_costs, dtype=float)
     if grad_costs.shape != (params.edge_count,):
         raise ValidationError(f"expected gradient of shape ({params.edge_count},)")
-    grads = zero_grads(params)
     delta = grad_costs * cache.gate
-    grads.weights[-1][:] = np.outer(delta, cache.activations[-1])
-    grads.biases[-1][:] = delta
+    grads = [np.outer(delta, cache.activations[-1]), delta]
     upstream = params.weights[-1].T @ delta
     for layer in range(len(params.weights) - 2, -1, -1):
         upstream = upstream * (cache.pre_activations[layer] > 0)
-        grads.weights[layer][:] = np.outer(upstream, cache.activations[layer])
-        grads.biases[layer][:] = upstream
+        grads[:0] = [np.outer(upstream, cache.activations[layer]), upstream]
         upstream = params.weights[layer].T @ upstream
     return grads, upstream

@@ -1,10 +1,16 @@
-"""Graph structure, cost matrices, classical shortest-path references, and
-node-exclusion compression.
+"""Graph structure, cost matrices, hard shortest paths, and node-exclusion
+compression.
 
 Cost matrices are dense (V, V) float64 arrays.  A finite entry (i, j) is the
 cost of edge i -> j; +inf marks an absent edge; the diagonal is always inf
 (self-loops are never considered).  All operations here are pure: they return
 new arrays and never mutate their inputs.
+
+`distances_to` (a dense Dijkstra) is the one hard-distance routine: through
+`dijkstra` it yields the synthetic trajectories (gen) and the best paths that
+eval scores, and it gives the exp-negative-distance destination prior its
+row.  `classical_floyd_warshall` is the all-pairs hard-min reference that
+tests compare against, and the engine's beta -> inf limit.
 
 Node exclusion reconnects the neighbors of each removed node through local
 smooth mins.  That is the engine's smoothed Floyd-Warshall pivot
@@ -16,7 +22,6 @@ run in reverse is its gradient.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -216,6 +221,33 @@ def path_cost(m: np.ndarray, path) -> float:
     return float(total)
 
 
+def distances_to(m: np.ndarray, target: int) -> np.ndarray:
+    """Hard shortest distance from every node to target (inf if unreachable).
+
+    Dense Dijkstra: each round settles the open node u with the smallest
+    tentative distance and relaxes every node v through the edge v -> u in
+    one vector minimum.  Finite entries of m must be strictly positive (see
+    `validate_cost_matrix`); then each settled node relaxes from its final
+    distance and the result does not depend on how ties are settled.
+    """
+    into = np.ascontiguousarray(m.T)  # into[u, v] = m[v, u]
+    n = into.shape[0]
+    dist = np.full(n, INF)
+    tentative = np.full(n, INF)  # inf once a node is settled
+    tentative[target] = 0.0
+    open_ = np.ones(n, dtype=bool)
+    for _ in range(n):
+        u = int(tentative.argmin())
+        d = tentative[u]
+        if d == INF:
+            break
+        dist[u] = d
+        tentative[u] = INF
+        open_[u] = False
+        np.minimum(tentative, d + into[u], out=tentative, where=open_)
+    return dist
+
+
 def dijkstra(m: np.ndarray, source: int, target: int) -> tuple[list[int] | None, float]:
     """Minimum-cost path with ties broken by the lexicographically smallest
     node sequence.
@@ -232,7 +264,7 @@ def dijkstra(m: np.ndarray, source: int, target: int) -> tuple[list[int] | None,
     if source == target:
         return [source], 0.0
 
-    dist_to = _dijkstra_distances(m.T, target)
+    dist_to = distances_to(m, target)
     total = dist_to[source]
     if not math.isfinite(total):
         return None, INF
@@ -244,36 +276,13 @@ def dijkstra(m: np.ndarray, source: int, target: int) -> tuple[list[int] | None,
             return path, float(total)
         remaining = dist_to[u]
         tol = 1e-12 * max(1.0, abs(remaining))
-        nxt = -1
-        for v in range(n):
-            if math.isfinite(m[u, v]) and m[u, v] + dist_to[v] <= remaining + tol:
-                nxt = v
-                break
-        if nxt < 0:
+        on_path = m[u] + dist_to <= remaining + tol
+        nxt = int(np.argmax(on_path))
+        if not on_path[nxt]:
             raise ValidationError("optimal successor not found; inconsistent distances")
         path.append(nxt)
         u = nxt
     raise ValidationError("optimal path exceeded node count; nonpositive costs?")
-
-
-def _dijkstra_distances(m: np.ndarray, source: int) -> np.ndarray:
-    n = m.shape[0]
-    dist = np.full(n, INF)
-    dist[source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        row = m[u]
-        for v in range(n):
-            w = row[v]
-            if math.isfinite(w) and d + w < dist[v]:
-                dist[v] = d + w
-                heapq.heappush(heap, (d + w, v))
-    return dist
 
 
 @dataclass

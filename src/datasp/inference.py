@@ -32,7 +32,14 @@ import numpy as np
 
 from .engine import EngineTape, shortcut_costs
 from .errors import NoPathError, ValidationError
-from .graph import Graph, build_cost_matrix, classical_floyd_warshall, dijkstra, path_cost
+from .graph import (
+    Graph,
+    build_cost_matrix,
+    dijkstra,
+    distances_to,
+    path_cost,
+    validate_cost_matrix,
+)
 from .smoothing import INF
 
 
@@ -154,13 +161,19 @@ class DestinationPrior:
 
     @classmethod
     def exp_negative_distance(cls, m: np.ndarray, origin: int) -> "DestinationPrior":
-        """Weights exp(-d/scale) from cost distances out of the origin node;
-        scale is the mean finite distance so the decay is unit-free."""
-        dist = classical_floyd_warshall(m)
-        row = dist[origin].copy()
-        row[origin] = 0.0
+        """Weights exp(-d/scale) from the hard shortest distances d out of
+        the origin node (d = 0 at the origin, weight 0 where unreachable);
+        scale is the mean finite distance so the decay is unit-free.
+
+        The distances are one dense Dijkstra on the reversed graph, so the
+        finite entries of m must be strictly positive.
+        """
+        m = validate_cost_matrix(m, positive=True)
+        if not 0 <= origin < m.shape[0]:
+            raise ValidationError(f"origin {origin} out of range for {m.shape[0]} nodes")
+        row = distances_to(m.T, origin)
         finite = np.isfinite(row)
-        scale = float(row[finite].mean()) if finite.any() and row[finite].max() > 0 else 1.0
+        scale = float(row[finite].mean()) if row[finite].max() > 0 else 1.0
         weights = np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
         return cls(weights=weights, kind="exp-negative-distance")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ValidationError
-from .graph import Graph, build_cost_matrix, dijkstra
+from .graph import Graph, build_cost_matrix, dijkstra, distances_to
 from .trajectories import ContextSample, Dataset, TrajectoryRecord
 
 COST_FLOOR_FRACTION = 0.05
@@ -104,21 +104,11 @@ def _candidate_pairs(positions: np.ndarray, k: int) -> list[tuple[int, int]]:
 
 
 def _is_connected(n: int, pairs) -> bool:
-    if n == 0:
-        return False
-    nbrs: list[list[int]] = [[] for _ in range(n)]
+    """Whether the undirected graph on n nodes with these pairs is connected."""
+    adjacency = np.full((n, n), np.inf)
     for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    return bool(np.isfinite(distances_to(adjacency, 0)).all())
 
 
 def generate_synthetic_dataset(config: GeneratorConfig) -> SyntheticDataset:

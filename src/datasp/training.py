@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import (
-    ModelParams,
-    ParamGrads,
-    backward_params,
-    predict_costs,
-    zero_grads,
-)
+from .costmodel import ModelParams, backward_params, predict_costs
 from .engine import datasp_backward, datasp_forward_efficient
 from .errors import NumericalError, ValidationError
 from .graph import Compression, Graph, build_cost_matrix, sample_subgraph
@@ -84,18 +78,13 @@ def init_adam(params: ModelParams) -> AdamState:
                      v=[np.zeros_like(a) for a in arrays], t=0)
 
 
-def adam_update(params: ModelParams, grads: ParamGrads, state: AdamState,
+def adam_update(params: ModelParams, grads: list[np.ndarray], state: AdamState,
                 config: TrainConfig) -> None:
-    """In-place Adam step on the parameters."""
+    """In-place Adam step on the parameters; grads follow `flat_arrays()`."""
     state.t += 1
-    flat_params = params.flat_arrays()
-    flat_grads = []
-    for w, b in zip(grads.weights, grads.biases):
-        flat_grads.append(w)
-        flat_grads.append(b)
     correction1 = 1.0 - ADAM_BETA1 ** state.t
     correction2 = 1.0 - ADAM_BETA2 ** state.t
-    for arr, g, m, v in zip(flat_params, flat_grads, state.m, state.v):
+    for arr, g, m, v in zip(params.flat_arrays(), grads, state.m, state.v):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -198,7 +187,7 @@ def anchor_gradients(
     node_freqs: np.ndarray,
     similarity: SimilarityCache,
     sample_seed: int,
-) -> tuple[ParamGrads | None, StepMetrics]:
+) -> tuple[list[np.ndarray] | None, StepMetrics]:
     """Full forward/backward for one anchor context.
 
     Returns (None, metrics) when the step must be skipped (no usable paths
@@ -240,7 +229,8 @@ def anchor_gradients(
         raise NumericalError(f"non-finite loss at anchor {anchor}: L_S={l_s} L_P={l_p}")
 
     metrics = StepMetrics(step=-1, shortcut=float(l_s), prior=float(l_p),
-                          grad_norm=grads.norm(), kept_nodes=compression.kept,
+                          grad_norm=math.sqrt(sum(float((g * g).sum()) for g in grads)),
+                          kept_nodes=compression.kept,
                           skipped=False, floored=floored)
     return grads, metrics
 
@@ -316,7 +306,7 @@ def train_loop(
         for epoch in range(config.epochs):
             order = list(train_idx)
             shuffle_rng.shuffle(order)
-            pending = zero_grads(params)
+            pending = [np.zeros_like(a) for a in params.flat_arrays()]
             pending_count = 0
             for anchor in order:
                 sample_seed = _step_seed(config.seed, step)
@@ -329,16 +319,17 @@ def train_loop(
                 step += 1
                 if grads is None:
                     continue
-                pending.add(grads)
+                for acc, g in zip(pending, grads):
+                    acc += g
                 pending_count += 1
                 if pending_count == config.batch_size:
-                    pending.scale(1.0 / pending_count)
-                    adam_update(params, pending, opt_state, config)
-                    pending = zero_grads(params)
+                    adam_update(params, [g * (1.0 / pending_count) for g in pending],
+                                opt_state, config)
+                    pending = [np.zeros_like(a) for a in pending]
                     pending_count = 0
             if pending_count:
-                pending.scale(1.0 / pending_count)
-                adam_update(params, pending, opt_state, config)
+                adam_update(params, [g * (1.0 / pending_count) for g in pending],
+                            opt_state, config)
 
             if val_idx:
                 val_jaccard = evaluate_jaccard(params, dataset, graph, prior, val_idx)

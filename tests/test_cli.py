@@ -315,3 +315,29 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("sample-paths", {"seed": "x"}),
+    ("sample-paths", {"seed": -1}),
+    ("gen", {"seed": "x"}),
+    ("gen", {"seed": True}),
+    ("train", {"seed": "x"}),
+    ("verify", {"tolerance": "x"}),
+    ("verify", {"tv_tolerance": "x"}),
+    ("verify", {"gradcheck_tolerance": 0}),
+    ("verify", {"beta": "x"}),
+], ids=["sample-paths-seed-not-int", "sample-paths-seed-negative", "gen-seed-not-int",
+        "gen-seed-bool", "train-seed-not-int", "verify-tolerance-not-number",
+        "verify-tv-tolerance-not-number", "verify-gradcheck-tolerance-zero",
+        "verify-beta-not-number"])
+def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, gen_dir,
+                                                             tmp_path, capsys):
+    needs = {"sample-paths": {"graph": os.path.join(gen_dir, "graph.json")},
+             "train": {"dataset": os.path.join(gen_dir, "manifest.json")}}
+    cfg = write_config(tmp_path, "c.json", {**needs.get(command, {}), **fields})
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(fields)) in err

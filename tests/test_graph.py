@@ -1,8 +1,12 @@
+import heapq
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import k4_cost_matrix, random_connected_graph
 from datasp.errors import ValidationError
@@ -12,6 +16,7 @@ from datasp.graph import (
     classical_floyd_warshall,
     complete_graph,
     dijkstra,
+    distances_to,
     exclude_nodes,
     graph_from_json_dict,
     path_cost,
@@ -157,6 +162,55 @@ def test_dijkstra_agrees_with_fw(rng):
                 path, cost = dijkstra(m, i, j)
                 assert cost == pytest.approx(dist[i, j], rel=1e-12)
                 assert path_cost(m, path) == pytest.approx(cost, rel=1e-12)
+
+
+def _heap_distances(m, source):
+    """Reference: heap Dijkstra with stale entries, distances out of source."""
+    n = m.shape[0]
+    dist = np.full(n, INF)
+    dist[source] = 0.0
+    done = np.zeros(n, dtype=bool)
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v in range(n):
+            w = m[u, v]
+            if math.isfinite(w) and d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def _heap_dijkstra(m, source, target):
+    """Reference: lexicographic tie-break walk over the heap's distances."""
+    if source == target:
+        return [source], 0.0
+    dist_to = _heap_distances(m.T, target)
+    if not math.isfinite(dist_to[source]):
+        return None, INF
+    path = [source]
+    while path[-1] != target:
+        u = path[-1]
+        tol = 1e-12 * max(1.0, abs(dist_to[u]))
+        path.append(next(v for v in range(m.shape[0])
+                         if math.isfinite(m[u, v]) and m[u, v] + dist_to[v] <= dist_to[u] + tol))
+    return path, float(dist_to[source])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 12).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, n), elements=st.sampled_from([INF, 1.0, 2.0, 3.0]))))
+def test_dijkstra_matches_heap_reference(m):
+    # Integer costs tie often, so the lexicographic tie-break is exercised.
+    np.fill_diagonal(m, INF)
+    n = m.shape[0]
+    for j in range(n):
+        assert np.array_equal(distances_to(m, j), _heap_distances(m.T, j))
+        for i in range(n):
+            assert dijkstra(m, i, j) == _heap_dijkstra(m, i, j)
 
 
 def test_dijkstra_rejects_nonpositive_costs():

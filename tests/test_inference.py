@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph, tractable_random_graph
 from datasp.engine import datasp_forward_efficient, sweep
 from datasp.errors import NoPathError, ValidationError
-from datasp.graph import Graph, build_cost_matrix, complete_graph, dijkstra
+from datasp.graph import (
+    Graph,
+    build_cost_matrix,
+    classical_floyd_warshall,
+    complete_graph,
+    dijkstra,
+)
 from datasp.inference import (
     DestinationPrior,
     ShortcutSampler,
@@ -223,6 +232,23 @@ def test_exp_negative_distance_prior(k4):
     prior = DestinationPrior.exp_negative_distance(k4, 0)
     assert prior.kind == "exp-negative-distance"
     assert prior.weights[1] > prior.weights[3]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.integers(0, n - 1),
+    hnp.arrays(np.float64, (n, n), elements=st.one_of(st.just(np.inf), st.floats(0.1, 10.0))))))
+def test_exp_negative_distance_matches_floyd_warshall_row(case):
+    origin, m = case
+    np.fill_diagonal(m, np.inf)
+    row = classical_floyd_warshall(m)[origin]
+    row[origin] = 0.0
+    finite = np.isfinite(row)
+    scale = row[finite].mean() if row[finite].max() > 0 else 1.0
+    expected = np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
+    weights = DestinationPrior.exp_negative_distance(m, origin).weights
+    np.testing.assert_array_equal(weights == 0.0, expected == 0.0)
+    np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=0.0)
 
 
 # --- expected optimal path and metrics -----------------------------------------

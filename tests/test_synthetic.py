@@ -1,9 +1,18 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datasp.errors import ValidationError
 from datasp.graph import path_cost, build_cost_matrix
-from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
+from datasp.synthetic import (
+    GeneratorConfig,
+    _is_connected,
+    assign_splits,
+    generate_synthetic_dataset,
+)
 
 
 def test_full_sparsity_on_complete_candidates_gives_complete_graph():
@@ -85,3 +94,29 @@ def test_assign_splits():
     assert splits["test"] == [9]
     with pytest.raises(ValidationError):
         assign_splits(10, (0.5, 0.1, 0.1))
+
+
+def _bfs_connected(n, pairs):
+    """Reference: breadth-first search over the undirected pairs."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for v in nbrs[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == n
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))))
+def test_is_connected_matches_bfs(case):
+    n, raw = case
+    pairs = [(min(u, v), max(u, v)) for u, v in raw if u != v]
+    assert _is_connected(n, pairs) == _bfs_connected(n, pairs)

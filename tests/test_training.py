@@ -156,7 +156,7 @@ def test_alpha_zero_equals_dropping_prior_loss():
                                  cfg1, node_freqs, cache, sample_seed=1)
     # initial params predict exactly the prior -> prior-loss gradient is zero,
     # so both must coincide at initialization
-    for a, b in zip(grads0.weights, grads1.weights):
+    for a, b in zip(grads0[0::2], grads1[0::2]):
         assert np.allclose(a, b)
     # push params away from the prior and the two must differ
     params.biases[-1][:] += 0.3
@@ -164,7 +164,7 @@ def test_alpha_zero_equals_dropping_prior_loss():
                                   cfg0, node_freqs, cache, sample_seed=1)
     grads1b, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
                                   cfg1, node_freqs, cache, sample_seed=1)
-    assert not np.allclose(grads0b.biases[-1], grads1b.biases[-1])
+    assert not np.allclose(grads0b[-1], grads1b[-1])
 
 
 def test_descent_on_fixed_instance():
@@ -218,8 +218,8 @@ def test_end_to_end_parameter_gradient_no_exclusion():
                                            cache, sample_seed=0)
     worst = 0.0
     for layer in range(len(params.weights)):
-        for arr, g in ((params.weights[layer], grads.weights[layer]),
-                       (params.biases[layer], grads.biases[layer])):
+        for arr, g in ((params.weights[layer], grads[2 * layer]),
+                       (params.biases[layer], grads[2 * layer + 1])):
             def loss_of(flat, arr=arr):
                 saved = arr.copy()
                 arr[:] = flat.reshape(arr.shape)
