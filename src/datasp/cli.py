@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .costmodel import init_params, predict_costs
+from .costmodel import predict_costs
 from .engine import datasp_forward_efficient, sweep
 from .errors import (
     GenerationError,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .graph import (
     build_cost_matrix,
+    dijkstra,
     graph_to_json_dict,
     load_graph_json,
 )
@@ -45,7 +46,7 @@ from .inference import (
     swap_nodes_in_matrix,
 )
 from .oracle import (
-    enumerate_visitable_walks,
+    WalkEnumerator,
     finite_difference_gradcheck,
     maxent_distribution,
     sampler_total_variation,
@@ -64,10 +65,10 @@ from .serialize import (
 from .smoothing import check_beta
 from .synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from .trajectories import load_dataset, write_trajectories_jsonl
-from .training import TrainConfig, evaluate_jaccard, init_params_for, train_loop
+from .training import TrainConfig, train_loop
 
-# Hyperparameter profiles; "synthetic" mirrors the defaults used for the
-# generated-route experiments, "real" the taxi-style ones.
+# Hyperparameter profiles, the only valid values of train's "profile":
+# "synthetic" (generated-route experiments) and "real" (taxi-style ones).
 PROFILES = {
     "synthetic": {"learning_rate": 1e-4, "beta": 1.0, "batch_size": 16, "alpha": 1e-5},
     "real": {"learning_rate": 1e-4, "beta": 30.0, "batch_size": 32, "alpha": 1e-5,
@@ -83,7 +84,7 @@ DEFAULTS = {
     "train": {
         "seed": 0,
         "dataset": None,           # manifest path (required)
-        "profile": "synthetic",
+        "profile": "synthetic",    # a PROFILES key: "synthetic" or "real"
         "training": {},            # TrainConfig fields
         "keep_fraction": None,     # overrides keep_count when set
         "resume": None,            # checkpoint path
@@ -267,7 +268,11 @@ def cmd_train(args) -> int:
     if prior is None:
         raise ValidationError("training requires prior costs (or node positions)")
 
-    profile = dict(PROFILES.get(config["profile"], {}))
+    name = config["profile"]
+    if not isinstance(name, str) or name not in PROFILES:
+        raise ValidationError(f"unknown profile {name!r}; known profiles: "
+                              f"{', '.join(sorted(PROFILES))}")
+    profile = dict(PROFILES[name])
     keep_fraction = config.get("keep_fraction")
     if keep_fraction is None:
         keep_fraction = profile.pop("keep_fraction", None)
@@ -317,36 +322,37 @@ def cmd_train(args) -> int:
 
 
 def _metric_rows(dataset, graph, prior, params, split, true_costs):
+    """One metrics row per method.  Each distinct PRIOR (source, target) path
+    and each record's true optimum is searched for once."""
     indices = dataset.split_indices(split)
     if not indices:
         raise ValidationError(f"split {split!r} is empty")
     obs = [list(dataset.records[idx].path) for idx in indices]
-    matrices = ([build_cost_matrix(true_costs[idx], graph) for idx in indices]
-                if true_costs is not None else None)
-    rows = []
-    methods = [("PRIOR", None)]
+    ends = [(path[0], path[-1]) for path in obs]
+    prior_paths = {end: expected_optimal_path(prior, graph, *end)[0] for end in set(ends)}
+    methods = [("PRIOR", [prior_paths[end] for end in ends])]
     if params is not None:
-        methods.append(("DataSP", params))
-    for name, model in methods:
-        preds = []
-        for idx in indices:
-            rec = dataset.records[idx]
-            costs = prior if model is None else predict_costs(model, rec.context.features, prior)[0]
-            pred, _ = expected_optimal_path(costs, graph, rec.path[0], rec.path[-1])
+        methods.append(("DataSP", [expected_optimal_path(
+            predict_costs(params, dataset.records[idx].context.features, prior)[0],
+            graph, *end)[0] for idx, end in zip(indices, ends)]))
+    if true_costs is not None:
+        matrices = [build_cost_matrix(true_costs[idx], graph) for idx in indices]
+        optima = [dijkstra(m, *end)[1] for m, end in zip(matrices, ends)]
+    rows = []
+    for name, preds in methods:
+        for idx, pred in zip(indices, preds):
             if pred is None:
                 raise NoPathError(f"pair in record {idx} unreachable under {name} costs")
-            preds.append(pred)
         jacc = [jaccard_edges(p, o) for p, o in zip(preds, obs)]
-        row = {
+        rows.append({
             "method": name,
             "jaccard_mean": float(np.mean(jacc)),
             "jaccard_std": float(np.std(jacc)),
             "match_pct": 100.0 * match_rate(preds, obs),
-            "optimal_cost_pct": (100.0 * optimal_cost_rate(preds, matrices)
-                                 if matrices is not None else None),
+            "optimal_cost_pct": (100.0 * optimal_cost_rate(preds, matrices, optima)
+                                 if true_costs is not None else None),
             "n_test": len(indices),
-        }
-        rows.append(row)
+        })
     return rows
 
 
@@ -517,7 +523,8 @@ def cmd_verify(args) -> int:
     failures = []
 
     m = _fixture_matrix()
-    walks = enumerate_visitable_walks(m, 0, 3)
+    fixture = WalkEnumerator(m)
+    walks = fixture.walks(0, 3)
     census = walk_cost_census(walks)
     tabulated = {c: n for c, n in census.items() if c <= 9.0}
     extra_walks = [w for w in walks if w.cost > 9.0]
@@ -534,8 +541,8 @@ def cmd_verify(args) -> int:
     if not report["checks"]["walk_census"]["ok"]:
         failures.append("walk_census")
 
-    dev1 = verify_distance_consistency(m, beta)
-    dev2 = verify_shortcut_consistency(m, beta)
+    dev1 = verify_distance_consistency(fixture, beta)
+    dev2 = verify_shortcut_consistency(fixture, beta)
     report["checks"]["distance_consistency"] = {"max_deviation": float(dev1),
                                             "ok": bool(dev1 <= tol)}
     report["checks"]["shortcut_consistency"] = {"max_deviation": float(dev2),
@@ -568,7 +575,7 @@ def cmd_verify(args) -> int:
     if not ok_freq:
         failures.append("sampling_frequencies")
 
-    tv = sampler_total_variation(tape, 0, 3,
+    tv = sampler_total_variation(tape, walks,
                                  _positive_int(config["tv_num_samples"], "tv_num_samples"),
                                  np.random.default_rng([config["seed"], 1]))
     tv_ok = tv <= tv_tol
@@ -587,9 +594,9 @@ def cmd_verify(args) -> int:
         extra_graph, extra_prior, _ = load_graph_json(config["graph"])
         if extra_prior is None:
             raise ValidationError("extra verification graph needs prior costs")
-        m_extra = build_cost_matrix(extra_prior, extra_graph)
-        d1 = verify_distance_consistency(m_extra, beta)
-        d2 = verify_shortcut_consistency(m_extra, beta)
+        extra = WalkEnumerator(build_cost_matrix(extra_prior, extra_graph))
+        d1 = verify_distance_consistency(extra, beta)
+        d2 = verify_shortcut_consistency(extra, beta)
         ok = d1 <= tol and d2 <= tol
         report["checks"]["extra_graph"] = {"distance": float(d1), "shortcut": float(d2),
                                    "ok": bool(ok)}

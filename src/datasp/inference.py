@@ -263,19 +263,20 @@ def match_rate(preds, obs_list) -> float:
     return hits / len(preds)
 
 
-def optimal_cost_rate(preds, true_matrices, rel_tol: float = 1e-9) -> float:
+def optimal_cost_rate(preds, true_matrices, optima, rel_tol: float = 1e-9) -> float:
     """Fraction of predicted paths that are cost-optimal under the true costs.
 
-    true_matrices is one cost matrix per prediction (contexts differ).
+    true_matrices is one cost matrix per prediction (contexts differ), and
+    optima[k] is the least cost between the endpoints of preds[k] under
+    true_matrices[k], as `dijkstra` returns it.
     """
-    if len(preds) != len(true_matrices):
-        raise ValidationError("predictions and true cost matrices must align")
+    if not len(preds) == len(true_matrices) == len(optima):
+        raise ValidationError("predictions, true cost matrices and optima must align")
     if not preds:
         raise ValidationError("optimal_cost_rate of an empty list")
     hits = 0
-    for pred, m_true in zip(preds, true_matrices):
+    for pred, m_true, best in zip(preds, true_matrices, optima):
         cost = path_cost(m_true, pred)
-        _, best = dijkstra(m_true, pred[0], pred[-1])
         if np.isfinite(best) and abs(cost - best) <= rel_tol * max(1.0, abs(best)):
             hits += 1
     return hits / len(preds)

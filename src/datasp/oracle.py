@@ -41,8 +41,10 @@ class WalkEnumerator:
     """Memoized recursive enumeration of the visitable walk space.
 
     One instance amortizes the (pair, bound) sub-results over every pair of
-    a graph.  The budget counts materialized walks across all calls; going
-    over raises rather than truncating.
+    a graph, and builds each (pair, bound) list of `VisitableWalk`s once, so
+    every check on one graph can share it.  Returned lists are shared and
+    must not be mutated.  The budget counts materialized walks across all
+    calls; going over raises rather than truncating.
     """
 
     def __init__(self, m: np.ndarray, max_walks: int = MAX_ORACLE_WALKS):
@@ -55,21 +57,24 @@ class WalkEnumerator:
         self.max_walks = max_walks
         self._budget = max_walks
         self._memo: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+        self._visitable: dict[tuple[int, int, int], list[VisitableWalk]] = {}
 
     def walks(self, i: int, j: int, max_node_bound: int | None = None) -> list[VisitableWalk]:
         if i == j:
             raise ValidationError("walk enumeration requires distinct endpoints")
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValidationError(f"pair ({i}, {j}) out of range")
-        bound = self.n - 1 if max_node_bound is None else max_node_bound
-        return [
-            VisitableWalk(
-                nodes=w,
-                cost=path_cost(self.m, w),
-                highest_intermediate=max(w[1:-1]) if len(w) > 2 else None,
-            )
-            for w in self._walks(i, j, bound)
-        ]
+        key = (i, j, self.n - 1 if max_node_bound is None else max_node_bound)
+        if key not in self._visitable:
+            self._visitable[key] = [
+                VisitableWalk(
+                    nodes=w,
+                    cost=path_cost(self.m, w),
+                    highest_intermediate=max(w[1:-1]) if len(w) > 2 else None,
+                )
+                for w in self._walks(*key)
+            ]
+        return self._visitable[key]
 
     def _walks(self, a, b, bound) -> list[tuple[int, ...]]:
         key = (a, b, bound)
@@ -110,15 +115,18 @@ def enumerate_visitable_walks(
     return WalkEnumerator(m, max_walks=max_walks).walks(i, j, max_node_bound)
 
 
-def maxent_distribution(walks, beta: float) -> dict[tuple[int, ...], float]:
-    """Boltzmann distribution over walks: P(w) proportional to exp(-beta*cost)."""
+def _boltzmann(walks, beta: float) -> np.ndarray:
+    """P(w) proportional to exp(-beta * cost), in the order of `walks`."""
     if not walks:
         raise ValidationError("maxent_distribution requires at least one walk")
     costs = np.array([w.cost for w in walks])
-    logits = -float(beta) * (costs - costs.min())
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    return {w.nodes: float(p) for w, p in zip(walks, probs)}
+    probs = np.exp(-float(beta) * (costs - costs.min()))
+    return probs / probs.sum()
+
+
+def maxent_distribution(walks, beta: float) -> dict[tuple[int, ...], float]:
+    """Boltzmann distribution over walks: P(w) proportional to exp(-beta*cost)."""
+    return {w.nodes: float(p) for w, p in zip(walks, _boltzmann(walks, beta))}
 
 
 def walk_cost_census(walks) -> dict[float, int]:
@@ -130,16 +138,15 @@ def walk_cost_census(walks) -> dict[float, int]:
     return census
 
 
-def verify_distance_consistency(m: np.ndarray, beta: float,
-                                max_walks: int = MAX_ORACLE_WALKS) -> float:
-    """Max deviation between engine distances and walk-space smooth mins.
+def verify_distance_consistency(enum: WalkEnumerator, beta: float) -> float:
+    """Max deviation between engine distances on `enum.m` and walk-space
+    smooth mins.
 
     Compares off-diagonal pairs; a pair unreachable on one side but not the
     other yields inf.
     """
-    enum = WalkEnumerator(m, max_walks=max_walks)
     n = enum.n
-    _, dist, _ = datasp_forward_efficient(m, beta)
+    _, dist, _ = datasp_forward_efficient(enum.m, beta)
     worst = 0.0
     for i in range(n):
         for j in range(n):
@@ -157,22 +164,15 @@ def verify_distance_consistency(m: np.ndarray, beta: float,
 
 def shortcut_probabilities_from_walks(walks, beta: float, i: int, n: int) -> np.ndarray:
     """Expected shortcut row P[i, j, :] from an enumerated walk list."""
-    probs = maxent_distribution(walks, beta)
-    by_walk = {w.nodes: w for w in walks}
-    row = np.zeros(n)
-    for nodes, p in probs.items():
-        w = by_walk[nodes]
-        slot = i if w.highest_intermediate is None else w.highest_intermediate
-        row[slot] += p
-    return row
+    slots = [i if w.highest_intermediate is None else w.highest_intermediate for w in walks]
+    return np.bincount(slots, weights=_boltzmann(walks, beta), minlength=n)
 
 
-def verify_shortcut_consistency(m: np.ndarray, beta: float,
-                                max_walks: int = MAX_ORACLE_WALKS) -> float:
-    """Max deviation between the engine's P and walk-space Boltzmann ratios."""
-    enum = WalkEnumerator(m, max_walks=max_walks)
+def verify_shortcut_consistency(enum: WalkEnumerator, beta: float) -> float:
+    """Max deviation between the engine's P on `enum.m` and walk-space
+    Boltzmann ratios."""
     n = enum.n
-    p, _, _ = datasp_forward_efficient(m, beta)
+    p, _, _ = datasp_forward_efficient(enum.m, beta)
     worst = 0.0
     for i in range(n):
         for j in range(n):
@@ -187,21 +187,15 @@ def verify_shortcut_consistency(m: np.ndarray, beta: float,
     return worst
 
 
-def sampler_total_variation(
-    tape: EngineTape,
-    i: int,
-    j: int,
-    num_samples: int,
-    rng,
-) -> float:
-    """TV distance between Monte-Carlo path frequencies and the walk-space
-    max-entropy distribution for a single pair, on the tape's input matrix
-    and beta."""
+def sampler_total_variation(tape: EngineTape, walks, num_samples: int, rng) -> float:
+    """TV distance between Monte-Carlo path frequencies and the max-entropy
+    distribution over `walks`, the visitable walks of one pair on the tape's
+    input matrix, at the tape's beta."""
     from .inference import monte_carlo_path_distribution
 
-    walks = enumerate_visitable_walks(tape.m_input, i, j)
     if not walks:
-        raise ValidationError(f"pair ({i}, {j}) has no visitable walks")
+        raise ValidationError("sampler_total_variation needs the pair's visitable walks")
+    i, j = walks[0].nodes[0], walks[0].nodes[-1]
     theory = maxent_distribution(walks, tape.beta)
     estimate = monte_carlo_path_distribution(tape, i, j, num_samples, rng, reject_cycles=False)
     support = set(theory) | set(estimate.frequencies)

@@ -7,13 +7,16 @@ set, encode them as shortcut frequencies, run the differentiable
 shortest-path forward pass, and backpropagate the KL divergence between
 observed and inferred shortcut distributions (plus a prior regularizer on
 the costs) all the way to the network weights.
+
+The context-similar trajectories are the training records nearest to the
+anchor, found at every step by `similar_indices` over the dataset's context
+matrix; that is cheap next to the step, so nothing is cached.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from .costmodel import ModelParams, backward_params, predict_costs
 from .engine import datasp_backward, datasp_forward_efficient
 from .errors import NumericalError, ValidationError
-from .graph import Compression, Graph, build_cost_matrix, sample_subgraph
+from .graph import Graph, build_cost_matrix, sample_subgraph
 from .inference import expected_optimal_path, jaccard_edges
 from .serialize import save_checkpoint
 from .trajectories import (
@@ -160,23 +163,6 @@ class StepMetrics:
         }
 
 
-class SimilarityCache:
-    """Per-anchor cache of the context-similar training indices."""
-
-    def __init__(self, dataset: Dataset, fraction: float, candidates: list[int]):
-        self.dataset = dataset
-        self.fraction = fraction
-        self.candidates = candidates
-        self._cache: dict[int, list[int]] = {}
-
-    def get(self, anchor: int) -> list[int]:
-        if anchor not in self._cache:
-            self._cache[anchor] = similar_indices(
-                self.dataset, anchor, self.fraction, self.candidates
-            )
-        return self._cache[anchor]
-
-
 def anchor_gradients(
     params: ModelParams,
     anchor: int,
@@ -185,13 +171,14 @@ def anchor_gradients(
     prior: np.ndarray,
     config: TrainConfig,
     node_freqs: np.ndarray,
-    similarity: SimilarityCache,
+    candidates: list[int],
     sample_seed: int,
 ) -> tuple[list[np.ndarray] | None, StepMetrics]:
     """Full forward/backward for one anchor context.
 
-    Returns (None, metrics) when the step must be skipped (no usable paths
-    survive node exclusion).
+    The anchor trains on the `config.similarity_fraction` of `candidates`
+    whose contexts are nearest to its own.  Returns (None, metrics) when the
+    step must be skipped (no usable paths survive node exclusion).
     """
     record = dataset.records[anchor]
     costs, cache = predict_costs(params, record.context.features, prior)
@@ -202,7 +189,7 @@ def anchor_gradients(
 
     removed = set(compression.removed)
     paths = []
-    for idx in similarity.get(anchor):
+    for idx in similar_indices(dataset, anchor, config.similarity_fraction, candidates):
         rewritten = apply_node_exclusion_to_path(
             dataset.records[idx].path, removed, compression.node_map
         )
@@ -288,7 +275,6 @@ def train_loop(
         params = init_params_for(dataset, graph, config)
     opt_state = initial_opt_state or init_adam(params)
     node_freqs = node_visit_frequencies(dataset, train_idx)
-    similarity = SimilarityCache(dataset, config.similarity_fraction, train_idx)
 
     log: list[dict] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
@@ -312,7 +298,7 @@ def train_loop(
                 sample_seed = _step_seed(config.seed, step)
                 grads, metrics = anchor_gradients(
                     params, anchor, dataset, graph, prior, config,
-                    node_freqs, similarity, sample_seed,
+                    node_freqs, train_idx, sample_seed,
                 )
                 metrics.step = step
                 emit(metrics.to_log_dict())
@@ -360,8 +346,7 @@ def init_params_for(dataset: Dataset, graph: Graph, config: TrainConfig) -> Mode
 
     if not dataset.records:
         raise ValidationError("cannot infer feature dimension from an empty dataset")
-    feature_dim = dataset.records[0].context.features.shape[0]
-    return init_params(feature_dim, config.hidden_sizes, graph.num_edges,
+    return init_params(dataset.features.shape[1], config.hidden_sizes, graph.num_edges,
                        config.seed, config.cost_floor)
 
 

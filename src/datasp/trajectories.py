@@ -1,4 +1,8 @@
-"""Trajectory ingestion and encoding.
+"""Trajectory ingestion, context similarity and encoding.
+
+A `Dataset` validates its trajectories and contexts once, when built, and
+stores the contexts as matrices: `features` (N, F) and `discrete` (N, Dd) or
+None.  Context similarity is one vectorised distance per anchor over them.
 
 Observed paths are encoded as shortcut frequencies: for every ordered pair
 of positions (a, b) in a cycle-free node sequence, the highest node strictly
@@ -29,6 +33,8 @@ class ContextSample:
             raise ValidationError("context features must be a flat vector")
         if self.discrete is not None:
             self.discrete = np.asarray(self.discrete, dtype=np.int64)
+            if self.discrete.ndim != 1:
+                raise ValidationError("context discrete values must be a flat vector")
 
 
 @dataclass
@@ -42,10 +48,21 @@ class Dataset:
     graph: Graph
     records: list[TrajectoryRecord]
     splits: dict[str, list[int]] = field(default_factory=dict)
+    features: np.ndarray = field(init=False, repr=False)
+    discrete: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         for rec in self.records:
             validate_trajectory(rec.path, self.graph)
+        contexts = [rec.context for rec in self.records]
+        if len({c.features.shape for c in contexts}) > 1:
+            raise ValidationError("context feature dimensions differ within dataset")
+        if len({None if c.discrete is None else c.discrete.shape for c in contexts}) > 1:
+            raise ValidationError("discrete context vectors must be on every record or "
+                                  "on none, all of one length")
+        self.features = np.stack([c.features for c in contexts]) if contexts else np.zeros((0, 0))
+        self.discrete = (np.stack([c.discrete for c in contexts])
+                         if contexts and contexts[0].discrete is not None else None)
 
     def split_indices(self, name: str) -> list[int]:
         if name in self.splits:
@@ -141,27 +158,13 @@ def apply_node_exclusion_to_path(path, removed, node_map) -> tuple[int, ...] | N
     return tuple(kept)
 
 
-def context_distances(dataset: Dataset, anchor_index: int, candidate_indices) -> np.ndarray:
-    """Euclidean distance over continuous features plus Hamming distance over
-    discrete ones, unit-weighted."""
-    anchor = dataset.records[anchor_index].context
-    dists = np.zeros(len(candidate_indices))
-    for pos, idx in enumerate(candidate_indices):
-        other = dataset.records[idx].context
-        if other.features.shape != anchor.features.shape:
-            raise ValidationError("context feature dimensions differ within dataset")
-        d = float(np.linalg.norm(anchor.features - other.features))
-        if anchor.discrete is not None and other.discrete is not None:
-            d += float((anchor.discrete != other.discrete).sum())
-        dists[pos] = d
-    return dists
-
-
 def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
                     candidate_indices=None) -> list[int]:
-    """Indices of the ceil(fraction * N) records nearest to the anchor.
+    """Indices of the ceil(fraction * N) candidates nearest to the anchor.
 
-    Deterministic: ties are broken by candidate order.
+    The distance is the Euclidean distance between features, sqrt(d . d) of
+    their difference d (the same bits as `np.linalg.norm(d)`), plus the
+    Hamming distance between discrete vectors.  Ties go by candidate order.
     """
     if not (0.0 < fraction <= 1.0):
         raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
@@ -170,7 +173,11 @@ def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
     if candidate_indices is None:
         candidate_indices = list(range(len(dataset.records)))
     count = int(np.ceil(fraction * len(candidate_indices)))
-    dists = context_distances(dataset, anchor_index, candidate_indices)
+    diff = dataset.features[candidate_indices] - dataset.features[anchor_index]
+    dists = np.sqrt(np.vecdot(diff, diff))
+    if dataset.discrete is not None:
+        dists += (dataset.discrete[candidate_indices]
+                  != dataset.discrete[anchor_index]).sum(axis=1)
     order = np.argsort(dists, kind="stable")[:count]
     return [candidate_indices[int(x)] for x in order]
 

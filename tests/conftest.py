@@ -39,7 +39,9 @@ def random_connected_graph(num_nodes: int, rng, extra_edges: int | None = None,
 
 def tractable_random_graph(num_nodes: int, seed: int, max_walks: int = 200_000):
     """First seeded random connected graph (from `seed` upward) whose full
-    walk space fits the enumeration budget.
+    walk space fits the enumeration budget, as (graph, cost matrix, walk
+    enumerator).  The enumerator holds every pair's walk list, so checks on
+    the graph reuse it instead of enumerating again.
 
     The oracle is exponential-time; the consistency properties hold on any
     instance, so tests draw instances the oracle can afford.  Deterministic.
@@ -59,7 +61,7 @@ def tractable_random_graph(num_nodes: int, seed: int, max_walks: int = 200_000):
                 for j in range(num_nodes):
                     if i != j:
                         enum.walks(i, j)
-            return graph, m
+            return graph, m, enum
         except EnumerationLimitError:
             attempt += 1
 

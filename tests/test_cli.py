@@ -341,3 +341,75 @@ def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, ge
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(fields)) in err
+
+
+def _with_contexts(gen_dir, tmp_path, case):
+    """Manifest of a copy of the generated dataset whose contexts are
+    malformed in the way `case` names."""
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    lines = (data / "trajectories.jsonl").read_text().splitlines()
+    docs = [json.loads(line) for line in lines]
+    if case == "feature-lengths-differ":
+        docs[-1]["context"] = docs[-1]["context"][:-1]
+    elif case == "discrete-lengths-differ":
+        for pos, doc in enumerate(docs):
+            doc["discrete"] = [0, 1] if pos else [0, 1, 2]
+    else:
+        docs[-1]["discrete"] = [0, 1]
+    (data / "trajectories.jsonl").write_text(
+        "".join(json.dumps(doc) + "\n" for doc in docs))
+    return str(data / "manifest.json")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", ["feature-lengths-differ", "discrete-lengths-differ",
+                                  "discrete-on-some-records"])
+def test_malformed_contexts_exit_2_at_load(command, case, gen_dir, tmp_path, capsys):
+    manifest = _with_contexts(gen_dir, tmp_path, case)
+    cfg = write_config(tmp_path, "c.json", {"dataset": manifest})
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out" / "train_log.jsonl")
+
+
+@pytest.mark.parametrize("profile", ["rael", ["real"], None])
+def test_unknown_profile_exits_2(profile, gen_dir, tmp_path, capsys):
+    cfg = write_config(tmp_path, "t.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
+                                            "profile": profile})
+    assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown profile") and err.count("\n") == 1
+    assert "known profiles: real, synthetic" in err
+
+
+def test_eval_runs_each_hard_path_search_once(gen_dir, tmp_path, monkeypatch):
+    # Every dijkstra call runs exactly one graph.distances_to, so counting the
+    # latter counts the hard-path searches of one eval.
+    import datasp.graph
+    from datasp.graph import load_graph_json
+
+    graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
+    checkpoint = tmp_path / "init.bin"
+    save_checkpoint(checkpoint, init_params(3, [4], graph.num_edges, seed=0))
+    manifest = json.load(open(os.path.join(gen_dir, "manifest.json")))
+    records = [json.loads(line) for line in
+               open(os.path.join(gen_dir, "trajectories.jsonl"))]
+    ends = [(records[i]["path"][0], records[i]["path"][-1])
+            for i in manifest["splits"]["test"]]
+    assert len(set(ends)) < len(ends)
+
+    calls = []
+    search = datasp.graph.distances_to
+    monkeypatch.setattr(datasp.graph, "distances_to",
+                        lambda m, target: calls.append(target) or search(m, target))
+    cfg = write_config(tmp_path, "e.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
+                                            "checkpoint": str(checkpoint)})
+    assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+    # PRIOR: one per distinct pair; DataSP: one per record; true optimum: one
+    # per record, shared by both methods.
+    assert len(calls) == len(set(ends)) + 2 * len(ends)

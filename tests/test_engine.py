@@ -14,6 +14,7 @@ from datasp.graph import (
     sample_subgraph,
 )
 from datasp.oracle import (
+    WalkEnumerator,
     enumerate_visitable_walks,
     finite_difference_gradcheck,
     verify_distance_consistency,
@@ -91,8 +92,9 @@ def test_shortcut_invariants_on_compressed_matrix_with_nonpositive_entries():
     assert (compressed[np.isfinite(compressed)] <= 0).any()
     p, _, _ = datasp_forward_efficient(compressed, 1.0)
     assert_shortcut_invariants(p)
-    assert verify_distance_consistency(compressed, 1.0) <= 1e-9
-    assert verify_shortcut_consistency(compressed, 1.0) <= 1e-9
+    walks = WalkEnumerator(compressed)
+    assert verify_distance_consistency(walks, 1.0) <= 1e-9
+    assert verify_shortcut_consistency(walks, 1.0) <= 1e-9
 
 
 def test_disconnected_pair_stays_empty():
@@ -107,12 +109,12 @@ def test_walk_space_consistency_over_random_graphs():
     from conftest import tractable_random_graph
 
     for seed, size in enumerate((4, 5, 6, 7, 8)):
-        _, m = tractable_random_graph(size, seed=100 + seed)
+        _, m, walks = tractable_random_graph(size, seed=100 + seed)
         for beta in (0.3, 0.5, 1.0, 2.0, 30.0):
             p, _, _ = datasp_forward_efficient(m, beta)
             assert_shortcut_invariants(p)
-            assert verify_distance_consistency(m, beta) <= 1e-9
-            assert verify_shortcut_consistency(m, beta) <= 1e-9
+            assert verify_distance_consistency(walks, beta) <= 1e-9
+            assert verify_shortcut_consistency(walks, beta) <= 1e-9
 
 
 def test_hard_limit_matches_classical_solution(rng):

@@ -25,7 +25,7 @@ from datasp.inference import (
     optimal_cost_rate,
     swap_nodes_in_matrix,
 )
-from datasp.oracle import WalkEnumerator, enumerate_visitable_walks, maxent_distribution
+from datasp.oracle import enumerate_visitable_walks, maxent_distribution
 
 
 def test_sample_path_direct_tensor(rng):
@@ -99,8 +99,7 @@ def test_sampler_never_dead_ends_and_stays_in_walk_space():
     # Every reachable pair, from the smooth regime to the hard-min limit: no
     # draw may fail, and every walk must be a visitable walk of the pair.
     for seed, size in enumerate((4, 5, 6, 7, 8)):
-        _, m = tractable_random_graph(size, seed=300 + seed, max_walks=20_000)
-        enum = WalkEnumerator(m, max_walks=20_000)
+        _, m, enum = tractable_random_graph(size, seed=300 + seed, max_walks=20_000)
         rng = np.random.default_rng(seed)
         for beta in (1.0, 30.0, 1000.0):
             tape = sweep(m, beta)
@@ -284,11 +283,13 @@ def test_match_rate():
 
 
 def test_optimal_cost_rate(k4, rng):
-    best, _ = dijkstra(k4, 0, 3)
-    assert optimal_cost_rate([best], [k4]) == 1.0
-    assert optimal_cost_rate([[0, 1, 0, 3]], [k4]) == 0.0
+    best, best_cost = dijkstra(k4, 0, 3)
+    assert optimal_cost_rate([best], [k4], [best_cost]) == 1.0
+    assert optimal_cost_rate([[0, 1, 0, 3]], [k4], [best_cost]) == 0.0
     with pytest.raises(ValidationError):
-        optimal_cost_rate([], [])
+        optimal_cost_rate([], [], [])
+    with pytest.raises(ValidationError):
+        optimal_cost_rate([best], [k4], [])
     # random-walk predictions scored against brute-force optima
     graph, costs = random_connected_graph(6, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
@@ -303,7 +304,8 @@ def test_optimal_cost_rate(k4, rng):
         if walk[-1] == 5:
             preds.append(walk)
     if preds:
-        rate = optimal_cost_rate(preds, [m] * len(preds))
+        rate = optimal_cost_rate(preds, [m] * len(preds),
+                                 [dijkstra(m, 0, 5)[1]] * len(preds))
         from datasp.graph import path_cost
 
         expected = np.mean([

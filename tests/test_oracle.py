@@ -7,6 +7,7 @@ from conftest import random_connected_graph
 from datasp.errors import EnumerationLimitError, ValidationError
 from datasp.graph import Graph, build_cost_matrix, complete_graph
 from datasp.oracle import (
+    WalkEnumerator,
     enumerate_visitable_walks,
     finite_difference_gradcheck,
     maxent_distribution,
@@ -103,14 +104,15 @@ def test_enumeration_guards():
 
 
 def test_fixture_consistency_checks(k4):
-    assert verify_distance_consistency(k4, 1.0) <= 1e-9
-    assert verify_shortcut_consistency(k4, 1.0) <= 1e-9
+    walks = WalkEnumerator(k4)
+    assert verify_distance_consistency(walks, 1.0) <= 1e-9
+    assert verify_shortcut_consistency(walks, 1.0) <= 1e-9
 
 
 def test_two_node_consistency_is_exact():
     g = Graph(2, [(0, 1)])
     m = build_cost_matrix([4.0], g)
-    assert verify_distance_consistency(m, 1.0) == 0.0
+    assert verify_distance_consistency(WalkEnumerator(m), 1.0) == 0.0
 
 
 def test_distance_consistency_direct_formula(k4):
@@ -135,7 +137,8 @@ def test_sampler_total_variation_small_graphs(rng):
     for size in (4, 5):
         graph, costs = random_connected_graph(size, rng, extra_edges=2)
         m = build_cost_matrix(costs, graph)
-        tv = sampler_total_variation(sweep(m, 1.0), 0, size - 1, 40000,
+        tv = sampler_total_variation(sweep(m, 1.0),
+                                     enumerate_visitable_walks(m, 0, size - 1), 40000,
                                      np.random.default_rng(7))
         assert tv <= 0.015
 

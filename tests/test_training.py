@@ -20,7 +20,6 @@ from datasp.trajectories import (
 )
 from datasp.training import (
     AdamState,
-    SimilarityCache,
     TrainConfig,
     adam_update,
     anchor_gradients,
@@ -129,11 +128,9 @@ def test_train_step_zero_learning_rate_keeps_params():
     params = init_params(3, [8], result.graph.num_edges, seed=0)
     before = [w.copy() for w in params.weights]
     state = init_adam(params)
-    similarity = SimilarityCache(dataset, config.similarity_fraction,
-                                 list(range(len(dataset.records))))
     grads, metrics = anchor_gradients(params, 0, dataset, result.graph, result.prior,
                                       config, node_visit_frequencies(dataset),
-                                      similarity, sample_seed=0)
+                                      list(range(len(dataset.records))), sample_seed=0)
     assert not metrics.skipped
     assert math.isfinite(metrics.shortcut)
     adam_update(params, grads, state, config)
@@ -144,16 +141,16 @@ def test_train_step_zero_learning_rate_keeps_params():
 def test_alpha_zero_equals_dropping_prior_loss():
     result, dataset = small_dataset()
     node_freqs = node_visit_frequencies(dataset)
-    cache = SimilarityCache(dataset, 0.2, list(range(len(dataset.records))))
+    candidates = list(range(len(dataset.records)))
     params = init_params(3, [8], result.graph.num_edges, seed=0)
 
     cfg0 = TrainConfig(alpha=0.0, similarity_fraction=0.2, hidden_sizes=[8])
     grads0, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                 cfg0, node_freqs, cache, sample_seed=1)
+                                 cfg0, node_freqs, candidates, sample_seed=1)
     # alpha=0 must match a hand-built gradient without any prior term
     cfg1 = TrainConfig(alpha=1.0, similarity_fraction=0.2, hidden_sizes=[8])
     grads1, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                 cfg1, node_freqs, cache, sample_seed=1)
+                                 cfg1, node_freqs, candidates, sample_seed=1)
     # initial params predict exactly the prior -> prior-loss gradient is zero,
     # so both must coincide at initialization
     for a, b in zip(grads0[0::2], grads1[0::2]):
@@ -161,9 +158,9 @@ def test_alpha_zero_equals_dropping_prior_loss():
     # push params away from the prior and the two must differ
     params.biases[-1][:] += 0.3
     grads0b, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                  cfg0, node_freqs, cache, sample_seed=1)
+                                  cfg0, node_freqs, candidates, sample_seed=1)
     grads1b, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                  cfg1, node_freqs, cache, sample_seed=1)
+                                  cfg1, node_freqs, candidates, sample_seed=1)
     assert not np.allclose(grads0b[-1], grads1b[-1])
 
 
@@ -174,11 +171,11 @@ def test_descent_on_fixed_instance():
     params = init_params(3, [16], result.graph.num_edges, seed=0)
     state = init_adam(params)
     node_freqs = node_visit_frequencies(dataset)
-    cache = SimilarityCache(dataset, 0.5, list(range(len(dataset.records))))
+    candidates = list(range(len(dataset.records)))
     losses = []
     for step in range(50):
         grads, metrics = anchor_gradients(params, 0, dataset, result.graph,
-                                          result.prior, config, node_freqs, cache,
+                                          result.prior, config, node_freqs, candidates,
                                           sample_seed=0)
         losses.append(metrics.shortcut)
         from datasp.training import adam_update
@@ -191,13 +188,13 @@ def test_descent_on_fixed_instance():
 # --- gradient checks -------------------------------------------------------------
 
 def _pipeline_loss_and_grads(params, dataset, graph, prior, config, anchor,
-                             node_freqs, cache, sample_seed):
+                             node_freqs, candidates, sample_seed):
     """Total loss L_S + alpha * L_P and its parameter gradients."""
     from datasp.training import anchor_gradients
 
     record = dataset.records[anchor]
     grads, metrics = anchor_gradients(params, anchor, dataset, graph, prior,
-                                      config, node_freqs, cache, sample_seed)
+                                      config, node_freqs, candidates, sample_seed)
     return metrics.shortcut + config.alpha * metrics.prior, grads
 
 
@@ -211,11 +208,11 @@ def test_end_to_end_parameter_gradient_no_exclusion():
     for b in params.biases:
         b += 0.2 * rng.standard_normal(b.shape)
     node_freqs = node_visit_frequencies(dataset)
-    cache = SimilarityCache(dataset, 0.5, list(range(len(dataset.records))))
+    candidates = list(range(len(dataset.records)))
 
     loss, grads = _pipeline_loss_and_grads(params, dataset, result.graph,
                                            result.prior, config, 0, node_freqs,
-                                           cache, sample_seed=0)
+                                           candidates, sample_seed=0)
     worst = 0.0
     for layer in range(len(params.weights)):
         for arr, g in ((params.weights[layer], grads[2 * layer]),
@@ -225,7 +222,7 @@ def test_end_to_end_parameter_gradient_no_exclusion():
                 arr[:] = flat.reshape(arr.shape)
                 value, _ = _pipeline_loss_and_grads(params, dataset, result.graph,
                                                     result.prior, config, 0,
-                                                    node_freqs, cache, sample_seed=0)
+                                                    node_freqs, candidates, sample_seed=0)
                 arr[:] = saved
                 return value
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from datasp.errors import ValidationError
 from datasp.graph import Graph, complete_graph
@@ -148,6 +151,99 @@ def test_similarity_uses_hamming_for_discrete():
                       discrete=[[1, 1], [1, 0], [1, 1]])
     picked = similar_indices(ds, 0, 0.5)
     assert set(picked) == {0, 2}
+
+
+def test_similarity_exact_tie_goes_by_candidate_order():
+    # Records 1 and 3 sit at distance 5 from the anchor (a 3-4-5 triangle).
+    ds = _toy_dataset([[0.0, 0.0], [3.0, 4.0], [9.0, 9.0], [4.0, 3.0], [-3.0, -4.0]])
+    assert similar_indices(ds, 0, 0.5, [0, 3, 2, 1]) == [0, 3]
+    assert similar_indices(ds, 0, 0.5, [0, 1, 2, 3]) == [0, 1]
+    assert similar_indices(ds, 0, 1.0, [2, 4, 3, 1, 0]) == [0, 4, 3, 1, 2]
+
+
+def _reference_distances(contexts, anchor, candidates):
+    """The per-record loop that similar_indices replaced: one np.linalg.norm
+    per candidate, plus the Hamming distance of the discrete vectors."""
+    ctx = contexts[anchor]
+    dists = np.zeros(len(candidates))
+    for pos, idx in enumerate(candidates):
+        other = contexts[idx]
+        d = float(np.linalg.norm(ctx.features - other.features))
+        if ctx.discrete is not None:
+            d += float((ctx.discrete != other.discrete).sum())
+        dists[pos] = d
+    return dists
+
+
+# Values from a short list make exact ties common; the wide range makes
+# rounding matter.
+_context_values = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.1, 3.0]),
+                            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.tuples(st.integers(1, 30), st.integers(1, 12), st.integers(0, 3)).flatmap(
+    lambda dims: st.tuples(
+        hnp.arrays(np.float64, dims[:2], elements=_context_values),
+        hnp.arrays(np.int64, (dims[0], dims[2]), elements=st.integers(0, 2))
+        if dims[2] else st.none(),
+        st.integers(0, dims[0] - 1),
+        st.permutations(range(dims[0])),
+        st.sampled_from([0.05, 0.3, 1.0]))))
+def test_similarity_matches_per_record_norm_loop(case):
+    features, discrete, anchor, candidates, fraction = case
+    records = [TrajectoryRecord(context=ContextSample(features[i],
+                                                      None if discrete is None else discrete[i]),
+                                path=(0, 1))
+               for i in range(len(features))]
+    ds = Dataset(graph=complete_graph(2), records=records)
+    expected = _reference_distances([r.context for r in records], anchor, candidates)
+    # The distance similar_indices computes, bit for bit.
+    diff = ds.features[candidates] - ds.features[anchor]
+    dists = np.sqrt(np.vecdot(diff, diff))
+    if discrete is not None:
+        dists += (ds.discrete[candidates] != ds.discrete[anchor]).sum(axis=1)
+    assert np.array_equal(dists, expected)
+    count = int(np.ceil(fraction * len(candidates)))
+    order = np.argsort(expected, kind="stable")[:count]
+    assert similar_indices(ds, anchor, fraction, candidates) == [candidates[i] for i in order]
+
+
+@pytest.mark.parametrize("dim", [8, 12, 16])
+def test_similarity_orders_rounding_level_near_ties_like_the_norm_loop(dim):
+    # Each record differs from the anchor by a permutation of one vector:
+    # equal distances in exact arithmetic, so their order rests on how each
+    # sum of squares rounds.  A sum in another order than np.linalg.norm's
+    # reorders them.
+    rng = np.random.default_rng(dim)
+    anchor, delta = rng.uniform(-10, 10, dim), rng.uniform(-1e3, 1e3, dim)
+    contexts = [anchor] + [anchor + rng.permutation(delta) for _ in range(60)]
+    ds = _toy_dataset(contexts)
+    candidates = list(range(len(contexts)))
+    expected = _reference_distances([r.context for r in ds.records], 0, candidates)
+    assert len(set(expected)) > 2
+    assert similar_indices(ds, 0, 1.0) == [int(i) for i in np.argsort(expected, kind="stable")]
+
+
+def test_dataset_stores_contexts_as_matrices():
+    ds = _toy_dataset([[0.0, 1.0], [2.0, 3.0]], discrete=[[1, 2, 3], [4, 5, 6]])
+    assert ds.features.shape == (2, 2) and ds.features.dtype == np.float64
+    assert ds.discrete.shape == (2, 3) and ds.discrete.dtype == np.int64
+    assert _toy_dataset([[0.0], [1.0]]).discrete is None
+    empty = Dataset(graph=complete_graph(4), records=[])
+    assert empty.features.shape[0] == 0 and empty.discrete is None
+
+
+@pytest.mark.parametrize("contexts, discrete", [
+    ([[0.0, 1.0], [2.0]], None),
+    ([[0.0], [1.0]], [[1, 2], [1, 2, 3]]),
+    ([[0.0], [1.0]], [[1, 2], None]),
+    ([[0.0], [1.0]], [[[1, 2]], [[1, 2]]]),
+], ids=["feature-lengths-differ", "discrete-lengths-differ", "discrete-on-some-records",
+        "discrete-not-flat"])
+def test_dataset_rejects_inconsistent_contexts(contexts, discrete):
+    with pytest.raises(ValidationError):
+        _toy_dataset(contexts, discrete=discrete)
 
 
 def test_similarity_rejects_bad_fraction():
