@@ -23,10 +23,8 @@ from .graph import (
 )
 from .engine import datasp_backward, datasp_forward_efficient, sweep
 from .trajectories import (
-    ContextSample,
     Dataset,
     FrequencyTensor,
-    TrajectoryRecord,
     apply_node_exclusion_to_path,
     build_frequency_tensor,
     highest_intermediate_decomposition,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int, is_real
 from .smoothing import INF, check_beta, pivot, pivot_adjoint
 
 
@@ -101,45 +101,48 @@ def graph_from_json_dict(doc: dict) -> tuple[Graph, np.ndarray | None, np.ndarra
     absent but node_positions is present, priors default to the Euclidean
     distance between edge endpoints.
     """
-    try:
-        num_nodes = int(doc["num_nodes"])
-        raw_edges = [(int(u), int(v)) for u, v in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed graph document: {exc}") from exc
-    directed = bool(doc.get("directed", True))
+    if not isinstance(doc, dict):
+        raise ValidationError("a graph document must be a JSON object")
+    num_nodes, raw_edges = doc.get("num_nodes"), doc.get("edges")
+    if not is_int(num_nodes):
+        raise ValidationError(f"num_nodes must be an integer, got {num_nodes!r}")
+    if not isinstance(raw_edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and is_int(e[0]) and is_int(e[1])
+            for e in raw_edges):
+        raise ValidationError("edges must be a list of [u, v] pairs of integer node ids")
+    directed = doc.get("directed", True)
+    if not isinstance(directed, bool):
+        raise ValidationError(f"directed must be true or false, got {directed!r}")
     prior = doc.get("prior_costs")
     positions = doc.get("node_positions")
 
     if positions is not None:
-        positions = np.asarray(positions, dtype=float)
-        if positions.shape != (num_nodes, 2):
-            raise ValidationError(
-                f"node_positions must have shape ({num_nodes}, 2), got {positions.shape}"
-            )
+        if not isinstance(positions, list) or not all(
+                isinstance(p, list) and len(p) == 2 and is_real(p[0]) and is_real(p[1])
+                for p in positions) or len(positions) != num_nodes:
+            raise ValidationError(f"node_positions must be {num_nodes} [x, y] pairs "
+                                  "of finite numbers")
+        positions = np.array(positions, dtype=float)
 
+    if prior is not None and (not isinstance(prior, list)
+                              or not all(is_real(x) for x in prior)):
+        raise ValidationError("prior_costs must be a list of finite numbers")
     if prior is not None and len(prior) != len(raw_edges):
         raise ValidationError(
             f"prior_costs has {len(prior)} entries for {len(raw_edges)} edges"
         )
 
-    edges: list[tuple[int, int]] = []
-    expanded_prior: list[float] = []
-    for idx, (u, v) in enumerate(raw_edges):
-        per_edge = None
-        if prior is not None:
-            per_edge = float(prior[idx])
-        elif positions is not None:
-            per_edge = float(np.hypot(*(positions[u] - positions[v])))
-        directions = [(u, v)] if directed else [(u, v), (v, u)]
-        for e in directions:
-            edges.append(e)
-            if per_edge is not None:
-                expanded_prior.append(per_edge)
-
+    edges = [e for u, v in raw_edges for e in ([(u, v)] if directed else [(u, v), (v, u)])]
     graph = Graph(num_nodes, edges)
-    prior_arr = np.asarray(expanded_prior, dtype=float) if expanded_prior else None
-    if prior_arr is not None and (prior_arr < 0).any():
-        raise ValidationError("prior costs must be nonnegative")
+    if prior is None and positions is not None:
+        ends = np.array(raw_edges, dtype=np.int64).reshape(-1, 2)
+        with np.errstate(over="ignore"):
+            delta = positions[ends[:, 0]] - positions[ends[:, 1]]
+            prior = np.hypot(delta[:, 0], delta[:, 1])
+    prior_arr = None if prior is None else np.repeat(np.asarray(prior, dtype=float),
+                                                     1 if directed else 2)
+    if prior_arr is not None and not ((prior_arr >= 0) & (prior_arr < INF)).all():
+        raise ValidationError("prior costs must be finite and nonnegative")
     return graph, prior_arr, positions
 
 

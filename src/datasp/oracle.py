@@ -21,7 +21,7 @@ import numpy as np
 from .errors import EnumerationLimitError, ValidationError
 from .graph import validate_cost_matrix, path_cost
 from .smoothing import softmin_value
-from .engine import EngineTape, datasp_forward_efficient
+from .engine import EngineTape, datasp_forward_efficient, sweep
 
 MAX_ORACLE_NODES = 10
 MAX_ORACLE_WALKS = 1_000_000
@@ -146,7 +146,7 @@ def verify_distance_consistency(enum: WalkEnumerator, beta: float) -> float:
     other yields inf.
     """
     n = enum.n
-    _, dist, _ = datasp_forward_efficient(enum.m, beta)
+    dist = sweep(enum.m, beta).dist
     worst = 0.0
     for i in range(n):
         for j in range(n):

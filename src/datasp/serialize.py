@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 
 from .costmodel import ModelParams
-from .errors import ValidationError
+from .errors import ValidationError, is_int, is_real
 
 _TENSOR_MAGIC = b"DSPT"
 _CHECKPOINT_MAGIC = b"DSPC"
+_MAX_NDIM = 64
 
 
 def save_tensor(path, array) -> None:
@@ -41,9 +43,13 @@ def load_tensor(path) -> np.ndarray:
         version, ndim = struct.unpack("<II", fh.read(8))
         if version != 1:
             raise ValidationError(f"unsupported tensor container version {version}")
+        if ndim > _MAX_NDIM:
+            raise ValidationError(f"tensor has {ndim} dimensions, at most {_MAX_NDIM} allowed")
         shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
         payload = fh.read()
-    expected = int(np.prod(shape)) if ndim else 1
+    if any(d < 0 for d in shape):
+        raise ValidationError(f"tensor has a negative dimension: {shape}")
+    expected = math.prod(shape)
     if len(payload) != 8 * expected:
         raise ValidationError(f"tensor payload has {len(payload)} bytes, expected {8 * expected}")
     return np.frombuffer(payload, dtype=np.float64).reshape(shape).copy()
@@ -81,6 +87,29 @@ def save_checkpoint(path, params: ModelParams, step: int = 0, extra: dict | None
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes(order="C"))
 
 
+def _array_specs(header) -> list[dict]:
+    """The array list a checkpoint with this header's sizes must carry, in
+    the order `save_checkpoint` writes it; raises on a malformed header."""
+    hidden = header.get("hidden_sizes")
+    dims = [header.get("feature_dim"), *(hidden if isinstance(hidden, list) else [None]),
+            header.get("edge_count")]
+    step, t = header.get("step"), header.get("opt_state_t")
+    if (not all(is_int(d) and d > 0 for d in dims) or not (is_int(step) and step >= 0)
+            or not (is_real(header.get("cost_floor")) and header["cost_floor"] > 0)
+            or not (t is None or is_int(t) and t >= 0)):
+        raise ValidationError("checkpoint header needs positive integer layer sizes "
+                              "(feature_dim, hidden_sizes, edge_count), a positive "
+                              "cost_floor, and nonnegative integer step and opt_state_t")
+    specs = []
+    for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        specs += [{"name": f"weight_{layer}", "shape": [fan_out, fan_in]},
+                  {"name": f"bias_{layer}", "shape": [fan_out]}]
+    if t is not None:
+        specs += [{"name": f"adam_{part}_{idx}", "shape": spec["shape"]}
+                  for part in ("m", "v") for idx, spec in enumerate(specs)]
+    return specs
+
+
 def load_checkpoint(path) -> tuple[ModelParams, int, dict, dict | None]:
     """Returns (params, step, extra, opt_state or None)."""
     with open(path, "rb") as fh:
@@ -88,37 +117,41 @@ def load_checkpoint(path) -> tuple[ModelParams, int, dict, dict | None]:
         if magic != _CHECKPOINT_MAGIC:
             raise ValidationError(f"{path} is not a checkpoint file")
         (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
+        rest = fh.read()
+    if len(rest) < header_len:
+        raise ValidationError(f"{path}: checkpoint header is truncated")
+    header = json.loads(rest[:header_len].decode("utf-8"))
+    payload = memoryview(rest)[header_len:]
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: checkpoint header is not a JSON object")
+    specs = _array_specs(header)
+    if header.get("arrays") != specs:
+        raise ValidationError(f"{path}: checkpoint arrays do not match its layer sizes")
+    expected = 8 * sum(math.prod(spec["shape"]) for spec in specs)
+    if len(payload) != expected:
+        raise ValidationError(f"{path}: checkpoint payload has {len(payload)} bytes, "
+                              f"expected {expected} (truncated?)")
 
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        if len(payload) < offset + 8 * count:
-            raise ValidationError(f"{path}: checkpoint payload is truncated")
+    arrays, offset = [], 0
+    for spec in specs:
+        count = math.prod(spec["shape"])
         chunk = np.frombuffer(payload, dtype=np.float64, count=count, offset=offset)
-        arrays[spec["name"]] = chunk.reshape(shape).copy()
+        arrays.append(chunk.reshape(spec["shape"]).copy())
         offset += count * 8
 
-    num_layers = len(header["hidden_sizes"]) + 1
+    n = 2 * (len(header["hidden_sizes"]) + 1)
     params = ModelParams(
-        weights=[arrays[f"weight_{i}"] for i in range(num_layers)],
-        biases=[arrays[f"bias_{i}"] for i in range(num_layers)],
-        feature_dim=int(header["feature_dim"]),
-        hidden_sizes=[int(h) for h in header["hidden_sizes"]],
-        edge_count=int(header["edge_count"]),
+        weights=arrays[0:n:2],
+        biases=arrays[1:n:2],
+        feature_dim=header["feature_dim"],
+        hidden_sizes=list(header["hidden_sizes"]),
+        edge_count=header["edge_count"],
         cost_floor=float(header["cost_floor"]),
     )
     opt_state = None
     if header.get("opt_state_t") is not None:
-        opt_state = {
-            "m": [arrays[f"adam_m_{i}"] for i in range(num_layers * 2)],
-            "v": [arrays[f"adam_v_{i}"] for i in range(num_layers * 2)],
-            "t": int(header["opt_state_t"]),
-        }
-    return params, int(header["step"]), header.get("extra", {}), opt_state
+        opt_state = {"m": arrays[n:2 * n], "v": arrays[2 * n:], "t": header["opt_state_t"]}
+    return params, header["step"], header.get("extra", {}), opt_state
 
 
 def file_sha256(path) -> str:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, ValidationError, is_real, require_types
 from .graph import Graph, build_cost_matrix, dijkstra, distances_to
-from .trajectories import ContextSample, Dataset, TrajectoryRecord
+from .trajectories import Dataset
 
 COST_FLOOR_FRACTION = 0.05
 MAX_CONNECTIVITY_RETRIES = 10
@@ -42,16 +42,19 @@ class GeneratorConfig:
     position_scale: float = 10.0
 
     def validate(self) -> "GeneratorConfig":
+        require_types(self, ints=("num_nodes", "feature_dim", "num_samples", "pair_pool_size",
+                                  "seed", "neighbor_candidates", "hidden_mix_dim"),
+                      reals=("sparsity", "noise_scale", "context_gain", "position_scale"))
         if self.num_nodes < 2:
             raise ValidationError("num_nodes must be at least 2")
         if not (0.0 < self.sparsity <= 1.0):
             raise ValidationError("sparsity must lie in (0, 1]")
         for name in ("feature_dim", "pair_pool_size", "hidden_mix_dim",
-                     "neighbor_candidates"):
+                     "neighbor_candidates", "position_scale"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.num_samples < 0:
-            raise ValidationError("num_samples must be nonnegative")
+        if self.num_samples < 0 or self.seed < 0:
+            raise ValidationError("num_samples and seed must be nonnegative")
         if self.noise_scale < 0:
             raise ValidationError("noise_scale must be nonnegative")
         return self
@@ -154,19 +157,20 @@ def generate_synthetic_dataset(config: GeneratorConfig) -> SyntheticDataset:
                           replace=False)
     pair_pool = [all_pairs[int(x)] for x in pool_idx]
 
-    records: list[TrajectoryRecord] = []
+    paths = []
+    features = np.zeros((config.num_samples, config.feature_dim))
     true_costs = np.zeros((config.num_samples, graph.num_edges))
     for idx in range(config.num_samples):
-        x = rng.standard_normal(config.feature_dim)
+        x = features[idx] = rng.standard_normal(config.feature_dim)
         s, t = pair_pool[int(rng.integers(len(pair_pool)))]
         costs = latent.sample_costs(x, rng)
         path, _ = dijkstra(build_cost_matrix(costs, graph), s, t)
         if path is None:
             raise GenerationError(f"pair ({s}, {t}) unreachable in a connected graph")
         true_costs[idx] = costs
-        records.append(TrajectoryRecord(context=ContextSample(features=x), path=tuple(path)))
+        paths.append(tuple(path))
 
-    dataset = Dataset(graph=graph, records=records, splits={})
+    dataset = Dataset(graph=graph, paths=paths, features=features, prior=prior)
     return SyntheticDataset(graph=graph, prior=prior, positions=positions,
                             dataset=dataset, latent=latent, pair_pool=pair_pool,
                             true_costs=true_costs, config=config)
@@ -174,8 +178,12 @@ def generate_synthetic_dataset(config: GeneratorConfig) -> SyntheticDataset:
 
 def assign_splits(num_records: int, fractions=(0.8, 0.1, 0.1)) -> dict[str, list[int]]:
     """Deterministic contiguous train/val/test split by record index."""
+    if (not isinstance(fractions, (list, tuple)) or len(fractions) != 3
+            or not all(is_real(f) and 0.0 <= f <= 1.0 for f in fractions)):
+        raise ValidationError(f"split_fractions must be three numbers in [0, 1], "
+                              f"got {fractions!r}")
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValidationError("split fractions must sum to 1")
+        raise ValidationError("split_fractions must sum to 1")
     n_train = int(round(fractions[0] * num_records))
     n_val = int(round(fractions[1] * num_records))
     train = list(range(0, n_train))

@@ -11,6 +11,15 @@ the costs) all the way to the network weights.
 The context-similar trajectories are the training records nearest to the
 anchor, found at every step by `similar_indices` over the dataset's context
 matrix; that is cheap next to the step, so nothing is cached.
+
+Every function here reads the graph and the prior costs from the `Dataset`:
+
+- `train_loop(dataset, config, checkpoint_path=None, log_path=None, ...)`
+  runs the epochs (the dataset must carry a prior);
+- `anchor_gradients(params, anchor, dataset, config, node_freqs,
+  candidates, sample_seed)` is one anchor's forward and backward pass;
+- `evaluate_jaccard(params, dataset, indices)` scores predicted best paths;
+- `init_params_for(dataset, config)` initializes the cost model.
 """
 
 from __future__ import annotations
@@ -21,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import ModelParams, backward_params, predict_costs
+from .costmodel import ModelParams, backward_params, init_params, predict_costs
 from .engine import datasp_backward, datasp_forward_efficient
-from .errors import NumericalError, ValidationError
-from .graph import Graph, build_cost_matrix, sample_subgraph
+from .errors import NumericalError, ValidationError, is_int, require_types
+from .graph import build_cost_matrix, sample_subgraph
 from .inference import expected_optimal_path, jaccard_edges
 from .serialize import save_checkpoint
 from .trajectories import (
@@ -56,15 +65,23 @@ class TrainConfig:
     cost_floor: float = 1e-3
 
     def validate(self, num_nodes: int) -> "TrainConfig":
+        require_types(self, ints=("batch_size", "epochs", "seed"),
+                      reals=("learning_rate", "beta", "similarity_fraction", "alpha",
+                             "cost_floor"))
+        if not isinstance(self.hidden_sizes, list) or not all(
+                is_int(h) and h > 0 for h in self.hidden_sizes):
+            raise ValidationError(f"hidden_sizes must be a list of positive integers, "
+                                  f"got {self.hidden_sizes!r}")
         if self.learning_rate < 0:
             raise ValidationError("learning_rate must be nonnegative")
         for name in ("beta", "batch_size", "similarity_fraction", "cost_floor"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.alpha < 0 or self.epochs < 0:
-            raise ValidationError("alpha and epochs must be nonnegative")
-        if self.keep_count is not None and not (2 <= self.keep_count <= num_nodes):
-            raise ValidationError(f"keep_count must be in [2, {num_nodes}]")
+        if self.alpha < 0 or self.epochs < 0 or self.seed < 0:
+            raise ValidationError("alpha, epochs and seed must be nonnegative")
+        if self.keep_count is not None and not (
+                is_int(self.keep_count) and 2 <= self.keep_count <= num_nodes):
+            raise ValidationError(f"keep_count must be an integer in [2, {num_nodes}]")
         return self
 
 
@@ -167,8 +184,6 @@ def anchor_gradients(
     params: ModelParams,
     anchor: int,
     dataset: Dataset,
-    graph: Graph,
-    prior: np.ndarray,
     config: TrainConfig,
     node_freqs: np.ndarray,
     candidates: list[int],
@@ -180,19 +195,16 @@ def anchor_gradients(
     whose contexts are nearest to its own.  Returns (None, metrics) when the
     step must be skipped (no usable paths survive node exclusion).
     """
-    record = dataset.records[anchor]
-    costs, cache = predict_costs(params, record.context.features, prior)
+    graph, prior = dataset.graph, dataset.prior
+    costs, cache = predict_costs(params, dataset.features[anchor], prior)
     m_full = build_cost_matrix(costs, graph)
 
     keep = config.keep_count if config.keep_count is not None else graph.num_nodes
     compression = sample_subgraph(graph, m_full, keep, node_freqs, sample_seed, config.beta)
 
-    removed = set(compression.removed)
     paths = []
     for idx in similar_indices(dataset, anchor, config.similarity_fraction, candidates):
-        rewritten = apply_node_exclusion_to_path(
-            dataset.records[idx].path, removed, compression.node_map
-        )
+        rewritten = apply_node_exclusion_to_path(dataset.paths[idx], compression.node_map)
         if rewritten is not None:
             paths.append(rewritten)
     if not paths:
@@ -232,15 +244,14 @@ class TrainResult:
     step: int
 
 
-def evaluate_jaccard(params: ModelParams, dataset: Dataset, graph: Graph,
-                     prior: np.ndarray, indices) -> float:
+def evaluate_jaccard(params: ModelParams, dataset: Dataset, indices) -> float:
     """Mean edge-Jaccard between predicted best paths and observations."""
     scores = []
     for idx in indices:
-        rec = dataset.records[idx]
-        costs, _ = predict_costs(params, rec.context.features, prior)
-        pred, _ = expected_optimal_path(costs, graph, rec.path[0], rec.path[-1])
-        scores.append(0.0 if pred is None else jaccard_edges(pred, rec.path))
+        path = dataset.paths[idx]
+        costs, _ = predict_costs(params, dataset.features[idx], dataset.prior)
+        pred, _ = expected_optimal_path(costs, dataset.graph, path[0], path[-1])
+        scores.append(0.0 if pred is None else jaccard_edges(pred, path))
     if not scores:
         raise ValidationError("no evaluation records")
     return float(np.mean(scores))
@@ -248,8 +259,6 @@ def evaluate_jaccard(params: ModelParams, dataset: Dataset, graph: Graph,
 
 def train_loop(
     dataset: Dataset,
-    graph: Graph,
-    prior: np.ndarray,
     config: TrainConfig,
     checkpoint_path=None,
     log_path=None,
@@ -263,8 +272,9 @@ def train_loop(
     (and checkpointed when a path is given).  Deterministic for a given
     config seed.
     """
-    config.validate(graph.num_nodes)
-    prior = np.asarray(prior, dtype=float)
+    if dataset.prior is None:
+        raise ValidationError("training requires prior costs (or node positions)")
+    config.validate(dataset.graph.num_nodes)
     train_idx = dataset.split_indices("train")
     val_idx = dataset.splits.get("val", [])
     if not train_idx:
@@ -272,7 +282,7 @@ def train_loop(
 
     params = initial_params.copy() if initial_params is not None else None
     if params is None:
-        params = init_params_for(dataset, graph, config)
+        params = init_params_for(dataset, config)
     opt_state = initial_opt_state or init_adam(params)
     node_freqs = node_visit_frequencies(dataset, train_idx)
 
@@ -297,8 +307,7 @@ def train_loop(
             for anchor in order:
                 sample_seed = _step_seed(config.seed, step)
                 grads, metrics = anchor_gradients(
-                    params, anchor, dataset, graph, prior, config,
-                    node_freqs, train_idx, sample_seed,
+                    params, anchor, dataset, config, node_freqs, train_idx, sample_seed,
                 )
                 metrics.step = step
                 emit(metrics.to_log_dict())
@@ -318,7 +327,7 @@ def train_loop(
                             opt_state, config)
 
             if val_idx:
-                val_jaccard = evaluate_jaccard(params, dataset, graph, prior, val_idx)
+                val_jaccard = evaluate_jaccard(params, dataset, val_idx)
             else:
                 val_jaccard = float("nan")
             emit({"epoch": epoch, "val_jaccard": val_jaccard, "step": step})
@@ -341,13 +350,11 @@ def train_loop(
                        opt_state=opt_state, step=step)
 
 
-def init_params_for(dataset: Dataset, graph: Graph, config: TrainConfig) -> ModelParams:
-    from .costmodel import init_params
-
-    if not dataset.records:
+def init_params_for(dataset: Dataset, config: TrainConfig) -> ModelParams:
+    if not dataset.paths:
         raise ValidationError("cannot infer feature dimension from an empty dataset")
-    return init_params(dataset.features.shape[1], config.hidden_sizes, graph.num_edges,
-                       config.seed, config.cost_floor)
+    return init_params(dataset.features.shape[1], config.hidden_sizes,
+                       dataset.graph.num_edges, config.seed, config.cost_floor)
 
 
 def _step_seed(seed: int, step: int) -> int:

@@ -1,74 +1,85 @@
 """Trajectory ingestion, context similarity and encoding.
 
-A `Dataset` validates its trajectories and contexts once, when built, and
-stores the contexts as matrices: `features` (N, F) and `discrete` (N, Dd) or
-None.  Context similarity is one vectorised distance per anchor over them.
+A `Dataset` is the one in-memory form of a dataset, validated once when it
+is built:
 
-Observed paths are encoded as shortcut frequencies: for every ordered pair
-of positions (a, b) in a cycle-free node sequence, the highest node strictly
-between them is counted (or the source itself for an adjacent pair, marking
-a direct connection).  Normalizing the counts per (i, j) yields the sparse
-empirical counterpart F of the engine's shortcut tensor P.
+- `graph`: the `Graph` the trajectories run on;
+- `paths`: one trajectory per record, a tuple of node ids along edges of
+  the graph;
+- `features`: (N, F) float64 context features, one row per path;
+- `discrete`: (N, Dd) int64 discrete context values, one row per path, or
+  None;
+- `prior`: one prior cost per edge of the graph, or None;
+- `splits`: split name -> record indices in [0, N).
+
+On disk a dataset is a manifest JSON, {"graph": path, "trajectories": path,
+"true_costs": path (optional), "splits": {name: [index, ...]}, ...}, whose
+relative paths resolve against the manifest's directory.  The graph file is
+the document `graph.graph_from_json_dict` reads, and it gives the prior.
+The trajectories file is JSONL with one record per line, in the order of
+the record indices:
+
+    {"context": [float, ...], "path": [int, ...], "discrete": [int, ...]}
+
+"discrete" is optional, but must be on every record or on none, all of one
+length; every "context" has the same length.  Node ids are JSON integers.
+
+Context similarity is one vectorised distance per anchor over the context
+matrices.  Observed paths are encoded as shortcut frequencies: for every
+ordered pair of positions (a, b) in a cycle-free node sequence, the highest
+node strictly between them is counted (or the source itself for an
+adjacent pair, marking a direct connection).  Normalizing the counts per
+(i, j) yields the sparse empirical counterpart F of the engine's shortcut
+tensor P.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .graph import Graph
-
-
-@dataclass
-class ContextSample:
-    features: np.ndarray
-    discrete: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 1:
-            raise ValidationError("context features must be a flat vector")
-        if self.discrete is not None:
-            self.discrete = np.asarray(self.discrete, dtype=np.int64)
-            if self.discrete.ndim != 1:
-                raise ValidationError("context discrete values must be a flat vector")
-
-
-@dataclass
-class TrajectoryRecord:
-    context: ContextSample
-    path: tuple[int, ...]
+from .errors import ValidationError, is_int, is_real
+from .graph import Graph, load_graph_json
 
 
 @dataclass
 class Dataset:
     graph: Graph
-    records: list[TrajectoryRecord]
+    paths: list[tuple[int, ...]]
+    features: np.ndarray
+    discrete: np.ndarray | None = None
+    prior: np.ndarray | None = None
     splits: dict[str, list[int]] = field(default_factory=dict)
-    features: np.ndarray = field(init=False, repr=False)
-    discrete: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        for rec in self.records:
-            validate_trajectory(rec.path, self.graph)
-        contexts = [rec.context for rec in self.records]
-        if len({c.features.shape for c in contexts}) > 1:
-            raise ValidationError("context feature dimensions differ within dataset")
-        if len({None if c.discrete is None else c.discrete.shape for c in contexts}) > 1:
-            raise ValidationError("discrete context vectors must be on every record or "
-                                  "on none, all of one length")
-        self.features = np.stack([c.features for c in contexts]) if contexts else np.zeros((0, 0))
-        self.discrete = (np.stack([c.discrete for c in contexts])
-                         if contexts and contexts[0].discrete is not None else None)
+        self.paths = [validate_trajectory(path, self.graph) for path in self.paths]
+        n = len(self.paths)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2 or self.features.shape[0] != n:
+            raise ValidationError(f"features must be a matrix with one row per path "
+                                  f"({n}), got shape {self.features.shape}")
+        if self.discrete is not None:
+            self.discrete = np.asarray(self.discrete, dtype=np.int64)
+            if self.discrete.ndim != 2 or self.discrete.shape[0] != n:
+                raise ValidationError(f"discrete must be a matrix with one row per path "
+                                      f"({n}), got shape {self.discrete.shape}")
+        if self.prior is not None:
+            self.prior = np.asarray(self.prior, dtype=np.float64)
+            if self.prior.shape != (self.graph.num_edges,):
+                raise ValidationError(f"expected {self.graph.num_edges} prior costs, "
+                                      f"got shape {self.prior.shape}")
+        for name, indices in self.splits.items():
+            if any(not 0 <= i < n for i in indices):
+                raise ValidationError(f"split {name!r} has an index outside [0, {n})")
 
     def split_indices(self, name: str) -> list[int]:
         if name in self.splits:
             return self.splits[name]
         if not self.splits:
-            return list(range(len(self.records)))
+            return list(range(len(self.paths)))
         raise ValidationError(f"unknown split {name!r}")
 
 
@@ -109,22 +120,12 @@ def highest_intermediate_decomposition(path) -> list[tuple[int, int, int]]:
 class FrequencyTensor:
     """Sparse empirical distribution of highest intermediate nodes.
 
-    frequencies maps (i, j) -> {k: frequency}, each inner map summing to 1.
-    pairs is the observed source/target set D.
+    frequencies maps each observed pair (i, j) -> {k: frequency}, each
+    inner map summing to 1.
     """
 
     def __init__(self, frequencies: dict[tuple[int, int], dict[int, float]]):
         self.frequencies = frequencies
-
-    @property
-    def pairs(self) -> set[tuple[int, int]]:
-        return set(self.frequencies)
-
-    def row(self, i: int, j: int) -> dict[int, float]:
-        return self.frequencies.get((i, j), {})
-
-    def __len__(self) -> int:
-        return len(self.frequencies)
 
 
 def build_frequency_tensor(trajectories) -> FrequencyTensor:
@@ -144,18 +145,14 @@ def build_frequency_tensor(trajectories) -> FrequencyTensor:
     return FrequencyTensor(counts)
 
 
-def apply_node_exclusion_to_path(path, removed, node_map) -> tuple[int, ...] | None:
-    """Drop removed nodes and remap the survivors to compressed indices.
+def apply_node_exclusion_to_path(path, node_map) -> tuple[int, ...] | None:
+    """Drop removed nodes (node_map -1) and remap the survivors to their
+    compressed indices.
 
     Returns None ("dropped") when fewer than two nodes survive.
     """
-    removed = set(int(x) for x in removed)
-    kept = [int(node_map[x]) for x in path if x not in removed]
-    if any(x < 0 for x in kept):
-        raise ValidationError("node_map does not cover a surviving node")
-    if len(kept) < 2:
-        return None
-    return tuple(kept)
+    kept = tuple(k for k in (int(node_map[x]) for x in path) if k >= 0)
+    return kept if len(kept) >= 2 else None
 
 
 def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
@@ -168,10 +165,10 @@ def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
     """
     if not (0.0 < fraction <= 1.0):
         raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
-    if not dataset.records:
+    if not dataset.paths:
         raise ValidationError("empty dataset")
     if candidate_indices is None:
-        candidate_indices = list(range(len(dataset.records)))
+        candidate_indices = list(range(len(dataset.paths)))
     count = int(np.ceil(fraction * len(candidate_indices)))
     diff = dataset.features[candidate_indices] - dataset.features[anchor_index]
     dists = np.sqrt(np.vecdot(diff, diff))
@@ -186,9 +183,9 @@ def node_visit_frequencies(dataset: Dataset, indices=None) -> np.ndarray:
     """How often each node appears across the given trajectories."""
     freqs = np.zeros(dataset.graph.num_nodes)
     if indices is None:
-        indices = range(len(dataset.records))
+        indices = range(len(dataset.paths))
     for idx in indices:
-        for node in dataset.records[idx].path:
+        for node in dataset.paths[idx]:
             freqs[node] += 1.0
     return freqs
 
@@ -197,68 +194,71 @@ def node_visit_frequencies(dataset: Dataset, indices=None) -> np.ndarray:
 # JSONL trajectory files and dataset manifests
 
 
-def trajectory_record_to_dict(rec: TrajectoryRecord) -> dict:
-    doc: dict = {"context": [float(x) for x in rec.context.features],
-                 "path": [int(x) for x in rec.path]}
-    if rec.context.discrete is not None:
-        doc["discrete"] = [int(x) for x in rec.context.discrete]
-    return doc
-
-
-def trajectory_record_from_dict(doc: dict) -> TrajectoryRecord:
-    try:
-        ctx = ContextSample(features=doc["context"],
-                            discrete=doc.get("discrete"))
-        path = tuple(int(x) for x in doc["path"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed trajectory record: {exc}") from exc
-    return TrajectoryRecord(context=ctx, path=path)
-
-
-def write_trajectories_jsonl(path, records) -> None:
+def write_trajectories_jsonl(path, dataset: Dataset) -> None:
+    """Write the dataset's records in the JSONL schema of the module docstring."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(trajectory_record_to_dict(rec), sort_keys=True))
-            fh.write("\n")
+        for idx, nodes in enumerate(dataset.paths):
+            doc = {"context": dataset.features[idx].tolist(), "path": list(nodes)}
+            if dataset.discrete is not None:
+                doc["discrete"] = dataset.discrete[idx].tolist()
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def read_trajectories_jsonl(path) -> list[TrajectoryRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(trajectory_record_from_dict(json.loads(line)))
-    return records
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(is_int(x) and -2**63 <= x < 2**63 for x in value):
+        raise ValidationError(f"{what} must be a list of 64-bit integers, got {value!r}")
+    return value
 
 
-def load_dataset(manifest_path) -> tuple[Dataset, dict]:
-    """Load a dataset from a manifest JSON; returns (dataset, manifest dict).
+def load_dataset(manifest_path) -> tuple[Dataset, str | None]:
+    """Load a dataset from its manifest (schema in the module docstring).
 
-    Manifest schema: {"graph": path, "trajectories": path, "splits":
-    {name: [indices]}, ...}; relative paths resolve against the manifest's
-    directory.
+    Returns (dataset, path of the manifest's true costs or None).
     """
-    import os
-
-    from .graph import load_graph_json
-
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValidationError("a dataset manifest must be a JSON object")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
+    def resolve(key):
+        if not isinstance(manifest.get(key), str):
+            raise ValidationError(f"manifest {key!r} must be a file path, "
+                                  f"got {manifest.get(key)!r}")
+        return os.path.join(base, manifest[key])
 
-    graph, prior, positions = load_graph_json(resolve(manifest["graph"]))
-    records = read_trajectories_jsonl(resolve(manifest["trajectories"]))
-    splits = {k: [int(i) for i in v] for k, v in manifest.get("splits", {}).items()}
-    dataset = Dataset(graph=graph, records=records, splits=splits)
-    manifest["_resolved"] = {
-        "graph": resolve(manifest["graph"]),
-        "trajectories": resolve(manifest["trajectories"]),
-        "prior": prior,
-        "positions": positions,
-        "true_costs": resolve(manifest["true_costs"]) if "true_costs" in manifest else None,
-    }
-    return dataset, manifest
+    graph, prior, _ = load_graph_json(resolve("graph"))
+    splits = manifest.get("splits", {})
+    if not isinstance(splits, dict):
+        raise ValidationError(f"manifest splits must be an object, got {splits!r}")
+    splits = {name: _int_list(indices, f"split {name!r}") for name, indices in splits.items()}
+
+    paths, contexts, discretes = [], [], []
+    trajectories = resolve("trajectories")
+    with open(trajectories, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            doc = json.loads(line)
+            where = f"{trajectories}:{lineno}"
+            if not isinstance(doc, dict) or "path" not in doc or "context" not in doc:
+                raise ValidationError(f"{where}: a trajectory record needs a path and a context")
+            paths.append(_int_list(doc["path"], f"{where}: path"))
+            context = doc["context"]
+            if not isinstance(context, list) or not all(is_real(x) for x in context):
+                raise ValidationError(f"{where}: context must be a list of finite numbers")
+            contexts.append(context)
+            discrete = doc.get("discrete")
+            discretes.append(None if discrete is None
+                             else _int_list(discrete, f"{where}: discrete"))
+    if len({len(c) for c in contexts}) > 1:
+        raise ValidationError("context feature dimensions differ within dataset")
+    if len({None if d is None else len(d) for d in discretes}) > 1:
+        raise ValidationError("discrete context vectors must be on every record or "
+                              "on none, all of one length")
+    features = np.array(contexts, dtype=np.float64) if contexts else np.zeros((0, 0))
+    discrete = (np.array(discretes, dtype=np.int64)
+                if discretes and discretes[0] is not None else None)
+    dataset = Dataset(graph=graph, paths=paths, features=features, discrete=discrete,
+                      prior=prior, splits=splits)
+    return dataset, resolve("true_costs") if manifest.get("true_costs") is not None else None

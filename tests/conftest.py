@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from datasp.graph import Graph, build_cost_matrix, complete_graph
 
@@ -64,6 +65,20 @@ def tractable_random_graph(num_nodes: int, seed: int, max_walks: int = 200_000):
             return graph, m, enum
         except EnumerationLimitError:
             attempt += 1
+
+
+# Any JSON value, for the loader tests: a loader must turn every value of
+# the wrong shape or type into an error that the CLI reports as exit 2.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def mostly(valid):
+    """Draws of `valid`, with any JSON value in one draw of four."""
+    return st.integers(0, 3).flatmap(lambda i: json_values if i == 0 else valid)
 
 
 @pytest.fixture

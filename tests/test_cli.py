@@ -1,11 +1,14 @@
 import json
 import os
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from datasp.cli import main
 from datasp.costmodel import init_params
+from datasp.graph import load_graph_json
 from datasp.serialize import load_checkpoint, load_tensor, save_checkpoint
 
 
@@ -255,6 +258,26 @@ def test_verify_command(tmp_path):
     assert report["checks"]["distance_consistency"]["max_deviation"] <= 1e-9
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_verify_passes_at_each_beta(beta, tmp_path):
+    cfg = write_config(tmp_path, "v.json", {"beta": beta})
+    assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
+    report = json.load(open(tmp_path / "v" / "verify_report.json"))
+    assert report["ok"] and report["checks"]["walk_census"]["ok"]
+    assert len(report["checks"]["sampling_frequencies"]["walks"]) == 8
+
+
+def test_resolved_train_config_runs_again(gen_dir, tmp_path):
+    cfg = write_config(tmp_path, "t.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
+                                            "seed": 4, "training": {"epochs": 0,
+                                                                    "hidden_sizes": [8]}})
+    assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "a")) == 0
+    resolved = str(tmp_path / "a" / "train_config.json")
+    assert json.load(open(resolved))["training"]["seed"] == 4
+    assert run_cli("train", "--config", resolved, "--out", str(tmp_path / "b")) == 0
+    assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+
+
 def test_unknown_config_key_is_validation_error(tmp_path):
     cfg = write_config(tmp_path, "bad.json", {"no_such_key": 1})
     assert run_cli("gen", "--config", cfg, "--out", str(tmp_path / "x")) == 2
@@ -264,6 +287,49 @@ def test_missing_dataset_is_validation_error(tmp_path):
     cfg = write_config(tmp_path, "t.json", {"training": {"epochs": 1}})
     assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "x")) == 2
 
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _edit_first_record(data, edit):
+    lines = (data / "trajectories.jsonl").read_text().splitlines(keepends=True)
+    doc = json.loads(lines[0])
+    edit(doc)
+    (data / "trajectories.jsonl").write_text(json.dumps(doc) + "\n" + "".join(lines[1:]))
+
+
+def _set_prior(value):
+    def edit(doc):
+        doc["prior_costs"] = value(doc)
+    return edit
+
+
+# Ways to break a copy of the generated dataset directory, by case name.
+_BROKEN_DATASETS = {
+    "manifest-not-object": lambda d: (d / "manifest.json").write_text("[1]"),
+    "manifest-without-trajectories": lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.pop("trajectories")),
+    "manifest-graph-not-path": lambda d: _edit_json(
+        d / "manifest.json", lambda m: m.update(graph=7)),
+    "trajectories-not-utf8": lambda d: (d / "trajectories.jsonl").write_bytes(b"\xff{}\n"),
+    "split-index-past-end": lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["splits"].update(test=[9999])),
+    "split-index-negative": lambda d: _edit_json(
+        d / "manifest.json", lambda m: m["splits"].update(test=[-1])),
+    "path-node-not-int": lambda d: _edit_first_record(
+        d, lambda r: r["path"].__setitem__(0, r["path"][0] + 0.7)),
+    "prior-costs-not-numbers": lambda d: _edit_json(
+        d / "graph.json", _set_prior(lambda g: ["x"] * len(g["edges"]))),
+    "prior-costs-not-list": lambda d: _edit_json(d / "graph.json", _set_prior(lambda g: 5)),
+    "node-positions-not-pairs": lambda d: _edit_json(
+        d / "graph.json", lambda g: g.update(node_positions="ab")),
+    "edge-node-not-int": lambda d: _edit_json(
+        d / "graph.json", lambda g: g["edges"][0].__setitem__(1, g["edges"][0][1] + 0.5)),
+}
 
 
 def _broken_eval_config(case, tmp_path, manifest):
@@ -276,6 +342,22 @@ def _broken_eval_config(case, tmp_path, manifest):
         path.write_bytes(blob[:cut])
         return write_config(tmp_path, "eval.json", {"dataset": manifest,
                                                     "checkpoint": str(path)})
+    if case == "checkpoint-without-hidden-sizes":
+        path = tmp_path / "no_hidden.bin"
+        save_checkpoint(path, init_params(3, [4], 5, seed=0))
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<Q", blob[4:12])
+        header = json.loads(blob[12:12 + length])
+        del header["hidden_sizes"]
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(b"DSPC" + struct.pack("<Q", len(text)) + text + blob[12 + length:])
+        return write_config(tmp_path, "eval.json", {"dataset": manifest,
+                                                    "checkpoint": str(path)})
+    if case in _BROKEN_DATASETS:
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(manifest), data)
+        _BROKEN_DATASETS[case](data)
+        return write_config(tmp_path, "eval.json", {"dataset": str(data / "manifest.json")})
     if case == "malformed-config":
         path = tmp_path / "malformed.json"
         path.write_text('{"dataset": ')
@@ -288,7 +370,8 @@ def _broken_eval_config(case, tmp_path, manifest):
 
 @pytest.mark.parametrize("case", ["checkpoint-cut-in-length", "checkpoint-cut-in-header",
                                   "checkpoint-cut-in-payload", "malformed-config",
-                                  "missing-manifest", "missing-config"])
+                                  "missing-manifest", "missing-config",
+                                  "checkpoint-without-hidden-sizes", *_BROKEN_DATASETS])
 def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, capsys):
     cfg = _broken_eval_config(case, tmp_path, os.path.join(gen_dir, "manifest.json"))
     assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 2
@@ -305,10 +388,17 @@ def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, cap
     ("sample-paths", {"target": "x"}),
     ("sample-paths", {"num_samples": "many"}),
     ("sample-paths", {"beta": "x"}),
+    ("sample-paths", {"checkpoint": "CHECKPOINT", "context": "x"}),
+    ("predict-dest", {"partial": [0, 2], "checkpoint": "CHECKPOINT", "context": [1, 2, "3"]}),
 ], ids=["partial-out-of-range", "partial-not-int", "custom-prior-no-weights",
-        "prior-not-object", "target-not-int", "num-samples-not-int", "beta-not-number"])
+        "prior-not-object", "target-not-int", "num-samples-not-int", "beta-not-number",
+        "context-not-list", "context-not-numbers"])
 def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tmp_path,
                                                     capsys):
+    if fields.get("checkpoint") == "CHECKPOINT":
+        graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
+        fields = {**fields, "checkpoint": str(tmp_path / "init.bin")}
+        save_checkpoint(fields["checkpoint"], init_params(3, [4], graph.num_edges, seed=0))
     cfg = write_config(tmp_path, "q.json",
                        {"graph": os.path.join(gen_dir, "graph.json"), **fields})
     assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
@@ -327,14 +417,36 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
     ("verify", {"tv_tolerance": "x"}),
     ("verify", {"gradcheck_tolerance": 0}),
     ("verify", {"beta": "x"}),
+    ("train", {"keep_fraction": "x"}),
+    ("train", {"training": {"beta": "x"}}),
+    ("train", {"training": {"learning_rate": "x"}}),
+    ("train", {"training": {"epochs": 1.5}}),
+    ("train", {"training": {"hidden_sizes": "x"}}),
+    ("gen", {"generator": {"num_nodes": "x"}}),
+    ("gen", {"generator": {"num_nodes": 2.5}}),
+    ("gen", {"generator": {"sparsity": "x"}}),
+    ("gen", {"split_fractions": "x"}),
+    ("eval", {"split": ["test"]}),
+    ("train", {"training": {"batch_size": 2.5}}),
+    ("train", {"keep_fraction": 0.0}),
+    ("sample-paths", {"reject_cycles": "no"}),
+    ("gen", {"generator": {"seed": 3}}),
+    ("train", {"training": {"seed": 7}}),
 ], ids=["sample-paths-seed-not-int", "sample-paths-seed-negative", "gen-seed-not-int",
         "gen-seed-bool", "train-seed-not-int", "verify-tolerance-not-number",
         "verify-tv-tolerance-not-number", "verify-gradcheck-tolerance-zero",
-        "verify-beta-not-number"])
+        "verify-beta-not-number", "train-keep-fraction-not-number",
+        "train-beta-not-number", "train-learning-rate-not-number", "train-epochs-fractional",
+        "train-hidden-sizes-not-list", "gen-num-nodes-not-int", "gen-num-nodes-fractional",
+        "gen-sparsity-not-number", "gen-split-fractions-not-list", "eval-split-not-name",
+        "train-batch-size-fractional", "train-keep-fraction-zero",
+        "sample-paths-reject-cycles-not-bool", "gen-nested-seed-differs",
+        "train-nested-seed-differs"])
 def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, gen_dir,
                                                              tmp_path, capsys):
     needs = {"sample-paths": {"graph": os.path.join(gen_dir, "graph.json")},
-             "train": {"dataset": os.path.join(gen_dir, "manifest.json")}}
+             "train": {"dataset": os.path.join(gen_dir, "manifest.json")},
+             "eval": {"dataset": os.path.join(gen_dir, "manifest.json")}}
     cfg = write_config(tmp_path, "c.json", {**needs.get(command, {}), **fields})
     assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import k4_cost_matrix, random_connected_graph
+from conftest import k4_cost_matrix, mostly, random_connected_graph
+from datasp.cli import INPUT_ERRORS
 from datasp.errors import ValidationError
 from datasp.graph import (
     Graph,
@@ -19,6 +20,7 @@ from datasp.graph import (
     distances_to,
     exclude_nodes,
     graph_from_json_dict,
+    load_graph_json,
     path_cost,
     sample_subgraph,
 )
@@ -385,3 +387,35 @@ def test_fw_equals_engine_hard_limit(rng):
         both = off & np.isfinite(dist) & np.isfinite(smoothed)
         assert np.abs(dist[both] - smoothed[both]).max() <= 1e-3
         assert np.array_equal(np.isfinite(dist[off]), np.isfinite(smoothed[off]))
+
+
+_graph_docs = mostly(st.fixed_dictionaries({
+    "num_nodes": mostly(st.integers(-1, 5)),
+    "edges": mostly(st.lists(mostly(st.lists(st.integers(-1, 5), min_size=2, max_size=2)),
+                             max_size=5)),
+}, optional={
+    "directed": mostly(st.booleans()),
+    "prior_costs": mostly(st.lists(st.floats(-1, 3), max_size=5)),
+    "node_positions": mostly(st.lists(st.lists(st.floats(-1e308, 1e308), min_size=2,
+                                               max_size=2), max_size=5)),
+}))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_graph_docs, st.none() | st.binary(max_size=24))
+def test_load_graph_json_raises_only_input_errors(doc, raw):
+    import json
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        if raw is None:
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_bytes(raw)
+        try:
+            graph, prior, _ = load_graph_json(path)
+        except INPUT_ERRORS:
+            return
+    assert prior is None or (prior.shape == (graph.num_edges,) and np.isfinite(prior).all())

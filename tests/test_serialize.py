@@ -1,6 +1,16 @@
+import json
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import json_values
+from datasp.cli import INPUT_ERRORS
 from datasp.costmodel import init_params
 from datasp.errors import ValidationError
 from datasp.serialize import (
@@ -68,3 +78,72 @@ def test_sha256(tmp_path):
     path.write_bytes(b"abc")
     assert file_sha256(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+
+def _loads_or_input_error(loader, blob):
+    """Write `blob` to a file and load it; True when it loaded, False when
+    the loader raised an error that the CLI reports as exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.bin"
+        path.write_bytes(blob)
+        try:
+            loader(path)
+        except INPUT_ERRORS:
+            return False
+    return True
+
+
+@st.composite
+def _tensor_files(draw):
+    dims = draw(st.lists(st.integers(-1, 3) | st.integers(-2 ** 63, 2 ** 63 - 1), max_size=3))
+    ndim = draw(st.just(len(dims)) | st.integers(0, 2 ** 32 - 1))
+    size = math.prod(dims) if all(0 <= d <= 3 for d in dims) else 0
+    payload = draw(st.just(bytes(8 * size)) | st.binary(max_size=40))
+    version = draw(st.just(1) | st.integers(0, 2 ** 32 - 1))
+    blob = (b"DSPT" + struct.pack("<II", version, ndim)
+            + struct.pack(f"<{len(dims)}q", *dims) + payload)
+    return draw(st.just(blob) | st.binary(max_size=40))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_tensor_files())
+def test_load_tensor_raises_only_input_errors(blob):
+    _loads_or_input_error(load_tensor, blob)
+
+
+def _checkpoint_parts(with_opt: bool) -> tuple[dict, bytes]:
+    params = init_params(2, [3], 4, seed=0)
+    opt = {"m": params.flat_arrays(), "v": params.flat_arrays(), "t": 2} if with_opt else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        save_checkpoint(path, params, step=5, opt_state=opt)
+        blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[4:12])
+    return json.loads(blob[12:12 + length]), blob[12 + length:]
+
+
+_CHECKPOINT_PARTS = {opt: _checkpoint_parts(opt) for opt in (False, True)}
+
+
+@st.composite
+def _checkpoint_files(draw):
+    header, payload = _CHECKPOINT_PARTS[draw(st.booleans())]
+    header = dict(header)
+    key = draw(st.sampled_from(sorted(header)))
+    action = draw(st.sampled_from(["keep", "replace", "delete"]))
+    if action == "replace":
+        header[key] = draw(json_values)
+    elif action == "delete":
+        del header[key]
+    text = json.dumps(header).encode("utf-8")
+    length = draw(st.just(len(text)) | st.integers(0, 2 ** 64 - 1))
+    cut = draw(st.sampled_from([0, 0, 1, 8, -8]))
+    payload = payload[:len(payload) - cut] if cut > 0 else payload + bytes(-cut)
+    blob = b"DSPC" + struct.pack("<Q", length) + text + payload
+    return draw(st.just(blob) | st.binary(max_size=40))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_checkpoint_files())
+def test_load_checkpoint_raises_only_input_errors(blob):
+    _loads_or_input_error(load_checkpoint, blob)

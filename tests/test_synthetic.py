@@ -26,13 +26,13 @@ def test_zero_noise_single_pair_same_context_identical_paths():
     cfg = GeneratorConfig(num_nodes=12, num_samples=6, pair_pool_size=1,
                           noise_scale=0.0, seed=3)
     result = generate_synthetic_dataset(cfg)
-    x = result.dataset.records[0].context.features
+    x = result.dataset.features[0]
     latent = result.latent
     a = latent.sample_costs(x, np.random.default_rng(0))
     b = latent.sample_costs(x, np.random.default_rng(9))
     assert np.allclose(a, b)  # noise off: costs depend on x only
-    sources = {rec.path[0] for rec in result.dataset.records}
-    targets = {rec.path[-1] for rec in result.dataset.records}
+    sources = {path[0] for path in result.dataset.paths}
+    targets = {path[-1] for path in result.dataset.paths}
     assert len(sources) == 1 and len(targets) == 1
 
 
@@ -52,7 +52,7 @@ def test_determinism():
     assert a.graph.edges == b.graph.edges
     assert np.array_equal(a.prior, b.prior)
     assert np.array_equal(a.true_costs, b.true_costs)
-    assert all(x.path == y.path for x, y in zip(a.dataset.records, b.dataset.records))
+    assert a.dataset.paths == b.dataset.paths
 
 
 def test_prior_is_euclidean_length():
@@ -66,10 +66,10 @@ def test_observed_paths_are_optimal_under_true_costs():
     result = generate_synthetic_dataset(GeneratorConfig(num_nodes=12, num_samples=10, seed=2))
     from datasp.graph import dijkstra
 
-    for rec, costs in zip(result.dataset.records, result.true_costs):
+    for observed, costs in zip(result.dataset.paths, result.true_costs):
         m = build_cost_matrix(costs, result.graph)
-        path, best = dijkstra(m, rec.path[0], rec.path[-1])
-        assert path_cost(m, rec.path) == pytest.approx(best, rel=1e-12)
+        path, best = dijkstra(m, observed[0], observed[-1])
+        assert path_cost(m, observed) == pytest.approx(best, rel=1e-12)
 
 
 def test_costs_floored_at_fraction_of_prior():

@@ -11,9 +11,7 @@ from datasp.graph import build_cost_matrix, sample_subgraph
 from datasp.oracle import finite_difference_gradcheck
 from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from datasp.trajectories import (
-    ContextSample,
     Dataset,
-    TrajectoryRecord,
     apply_node_exclusion_to_path,
     build_frequency_tensor,
     node_visit_frequencies,
@@ -115,7 +113,8 @@ def small_dataset(num_samples=60, num_nodes=12, seed=0):
         num_nodes=num_nodes, num_samples=num_samples, seed=seed,
         pair_pool_size=6, feature_dim=3))
     splits = assign_splits(num_samples, (0.8, 0.2, 0.0))
-    dataset = Dataset(graph=result.graph, records=result.dataset.records, splits=splits)
+    dataset = Dataset(graph=result.graph, paths=result.dataset.paths,
+                      features=result.dataset.features, prior=result.prior, splits=splits)
     return result, dataset
 
 
@@ -128,9 +127,9 @@ def test_train_step_zero_learning_rate_keeps_params():
     params = init_params(3, [8], result.graph.num_edges, seed=0)
     before = [w.copy() for w in params.weights]
     state = init_adam(params)
-    grads, metrics = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                      config, node_visit_frequencies(dataset),
-                                      list(range(len(dataset.records))), sample_seed=0)
+    grads, metrics = anchor_gradients(params, 0, dataset, config,
+                                      node_visit_frequencies(dataset),
+                                      list(range(len(dataset.paths))), sample_seed=0)
     assert not metrics.skipped
     assert math.isfinite(metrics.shortcut)
     adam_update(params, grads, state, config)
@@ -141,26 +140,26 @@ def test_train_step_zero_learning_rate_keeps_params():
 def test_alpha_zero_equals_dropping_prior_loss():
     result, dataset = small_dataset()
     node_freqs = node_visit_frequencies(dataset)
-    candidates = list(range(len(dataset.records)))
+    candidates = list(range(len(dataset.paths)))
     params = init_params(3, [8], result.graph.num_edges, seed=0)
 
     cfg0 = TrainConfig(alpha=0.0, similarity_fraction=0.2, hidden_sizes=[8])
-    grads0, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                 cfg0, node_freqs, candidates, sample_seed=1)
+    grads0, _ = anchor_gradients(params, 0, dataset, cfg0, node_freqs, candidates,
+                                 sample_seed=1)
     # alpha=0 must match a hand-built gradient without any prior term
     cfg1 = TrainConfig(alpha=1.0, similarity_fraction=0.2, hidden_sizes=[8])
-    grads1, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                 cfg1, node_freqs, candidates, sample_seed=1)
+    grads1, _ = anchor_gradients(params, 0, dataset, cfg1, node_freqs, candidates,
+                                 sample_seed=1)
     # initial params predict exactly the prior -> prior-loss gradient is zero,
     # so both must coincide at initialization
     for a, b in zip(grads0[0::2], grads1[0::2]):
         assert np.allclose(a, b)
     # push params away from the prior and the two must differ
     params.biases[-1][:] += 0.3
-    grads0b, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                  cfg0, node_freqs, candidates, sample_seed=1)
-    grads1b, _ = anchor_gradients(params, 0, dataset, result.graph, result.prior,
-                                  cfg1, node_freqs, candidates, sample_seed=1)
+    grads0b, _ = anchor_gradients(params, 0, dataset, cfg0, node_freqs, candidates,
+                                  sample_seed=1)
+    grads1b, _ = anchor_gradients(params, 0, dataset, cfg1, node_freqs, candidates,
+                                  sample_seed=1)
     assert not np.allclose(grads0b[-1], grads1b[-1])
 
 
@@ -171,12 +170,11 @@ def test_descent_on_fixed_instance():
     params = init_params(3, [16], result.graph.num_edges, seed=0)
     state = init_adam(params)
     node_freqs = node_visit_frequencies(dataset)
-    candidates = list(range(len(dataset.records)))
+    candidates = list(range(len(dataset.paths)))
     losses = []
     for step in range(50):
-        grads, metrics = anchor_gradients(params, 0, dataset, result.graph,
-                                          result.prior, config, node_freqs, candidates,
-                                          sample_seed=0)
+        grads, metrics = anchor_gradients(params, 0, dataset, config, node_freqs,
+                                          candidates, sample_seed=0)
         losses.append(metrics.shortcut)
         from datasp.training import adam_update
 
@@ -187,14 +185,13 @@ def test_descent_on_fixed_instance():
 
 # --- gradient checks -------------------------------------------------------------
 
-def _pipeline_loss_and_grads(params, dataset, graph, prior, config, anchor,
-                             node_freqs, candidates, sample_seed):
+def _pipeline_loss_and_grads(params, dataset, config, anchor, node_freqs, candidates,
+                             sample_seed):
     """Total loss L_S + alpha * L_P and its parameter gradients."""
     from datasp.training import anchor_gradients
 
-    record = dataset.records[anchor]
-    grads, metrics = anchor_gradients(params, anchor, dataset, graph, prior,
-                                      config, node_freqs, candidates, sample_seed)
+    grads, metrics = anchor_gradients(params, anchor, dataset, config, node_freqs,
+                                      candidates, sample_seed)
     return metrics.shortcut + config.alpha * metrics.prior, grads
 
 
@@ -208,10 +205,9 @@ def test_end_to_end_parameter_gradient_no_exclusion():
     for b in params.biases:
         b += 0.2 * rng.standard_normal(b.shape)
     node_freqs = node_visit_frequencies(dataset)
-    candidates = list(range(len(dataset.records)))
+    candidates = list(range(len(dataset.paths)))
 
-    loss, grads = _pipeline_loss_and_grads(params, dataset, result.graph,
-                                           result.prior, config, 0, node_freqs,
+    loss, grads = _pipeline_loss_and_grads(params, dataset, config, 0, node_freqs,
                                            candidates, sample_seed=0)
     worst = 0.0
     for layer in range(len(params.weights)):
@@ -220,8 +216,7 @@ def test_end_to_end_parameter_gradient_no_exclusion():
             def loss_of(flat, arr=arr):
                 saved = arr.copy()
                 arr[:] = flat.reshape(arr.shape)
-                value, _ = _pipeline_loss_and_grads(params, dataset, result.graph,
-                                                    result.prior, config, 0,
+                value, _ = _pipeline_loss_and_grads(params, dataset, config, 0,
                                                     node_freqs, candidates, sample_seed=0)
                 arr[:] = saved
                 return value
@@ -249,9 +244,7 @@ def test_exclusion_chain_cost_gradient():
     def loss_and_grad(edge_costs):
         m = build_cost_matrix(edge_costs, graph)
         comp = sample_subgraph(graph, m, keep, node_freqs, rng_seed=5, beta=beta)
-        removed = set(comp.removed)
-        rewritten = [apply_node_exclusion_to_path(p, removed, comp.node_map)
-                     for p in paths]
+        rewritten = [apply_node_exclusion_to_path(p, comp.node_map) for p in paths]
         rewritten = [p for p in rewritten if p is not None]
         freq = build_frequency_tensor(rewritten)
         p, dist, tape = datasp_forward_efficient(comp.matrix, beta)
@@ -272,7 +265,7 @@ def test_exclusion_chain_cost_gradient():
 def test_train_loop_zero_epochs_returns_initial():
     result, dataset = small_dataset(num_samples=20)
     config = TrainConfig(epochs=0, hidden_sizes=[8], similarity_fraction=0.5, seed=0)
-    out = train_loop(dataset, result.graph, result.prior, config)
+    out = train_loop(dataset, config)
     reference = init_params(3, [8], result.graph.num_edges, seed=0)
     for w, r in zip(out.params.weights, reference.weights):
         assert np.array_equal(w, r)
@@ -282,8 +275,8 @@ def test_train_loop_deterministic():
     result, dataset = small_dataset(num_samples=30)
     config = TrainConfig(epochs=2, learning_rate=1e-3, hidden_sizes=[8],
                          similarity_fraction=0.3, batch_size=4, seed=7)
-    a = train_loop(dataset, result.graph, result.prior, config)
-    b = train_loop(dataset, result.graph, result.prior, config)
+    a = train_loop(dataset, config)
+    b = train_loop(dataset, config)
     assert a.log == b.log
     for wa, wb in zip(a.params.weights, b.params.weights):
         assert np.array_equal(wa, wb)
@@ -293,15 +286,21 @@ def test_train_loop_skips_empty_batches():
     result, dataset = small_dataset(num_samples=30)
     config = TrainConfig(epochs=1, keep_count=2, hidden_sizes=[8],
                          similarity_fraction=0.1, seed=0)
-    out = train_loop(dataset, result.graph, result.prior, config)
+    out = train_loop(dataset, config)
     assert any(entry.get("skipped") for entry in out.log if "skipped" in entry)
+
+
+def test_train_loop_requires_prior():
+    result, dataset = small_dataset(num_samples=20)
+    dataset.prior = None
+    with pytest.raises(ValidationError, match="prior"):
+        train_loop(dataset, TrainConfig(epochs=0, hidden_sizes=[8]))
 
 
 def test_evaluate_jaccard_prior_baseline():
     result, dataset = small_dataset(num_samples=30)
     params = init_params(3, [8], result.graph.num_edges, seed=0)
-    score = evaluate_jaccard(params, dataset, result.graph, result.prior,
-                             dataset.splits["val"])
+    score = evaluate_jaccard(params, dataset, dataset.splits["val"])
     assert 0.0 <= score <= 1.0
 
 
