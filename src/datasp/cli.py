@@ -66,7 +66,7 @@ from .serialize import (
 from .smoothing import check_beta
 from .synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from .trajectories import load_dataset, write_trajectories_jsonl
-from .training import TrainConfig, train_loop
+from .training import TrainConfig, predicted_paths, train_loop
 
 # Hyperparameter profiles, the only valid values of train's "profile":
 # "synthetic" (generated-route experiments) and "real" (taxi-style ones).
@@ -87,7 +87,7 @@ DEFAULTS = {
         "dataset": None,           # manifest path (required)
         "profile": "synthetic",    # a PROFILES key: "synthetic" or "real"
         "training": {},            # TrainConfig fields
-        "keep_fraction": None,     # overrides keep_count when set
+        "keep_fraction": None,     # derives keep_count; a set keep_count must match
         "resume": None,            # checkpoint path
     },
     "eval": {
@@ -146,17 +146,32 @@ def _merge_config(defaults: dict, overrides: dict) -> dict:
     return out
 
 
+# The file-path fields of a config, and the one each command requires.
+PATH_FIELDS = ("dataset", "graph", "checkpoint", "resume")
+REQUIRED_PATH = {"train": "dataset", "eval": "dataset", "sample-paths": "graph",
+                 "predict-dest": "graph"}
+
+
 def _load_config(args, command: str) -> dict:
+    """The command's config: DEFAULTS overlaid with the user's file and the
+    --seed flag.  The seed and every path field are checked here."""
     overrides = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValidationError(f"config must be a JSON object, got {overrides!r}")
     config = _merge_config(DEFAULTS[command], overrides)
     if args.seed is not None:
         config["seed"] = args.seed
     seed = config["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    for name in PATH_FIELDS:
+        value = config.get(name)
+        if ((value is not None or REQUIRED_PATH.get(command) == name)
+                and not (isinstance(value, str) and value)):
+            raise ValidationError(f"{name} must be a non-empty path string, got {value!r}")
     return config
 
 
@@ -211,7 +226,7 @@ def _positive_float(value, name: str) -> float:
 
 def _model_costs(config, graph, prior, out_meta: dict):
     """Edge costs from a checkpoint + context, or the prior when absent."""
-    if config.get("checkpoint"):
+    if config["checkpoint"] is not None:
         params, _, _, _ = load_checkpoint(config["checkpoint"])
         if params.edge_count != graph.num_edges:
             raise ValidationError("checkpoint edge count does not match graph")
@@ -278,8 +293,6 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args, "train")
-    if not config["dataset"]:
-        raise ValidationError("train config requires a dataset manifest path")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -291,28 +304,32 @@ def cmd_train(args) -> int:
                               f"{', '.join(sorted(PROFILES))}")
     profile = dict(PROFILES[name])
     keep_fraction = profile.pop("keep_fraction", None)
-    if config["keep_fraction"] is not None:
+    explicit_fraction = config["keep_fraction"] is not None
+    if explicit_fraction:
         keep_fraction = config["keep_fraction"]
         if not (is_real(keep_fraction) and 0.0 < keep_fraction <= 1.0):
             raise ValidationError(f"keep_fraction must be a number in (0, 1], "
                                   f"got {keep_fraction!r}")
     fields = {**profile, **_nested(config, "training", TrainConfig), "seed": config["seed"]}
     train_config = TrainConfig(**fields)
-    if keep_fraction is not None and train_config.keep_count is None:
-        train_config.keep_count = max(2, int(round(keep_fraction * dataset.graph.num_nodes)))
+    if keep_fraction is not None:
+        # A profile's keep_fraction is a default that keep_count overrides;
+        # a keep_fraction set in the config must agree with keep_count.
+        keep = max(2, int(round(keep_fraction * dataset.graph.num_nodes)))
+        if train_config.keep_count is None:
+            train_config.keep_count = keep
+        elif explicit_fraction and train_config.keep_count != keep:
+            raise ValidationError(
+                f"training.keep_count {train_config.keep_count!r} differs from the "
+                f"{keep} nodes that keep_fraction {keep_fraction!r} keeps of "
+                f"{dataset.graph.num_nodes}; set one of them")
     _validated("training", train_config, dataset.graph.num_nodes)
     config["training"] = {k: getattr(train_config, k)
                           for k in TrainConfig.__dataclass_fields__}
 
-    initial_params = None
-    initial_opt = None
-    initial_step = 0
-    if config.get("resume"):
-        from .training import AdamState
-
-        initial_params, initial_step, _, opt = load_checkpoint(config["resume"])
-        if opt is not None:
-            initial_opt = AdamState(m=opt["m"], v=opt["v"], t=opt["t"])
+    initial_params, initial_step, initial_opt = None, 0, None
+    if config["resume"] is not None:
+        initial_params, initial_step, _, initial_opt = load_checkpoint(config["resume"])
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
     log_path = os.path.join(out_dir, "train_log.jsonl")
@@ -323,10 +340,10 @@ def cmd_train(args) -> int:
                         initial_step=initial_step)
     final_path = os.path.join(out_dir, "final.bin")
     save_checkpoint(final_path, result.params, step=result.step, extra={},
-                    opt_state={"m": result.opt_state.m, "v": result.opt_state.v,
-                               "t": result.opt_state.t})
-    print(f"train: {result.step - initial_step} steps, "
-          f"best val jaccard {result.best_val_jaccard:.4f} -> {checkpoint_path}")
+                    opt_state=result.opt_state)
+    best = (f"best val jaccard {result.best_val_jaccard:.4f}" if dataset.splits.get("val")
+            else "no validation split")
+    print(f"train: {result.step - initial_step} steps, {best} -> {checkpoint_path}")
     return 0
 
 
@@ -346,17 +363,12 @@ def _metric_rows(dataset, params, split, true_costs):
     prior_paths = {end: expected_optimal_path(prior, graph, *end)[0] for end in set(ends)}
     methods = [("PRIOR", [prior_paths[end] for end in ends])]
     if params is not None:
-        methods.append(("DataSP", [expected_optimal_path(
-            predict_costs(params, dataset.features[idx], prior)[0],
-            graph, *end)[0] for idx, end in zip(indices, ends)]))
+        methods.append(("DataSP", predicted_paths(params, dataset, indices)))
     if true_costs is not None:
         matrices = [build_cost_matrix(true_costs[idx], graph) for idx in indices]
         optima = [dijkstra(m, *end)[1] for m, end in zip(matrices, ends)]
     rows = []
     for name, preds in methods:
-        for idx, pred in zip(indices, preds):
-            if pred is None:
-                raise NoPathError(f"pair in record {idx} unreachable under {name} costs")
         jacc = [jaccard_edges(p, o) for p, o in zip(preds, obs)]
         rows.append({
             "method": name,
@@ -372,8 +384,6 @@ def _metric_rows(dataset, params, split, true_costs):
 
 def cmd_eval(args) -> int:
     config = _load_config(args, "eval")
-    if not config["dataset"]:
-        raise ValidationError("eval config requires a dataset manifest path")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -383,7 +393,7 @@ def cmd_eval(args) -> int:
     if dataset.prior is None:
         raise ValidationError("evaluation requires prior costs")
     params = None
-    if config.get("checkpoint"):
+    if config["checkpoint"] is not None:
         params, _, _, _ = load_checkpoint(config["checkpoint"])
     true_costs = None
     if true_costs_path:
@@ -417,8 +427,6 @@ def cmd_eval(args) -> int:
 
 def cmd_sample_paths(args) -> int:
     config = _load_config(args, "sample-paths")
-    if not config["graph"]:
-        raise ValidationError("sample-paths config requires a graph path")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -467,8 +475,6 @@ def cmd_sample_paths(args) -> int:
 
 def cmd_predict_dest(args) -> int:
     config = _load_config(args, "predict-dest")
-    if not config["graph"]:
-        raise ValidationError("predict-dest config requires a graph path")
     if not isinstance(config["partial"], list) or len(config["partial"]) < 2:
         raise ValidationError("predict-dest config requires a partial path of at least two nodes")
     prior_cfg = config["prior"]
@@ -604,7 +610,7 @@ def cmd_verify(args) -> int:
     if not grad_ok:
         failures.append("gradients")
 
-    if config.get("graph"):
+    if config["graph"] is not None:
         extra_graph, extra_prior, _ = load_graph_json(config["graph"])
         if extra_prior is None:
             raise ValidationError("extra verification graph needs prior costs")

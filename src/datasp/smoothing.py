@@ -16,19 +16,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_real
 
 INF = float("inf")
 
 
-def check_beta(beta: float) -> float:
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise ValidationError(f"beta must be a positive finite real, got {beta!r}") from None
-    if not np.isfinite(beta) or beta <= 0.0:
+def check_beta(beta) -> float:
+    """beta as a float.  It must be a positive finite real number: a bool or
+    a numeric string is rejected, numpy scalars are accepted."""
+    if isinstance(beta, (np.floating, np.integer)):
+        beta = beta.item()
+    if not (is_real(beta) and beta > 0):
         raise ValidationError(f"beta must be a positive finite real, got {beta!r}")
-    return beta
+    return float(beta)
 
 
 def softmin_value(values, beta: float) -> float:

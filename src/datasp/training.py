@@ -18,8 +18,18 @@ Every function here reads the graph and the prior costs from the `Dataset`:
   runs the epochs (the dataset must carry a prior);
 - `anchor_gradients(params, anchor, dataset, config, node_freqs,
   candidates, sample_seed)` is one anchor's forward and backward pass;
-- `evaluate_jaccard(params, dataset, indices)` scores predicted best paths;
+- `predicted_paths(params, dataset, indices)` is each record's best path
+  under its predicted costs, and `evaluate_jaccard(params, dataset,
+  indices)` scores them against the observed paths;
 - `init_params_for(dataset, config)` initializes the cost model.
+
+A training run's state has one form each, the one its files hold:
+
+- the Adam state is the checkpoint's dict `{"m": [...], "v": [...], "t": int}`
+  (`init_adam`, `adam_update`, `TrainResult.opt_state`, `save_checkpoint`);
+- a step's record is its `train_log.jsonl` entry: `anchor_gradients` returns
+  `{L_S, L_P, grad_norm, kept_nodes, skipped, floored, reason}` and the loop
+  writes it with its `step` (an epoch's entry is `{epoch, val_jaccard, step}`).
 """
 
 from __future__ import annotations
@@ -85,26 +95,19 @@ class TrainConfig:
         return self
 
 
-@dataclass
-class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-
-
-def init_adam(params: ModelParams) -> AdamState:
+def init_adam(params: ModelParams) -> dict:
     arrays = params.flat_arrays()
-    return AdamState(m=[np.zeros_like(a) for a in arrays],
-                     v=[np.zeros_like(a) for a in arrays], t=0)
+    return {"m": [np.zeros_like(a) for a in arrays],
+            "v": [np.zeros_like(a) for a in arrays], "t": 0}
 
 
-def adam_update(params: ModelParams, grads: list[np.ndarray], state: AdamState,
+def adam_update(params: ModelParams, grads: list[np.ndarray], state: dict,
                 config: TrainConfig) -> None:
-    """In-place Adam step on the parameters; grads follow `flat_arrays()`."""
-    state.t += 1
-    correction1 = 1.0 - ADAM_BETA1 ** state.t
-    correction2 = 1.0 - ADAM_BETA2 ** state.t
-    for arr, g, m, v in zip(params.flat_arrays(), grads, state.m, state.v):
+    """In-place Adam step on `params` and `state`; grads follow `flat_arrays()`."""
+    state["t"] += 1
+    correction1 = 1.0 - ADAM_BETA1 ** state["t"]
+    correction2 = 1.0 - ADAM_BETA2 ** state["t"]
+    for arr, g, m, v in zip(params.flat_arrays(), grads, state["m"], state["v"]):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -156,30 +159,6 @@ def prior_loss(costs, prior) -> tuple[float, np.ndarray]:
     return float((diff * diff).mean()), 2.0 * diff / diff.size
 
 
-@dataclass
-class StepMetrics:
-    step: int
-    shortcut: float
-    prior: float
-    grad_norm: float
-    kept_nodes: list[int]
-    skipped: bool
-    floored: int = 0
-    reason: str = ""
-
-    def to_log_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "L_S": self.shortcut,
-            "L_P": self.prior,
-            "grad_norm": self.grad_norm,
-            "kept_nodes": self.kept_nodes,
-            "skipped": self.skipped,
-            "floored": self.floored,
-            "reason": self.reason,
-        }
-
-
 def anchor_gradients(
     params: ModelParams,
     anchor: int,
@@ -188,11 +167,12 @@ def anchor_gradients(
     node_freqs: np.ndarray,
     candidates: list[int],
     sample_seed: int,
-) -> tuple[list[np.ndarray] | None, StepMetrics]:
+) -> tuple[list[np.ndarray] | None, dict]:
     """Full forward/backward for one anchor context.
 
     The anchor trains on the `config.similarity_fraction` of `candidates`
-    whose contexts are nearest to its own.  Returns (None, metrics) when the
+    whose contexts are nearest to its own.  Returns (grads, entry), entry
+    being the step's log entry without its step; grads is None when the
     step must be skipped (no usable paths survive node exclusion).
     """
     graph, prior = dataset.graph, dataset.prior
@@ -208,10 +188,9 @@ def anchor_gradients(
         if rewritten is not None:
             paths.append(rewritten)
     if not paths:
-        metrics = StepMetrics(step=-1, shortcut=float("nan"), prior=float("nan"),
-                              grad_norm=0.0, kept_nodes=compression.kept, skipped=True,
-                              reason="no trajectories survived node exclusion")
-        return None, metrics
+        return None, {"L_S": float("nan"), "L_P": float("nan"), "grad_norm": 0.0,
+                      "kept_nodes": compression.kept, "skipped": True, "floored": 0,
+                      "reason": "no trajectories survived node exclusion"}
 
     freq = build_frequency_tensor(paths)
     p, _, tape = datasp_forward_efficient(compression.matrix, config.beta)
@@ -227,34 +206,39 @@ def anchor_gradients(
     if not (math.isfinite(l_s) and math.isfinite(l_p)):
         raise NumericalError(f"non-finite loss at anchor {anchor}: L_S={l_s} L_P={l_p}")
 
-    metrics = StepMetrics(step=-1, shortcut=float(l_s), prior=float(l_p),
-                          grad_norm=math.sqrt(sum(float((g * g).sum()) for g in grads)),
-                          kept_nodes=compression.kept,
-                          skipped=False, floored=floored)
-    return grads, metrics
+    return grads, {"L_S": float(l_s), "L_P": float(l_p),
+                   "grad_norm": math.sqrt(sum(float((g * g).sum()) for g in grads)),
+                   "kept_nodes": compression.kept, "skipped": False, "floored": floored,
+                   "reason": ""}
 
 
 @dataclass
 class TrainResult:
     params: ModelParams
-    best_params: ModelParams
-    best_val_jaccard: float
+    best_val_jaccard: float  # NaN when no validation score was computed
     log: list[dict]
-    opt_state: AdamState
+    opt_state: dict
     step: int
+
+
+def predicted_paths(params: ModelParams, dataset: Dataset, indices) -> list[list[int]]:
+    """Each record's best path between its endpoints under its predicted costs
+    (one exists: the record's path runs over graph edges)."""
+    preds = []
+    for idx in indices:
+        path = dataset.paths[idx]
+        costs, _ = predict_costs(params, dataset.features[idx], dataset.prior)
+        preds.append(expected_optimal_path(costs, dataset.graph, path[0], path[-1])[0])
+    return preds
 
 
 def evaluate_jaccard(params: ModelParams, dataset: Dataset, indices) -> float:
     """Mean edge-Jaccard between predicted best paths and observations."""
-    scores = []
-    for idx in indices:
-        path = dataset.paths[idx]
-        costs, _ = predict_costs(params, dataset.features[idx], dataset.prior)
-        pred, _ = expected_optimal_path(costs, dataset.graph, path[0], path[-1])
-        scores.append(0.0 if pred is None else jaccard_edges(pred, path))
-    if not scores:
+    preds = predicted_paths(params, dataset, indices)
+    if not preds:
         raise ValidationError("no evaluation records")
-    return float(np.mean(scores))
+    return float(np.mean([jaccard_edges(pred, dataset.paths[idx])
+                          for pred, idx in zip(preds, indices)]))
 
 
 def train_loop(
@@ -263,13 +247,15 @@ def train_loop(
     checkpoint_path=None,
     log_path=None,
     initial_params: ModelParams | None = None,
-    initial_opt_state: AdamState | None = None,
+    initial_opt_state: dict | None = None,
     initial_step: int = 0,
 ) -> TrainResult:
     """Epochs of shuffled anchors with gradient accumulation over batch_size.
 
-    Validation Jaccard is computed each epoch; the best parameters are kept
-    (and checkpointed when a path is given).  Deterministic for a given
+    Validation Jaccard is computed each epoch.  When `checkpoint_path` is
+    given, the parameters are written there after each epoch that improves
+    on the best score so far (after every epoch without a validation split).
+    `initial_opt_state` is updated in place.  Deterministic for a given
     config seed.
     """
     if dataset.prior is None:
@@ -280,10 +266,9 @@ def train_loop(
     if not train_idx:
         raise ValidationError("empty training split")
 
-    params = initial_params.copy() if initial_params is not None else None
-    if params is None:
-        params = init_params_for(dataset, config)
-    opt_state = initial_opt_state or init_adam(params)
+    params = (initial_params.copy() if initial_params is not None
+              else init_params_for(dataset, config))
+    opt_state = initial_opt_state if initial_opt_state is not None else init_adam(params)
     node_freqs = node_visit_frequencies(dataset, train_idx)
 
     log: list[dict] = []
@@ -295,8 +280,7 @@ def train_loop(
             log_fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
     step = initial_step
-    best_val = -1.0
-    best_params = params.copy()
+    best_val = float("nan")
     shuffle_rng = np.random.default_rng([config.seed, 0xD5])
     try:
         for epoch in range(config.epochs):
@@ -306,11 +290,10 @@ def train_loop(
             pending_count = 0
             for anchor in order:
                 sample_seed = _step_seed(config.seed, step)
-                grads, metrics = anchor_gradients(
+                grads, entry = anchor_gradients(
                     params, anchor, dataset, config, node_freqs, train_idx, sample_seed,
                 )
-                metrics.step = step
-                emit(metrics.to_log_dict())
+                emit({"step": step, **entry})
                 step += 1
                 if grads is None:
                     continue
@@ -326,27 +309,21 @@ def train_loop(
                 adam_update(params, [g * (1.0 / pending_count) for g in pending],
                             opt_state, config)
 
-            if val_idx:
-                val_jaccard = evaluate_jaccard(params, dataset, val_idx)
-            else:
-                val_jaccard = float("nan")
+            val_jaccard = (evaluate_jaccard(params, dataset, val_idx) if val_idx
+                           else float("nan"))
             emit({"epoch": epoch, "val_jaccard": val_jaccard, "step": step})
-            if not val_idx or math.isnan(val_jaccard) or val_jaccard > best_val:
-                best_val = val_jaccard if val_idx else best_val
-                best_params = params.copy()
+            if not val_idx or epoch == 0 or val_jaccard > best_val:
+                best_val = val_jaccard
                 if checkpoint_path:
-                    save_checkpoint(checkpoint_path, best_params, step=step,
-                                    extra={"val_jaccard": None if math.isnan(val_jaccard) else val_jaccard},
-                                    opt_state={"m": opt_state.m, "v": opt_state.v,
-                                               "t": opt_state.t})
+                    save_checkpoint(checkpoint_path, params, step=step,
+                                    extra={"val_jaccard": val_jaccard if val_idx else None},
+                                    opt_state=opt_state)
         if config.epochs == 0 and checkpoint_path:
-            save_checkpoint(checkpoint_path, params, step=step, extra={},
-                            opt_state={"m": opt_state.m, "v": opt_state.v, "t": opt_state.t})
+            save_checkpoint(checkpoint_path, params, step=step, extra={}, opt_state=opt_state)
     finally:
         if log_fh:
             log_fh.close()
-    return TrainResult(params=params, best_params=best_params,
-                       best_val_jaccard=best_val, log=log,
+    return TrainResult(params=params, best_val_jaccard=best_val, log=log,
                        opt_state=opt_state, step=step)
 
 

@@ -269,11 +269,12 @@ def test_verify_passes_at_each_beta(beta, tmp_path):
 
 def test_resolved_train_config_runs_again(gen_dir, tmp_path):
     cfg = write_config(tmp_path, "t.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
-                                            "seed": 4, "training": {"epochs": 0,
-                                                                    "hidden_sizes": [8]}})
+                                            "seed": 4, "keep_fraction": 0.5,
+                                            "training": {"epochs": 0, "hidden_sizes": [8]}})
     assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "a")) == 0
     resolved = str(tmp_path / "a" / "train_config.json")
     assert json.load(open(resolved))["training"]["seed"] == 4
+    assert json.load(open(resolved))["training"]["keep_count"] == 7
     assert run_cli("train", "--config", resolved, "--out", str(tmp_path / "b")) == 0
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
@@ -332,6 +333,11 @@ _BROKEN_DATASETS = {
 }
 
 
+# Config files that are not a JSON object, by case name.
+_BAD_CONFIG_TEXTS = {"malformed-config": '{"dataset": ', "config-is-list": "[]",
+                     "config-is-null": "null"}
+
+
 def _broken_eval_config(case, tmp_path, manifest):
     """Path of an eval config that fails to load in the way `case` names."""
     if case.startswith("checkpoint-cut-in-"):
@@ -358,9 +364,9 @@ def _broken_eval_config(case, tmp_path, manifest):
         shutil.copytree(os.path.dirname(manifest), data)
         _BROKEN_DATASETS[case](data)
         return write_config(tmp_path, "eval.json", {"dataset": str(data / "manifest.json")})
-    if case == "malformed-config":
-        path = tmp_path / "malformed.json"
-        path.write_text('{"dataset": ')
+    if case in _BAD_CONFIG_TEXTS:
+        path = tmp_path / "config.json"
+        path.write_text(_BAD_CONFIG_TEXTS[case])
         return str(path)
     if case == "missing-manifest":
         return write_config(tmp_path, "eval.json",
@@ -371,7 +377,8 @@ def _broken_eval_config(case, tmp_path, manifest):
 @pytest.mark.parametrize("case", ["checkpoint-cut-in-length", "checkpoint-cut-in-header",
                                   "checkpoint-cut-in-payload", "malformed-config",
                                   "missing-manifest", "missing-config",
-                                  "checkpoint-without-hidden-sizes", *_BROKEN_DATASETS])
+                                  "checkpoint-without-hidden-sizes", "config-is-list",
+                                  "config-is-null", *_BROKEN_DATASETS])
 def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, capsys):
     cfg = _broken_eval_config(case, tmp_path, os.path.join(gen_dir, "manifest.json"))
     assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 2
@@ -390,9 +397,15 @@ def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, cap
     ("sample-paths", {"beta": "x"}),
     ("sample-paths", {"checkpoint": "CHECKPOINT", "context": "x"}),
     ("predict-dest", {"partial": [0, 2], "checkpoint": "CHECKPOINT", "context": [1, 2, "3"]}),
+    ("sample-paths", {"beta": True}),
+    ("sample-paths", {"beta": "2"}),
+    ("predict-dest", {"partial": [0, 2], "beta": True}),
+    ("predict-dest", {"partial": [0, 2], "beta": "2"}),
 ], ids=["partial-out-of-range", "partial-not-int", "custom-prior-no-weights",
         "prior-not-object", "target-not-int", "num-samples-not-int", "beta-not-number",
-        "context-not-list", "context-not-numbers"])
+        "context-not-list", "context-not-numbers", "sample-paths-beta-bool",
+        "sample-paths-beta-numeric-string", "predict-dest-beta-bool",
+        "predict-dest-beta-numeric-string"])
 def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tmp_path,
                                                     capsys):
     if fields.get("checkpoint") == "CHECKPOINT":
@@ -432,6 +445,13 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
     ("sample-paths", {"reject_cycles": "no"}),
     ("gen", {"generator": {"seed": 3}}),
     ("train", {"training": {"seed": 7}}),
+    ("sample-paths", {"checkpoint": 5}),
+    ("eval", {"dataset": 5}),
+    ("train", {"resume": 7}),
+    ("verify", {"graph": 5}),
+    ("verify", {"beta": True}),
+    ("verify", {"beta": "2"}),
+    ("train", {"keep_fraction": 0.5, "training": {"keep_count": 3}}),
 ], ids=["sample-paths-seed-not-int", "sample-paths-seed-negative", "gen-seed-not-int",
         "gen-seed-bool", "train-seed-not-int", "verify-tolerance-not-number",
         "verify-tv-tolerance-not-number", "verify-gradcheck-tolerance-zero",
@@ -441,7 +461,10 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
         "gen-sparsity-not-number", "gen-split-fractions-not-list", "eval-split-not-name",
         "train-batch-size-fractional", "train-keep-fraction-zero",
         "sample-paths-reject-cycles-not-bool", "gen-nested-seed-differs",
-        "train-nested-seed-differs"])
+        "train-nested-seed-differs", "sample-paths-checkpoint-not-path",
+        "eval-dataset-not-path", "train-resume-not-path", "verify-graph-not-path",
+        "verify-beta-bool", "verify-beta-numeric-string",
+        "train-keep-count-differs-from-keep-fraction"])
 def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, gen_dir,
                                                              tmp_path, capsys):
     needs = {"sample-paths": {"graph": os.path.join(gen_dir, "graph.json")},

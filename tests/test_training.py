@@ -17,7 +17,6 @@ from datasp.trajectories import (
     node_visit_frequencies,
 )
 from datasp.training import (
-    AdamState,
     TrainConfig,
     adam_update,
     anchor_gradients,
@@ -71,18 +70,6 @@ def test_shortcut_loss_floors_unreachable_terms():
     assert np.array_equal(grad, np.zeros_like(grad))
 
 
-def test_step_log_records_floored_terms_and_skip_reason():
-    from datasp.training import StepMetrics
-
-    metrics = StepMetrics(step=3, shortcut=0.5, prior=0.1, grad_norm=1.0, kept_nodes=[0, 1],
-                          skipped=False, floored=2)
-    entry = metrics.to_log_dict()
-    assert entry["floored"] == 2 and entry["reason"] == ""
-    skipped = StepMetrics(step=4, shortcut=float("nan"), prior=float("nan"), grad_norm=0.0,
-                          kept_nodes=[0, 1], skipped=True, reason="no trajectories")
-    assert skipped.to_log_dict()["reason"] == "no trajectories"
-
-
 def test_shortcut_loss_gradient_outside_observed_pairs_is_zero(k4):
     from datasp.trajectories import FrequencyTensor
 
@@ -130,8 +117,8 @@ def test_train_step_zero_learning_rate_keeps_params():
     grads, metrics = anchor_gradients(params, 0, dataset, config,
                                       node_visit_frequencies(dataset),
                                       list(range(len(dataset.paths))), sample_seed=0)
-    assert not metrics.skipped
-    assert math.isfinite(metrics.shortcut)
+    assert not metrics["skipped"]
+    assert math.isfinite(metrics["L_S"])
     adam_update(params, grads, state, config)
     for w, old in zip(params.weights, before):
         assert np.array_equal(w, old)
@@ -175,7 +162,7 @@ def test_descent_on_fixed_instance():
     for step in range(50):
         grads, metrics = anchor_gradients(params, 0, dataset, config, node_freqs,
                                           candidates, sample_seed=0)
-        losses.append(metrics.shortcut)
+        losses.append(metrics["L_S"])
         from datasp.training import adam_update
 
         adam_update(params, grads, state, config)
@@ -192,7 +179,7 @@ def _pipeline_loss_and_grads(params, dataset, config, anchor, node_freqs, candid
 
     grads, metrics = anchor_gradients(params, anchor, dataset, config, node_freqs,
                                       candidates, sample_seed)
-    return metrics.shortcut + config.alpha * metrics.prior, grads
+    return metrics["L_S"] + config.alpha * metrics["L_P"], grads
 
 
 def test_end_to_end_parameter_gradient_no_exclusion():
@@ -288,6 +275,30 @@ def test_train_loop_skips_empty_batches():
                          similarity_fraction=0.1, seed=0)
     out = train_loop(dataset, config)
     assert any(entry.get("skipped") for entry in out.log if "skipped" in entry)
+
+
+def test_step_log_records_floored_terms_and_skip_reason():
+    result, dataset = small_dataset(num_samples=30)
+    config = TrainConfig(epochs=1, keep_count=2, hidden_sizes=[8],
+                         similarity_fraction=0.1, seed=0)
+    steps = [entry for entry in train_loop(dataset, config).log if "epoch" not in entry]
+    assert [entry["step"] for entry in steps] == list(range(len(dataset.splits["train"])))
+    for entry in steps:
+        assert set(entry) == {"step", "L_S", "L_P", "grad_norm", "kept_nodes", "skipped",
+                              "floored", "reason"}
+        assert isinstance(entry["floored"], int) and entry["floored"] >= 0
+        assert (entry["reason"] != "") == entry["skipped"]
+    assert any(entry["skipped"] for entry in steps)
+    assert not all(entry["skipped"] for entry in steps)
+
+
+def test_train_loop_without_val_split_has_nan_best_score():
+    result, dataset = small_dataset(num_samples=20)
+    dataset.splits = {"train": dataset.splits["train"]}
+    out = train_loop(dataset, TrainConfig(epochs=1, hidden_sizes=[8],
+                                          similarity_fraction=0.5, seed=0))
+    assert math.isnan(out.best_val_jaccard)
+    assert math.isnan(out.log[-1]["val_jaccard"])
 
 
 def test_train_loop_requires_prior():
