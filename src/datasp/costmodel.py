@@ -106,19 +106,21 @@ def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCac
     if prior.shape != (params.edge_count,):
         raise ValidationError(f"expected {params.edge_count} priors, got {prior.shape}")
 
-    h = x
-    pre_acts: list[np.ndarray] = []
-    acts: list[np.ndarray] = [x]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = w @ h + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    raw = params.weights[-1] @ h + params.biases[-1]
+    # Huge finite weights overflow to inf or nan; build_cost_matrix rejects those.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = x
+        pre_acts: list[np.ndarray] = []
+        acts: list[np.ndarray] = [x]
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            z = w @ h + b
+            pre_acts.append(z)
+            h = np.maximum(z, 0.0)
+            acts.append(h)
+        raw = params.weights[-1] @ h + params.biases[-1]
 
-    shift = inv_softplus(np.maximum(prior - params.cost_floor, 1e-9))
-    costs = params.cost_floor + softplus(raw + shift)
-    gate = np.exp(-np.logaddexp(0.0, -(raw + shift)))  # stable sigmoid
+        shift = inv_softplus(np.maximum(prior - params.cost_floor, 1e-9))
+        costs = params.cost_floor + softplus(raw + shift)
+        gate = np.exp(-np.logaddexp(0.0, -(raw + shift)))  # stable sigmoid
     cache = ForwardCache(x=x, pre_activations=pre_acts, activations=acts,
                          raw=raw, gate=gate, params=params)
     return costs, cache

@@ -8,8 +8,9 @@ updates are skipped: i == j (self loops), i == k or k == j (direct paths are
 fixed at initialization), and pairs whose two-hop cost through k is
 infinite.  One pivot is `smoothing.pivot` and its adjoint
 `smoothing.pivot_adjoint`; node exclusion (`graph.exclude_nodes`) runs the
-same pivot over the removed nodes, so the sweep, the backward sweep and
-exclusion share one update and one adjoint.
+same pivot on ever smaller trailing blocks of a matrix whose removed nodes
+come first, so the sweep, the backward sweep and exclusion share one update
+and one adjoint.
 
 The shortcut tensor P[i, j, k] is the probability that k is the highest
 intermediate node on an i -> j walk, and P[i, j, i] the probability of the

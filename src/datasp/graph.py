@@ -13,15 +13,16 @@ row.  `classical_floyd_warshall` is the all-pairs hard-min reference that
 tests compare against, and the engine's beta -> inf limit.
 
 Node exclusion reconnects the neighbors of each removed node through local
-smooth mins.  That is the engine's smoothed Floyd-Warshall pivot
-(`smoothing.pivot`) run over the removed nodes in ascending order, each
-followed by setting the removed node's row and column to inf; the kept
-block of the result is the compressed matrix, and `smoothing.pivot_adjoint`
-run in reverse is its gradient.
+smooth mins.  With the removed nodes permuted first, removed node t is the
+engine's smoothed Floyd-Warshall pivot (`smoothing.pivot`) on the trailing
+block cur[t:, t:], which no longer holds the nodes removed before it; the
+last block is the compressed matrix, and `smoothing.pivot_adjoint` run in
+reverse over the same blocks is its gradient.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -67,13 +68,15 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_index
 
-    def undirected_neighbors(self) -> list[set[int]]:
-        """Adjacency sets ignoring edge direction."""
+    @functools.cached_property
+    def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbor ids of each node, ignoring edge direction; built
+        on first use, since only subgraph sampling reads it."""
         nbrs: list[set[int]] = [set() for _ in range(self.num_nodes)]
         for u, v in self.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return nbrs
+        return tuple(tuple(sorted(s)) for s in nbrs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -292,7 +295,8 @@ def dijkstra(m: np.ndarray, source: int, target: int) -> tuple[list[int] | None,
 class Compression:
     """Result of excluding the removed nodes, in ascending order.
 
-    steps[t] is the (rows, w_via) pair `pivot` returned for removed[t];
+    steps[t] is the (rows, w_via) pair `pivot` returned for removed[t] on
+    the trailing block whose nodes are removed[t:] + kept, in that order;
     node_map sends an original node id to its compressed index, or -1 when
     the node was removed.
     """
@@ -305,24 +309,24 @@ class Compression:
 
     def backward(self, grad_compressed: np.ndarray) -> np.ndarray:
         """Chain a gradient w.r.t. the compressed matrix back to the full one."""
-        n = self.node_map.size
-        grad = np.zeros((n, n))
-        grad[np.ix_(self.kept, self.kept)] = grad_compressed
-        for k, step in zip(reversed(self.removed), reversed(self.steps)):
-            pivot_adjoint(grad, k, step)
-        return grad
+        r = len(self.removed)
+        grad = np.zeros((self.node_map.size,) * 2)
+        grad[r:, r:] = grad_compressed
+        for t in reversed(range(r)):
+            pivot_adjoint(grad[t:, t:], 0, self.steps[t])
+        inverse = np.argsort(self.removed + self.kept)
+        return grad[np.ix_(inverse, inverse)]
 
 
 def exclude_nodes(m: np.ndarray, removed, beta: float) -> Compression:
     """Remove nodes, reconnecting their neighbors through local smooth mins.
 
-    For each removed node k in ascending order this is the engine's pivot
-    through k, after which row k and column k are set to inf.  The
-    compressed matrix is the block of the kept nodes.  After pivot k no
-    later update of the kept block reads row k or column k, and the inf
-    knock-out also takes k out of every later pivot, so this equals
-    deleting k from a shrinking matrix.  The gradient that reaches a
-    knocked-out entry is 0, so the adjoint is `pivot_adjoint` alone.
+    The nodes are permuted to the order removed + kept, each ascending, and
+    removed node t is the engine's pivot through index 0 of the trailing
+    block cur[t:, t:], which holds no node removed before t.  That is
+    deleting each removed node from a shrinking matrix, operand for
+    operand, so no pivot computes or stores entries of removed nodes.  The
+    compressed matrix is the last block cur[r:, r:].
     """
     m = validate_cost_matrix(m)
     beta = check_beta(beta)
@@ -333,18 +337,14 @@ def exclude_nodes(m: np.ndarray, removed, beta: float) -> Compression:
     if len(set(removed)) != len(removed):
         raise ValidationError(f"removed nodes must be distinct, got {removed}")
 
-    # validate_cost_matrix returns the caller's array; pivot writes in place.
-    cur = m.copy()
-    steps = []
-    for k in removed:
-        steps.append(pivot(cur, k, beta))
-        cur[k, :] = INF
-        cur[:, k] = INF
-
     kept = sorted(set(range(n)) - set(removed))
+    order = removed + kept
+    r = len(removed)
+    cur = m[np.ix_(order, order)]  # a copy: pivot writes in place
+    steps = [pivot(cur[t:, t:], 0, beta) for t in range(r)]
     node_map = np.full(n, -1, dtype=np.int64)
     node_map[kept] = np.arange(len(kept))
-    return Compression(matrix=cur[np.ix_(kept, kept)], kept=kept, removed=removed,
+    return Compression(matrix=cur[r:, r:].copy(), kept=kept, removed=removed,
                        steps=steps, node_map=node_map)
 
 
@@ -394,7 +394,7 @@ def _grow_connected(graph: Graph, freqs: np.ndarray, target_size: int, rng) -> s
     connected per component).
     """
     n = graph.num_nodes
-    nbrs = graph.undirected_neighbors()
+    nbrs = graph.undirected_neighbors
     total = freqs.sum()
     weights = freqs + (1e-9 if total > 0 else 1.0)
     tree: set[int] = set()
@@ -405,7 +405,7 @@ def _grow_connected(graph: Graph, freqs: np.ndarray, target_size: int, rng) -> s
         w = weights[candidates]
         seed = candidates[int(rng.choice(len(candidates), p=w / w.sum()))]
         tree.add(seed)
-        for v in sorted(nbrs[seed]):
+        for v in nbrs[seed]:
             if v not in tree and v not in frontier:
                 frontier.append(v)
 
@@ -418,7 +418,7 @@ def _grow_connected(graph: Graph, freqs: np.ndarray, target_size: int, rng) -> s
         if pick in tree:
             continue
         tree.add(pick)
-        for v in sorted(nbrs[pick]):
+        for v in nbrs[pick]:
             if v not in tree and v not in frontier:
                 frontier.append(v)
     return tree

@@ -2,10 +2,13 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import datasp
 from datasp.cli import main
 from datasp.costmodel import init_params
 from datasp.graph import load_graph_json
@@ -548,3 +551,22 @@ def test_eval_runs_each_hard_path_search_once(gen_dir, tmp_path, monkeypatch):
     # PRIOR: one per distinct pair; DataSP: one per record; true optimum: one
     # per record, shared by both methods.
     assert len(calls) == len(set(ends)) + 2 * len(ends)
+
+
+def test_overflowing_checkpoint_prints_only_the_error_line(gen_dir, tmp_path):
+    # A fresh process, so numpy's warnings reach stderr as a user would see them.
+    graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
+    params = init_params(3, [4], graph.num_edges, seed=0)
+    for array in params.flat_arrays():
+        array[...] = 1e200
+    checkpoint = tmp_path / "huge.bin"
+    save_checkpoint(checkpoint, params)
+    cfg = write_config(tmp_path, "e.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
+                                            "checkpoint": str(checkpoint)})
+    src = os.path.dirname(os.path.dirname(datasp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "datasp.cli", "eval", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: edge costs must be finite and strictly positive\n"

@@ -24,7 +24,7 @@ from datasp.graph import (
     path_cost,
     sample_subgraph,
 )
-from datasp.smoothing import INF, pair_softmin
+from datasp.smoothing import INF, pair_softmin, pivot, pivot_adjoint
 
 
 # --- Graph / cost matrix construction ---------------------------------------
@@ -285,6 +285,56 @@ def test_exclude_nodes_is_bit_identical_to_shrinking_reference():
             assert np.array_equal(comp.matrix, _shrinking_exclusion(m, removed, beta))
             nonpositive |= bool((comp.matrix[np.isfinite(comp.matrix)] <= 0).any())
     assert nonpositive
+
+
+def _knockout_exclusion(m, removed, beta, upstream):
+    """Reference: pivot each removed node, in ascending order, on the full
+    matrix, then set its row and column to inf.  Returns the kept block and
+    the gradient of <upstream, kept block> w.r.t. m."""
+    kept = [x for x in range(m.shape[0]) if x not in removed]
+    cur, steps = m.copy(), []
+    for k in removed:
+        steps.append(pivot(cur, k, beta))
+        cur[k, :] = INF
+        cur[:, k] = INF
+    grad = np.zeros(m.shape)
+    grad[np.ix_(kept, kept)] = upstream
+    for k, step in zip(reversed(removed), reversed(steps)):
+        pivot_adjoint(grad, k, step)
+    return cur[np.ix_(kept, kept)], grad
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(num_nodes=st.integers(2, 14), seed=st.integers(0, 2**32 - 1),
+       costs=st.sampled_from([(0.5, 2.0), (0.5, 40.0), (0.1, 0.6)]),
+       beta=st.sampled_from([1.0, 30.0]), data=st.data())
+def test_exclusion_matches_both_references(num_nodes, seed, costs, beta, data):
+    rng = np.random.default_rng(seed)
+    graph, edge_costs = random_connected_graph(num_nodes, rng, low=costs[0], high=costs[1])
+    m = build_cost_matrix(edge_costs, graph)
+    removed = sorted(data.draw(st.sets(st.integers(0, num_nodes - 1), min_size=1,
+                                       max_size=num_nodes - 1)))
+    comp = exclude_nodes(m, removed, beta)
+    assert np.array_equal(comp.matrix, _shrinking_exclusion(m, removed, beta))
+
+    upstream = np.where(np.isfinite(comp.matrix),
+                        rng.standard_normal(comp.matrix.shape), 0.0)
+    ref_matrix, ref_grad = _knockout_exclusion(m, removed, beta, upstream)
+    assert np.array_equal(comp.matrix, ref_matrix)
+    # Same terms, summed in another order.
+    error = np.abs(comp.backward(upstream) - ref_grad).max(initial=0.0)
+    assert error <= 1e-12 * np.abs(ref_grad).max(initial=0.0)
+
+
+def test_exclusion_steps_hold_no_removed_column(rng):
+    graph, costs = random_connected_graph(40, rng, extra_edges=30)
+    m = build_cost_matrix(costs, graph)
+    removed = [int(x) for x in rng.choice(40, size=32, replace=False)]
+    comp = exclude_nodes(m, removed, beta=30.0)
+    assert len(comp.steps) == 32
+    for t, (rows, w_via) in enumerate(comp.steps):
+        # step t sees removed[t:] + kept, one column per node
+        assert w_via.shape == (rows.size, 40 - t)
 
 
 def test_exclusion_preserves_hard_distances(rng):
