@@ -42,11 +42,12 @@ from .inference import (
 )
 from .synthetic import GeneratorConfig, generate_synthetic_dataset
 from .oracle import (
-    enumerate_visitable_walks,
+    WalkEnumerator,
+    engine_deviations,
     finite_difference_gradcheck,
     maxent_distribution,
-    verify_distance_consistency,
-    verify_shortcut_consistency,
+    normwise_gradient_error,
+    total_variation,
 )
 
 __version__ = "0.1.0"

@@ -6,6 +6,12 @@ DEFAULTS below), writes its fully-resolved config next to its outputs, and
 is byte-reproducible for a fixed seed.  Exit codes: 0 success, 2 validation
 error (including unreadable files, undecodable text and malformed JSON or
 binary input), 3 numerical failure, 4 verification failure.
+
+`verify` checks the engine against the brute-force walk oracle on a bundled
+4-node fixture (and optionally an extra small graph): the walk census, the
+distances and shortcut tensor, the sampler and the gradient.  Its
+`num_samples` walks form one Monte-Carlo estimate that drives both sampling
+checks, the per-walk frequency bands and the total variation.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import struct
 import sys
@@ -32,6 +37,7 @@ from .errors import (
 )
 from .graph import (
     build_cost_matrix,
+    complete_graph,
     dijkstra,
     graph_to_json_dict,
     load_graph_json,
@@ -48,11 +54,10 @@ from .inference import (
 )
 from .oracle import (
     WalkEnumerator,
-    finite_difference_gradcheck,
+    engine_deviations,
     maxent_distribution,
-    sampler_total_variation,
-    verify_distance_consistency,
-    verify_shortcut_consistency,
+    normwise_gradient_error,
+    total_variation,
     walk_cost_census,
 )
 from .serialize import (
@@ -65,8 +70,8 @@ from .serialize import (
 )
 from .smoothing import check_beta
 from .synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
-from .trajectories import load_dataset, write_trajectories_jsonl
-from .training import TrainConfig, predicted_paths, train_loop
+from .trajectories import build_frequency_tensor, load_dataset, write_trajectories_jsonl
+from .training import TrainConfig, predicted_paths, shortcut_loss, train_loop
 
 # Hyperparameter profiles, the only valid values of train's "profile":
 # "synthetic" (generated-route experiments) and "real" (taxi-style ones).
@@ -118,10 +123,13 @@ DEFAULTS = {
     },
     "verify": {
         "seed": 0,
-        "num_samples": 10000,      # Monte-Carlo draws for the frequency table
-        "tv_num_samples": 100000,  # draws for the total-variation check
+        "num_samples": 100000,     # Monte-Carlo draws; one estimate serves both
+                                   # the frequency bands and the total variation
         "beta": 1.0,
-        "graph": None,             # extra graph to check, besides the fixture
+        "graph": None,             # extra graph to check, besides the fixture; the
+                                   # visitable walks of all its pairs must number at
+                                   # most 1,000,000 (a 5-node generated graph fits,
+                                   # a 6-node one does not)
         "tolerance": 1e-9,
         "tv_tolerance": 0.01,
         "gradcheck_tolerance": 1e-4,
@@ -218,8 +226,7 @@ def _positive_int(value, name: str) -> int:
 
 
 def _positive_float(value, name: str) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= 0):
+    if not is_real(value) or value <= 0:
         raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
 
@@ -496,9 +503,11 @@ def cmd_predict_dest(args) -> int:
     elif kind == "exp-negative-distance":
         dest_prior = DestinationPrior.exp_negative_distance(m, current)
     elif kind == "custom":
-        if "weights" not in prior_cfg:
-            raise ValidationError("a custom prior needs a 'weights' list")
-        dest_prior = DestinationPrior(weights=prior_cfg["weights"])
+        weights = prior_cfg.get("weights")
+        if not isinstance(weights, list) or not all(is_real(w) for w in weights):
+            raise ValidationError(f"a custom prior needs a 'weights' list of finite numbers, "
+                                  f"got {weights!r}")
+        dest_prior = DestinationPrior(weights=weights)
     else:
         raise ValidationError(f"unknown destination prior kind {kind!r}")
 
@@ -532,14 +541,6 @@ FIXTURE_CENSUS = {3.0: 4, 5.0: 4, 7.0: 7, 9.0: 5, 11.0: 1}
 FIXTURE_FREQUENCY_BANDS = {3.0: 0.02, 5.0: 0.01}
 
 
-def _fixture_matrix():
-    from .graph import complete_graph
-
-    graph = complete_graph(4)
-    costs = [abs(u - v) for u, v in graph.edges]
-    return build_cost_matrix(costs, graph)
-
-
 def cmd_verify(args) -> int:
     config = _load_config(args, "verify")
     out_dir = args.out
@@ -547,89 +548,58 @@ def cmd_verify(args) -> int:
     beta = check_beta(config["beta"])
     tol, tv_tol, grad_tol = (_positive_float(config[name], name) for name in
                              ("tolerance", "tv_tolerance", "gradcheck_tolerance"))
-    report: dict = {"beta": beta, "checks": {}}
-    failures = []
+    num_samples = _positive_int(config["num_samples"], "num_samples")
+    checks: dict = {}
 
-    m = _fixture_matrix()
+    def check(name, ok, **fields):
+        checks[name] = {**fields, "ok": bool(ok)}
+
+    graph = complete_graph(4)
+    m = build_cost_matrix([abs(u - v) for u, v in graph.edges], graph)
     fixture = WalkEnumerator(m)
     walks = fixture.walks(0, 3)
     census = walk_cost_census(walks)
+    check("walk_census", census == FIXTURE_CENSUS,
+          tabulated={str(k): v for k, v in sorted(census.items())},
+          expected={str(k): v for k, v in sorted(FIXTURE_CENSUS.items())})
+
+    distance_dev, shortcut_dev = engine_deviations(fixture, beta)
+    check("distance_consistency", distance_dev <= tol, max_deviation=distance_dev)
+    check("shortcut_consistency", shortcut_dev <= tol, max_deviation=shortcut_dev)
+
+    # One Monte-Carlo estimate serves the per-walk bands and the total variation.
     theory = maxent_distribution(walks, beta)
-    report["checks"]["walk_census"] = {
-        "tabulated": {str(k): v for k, v in sorted(census.items())},
-        "expected": {str(k): v for k, v in sorted(FIXTURE_CENSUS.items())},
-        "ok": census == FIXTURE_CENSUS,
-    }
-    if not report["checks"]["walk_census"]["ok"]:
-        failures.append("walk_census")
-
-    dev1 = verify_distance_consistency(fixture, beta)
-    dev2 = verify_shortcut_consistency(fixture, beta)
-    report["checks"]["distance_consistency"] = {"max_deviation": float(dev1),
-                                            "ok": bool(dev1 <= tol)}
-    report["checks"]["shortcut_consistency"] = {"max_deviation": float(dev2),
-                                                "ok": bool(dev2 <= tol)}
-    if dev1 > tol:
-        failures.append("distance_consistency")
-    if dev2 > tol:
-        failures.append("shortcut_consistency")
-
-    tape = sweep(m, beta)
-    rng = np.random.default_rng(config["seed"])
-    estimate = monte_carlo_path_distribution(
-        tape, 0, 3, _positive_int(config["num_samples"], "num_samples"), rng)
-    freq_checks = []
-    ok_freq = True
+    observed = monte_carlo_path_distribution(sweep(m, beta), 0, 3, num_samples,
+                                             np.random.default_rng(config["seed"])).frequencies
     cost = {w.nodes: w.cost for w in walks}
-    for walk, prob in sorted(theory.items(), key=lambda kv: -kv[1]):
-        tol_band = FIXTURE_FREQUENCY_BANDS.get(cost[walk])
-        if tol_band is None:
-            continue
-        observed = estimate.frequencies.get(walk, 0.0)
-        good = abs(observed - prob) <= tol_band
-        ok_freq = ok_freq and bool(good)
-        freq_checks.append({"walk": list(walk), "theory": float(prob),
-                            "observed": float(observed),
-                            "tolerance": tol_band, "ok": bool(good)})
-    report["checks"]["sampling_frequencies"] = {"walks": freq_checks, "ok": bool(ok_freq)}
-    if not ok_freq:
-        failures.append("sampling_frequencies")
-
-    tv = sampler_total_variation(tape, walks,
-                                 _positive_int(config["tv_num_samples"], "tv_num_samples"),
-                                 np.random.default_rng([config["seed"], 1]))
-    tv_ok = tv <= tv_tol
-    report["checks"]["sampling_total_variation"] = {"tv": float(tv), "ok": bool(tv_ok)}
-    if not tv_ok:
-        failures.append("sampling_total_variation")
+    bands = [{"walk": list(walk), "theory": prob, "observed": observed.get(walk, 0.0),
+              "tolerance": FIXTURE_FREQUENCY_BANDS[cost[walk]]}
+             for walk, prob in sorted(theory.items(), key=lambda kv: -kv[1])
+             if cost[walk] in FIXTURE_FREQUENCY_BANDS]
+    for band in bands:
+        band["ok"] = abs(band["observed"] - band["theory"]) <= band["tolerance"]
+    check("sampling_frequencies", all(band["ok"] for band in bands), walks=bands)
+    tv = total_variation(theory, observed)
+    check("sampling_total_variation", tv <= tv_tol, tv=tv)
 
     grad_err = _verify_gradients(m, beta)
-    grad_ok = grad_err <= grad_tol
-    report["checks"]["gradients"] = {"max_relative_error": float(grad_err),
-                                 "ok": bool(grad_ok)}
-    if not grad_ok:
-        failures.append("gradients")
+    check("gradients", grad_err <= grad_tol, max_relative_error=grad_err)
 
     if config["graph"] is not None:
         extra_graph, extra_prior, _ = load_graph_json(config["graph"])
         if extra_prior is None:
             raise ValidationError("extra verification graph needs prior costs")
-        extra = WalkEnumerator(build_cost_matrix(extra_prior, extra_graph))
-        d1 = verify_distance_consistency(extra, beta)
-        d2 = verify_shortcut_consistency(extra, beta)
-        ok = d1 <= tol and d2 <= tol
-        report["checks"]["extra_graph"] = {"distance": float(d1), "shortcut": float(d2),
-                                   "ok": bool(ok)}
-        if not ok:
-            failures.append("extra_graph")
+        d1, d2 = engine_deviations(WalkEnumerator(build_cost_matrix(extra_prior, extra_graph)),
+                                   beta)
+        check("extra_graph", d1 <= tol and d2 <= tol, distance=d1, shortcut=d2)
 
-    report["ok"] = not failures
-    report["failures"] = failures
+    failures = [name for name, result in checks.items() if not result["ok"]]
+    report = {"beta": beta, "checks": checks, "ok": not failures, "failures": failures}
     with open(os.path.join(out_dir, "verify_report.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(report))
     _write_resolved(config, out_dir, "verify")
-    for name, check in report["checks"].items():
-        print(f"verify[{name}]: {'PASS' if check['ok'] else 'FAIL'}")
+    for name, result in checks.items():
+        print(f"verify[{name}]: {'PASS' if result['ok'] else 'FAIL'}")
     if failures:
         raise VerificationError(f"verification failed: {', '.join(failures)}")
     print("verify: all checks passed")
@@ -637,9 +607,8 @@ def cmd_verify(args) -> int:
 
 
 def _verify_gradients(m, beta) -> float:
+    """Normwise relative error of the shortcut-loss gradient on `m`."""
     from .engine import datasp_backward
-    from .trajectories import build_frequency_tensor
-    from .training import shortcut_loss
 
     freq = build_frequency_tensor([(0, 1, 2, 3), (0, 2, 3), (0, 3)])
 
@@ -651,7 +620,7 @@ def _verify_gradients(m, beta) -> float:
     p, dist, tape = datasp_forward_efficient(m, beta)
     _, grad_p, _ = shortcut_loss(p, freq)
     grad_m = datasp_backward(tape, grad_p, np.zeros_like(dist))
-    return finite_difference_gradcheck(loss_of, grad_m, m, step=1e-5)
+    return normwise_gradient_error(loss_of, grad_m, m, step=1e-5)
 
 
 # ---------------------------------------------------------------------------

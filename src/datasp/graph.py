@@ -78,13 +78,6 @@ class Graph:
             nbrs[v].add(u)
         return tuple(tuple(sorted(s)) for s in nbrs)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.num_nodes == other.num_nodes
-            and self.edges == other.edges
-        )
-
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 

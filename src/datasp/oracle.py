@@ -8,12 +8,21 @@ h - 1.  The engine's smoothed distances equal the smooth min of exactly
 these walk costs, and its shortcut tensor equals ratios of Boltzmann
 sums over them grouped by highest intermediate node.
 
+Entry points: `WalkEnumerator(m).walks(i, j, bound)` lists one pair's
+visitable walks; `maxent_distribution` and `walk_cost_census` read a walk
+list; `engine_deviations` compares the engine's D and P with the walk space
+in one engine pass (the only code here that reads the dense P);
+`total_variation` compares two walk distributions; and
+`finite_difference_gradcheck` (componentwise) and `normwise_gradient_error`
+compare an analytic gradient with central differences.
+
 Everything here is exponential-time by design and guarded; it is used by
 tests and the `verify` command, never in training.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +30,11 @@ import numpy as np
 from .errors import EnumerationLimitError, ValidationError
 from .graph import validate_cost_matrix, path_cost
 from .smoothing import softmin_value
-from .engine import EngineTape, datasp_forward_efficient, sweep
+from .engine import datasp_forward_efficient
 
+# MAX_ORACLE_NODES refuses a large graph before enumerating; the bound that
+# holds in practice is MAX_ORACLE_WALKS, which a 6-node generated graph
+# already exceeds over all its pairs.
 MAX_ORACLE_NODES = 10
 MAX_ORACLE_WALKS = 1_000_000
 
@@ -32,9 +44,6 @@ class VisitableWalk:
     nodes: tuple[int, ...]
     cost: float
     highest_intermediate: int | None  # None for a direct edge
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 class WalkEnumerator:
@@ -98,21 +107,11 @@ class WalkEnumerator:
                         self._budget -= 1
                         if self._budget < 0:
                             raise EnumerationLimitError(
-                                f"walk enumeration exceeded {self.max_walks} walks"
+                                f"walk enumeration exceeded {self.max_walks} walks, counted "
+                                f"over every pair and pivot bound enumerated on this graph"
                             )
         self._memo[key] = out
         return out
-
-
-def enumerate_visitable_walks(
-    m: np.ndarray,
-    i: int,
-    j: int,
-    max_node_bound: int | None = None,
-    max_walks: int = MAX_ORACLE_WALKS,
-) -> list[VisitableWalk]:
-    """All visitable walks i -> j with intermediate pivots <= max_node_bound."""
-    return WalkEnumerator(m, max_walks=max_walks).walks(i, j, max_node_bound)
 
 
 def _boltzmann(walks, beta: float) -> np.ndarray:
@@ -131,23 +130,19 @@ def maxent_distribution(walks, beta: float) -> dict[tuple[int, ...], float]:
 
 def walk_cost_census(walks) -> dict[float, int]:
     """Multiset of walk costs, rounded to 9 decimals for stable keys."""
-    census: dict[float, int] = {}
-    for w in walks:
-        key = round(w.cost, 9)
-        census[key] = census.get(key, 0) + 1
-    return census
+    return dict(Counter(round(w.cost, 9) for w in walks))
 
 
-def verify_distance_consistency(enum: WalkEnumerator, beta: float) -> float:
-    """Max deviation between engine distances on `enum.m` and walk-space
-    smooth mins.
+def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
+    """(distance_dev, shortcut_dev): max deviations of the engine's D and P
+    on `enum.m` from the walk-space smooth mins and Boltzmann ratios.
 
-    Compares off-diagonal pairs; a pair unreachable on one side but not the
-    other yields inf.
+    Compares off-diagonal pairs; a pair unreachable in the walk space but
+    at finite engine distance gives a distance deviation of inf.
     """
     n = enum.n
-    dist = sweep(enum.m, beta).dist
-    worst = 0.0
+    p, dist, _ = datasp_forward_efficient(enum.m, beta)
+    distance_dev = shortcut_dev = 0.0
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -155,77 +150,67 @@ def verify_distance_consistency(enum: WalkEnumerator, beta: float) -> float:
             walks = enum.walks(i, j)
             if not walks:
                 if np.isfinite(dist[i, j]):
-                    return float("inf")
+                    distance_dev = float("inf")
+                shortcut_dev = max(shortcut_dev, float(np.abs(p[i, j, :]).max()))
                 continue
             expected = softmin_value([w.cost for w in walks], beta)
-            worst = max(worst, abs(dist[i, j] - expected))
-    return worst
+            distance_dev = max(distance_dev, abs(float(dist[i, j]) - expected))
+            # P[i, j, :] is the Boltzmann mass of the walks grouped by highest
+            # intermediate node, slot i holding the direct edge.
+            slots = [i if w.highest_intermediate is None else w.highest_intermediate
+                     for w in walks]
+            expected_row = np.bincount(slots, weights=_boltzmann(walks, beta), minlength=n)
+            shortcut_dev = max(shortcut_dev, float(np.abs(p[i, j, :] - expected_row).max()))
+    return distance_dev, shortcut_dev
 
 
-def shortcut_probabilities_from_walks(walks, beta: float, i: int, n: int) -> np.ndarray:
-    """Expected shortcut row P[i, j, :] from an enumerated walk list."""
-    slots = [i if w.highest_intermediate is None else w.highest_intermediate for w in walks]
-    return np.bincount(slots, weights=_boltzmann(walks, beta), minlength=n)
+def total_variation(theory: dict, frequencies: dict) -> float:
+    """Total-variation distance between two walk distributions, each a dict
+    of walk -> probability."""
+    support = set(theory) | set(frequencies)
+    return 0.5 * sum(abs(theory.get(w, 0.0) - frequencies.get(w, 0.0)) for w in support)
 
 
-def verify_shortcut_consistency(enum: WalkEnumerator, beta: float) -> float:
-    """Max deviation between the engine's P on `enum.m` and walk-space
-    Boltzmann ratios."""
-    n = enum.n
-    p, _, _ = datasp_forward_efficient(enum.m, beta)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            walks = enum.walks(i, j)
-            if not walks:
-                worst = max(worst, float(np.abs(p[i, j, :]).max()))
-                continue
-            expected = shortcut_probabilities_from_walks(walks, beta, i, n)
-            worst = max(worst, float(np.abs(p[i, j, :] - expected).max()))
-    return worst
-
-
-def sampler_total_variation(tape: EngineTape, walks, num_samples: int, rng) -> float:
-    """TV distance between Monte-Carlo path frequencies and the max-entropy
-    distribution over `walks`, the visitable walks of one pair on the tape's
-    input matrix, at the tape's beta."""
-    from .inference import monte_carlo_path_distribution
-
-    if not walks:
-        raise ValidationError("sampler_total_variation needs the pair's visitable walks")
-    i, j = walks[0].nodes[0], walks[0].nodes[-1]
-    theory = maxent_distribution(walks, tape.beta)
-    estimate = monte_carlo_path_distribution(tape, i, j, num_samples, rng, reject_cycles=False)
-    support = set(theory) | set(estimate.frequencies)
-    return 0.5 * sum(
-        abs(theory.get(w, 0.0) - estimate.frequencies.get(w, 0.0)) for w in support
-    )
-
-
-def finite_difference_gradcheck(func, analytic_grad, x, step: float = 1e-5) -> float:
-    """Max relative error between analytic_grad and central differences of func.
-
-    Differences are taken per finite coordinate of x; the relative error
-    denominator is floored at 1e-8.
-    """
+def _differences(func, analytic_grad, x, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fd, g): central differences of func and the analytic gradient, at
+    the finite coordinates of x."""
     x = np.asarray(x, dtype=float)
     analytic = np.asarray(analytic_grad, dtype=float)
     if analytic.shape != x.shape:
         raise ValidationError("analytic gradient shape must match input shape")
-    worst = 0.0
     flat = x.ravel()
-    for idx in range(flat.size):
-        if not np.isfinite(flat[idx]):
-            continue
-        bumped = x.copy().ravel()
+    coords = np.flatnonzero(np.isfinite(flat))
+    fd = np.empty(coords.size)
+    for pos, idx in enumerate(coords):
+        bumped = flat.copy()
         bumped[idx] = flat[idx] + step
         f_plus = func(bumped.reshape(x.shape))
         bumped[idx] = flat[idx] - step
         f_minus = func(bumped.reshape(x.shape))
-        fd = (f_plus - f_minus) / (2.0 * step)
-        g = analytic.ravel()[idx]
-        err = abs(fd - g) / max(abs(fd), abs(g), 1e-8)
-        worst = max(worst, err)
-    return worst
+        fd[pos] = (f_plus - f_minus) / (2.0 * step)
+    return fd, analytic.ravel()[coords]
+
+
+def finite_difference_gradcheck(func, analytic_grad, x, step: float = 1e-5) -> float:
+    """Max componentwise relative error between analytic_grad and central
+    differences of func.
+
+    Differences are taken per finite coordinate of x; the relative error
+    denominator is floored at 1e-8.
+    """
+    fd, g = _differences(func, analytic_grad, x, step)
+    err = np.abs(fd - g) / np.maximum(np.maximum(np.abs(fd), np.abs(g)), 1e-8)
+    return float(err.max(initial=0.0))
+
+
+def normwise_gradient_error(func, analytic_grad, x, step: float = 1e-5) -> float:
+    """Normwise relative error max|fd - g| / max(max|fd|, max|g|) between
+    analytic_grad g and central differences fd of func, over the finite
+    coordinates of x.
+
+    Unlike the componentwise error, the round-off of the differences is not
+    judged against coordinates whose true gradient is near zero.
+    """
+    fd, g = _differences(func, analytic_grad, x, step)
+    scale = max(float(np.abs(fd).max(initial=0.0)), float(np.abs(g).max(initial=0.0)))
+    return float(np.abs(fd - g).max()) / scale if scale > 0 else 0.0

@@ -15,6 +15,10 @@ from datasp.graph import load_graph_json
 from datasp.serialize import load_checkpoint, load_tensor, save_checkpoint
 
 
+# A JSON integer too large for a float64.
+HUGE = 10 ** 400
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -261,13 +265,24 @@ def test_verify_command(tmp_path):
     assert report["checks"]["distance_consistency"]["max_deviation"] <= 1e-9
 
 
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 5.0, 10.0, 30.0])
 def test_verify_passes_at_each_beta(beta, tmp_path):
     cfg = write_config(tmp_path, "v.json", {"beta": beta})
     assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
     report = json.load(open(tmp_path / "v" / "verify_report.json"))
     assert report["ok"] and report["checks"]["walk_census"]["ok"]
     assert len(report["checks"]["sampling_frequencies"]["walks"]) == 8
+
+
+def test_verify_catches_an_adjoint_off_by_one_percent(monkeypatch, tmp_path):
+    from datasp import engine
+
+    exact = engine.datasp_backward
+    monkeypatch.setattr(engine, "datasp_backward", lambda *a: 0.99 * exact(*a))
+    cfg = write_config(tmp_path, "v.json", {"beta": 5.0})
+    assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
+    report = json.load(open(tmp_path / "v" / "verify_report.json"))
+    assert report["failures"] == ["gradients"]
 
 
 def test_resolved_train_config_runs_again(gen_dir, tmp_path):
@@ -404,11 +419,12 @@ def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, cap
     ("sample-paths", {"beta": "2"}),
     ("predict-dest", {"partial": [0, 2], "beta": True}),
     ("predict-dest", {"partial": [0, 2], "beta": "2"}),
+    ("predict-dest", {"partial": [0, 2], "prior": {"kind": "custom", "weights": [HUGE]}}),
 ], ids=["partial-out-of-range", "partial-not-int", "custom-prior-no-weights",
         "prior-not-object", "target-not-int", "num-samples-not-int", "beta-not-number",
         "context-not-list", "context-not-numbers", "sample-paths-beta-bool",
         "sample-paths-beta-numeric-string", "predict-dest-beta-bool",
-        "predict-dest-beta-numeric-string"])
+        "predict-dest-beta-numeric-string", "custom-prior-weight-too-large"])
 def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tmp_path,
                                                     capsys):
     if fields.get("checkpoint") == "CHECKPOINT":
@@ -455,6 +471,10 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
     ("verify", {"beta": True}),
     ("verify", {"beta": "2"}),
     ("train", {"keep_fraction": 0.5, "training": {"keep_count": 3}}),
+    ("verify", {"tolerance": HUGE}),
+    ("verify", {"tv_tolerance": HUGE}),
+    ("verify", {"gradcheck_tolerance": HUGE}),
+    ("verify", {"tv_num_samples": 100000}),
 ], ids=["sample-paths-seed-not-int", "sample-paths-seed-negative", "gen-seed-not-int",
         "gen-seed-bool", "train-seed-not-int", "verify-tolerance-not-number",
         "verify-tv-tolerance-not-number", "verify-gradcheck-tolerance-zero",
@@ -467,7 +487,9 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
         "train-nested-seed-differs", "sample-paths-checkpoint-not-path",
         "eval-dataset-not-path", "train-resume-not-path", "verify-graph-not-path",
         "verify-beta-bool", "verify-beta-numeric-string",
-        "train-keep-count-differs-from-keep-fraction"])
+        "train-keep-count-differs-from-keep-fraction", "verify-tolerance-too-large",
+        "verify-tv-tolerance-too-large", "verify-gradcheck-tolerance-too-large",
+        "verify-removed-tv-num-samples"])
 def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, gen_dir,
                                                              tmp_path, capsys):
     needs = {"sample-paths": {"graph": os.path.join(gen_dir, "graph.json")},

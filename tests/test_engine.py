@@ -13,13 +13,7 @@ from datasp.graph import (
     dijkstra,
     sample_subgraph,
 )
-from datasp.oracle import (
-    WalkEnumerator,
-    enumerate_visitable_walks,
-    finite_difference_gradcheck,
-    verify_distance_consistency,
-    verify_shortcut_consistency,
-)
+from datasp.oracle import WalkEnumerator, engine_deviations, finite_difference_gradcheck
 from datasp.smoothing import INF, pair_softmin, pivot
 
 
@@ -49,7 +43,7 @@ def test_k4_highest_node_one_probability(k4):
     # mass of the two walks whose highest intermediate is node 1, relative
     # to the full walk-space Boltzmann sum
     p, _, _ = datasp_forward_efficient(k4, 1.0)
-    walks = enumerate_visitable_walks(k4, 0, 3)
+    walks = WalkEnumerator(k4).walks(0, 3)
     z = sum(np.exp(-w.cost) for w in walks)
     expect = (np.exp(-3.0) + np.exp(-5.0)) / z
     assert p[0, 3, 1] == pytest.approx(expect, rel=1e-9)
@@ -92,9 +86,9 @@ def test_shortcut_invariants_on_compressed_matrix_with_nonpositive_entries():
     assert (compressed[np.isfinite(compressed)] <= 0).any()
     p, _, _ = datasp_forward_efficient(compressed, 1.0)
     assert_shortcut_invariants(p)
-    walks = WalkEnumerator(compressed)
-    assert verify_distance_consistency(walks, 1.0) <= 1e-9
-    assert verify_shortcut_consistency(walks, 1.0) <= 1e-9
+    distance_dev, shortcut_dev = engine_deviations(WalkEnumerator(compressed), 1.0)
+    assert distance_dev <= 1e-9
+    assert shortcut_dev <= 1e-9
 
 
 def test_disconnected_pair_stays_empty():
@@ -113,8 +107,9 @@ def test_walk_space_consistency_over_random_graphs():
         for beta in (0.3, 0.5, 1.0, 2.0, 30.0):
             p, _, _ = datasp_forward_efficient(m, beta)
             assert_shortcut_invariants(p)
-            assert verify_distance_consistency(walks, beta) <= 1e-9
-            assert verify_shortcut_consistency(walks, beta) <= 1e-9
+            distance_dev, shortcut_dev = engine_deviations(walks, beta)
+            assert distance_dev <= 1e-9
+            assert shortcut_dev <= 1e-9
 
 
 def test_hard_limit_matches_classical_solution(rng):

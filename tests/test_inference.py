@@ -25,7 +25,7 @@ from datasp.inference import (
     optimal_cost_rate,
     swap_nodes_in_matrix,
 )
-from datasp.oracle import enumerate_visitable_walks, maxent_distribution
+from datasp.oracle import WalkEnumerator, maxent_distribution
 
 
 def test_sample_path_direct_tensor(rng):
@@ -62,7 +62,7 @@ def test_revisited_high_node_never_sampled(k4):
 def test_cycle_rejection_support_and_frequencies(k4):
     est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 10000, np.random.default_rng(5),
                                         reject_cycles=True)
-    walks = enumerate_visitable_walks(k4, 0, 3)
+    walks = WalkEnumerator(k4).walks(0, 3)
     acyclic = [w for w in walks if len(set(w.nodes)) == len(w.nodes)]
     assert set(est.frequencies) == {w.nodes for w in acyclic}
     z = sum(np.exp(-w.cost) for w in acyclic)
@@ -161,12 +161,12 @@ def test_destination_matches_walk_space_bayes(k4):
 
     expected = np.zeros(4)
     for x in (1, 2):
-        walks = enumerate_visitable_walks(k4, 0, x)
+        walks = WalkEnumerator(k4).walks(0, x)
         mass = maxent_distribution(walks, 1.0)
         expected[x] = sum(prob for w, prob in mass.items()
                           if len(w) > 2 and max(w[1:-1]) == 3)
     # the current node itself scores through its direct-connection slot
-    expected[3] = maxent_distribution(enumerate_visitable_walks(k4, 0, 3), 1.0)[(0, 3)]
+    expected[3] = maxent_distribution(WalkEnumerator(k4).walks(0, 3), 1.0)[(0, 3)]
     expected /= expected.sum()
     assert probs == pytest.approx(expected, abs=1e-9)
 
