@@ -11,13 +11,14 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .smoothing import pivot, pivot_adjoint, softmin_value, softmin_weights
+from .smoothing import Workspace, pivot, pivot_adjoint, softmin_value, softmin_weights
 from .graph import (
     Graph,
     build_cost_matrix,
     classical_floyd_warshall,
     complete_graph,
     dijkstra,
+    draw_kept_nodes,
     exclude_nodes,
     sample_subgraph,
 )

@@ -23,9 +23,11 @@ so P has a closed form in values the sweep already passes through:
 where C[:, k] and R[k, :] are column k and row k of the running matrix just
 before pivot k, and M is the input matrix.  `shortcut_costs` returns the
 costs in those exponents for one pair, C[i, :] + R[:, j] with M[i, j] in the
-direct slot.  The sweep keeps only O(V^2) state (C, R and the running
-matrix, plus a snapshot of the running matrix every ceil(sqrt(V)) pivots) in
-an `EngineTape`.
+direct slot.  The sweep keeps C, R and the running matrix, O(V^2) each,
+plus a snapshot of the running matrix every ceil(sqrt(V)) pivots, O(V^2.5)
+in all, in an `EngineTape`.  It computes no softmin weights: P needs none,
+and the backward recomputes a segment's weights from its snapshot.  Its
+pivots share one `smoothing.Workspace` of three V x V float buffers.
 
 Queries (path sampling, destination likelihoods) call `sweep` and read the
 rows they need through `shortcut_costs`; no V^3 array is allocated for them.
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .smoothing import INF, check_beta, pivot, pivot_adjoint
+from .smoothing import INF, Workspace, check_beta, pivot, pivot_adjoint
 from .graph import validate_cost_matrix
 
 
@@ -118,12 +120,13 @@ def sweep(m: np.ndarray, beta: float) -> EngineTape:
     row = np.empty((n, n))
     snapshots = [m_input]
     cur = m_input.copy()
+    work = Workspace(n * n)
     for k in range(n):
         if k and k % stride == 0:
             snapshots.append(cur.copy())
         col[:, k] = cur[:, k]
         row[k, :] = cur[k, :]
-        pivot(cur, k, beta)
+        pivot(cur, k, beta, work)
     return EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
                       stride=stride, snapshots=snapshots)
 
@@ -165,13 +168,16 @@ def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) ->
     g_row = -beta * g_p.sum(axis=0).T  # [k, j]
     del g_p
 
+    cur = np.empty((n, n))
+    work = Workspace(n * n)
     for start in reversed(range(0, n, tape.stride)):
-        cur = tape.snapshots[start // tape.stride].copy()
-        steps = [pivot(cur, k, beta) for k in range(start, min(start + tape.stride, n))]
+        np.copyto(cur, tape.snapshots[start // tape.stride])
+        steps = [pivot(cur, k, beta, work, weights=True)
+                 for k in range(start, min(start + tape.stride, n))]
         for k in reversed(range(start, start + len(steps))):
             g[:, k] += g_col[:, k]
             g[k, :] += g_row[k, :]
-            pivot_adjoint(g, k, steps[k - start])
+            pivot_adjoint(g, k, steps[k - start], work)
 
     g -= beta * g_direct
     g[~np.isfinite(tape.m_input)] = 0.0

@@ -17,7 +17,10 @@ smooth mins.  With the removed nodes permuted first, removed node t is the
 engine's smoothed Floyd-Warshall pivot (`smoothing.pivot`) on the trailing
 block cur[t:, t:], which no longer holds the nodes removed before it; the
 last block is the compressed matrix, and `smoothing.pivot_adjoint` run in
-reverse over the same blocks is its gradient.
+reverse over the same blocks is its gradient.  `draw_kept_nodes` picks the
+nodes a training step keeps and `sample_subgraph` excludes the rest, so a
+step can rewrite its paths through `kept_node_map` and skip before any
+exclusion runs.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, is_int, is_real
-from .smoothing import INF, check_beta, pivot, pivot_adjoint
+from .smoothing import INF, Workspace, check_beta, pivot, pivot_adjoint
 
 
 class Graph:
@@ -305,8 +308,9 @@ class Compression:
         r = len(self.removed)
         grad = np.zeros((self.node_map.size,) * 2)
         grad[r:, r:] = grad_compressed
+        work = Workspace(max((w_via.size for _, w_via in self.steps), default=0))
         for t in reversed(range(r)):
-            pivot_adjoint(grad[t:, t:], 0, self.steps[t])
+            pivot_adjoint(grad[t:, t:], 0, self.steps[t], work)
         inverse = np.argsort(self.removed + self.kept)
         return grad[np.ix_(inverse, inverse)]
 
@@ -334,22 +338,21 @@ def exclude_nodes(m: np.ndarray, removed, beta: float) -> Compression:
     order = removed + kept
     r = len(removed)
     cur = m[np.ix_(order, order)]  # a copy: pivot writes in place
-    steps = [pivot(cur[t:, t:], 0, beta) for t in range(r)]
-    node_map = np.full(n, -1, dtype=np.int64)
-    node_map[kept] = np.arange(len(kept))
+    work = Workspace(n * n)
+    steps = [pivot(cur[t:, t:], 0, beta, work, weights=True) for t in range(r)]
     return Compression(matrix=cur[r:, r:].copy(), kept=kept, removed=removed,
-                       steps=steps, node_map=node_map)
+                       steps=steps, node_map=kept_node_map(n, kept))
 
 
-def sample_subgraph(
-    graph: Graph,
-    m: np.ndarray,
-    keep_count: int,
-    node_frequencies,
-    rng_seed: int,
-    beta: float,
-) -> Compression:
-    """Pick keep_count nodes and exclude the rest.
+def kept_node_map(num_nodes: int, kept) -> np.ndarray:
+    """Original node id -> index among the ascending kept nodes, or -1."""
+    node_map = np.full(num_nodes, -1, dtype=np.int64)
+    node_map[sorted(kept)] = np.arange(len(kept))
+    return node_map
+
+
+def draw_kept_nodes(graph: Graph, keep_count: int, node_frequencies, rng_seed: int) -> list[int]:
+    """Pick keep_count nodes to keep, in ascending order.
 
     Half of the kept set (rounded up) is grown as a connected subgraph by a
     randomized BFS from a frequency-weighted seed node; the remainder is
@@ -357,25 +360,33 @@ def sample_subgraph(
     node_frequencies.  Deterministic for a given rng_seed.
     """
     n = graph.num_nodes
-    if np.shape(m) != (n, n):
-        raise ValidationError("cost matrix size does not match graph")
     if not (2 <= keep_count <= n):
         raise ValidationError(f"keep_count must be in [2, {n}], got {keep_count}")
     freqs = np.asarray(node_frequencies, dtype=float)
     if freqs.shape != (n,) or (freqs < 0).any():
         raise ValidationError("node_frequencies must be nonnegative with one entry per node")
+    if keep_count == n:
+        return list(range(n))
+    rng = np.random.default_rng(rng_seed)
+    kept = _grow_connected(graph, freqs, math.ceil(keep_count / 2), rng)
+    remaining = sorted(set(range(n)) - kept)
+    extra = keep_count - len(kept)
+    if extra > 0:
+        weights = freqs[remaining] + 1e-9
+        weights = weights / weights.sum()
+        chosen = rng.choice(len(remaining), size=extra, replace=False, p=weights)
+        kept.update(remaining[int(c)] for c in chosen)
+    return sorted(kept)
 
-    kept: set[int] = set(range(n))
-    if keep_count < n:
-        rng = np.random.default_rng(rng_seed)
-        kept = _grow_connected(graph, freqs, math.ceil(keep_count / 2), rng)
-        remaining = sorted(set(range(n)) - kept)
-        extra = keep_count - len(kept)
-        if extra > 0:
-            weights = freqs[remaining] + 1e-9
-            weights = weights / weights.sum()
-            chosen = rng.choice(len(remaining), size=extra, replace=False, p=weights)
-            kept.update(remaining[int(c)] for c in chosen)
+
+def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compression:
+    """Exclude every node of the graph outside `kept` (see `draw_kept_nodes`)."""
+    n = graph.num_nodes
+    if np.shape(m) != (n, n):
+        raise ValidationError("cost matrix size does not match graph")
+    kept = set(kept)
+    if not kept <= set(range(n)):
+        raise ValidationError(f"kept nodes must lie in [0, {n}), got {sorted(kept)}")
     return exclude_nodes(m, set(range(n)) - kept, beta)
 
 

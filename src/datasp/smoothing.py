@@ -6,10 +6,18 @@ and its gradient is the softmin weight vector exp(-beta*v)/sum(exp(-beta*v)).
 beta is a positive inverse temperature; beta -> inf recovers the hard min.
 
 An entry of +inf marks an absent branch.  Infinite entries are categorical:
-they are excluded from the log-sum-exp (zero mass, zero gradient) rather
-than pushed through exp(), so no overflow, underflow or NaN can leak out
-of them.  All computations subtract the finite minimum before
-exponentiating, which keeps exp() arguments in [-inf, 0].
+they get zero mass and zero gradient, and no overflow, underflow or NaN can
+leak out of them.  `softmin_value`, `softmin_weights` and `pair_softmin`
+exclude them from the log-sum-exp; `pivot` passes them through exp() only
+as exp(-inf) = 0, mapping the NaN of inf - inf to -inf first.  All
+computations subtract the finite minimum before exponentiating, which keeps
+exp() arguments in [-inf, 0].
+
+`pivot` and `pivot_adjoint` allocate no matrix-sized temporaries: each
+writes its elementwise steps into a `Workspace` that its caller creates
+once per series of pivots and drops on return.  Its contents are garbage
+between pivots.  `pivot` computes the two-hop weights w_via only when asked
+for them, as a new array the caller keeps for the adjoint.
 """
 
 from __future__ import annotations
@@ -97,7 +105,39 @@ def pair_softmin(a, b, beta: float):
     return value, wa, wb
 
 
-def pivot(cur: np.ndarray, k: int, beta: float):
+class Workspace:
+    """Scratch buffers for `pivot` and `pivot_adjoint`: three float buffers
+    and one bool buffer of `size` entries each.
+
+    A caller that runs a series of pivots (a sweep, a backward segment loop,
+    an exclusion or its adjoint) creates one workspace, sized for its
+    largest (rows, width) block, and drops it when it returns; nothing is
+    kept between calls.  Each pivot carves (rows, width) views from the
+    front of the buffers, so their contents are garbage between pivots and
+    only the pages the largest block touches are ever used.
+    """
+
+    def __init__(self, size: int):
+        self._floats = np.empty((3, size))
+        self._mask = np.empty(size, dtype=bool)
+
+    def floats(self, rows: int, width: int) -> list[np.ndarray]:
+        return [buf[:rows * width].reshape(rows, width) for buf in self._floats]
+
+    def mask(self, rows: int, width: int) -> np.ndarray:
+        return self._mask[:rows * width].reshape(rows, width)
+
+
+def _gather_rows(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[rows], written into out when a is contiguous.  np.take copies a
+    non-contiguous source (a trailing block) whole before gathering, which
+    costs more than the fresh copy fancy indexing makes of the rows alone."""
+    if a.flags.c_contiguous:
+        return np.take(a, rows, axis=0, out=out, mode="clip")
+    return a[rows]
+
+
+def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool = False):
     """One smoothed Floyd-Warshall pivot through node k, applied to cur in place.
 
     Every pair (i, j) with a finite two-hop cost cur[i, k] + cur[k, j] takes
@@ -107,36 +147,57 @@ def pivot(cur: np.ndarray, k: int, beta: float):
     column k are read but never changed.  Only the rows i with a finite
     cur[i, k] can change, so only those are computed.
 
-    Returns (rows, w_via): those rows, and the softmin weight of the
-    two-hop branch on them (0 where the pair is not updated; the running
-    cost weighs 1 - w_via).  The arithmetic matches `pair_softmin`
-    operation for operation, so the values are bit-identical to it.
+    Every elementwise step is written into `work`, which must hold
+    rows x width entries (at most cur.size).  The arithmetic matches
+    `pair_softmin` operation for operation, so the values are bit-identical
+    to it.  A pair that is not updated (an infinite two-hop cost, or
+    i == j) comes out of the same arithmetic unchanged: its two-hop branch
+    gets weight exp(-inf) = 0.
+
+    With weights=True, returns (rows, w_via): those rows, and the softmin
+    weight of the two-hop branch on them, a new array (0 where the pair is
+    not updated; the running cost weighs 1 - w_via).  Otherwise returns
+    None and computes no weights.
     """
     rows = np.flatnonzero(np.isfinite(cur[:, k]))
-    old = cur[rows]
-    two_hop = cur[rows, k, None] + cur[None, k, :]
-    active = np.isfinite(two_hop)
-    active[np.arange(rows.size), rows] = False
+    old, two_hop, e = work.floats(rows.size, cur.shape[1])
+    old = _gather_rows(cur, rows, old)
+    np.add(cur[rows, k, None], cur[None, k, :], out=two_hop)
+    two_hop[np.arange(rows.size), rows] = INF
     with np.errstate(invalid="ignore"):
-        shift = np.minimum(two_hop, old)
-        gap = np.abs(two_hop - old)
-    e = np.exp(-beta * gap)
-    denom = 1.0 + e
-    value = shift - np.log(denom) / beta
-    w_via = np.where(active, np.where(two_hop <= old, 1.0, e) / denom, 0.0)
-    cur[rows] = np.where(active, value, old)
-    return rows, w_via
+        np.subtract(two_hop, old, out=e)  # NaN where both branches are inf
+    np.abs(e, out=e)
+    if weights:
+        via_wins = np.less(two_hop, old, out=work.mask(rows.size, cur.shape[1]))
+    np.minimum(two_hop, old, out=two_hop)
+    np.multiply(e, -beta, out=e)
+    np.fmax(e, -INF, out=e)  # NaN -> -inf: no finite branch, no mass
+    np.exp(e, out=e)
+    denom = np.add(e, 1.0, out=old)
+    w_via = None
+    if weights:
+        # On a tie exp(-beta * 0) is exactly 1, so `<` gives the weight
+        # `pair_softmin` gives with `<=`, and 0 where both branches are inf.
+        w_via = np.where(via_wins, 1.0, e)
+        w_via /= denom
+    np.log(denom, out=denom)
+    denom /= beta
+    cur[rows] = np.subtract(two_hop, denom, out=two_hop)
+    return (rows, w_via) if weights else None
 
 
-def pivot_adjoint(g: np.ndarray, k: int, step) -> None:
+def pivot_adjoint(g: np.ndarray, k: int, step, work: Workspace) -> None:
     """Carry a gradient w.r.t. the output of `pivot` back to its input, in place.
 
     step is the (rows, w_via) pair `pivot` returned for node k.  An updated
     pair passes the share w_via of its gradient to the two-hop branch, that
-    is to the entries (i, k) and (k, j); the rest stays on (i, j).
+    is to the entries (i, k) and (k, j); the rest stays on (i, j).  `work`
+    must hold w_via.size entries.
     """
     rows, w_via = step
-    g_two_hop = g[rows] * w_via
-    g[rows] -= g_two_hop
+    g_rows, g_two_hop, _ = work.floats(*w_via.shape)
+    g_rows = _gather_rows(g, rows, g_rows)
+    np.multiply(g_rows, w_via, out=g_two_hop)
+    g[rows] = np.subtract(g_rows, g_two_hop, out=g_rows)
     g[rows, k] += g_two_hop.sum(axis=1)
     g[k, :] += g_two_hop.sum(axis=0)

@@ -43,7 +43,7 @@ import numpy as np
 from .costmodel import ModelParams, backward_params, init_params, predict_costs
 from .engine import datasp_backward, datasp_forward_efficient
 from .errors import NumericalError, ValidationError, is_int, require_types
-from .graph import build_cost_matrix, sample_subgraph
+from .graph import build_cost_matrix, draw_kept_nodes, kept_node_map, sample_subgraph
 from .inference import expected_optimal_path, jaccard_edges
 from .serialize import save_checkpoint
 from .trajectories import (
@@ -180,17 +180,20 @@ def anchor_gradients(
     m_full = build_cost_matrix(costs, graph)
 
     keep = config.keep_count if config.keep_count is not None else graph.num_nodes
-    compression = sample_subgraph(graph, m_full, keep, node_freqs, sample_seed, config.beta)
+    kept = draw_kept_nodes(graph, keep, node_freqs, sample_seed)
+    node_map = kept_node_map(graph.num_nodes, kept)
 
     paths = []
     for idx in similar_indices(dataset, anchor, config.similarity_fraction, candidates):
-        rewritten = apply_node_exclusion_to_path(dataset.paths[idx], compression.node_map)
+        rewritten = apply_node_exclusion_to_path(dataset.paths[idx], node_map)
         if rewritten is not None:
             paths.append(rewritten)
     if not paths:
         return None, {"L_S": float("nan"), "L_P": float("nan"), "grad_norm": 0.0,
-                      "kept_nodes": compression.kept, "skipped": True, "floored": 0,
+                      "kept_nodes": kept, "skipped": True, "floored": 0,
                       "reason": "no trajectories survived node exclusion"}
+
+    compression = sample_subgraph(graph, m_full, kept, config.beta)
 
     freq = build_frequency_tensor(paths)
     p, _, tape = datasp_forward_efficient(compression.matrix, config.beta)
@@ -208,7 +211,7 @@ def anchor_gradients(
 
     return grads, {"L_S": float(l_s), "L_P": float(l_p),
                    "grad_norm": math.sqrt(sum(float((g * g).sum()) for g in grads)),
-                   "kept_nodes": compression.kept, "skipped": False, "floored": floored,
+                   "kept_nodes": kept, "skipped": False, "floored": floored,
                    "reason": ""}
 
 

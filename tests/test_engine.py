@@ -1,20 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from datasp.engine import datasp_backward, datasp_forward_efficient
+from datasp.engine import datasp_backward, datasp_forward_efficient, sweep
 from datasp.errors import ValidationError
 from datasp.graph import (
     Graph,
     build_cost_matrix,
     classical_floyd_warshall,
     dijkstra,
+    draw_kept_nodes,
     sample_subgraph,
 )
 from datasp.oracle import WalkEnumerator, engine_deviations, finite_difference_gradcheck
-from datasp.smoothing import INF, pair_softmin, pivot
+from datasp.smoothing import INF, Workspace, pair_softmin, pivot
 
 
 def assert_shortcut_invariants(p, tol=1e-9):
@@ -60,29 +62,83 @@ def test_row_distribution_and_tensor_invariants(k4, rng):
     assert np.allclose(p2.sum(axis=2)[~np.eye(7, dtype=bool)], 1.0, atol=1e-9)
 
 
+def _pair_softmin_pivot(cur, k, beta):
+    """Reference pivot through pair_softmin: (new matrix, rows, w_via)."""
+    n = cur.shape[0]
+    two_hop = cur[:, k, None] + cur[None, k, :]
+    active = np.isfinite(two_hop) & ~np.eye(n, dtype=bool)
+    active[k, :] = False
+    active[:, k] = False
+    value, w_two_hop, _ = pair_softmin(two_hop, cur, beta)
+    rows = np.flatnonzero(np.isfinite(cur[:, k]))
+    return np.where(active, value, cur), rows, np.where(active, w_two_hop, 0.0)[rows]
+
+
+def _assert_pivot_matches_reference(cur, k, beta, work):
+    """Pivot cur (a matrix or a view) in place, with and without weights,
+    and compare both calls with the reference bit for bit."""
+    expected, rows_ref, w_ref = _pair_softmin_pivot(cur.copy(), k, beta)
+    plain = cur.copy()
+    assert pivot(plain, k, beta, work) is None
+    assert np.array_equal(plain, expected)
+    rows, w_via = pivot(cur, k, beta, work, weights=True)
+    assert np.array_equal(cur, expected)
+    assert np.array_equal(rows, rows_ref)
+    assert np.array_equal(w_via, w_ref)
+
+
 def test_pivot_is_bit_identical_to_pair_softmin(rng):
     graph, costs = random_connected_graph(9, rng)
     cur = build_cost_matrix(costs, graph)
-    offdiag = ~np.eye(9, dtype=bool)
+    work = Workspace(cur.size)
     for k in range(9):
-        two_hop = cur[:, k, None] + cur[None, k, :]
-        active = np.isfinite(two_hop) & offdiag
-        active[k, :] = False
-        active[:, k] = False
-        value, w_two_hop, _ = pair_softmin(two_hop, cur, 0.7)
-        new = cur.copy()
-        rows, w_via = pivot(new, k, 0.7)
-        assert np.array_equal(new, np.where(active, value, cur))
-        assert np.array_equal(rows, np.flatnonzero(np.isfinite(cur[:, k])))
-        assert np.array_equal(w_via, np.where(active, w_two_hop, 0.0)[rows])
-        cur = new
+        _assert_pivot_matches_reference(cur, k, 0.7, work)
+
+    # a trailing block cur[t:, t:] is a non-contiguous view; the pivot
+    # writes through it and leaves the rest of the matrix alone
+    graph, costs = random_connected_graph(14, rng, extra_edges=10)
+    big = build_cost_matrix(costs, graph)
+    work = Workspace(big.size)
+    for t in range(0, 12, 3):
+        before = big.copy()
+        _assert_pivot_matches_reference(big[t:, t:], 0, 3.0, work)
+        outside = np.ones(big.shape, dtype=bool)
+        outside[t:, t:] = False
+        assert np.array_equal(big[outside], before[outside])
+
+    # one workspace across pivots whose row counts and widths fall and then
+    # rise: no entry left by an earlier, larger pivot may leak into a later one
+    work = Workspace(16 * 16)
+    for size, extra in ((16, 40), (11, 3), (5, 1), (3, 0), (8, 2), (13, 6), (16, 40)):
+        graph, costs = random_connected_graph(size, rng, extra_edges=extra, low=0.1, high=3.0)
+        cur = build_cost_matrix(costs, graph)
+        for k in range(size):
+            _assert_pivot_matches_reference(cur, k, 1.3, work)
+
+
+def test_sweep_working_memory_is_a_few_matrices(rng):
+    """Beyond the tape it returns, a sweep holds at most 6 V x V float
+    matrices at once."""
+    n = 64
+    graph, costs = random_connected_graph(n, rng)
+    m = build_cost_matrix(costs, graph)
+    tracemalloc.start()
+    try:
+        tape = sweep(m, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = {id(a): a for a in (tape.m_input, tape.col, tape.row, tape.dist, *tape.snapshots)}
+    tape_bytes = sum(a.nbytes for a in arrays.values())
+    assert peak - tape_bytes <= 6 * n * n * 8
 
 
 def test_shortcut_invariants_on_compressed_matrix_with_nonpositive_entries():
     rng = np.random.default_rng(0)
     graph, costs = random_connected_graph(10, rng, extra_edges=4, low=0.1, high=0.6)
     m = build_cost_matrix(costs, graph)
-    compressed = sample_subgraph(graph, m, 5, np.ones(10), rng_seed=0, beta=1.0).matrix
+    kept = draw_kept_nodes(graph, 5, np.ones(10), rng_seed=0)
+    compressed = sample_subgraph(graph, m, kept, beta=1.0).matrix
     assert (compressed[np.isfinite(compressed)] <= 0).any()
     p, _, _ = datasp_forward_efficient(compressed, 1.0)
     assert_shortcut_invariants(p)

@@ -18,13 +18,14 @@ from datasp.graph import (
     complete_graph,
     dijkstra,
     distances_to,
+    draw_kept_nodes,
     exclude_nodes,
     graph_from_json_dict,
     load_graph_json,
     path_cost,
     sample_subgraph,
 )
-from datasp.smoothing import INF, pair_softmin, pivot, pivot_adjoint
+from datasp.smoothing import INF, Workspace, pair_softmin, pivot, pivot_adjoint
 
 
 # --- Graph / cost matrix construction ---------------------------------------
@@ -293,14 +294,15 @@ def _knockout_exclusion(m, removed, beta, upstream):
     the gradient of <upstream, kept block> w.r.t. m."""
     kept = [x for x in range(m.shape[0]) if x not in removed]
     cur, steps = m.copy(), []
+    work = Workspace(m.size)
     for k in removed:
-        steps.append(pivot(cur, k, beta))
+        steps.append(pivot(cur, k, beta, work, weights=True))
         cur[k, :] = INF
         cur[:, k] = INF
     grad = np.zeros(m.shape)
     grad[np.ix_(kept, kept)] = upstream
     for k, step in zip(reversed(removed), reversed(steps)):
-        pivot_adjoint(grad, k, step)
+        pivot_adjoint(grad, k, step, work)
     return cur[np.ix_(kept, kept)], grad
 
 
@@ -377,7 +379,7 @@ def test_exclusion_backward_matches_finite_differences(rng):
 
 def test_sample_subgraph_keep_all_is_identity(k4):
     g = complete_graph(4)
-    comp = sample_subgraph(g, k4, 4, np.ones(4), rng_seed=0, beta=1.0)
+    comp = sample_subgraph(g, k4, draw_kept_nodes(g, 4, np.ones(4), rng_seed=0), beta=1.0)
     assert comp.kept == [0, 1, 2, 3]
     assert np.array_equal(comp.matrix, k4)
     assert not comp.steps
@@ -388,7 +390,8 @@ def test_sample_subgraph_drop_one_preserves_hard_distances(k4):
     dist_full = classical_floyd_warshall(k4)
     found = False
     for seed in range(30):
-        comp = sample_subgraph(g, k4, 3, np.ones(4), rng_seed=seed, beta=100.0)
+        comp = sample_subgraph(g, k4, draw_kept_nodes(g, 3, np.ones(4), rng_seed=seed),
+                               beta=100.0)
         if comp.removed == [2]:
             found = True
             dist_sub = classical_floyd_warshall(comp.matrix)
@@ -402,8 +405,8 @@ def test_sample_subgraph_deterministic(k4, rng):
     graph, costs = random_connected_graph(12, rng)
     m = build_cost_matrix(costs, graph)
     freqs = rng.uniform(0, 5, size=12)
-    one = sample_subgraph(graph, m, 6, freqs, rng_seed=42, beta=1.0)
-    two = sample_subgraph(graph, m, 6, freqs, rng_seed=42, beta=1.0)
+    one = sample_subgraph(graph, m, draw_kept_nodes(graph, 6, freqs, rng_seed=42), beta=1.0)
+    two = sample_subgraph(graph, m, draw_kept_nodes(graph, 6, freqs, rng_seed=42), beta=1.0)
     assert one.kept == two.kept
     assert np.array_equal(one.matrix, two.matrix)
 
@@ -411,7 +414,8 @@ def test_sample_subgraph_deterministic(k4, rng):
 def test_sample_subgraph_grows_connected_half(rng):
     graph, costs = random_connected_graph(12, rng)
     m = build_cost_matrix(costs, graph)
-    comp = sample_subgraph(graph, m, 8, np.ones(12), rng_seed=3, beta=1.0)
+    comp = sample_subgraph(graph, m, draw_kept_nodes(graph, 8, np.ones(12), rng_seed=3),
+                           beta=1.0)
     assert len(comp.kept) == 8
     assert len(comp.removed) == 4
     assert comp.matrix.shape == (8, 8)
@@ -420,9 +424,11 @@ def test_sample_subgraph_grows_connected_half(rng):
 def test_sample_subgraph_validates_keep_count(k4):
     g = complete_graph(4)
     with pytest.raises(ValidationError):
-        sample_subgraph(g, k4, 1, np.ones(4), rng_seed=0, beta=1.0)
+        draw_kept_nodes(g, 1, np.ones(4), rng_seed=0)
     with pytest.raises(ValidationError):
-        sample_subgraph(g, k4, 5, np.ones(4), rng_seed=0, beta=1.0)
+        draw_kept_nodes(g, 5, np.ones(4), rng_seed=0)
+    with pytest.raises(ValidationError):
+        sample_subgraph(g, k4, [0, 4], beta=1.0)
 
 
 def test_fw_equals_engine_hard_limit(rng):

@@ -7,7 +7,7 @@ from conftest import random_connected_graph
 from datasp.costmodel import init_params, predict_costs
 from datasp.engine import datasp_backward, datasp_forward_efficient
 from datasp.errors import ValidationError
-from datasp.graph import build_cost_matrix, sample_subgraph
+from datasp.graph import build_cost_matrix, draw_kept_nodes, sample_subgraph
 from datasp.oracle import finite_difference_gradcheck
 from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from datasp.trajectories import (
@@ -230,7 +230,8 @@ def test_exclusion_chain_cost_gradient():
 
     def loss_and_grad(edge_costs):
         m = build_cost_matrix(edge_costs, graph)
-        comp = sample_subgraph(graph, m, keep, node_freqs, rng_seed=5, beta=beta)
+        comp = sample_subgraph(graph, m, draw_kept_nodes(graph, keep, node_freqs, rng_seed=5),
+                               beta=beta)
         rewritten = [apply_node_exclusion_to_path(p, comp.node_map) for p in paths]
         rewritten = [p for p in rewritten if p is not None]
         freq = build_frequency_tensor(rewritten)
@@ -324,3 +325,25 @@ def test_config_validation():
         TrainConfig(keep_count=1).validate(10)
     with pytest.raises(ValidationError):
         TrainConfig(keep_count=11).validate(10)
+
+
+def test_skipped_anchors_run_no_exclusion(monkeypatch):
+    """The kept set is drawn and the similar paths rewritten before any
+    exclusion runs, so only the anchors that train exclude nodes."""
+    import datasp.graph
+
+    calls = []
+    original = datasp.graph.exclude_nodes
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(datasp.graph, "exclude_nodes", counting)
+    result, dataset = small_dataset(num_samples=30)
+    config = TrainConfig(epochs=1, keep_count=2, hidden_sizes=[8],
+                         similarity_fraction=0.1, seed=0)
+    steps = [entry for entry in train_loop(dataset, config).log if "epoch" not in entry]
+    trained = [entry for entry in steps if not entry["skipped"]]
+    assert 0 < len(trained) < len(steps)
+    assert len(calls) == len(trained)
