@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .costmodel import predict_costs
-from .engine import datasp_forward_efficient, sweep
+from .engine import datasp_forward_efficient
 from .errors import (
     GenerationError,
     NoPathError,
@@ -50,7 +50,6 @@ from .inference import (
     monte_carlo_path_distribution,
     optimal_cost_rate,
     expected_optimal_path,
-    swap_nodes_in_matrix,
 )
 from .oracle import (
     WalkEnumerator,
@@ -105,7 +104,7 @@ DEFAULTS = {
         "seed": 0,
         "graph": None,
         "checkpoint": None,        # None samples under the prior costs
-        "context": None,
+        "context": None,           # the checkpoint's input; set only with a checkpoint
         "source": 0,
         "target": 1,
         "num_samples": 1000,
@@ -115,8 +114,8 @@ DEFAULTS = {
     "predict-dest": {
         "seed": 0,
         "graph": None,
-        "checkpoint": None,
-        "context": None,
+        "checkpoint": None,        # None scores under the prior costs
+        "context": None,           # the checkpoint's input; set only with a checkpoint
         "partial": None,
         "prior": {"kind": "uniform"},
         "beta": 1.0,
@@ -233,11 +232,14 @@ def _positive_float(value, name: str) -> float:
 
 def _model_costs(config, graph, prior, out_meta: dict):
     """Edge costs from a checkpoint + context, or the prior when absent."""
+    if config["checkpoint"] is None and config["context"] is not None:
+        raise ValidationError("context is read only with a checkpoint; set checkpoint "
+                              "or drop context")
     if config["checkpoint"] is not None:
         params, _, _, _ = load_checkpoint(config["checkpoint"])
         if params.edge_count != graph.num_edges:
             raise ValidationError("checkpoint edge count does not match graph")
-        context = config.get("context")
+        context = config["context"]
         if not isinstance(context, list) or not all(is_real(x) for x in context):
             raise ValidationError(f"a checkpoint needs a context list of finite numbers, "
                                   f"got {context!r}")
@@ -446,11 +448,11 @@ def cmd_sample_paths(args) -> int:
                               f"got {config['reject_cycles']!r}")
     meta: dict = {"beta": config["beta"]}
     costs = _model_costs(config, graph, prior, meta)
-    tape = sweep(build_cost_matrix(costs, graph), config["beta"])
 
     rng = np.random.default_rng(config["seed"])
     estimate = monte_carlo_path_distribution(
-        tape, source, target, num_samples, rng, reject_cycles=config["reject_cycles"],
+        build_cost_matrix(costs, graph), config["beta"], source, target, num_samples, rng,
+        reject_cycles=config["reject_cycles"],
     )
     samples_path = os.path.join(out_dir, "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
@@ -479,6 +481,10 @@ def cmd_sample_paths(args) -> int:
 # ---------------------------------------------------------------------------
 # predict-dest
 
+# The fields each destination prior kind reads; any other field is an error.
+PRIOR_FIELDS = {"uniform": {"kind"}, "exp-negative-distance": {"kind"},
+                "custom": {"kind", "weights"}}
+
 
 def cmd_predict_dest(args) -> int:
     config = _load_config(args, "predict-dest")
@@ -487,32 +493,33 @@ def cmd_predict_dest(args) -> int:
     prior_cfg = config["prior"]
     if not isinstance(prior_cfg, dict):
         raise ValidationError(f"prior must be an object with a 'kind', got {prior_cfg!r}")
+    kind = prior_cfg.get("kind", "uniform")
+    if not (isinstance(kind, str) and kind in PRIOR_FIELDS):
+        raise ValidationError(f"unknown destination prior kind {kind!r}")
+    unread = sorted(set(prior_cfg) - PRIOR_FIELDS[kind])
+    if unread:
+        raise ValidationError(f"prior field {', '.join(unread)} is not read by kind {kind!r}")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
     graph, prior, _ = load_graph_json(config["graph"])
     partial = [_node_index(x, graph.num_nodes, "partial path node") for x in config["partial"]]
-    current = partial[-1]
     meta: dict = {"beta": config["beta"]}
     costs = _model_costs(config, graph, prior, meta)
     m = build_cost_matrix(costs, graph)
 
-    kind = prior_cfg.get("kind", "uniform")
     if kind == "uniform":
         dest_prior = DestinationPrior.uniform(graph.num_nodes)
     elif kind == "exp-negative-distance":
-        dest_prior = DestinationPrior.exp_negative_distance(m, current)
-    elif kind == "custom":
+        dest_prior = DestinationPrior.exp_negative_distance(m, partial[-1])
+    else:
         weights = prior_cfg.get("weights")
         if not isinstance(weights, list) or not all(is_real(w) for w in weights):
             raise ValidationError(f"a custom prior needs a 'weights' list of finite numbers, "
                                   f"got {weights!r}")
         dest_prior = DestinationPrior(weights=weights)
-    else:
-        raise ValidationError(f"unknown destination prior kind {kind!r}")
 
-    tape = sweep(swap_nodes_in_matrix(m, current, graph.num_nodes - 1), config["beta"])
-    probs = destination_likelihood(tape, partial, dest_prior)
+    probs = destination_likelihood(m, config["beta"], partial, dest_prior)
     doc = {
         "probabilities": {str(node): float(prob) for node, prob in enumerate(probs)
                           if prob > 0},
@@ -569,7 +576,7 @@ def cmd_verify(args) -> int:
 
     # One Monte-Carlo estimate serves the per-walk bands and the total variation.
     theory = maxent_distribution(walks, beta)
-    observed = monte_carlo_path_distribution(sweep(m, beta), 0, 3, num_samples,
+    observed = monte_carlo_path_distribution(m, beta, 0, 3, num_samples,
                                              np.random.default_rng(config["seed"])).frequencies
     cost = {w.nodes: w.cost for w in walks}
     bands = [{"walk": list(walk), "theory": prob, "observed": observed.get(walk, 0.0),

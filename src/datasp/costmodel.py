@@ -126,21 +126,17 @@ def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCac
     return costs, cache
 
 
-def backward_params(cache: ForwardCache, grad_costs) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact reverse-mode gradients through the softplus head and the MLP.
-
-    Returns (gradients in `ModelParams.flat_arrays()` order, gradient
-    w.r.t. the context features).
-    """
+def backward_params(cache: ForwardCache, grad_costs) -> list[np.ndarray]:
+    """Exact reverse-mode gradients through the softplus head and the MLP,
+    in `ModelParams.flat_arrays()` order."""
     params = cache.params
     grad_costs = np.asarray(grad_costs, dtype=float)
     if grad_costs.shape != (params.edge_count,):
         raise ValidationError(f"expected gradient of shape ({params.edge_count},)")
     delta = grad_costs * cache.gate
     grads = [np.outer(delta, cache.activations[-1]), delta]
-    upstream = params.weights[-1].T @ delta
+    upstream = delta
     for layer in range(len(params.weights) - 2, -1, -1):
-        upstream = upstream * (cache.pre_activations[layer] > 0)
+        upstream = (params.weights[layer + 1].T @ upstream) * (cache.pre_activations[layer] > 0)
         grads[:0] = [np.outer(upstream, cache.activations[layer]), upstream]
-        upstream = params.weights[layer].T @ upstream
-    return grads, upstream
+    return grads

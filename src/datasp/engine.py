@@ -29,20 +29,20 @@ in all, in an `EngineTape`.  It computes no softmin weights: P needs none,
 and the backward recomputes a segment's weights from its snapshot.  Its
 pivots share one `smoothing.Workspace` of three V x V float buffers.
 
-Queries (path sampling, destination likelihoods) call `sweep` and read the
-rows they need through `shortcut_costs`; no V^3 array is allocated for them.
-`datasp_forward_efficient` is `sweep` plus the dense O(V^3) build of P, which
-only the training loss and the oracle checks use.  The backward pass reduces
-the upstream gradient on P to gradients on D, C, R and the direct slots,
-then runs one reverse sweep over the pivots, recomputing each
-sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank &
-Walther's "revolve").
+The queries in `inference` (path sampling, destination likelihoods) run
+`sweep` themselves and read the rows they need through `shortcut_costs`; a
+sweep's tape holds no P, and no V^3 array is allocated for them.
+`datasp_forward_efficient` is `sweep` plus the dense O(V^3) build of P,
+which only the training loss and the oracle checks use; its tape holds that
+P.  The backward pass, which needs such a tape, reduces the upstream
+gradient on P to gradients on D, C, R and the direct slots, then runs one
+reverse sweep over the pivots, recomputing each sqrt(V)-pivot segment from
+its snapshot (checkpointing as in Griewank & Walther's "revolve").
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +56,9 @@ from .graph import validate_cost_matrix
 class EngineTape:
     """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots.
 
-    A tape from `datasp_forward_efficient` refers to its P weakly: the
-    backward reuses that P while the caller still holds it (it must not be
-    modified in place), and rebuilds it from the tape otherwise.
+    A tape from `datasp_forward_efficient` holds the P it returned, which
+    the backward reads (it must not be modified in place); a tape from
+    `sweep` holds none.
     """
 
     beta: float
@@ -69,13 +69,7 @@ class EngineTape:
     dist: np.ndarray
     stride: int
     snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
-    p_ref: weakref.ref | None = None
-
-    def shortcuts(self) -> np.ndarray:
-        p = self.p_ref() if self.p_ref is not None else None
-        if p is None:
-            p = _shortcuts(self)
-        return p
+    p: np.ndarray | None = None
 
 
 def shortcut_costs(tape: EngineTape, a: int, b: int) -> np.ndarray:
@@ -134,21 +128,24 @@ def sweep(m: np.ndarray, beta: float) -> EngineTape:
 def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, EngineTape]:
     """Forward pass: returns (shortcut tensor P, smoothed distance matrix D, tape)."""
     tape = sweep(m, beta)
-    p = _shortcuts(tape)
-    tape.p_ref = weakref.ref(p)
-    return p, tape.dist, tape
+    tape.p = _shortcuts(tape)
+    return tape.p, tape.dist, tape
 
 
 def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) -> np.ndarray:
     """Reverse-mode adjoint: gradients of a scalar loss w.r.t. the input matrix.
 
-    grad_p / grad_m are the upstream gradients w.r.t. the returned P and D.
-    Through the closed form, G = grad_p * P moves beta * sum_k G[i, j, k]
-    onto D[i, j], -beta * G[i, j, k] onto C[i, k] and R[k, j], and
-    -beta * G[i, j, i] onto the input entry M[i, j].  The reverse sweep then
-    carries the running-matrix gradient back through each pivot, adding the
-    C and R gradients of pivot k as it passes.
+    tape must come from `datasp_forward_efficient`, and grad_p / grad_m are
+    the upstream gradients w.r.t. the P and D it returned.  Through the
+    closed form, G = grad_p * P moves beta * sum_k G[i, j, k] onto D[i, j],
+    -beta * G[i, j, k] onto C[i, k] and R[k, j], and -beta * G[i, j, i] onto
+    the input entry M[i, j].  The reverse sweep then carries the
+    running-matrix gradient back through each pivot, adding the C and R
+    gradients of pivot k as it passes.
     """
+    if tape.p is None:
+        raise ValidationError("the backward needs the tape of datasp_forward_efficient; "
+                              "a sweep's tape holds no shortcut tensor")
     n = tape.size
     grad_p = np.asarray(grad_p, dtype=float)
     grad_m = np.asarray(grad_m, dtype=float)
@@ -158,7 +155,7 @@ def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) ->
             f"got {grad_p.shape} and {grad_m.shape}"
         )
     beta = tape.beta
-    g_p = grad_p * tape.shortcuts()
+    g_p = grad_p * tape.p
     nodes = np.arange(n)
     direct = (nodes[:, None], nodes[None, :], nodes[:, None])
     g_direct = g_p[direct]

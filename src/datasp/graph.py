@@ -292,21 +292,18 @@ class Compression:
     """Result of excluding the removed nodes, in ascending order.
 
     steps[t] is the (rows, w_via) pair `pivot` returned for removed[t] on
-    the trailing block whose nodes are removed[t:] + kept, in that order;
-    node_map sends an original node id to its compressed index, or -1 when
-    the node was removed.
+    the trailing block whose nodes are removed[t:] + kept, in that order.
     """
 
     matrix: np.ndarray
     kept: list[int]
     removed: list[int]
     steps: list[tuple[np.ndarray, np.ndarray]]
-    node_map: np.ndarray
 
     def backward(self, grad_compressed: np.ndarray) -> np.ndarray:
         """Chain a gradient w.r.t. the compressed matrix back to the full one."""
         r = len(self.removed)
-        grad = np.zeros((self.node_map.size,) * 2)
+        grad = np.zeros((r + len(self.kept),) * 2)
         grad[r:, r:] = grad_compressed
         work = Workspace(max((w_via.size for _, w_via in self.steps), default=0))
         for t in reversed(range(r)):
@@ -340,8 +337,7 @@ def exclude_nodes(m: np.ndarray, removed, beta: float) -> Compression:
     cur = m[np.ix_(order, order)]  # a copy: pivot writes in place
     work = Workspace(n * n)
     steps = [pivot(cur[t:, t:], 0, beta, work, weights=True) for t in range(r)]
-    return Compression(matrix=cur[r:, r:].copy(), kept=kept, removed=removed,
-                       steps=steps, node_map=kept_node_map(n, kept))
+    return Compression(matrix=cur[r:, r:].copy(), kept=kept, removed=removed, steps=steps)
 
 
 def kept_node_map(num_nodes: int, kept) -> np.ndarray:

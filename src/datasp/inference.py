@@ -1,9 +1,10 @@
 """Path sampling and destination likelihoods read from the engine's sweep,
 expected optimal paths, and evaluation metrics.
 
-Queries take the `EngineTape` of `engine.sweep`, not the shortcut tensor P:
-every row they need is read through `engine.shortcut_costs`, in log space,
-so no V^3 array is built and no row underflows to all zeros.
+Queries take the cost matrix and beta and run `engine.sweep` themselves, not
+the shortcut tensor P: every row they need is read from the sweep's tape
+through `engine.shortcut_costs`, in log space, so no V^3 array is built and
+no row underflows to all zeros.  `ShortcutSampler` is the sampler on a tape.
 
 Sampling recursively draws the highest intermediate node H between the
 endpoints, then recurses into both halves with all slots above H masked out
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineTape, shortcut_costs
+from .engine import EngineTape, shortcut_costs, sweep
 from .errors import NoPathError, ValidationError
 from .graph import (
     Graph,
@@ -96,14 +97,16 @@ class ShortcutSampler:
 
 
 def monte_carlo_path_distribution(
-    tape: EngineTape,
+    m: np.ndarray,
+    beta: float,
     i: int,
     j: int,
     num_samples: int,
     rng,
     reject_cycles: bool = False,
 ) -> PathDistributionEstimate:
-    """Empirical walk distribution from repeated sampling.
+    """Empirical walk distribution of i -> j from repeated sampling on the
+    sweep of cost matrix m at beta.
 
     With reject_cycles, walks with repeated nodes are discarded (and
     counted); sampling continues until num_samples walks are accepted or
@@ -111,7 +114,7 @@ def monte_carlo_path_distribution(
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
-    sampler = ShortcutSampler(tape)
+    sampler = ShortcutSampler(sweep(m, beta))
     counts: dict[tuple[int, ...], int] = {}
     accepted = 0
     rejected = 0
@@ -178,31 +181,24 @@ class DestinationPrior:
         return cls(weights=weights, kind="exp-negative-distance")
 
 
-def swap_nodes_in_matrix(m: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Exchange node indices a and b (rows and columns)."""
-    out = m.copy()
-    out[[a, b], :] = out[[b, a], :]
-    out[:, [a, b]] = out[:, [b, a]]
-    return out
-
-
 def destination_likelihood(
-    tape: EngineTape,
+    m: np.ndarray,
+    beta: float,
     partial: list[int],
     prior: DestinationPrior,
 ) -> np.ndarray:
-    """Per-node destination probabilities given a partial path.
+    """Per-node destination probabilities given a partial path on cost matrix m.
 
-    tape must come from `engine.sweep` on a cost matrix in which the
-    partial path's final node was swapped with index V-1, so that "the
-    final node is the highest intermediate" is a single slot.  Nodes already
-    visited (except the current one) get probability zero; the current node
-    itself is scored by its direct-connection slot.  Scores are summed in
-    log space, log P[s, t, V-1] + log prior, so destinations whose P
-    underflows still rank.  Probabilities are returned in original node
-    indexing.
+    The partial path's final node is swapped with index V-1 before the
+    sweep, so that "the final node is the highest intermediate" is a single
+    slot.  Nodes already visited (except the current one) get probability
+    zero; the current node itself is scored by its direct-connection slot.
+    Scores are summed in log space, log P[s, t, V-1] + log prior, so
+    destinations whose P underflows still rank.  Probabilities are returned
+    in original node indexing.
     """
-    n = tape.size
+    m = validate_cost_matrix(m)
+    n = m.shape[0]
     partial = [int(x) for x in partial]
     if len(partial) < 2:
         raise ValidationError("partial path must contain at least two nodes")
@@ -214,22 +210,17 @@ def destination_likelihood(
         raise ValidationError("prior weight vector size must match node count")
 
     start, current = partial[0], partial[-1]
-
-    def swapped(x: int) -> int:
-        if x == current:
-            return n - 1
-        if x == n - 1:
-            return current
-        return x
-
-    s = swapped(start)
+    swapped = np.arange(n)  # its own inverse: original <-> swapped index
+    swapped[[current, n - 1]] = [n - 1, current]
+    tape = sweep(m[np.ix_(swapped, swapped)], beta)
+    s = swapped[start]
     visited = set(partial[:-1])
     log_scores = np.full(n, -INF)
     for node in range(n):
         weight = prior.weights[node]
         if node in visited or weight == 0.0:
             continue
-        t = swapped(node)
+        t = swapped[node]
         cost = shortcut_costs(tape, s, t)[s if node == current else n - 1]
         if np.isfinite(cost):
             log_scores[node] = -tape.beta * (cost - tape.dist[s, t]) + math.log(weight)

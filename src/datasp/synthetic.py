@@ -35,10 +35,13 @@ class GeneratorConfig:
     neighbor_candidates: int = 11
     hidden_mix_dim: int = 16
     context_gain: float = 3.5
-    # Side length of the square positions are drawn from.  10 puts typical
-    # nearest-neighbor edge costs near 1, the regime the smoothing defaults
-    # (beta = 1) are tuned for; with side 1 the Boltzmann walk sums are
-    # swamped by cycle mass and the shortcut tensor degenerates.
+    # Side length of the square positions are drawn from.  With the default
+    # 30 nodes, side 10 puts nearest-neighbor distances near 1 and the median
+    # prior edge cost near 3.  At that scale the Boltzmann walk series of the
+    # prior diverges at beta = 1 and converges at beta = 2: the spectral
+    # radius of exp(-beta * M_prior) is 1.45-1.83 and 0.63-0.96 (generator
+    # seeds 0-2).  With side 1 the walk sums are swamped by cycle mass and
+    # the shortcut tensor degenerates.
     position_scale: float = 10.0
 
     def validate(self) -> "GeneratorConfig":

@@ -204,7 +204,7 @@ def anchor_gradients(
     grad_m_full = compression.backward(grad_m_c)
     ea = graph.edge_array()
     grad_costs = grad_m_full[ea[:, 0], ea[:, 1]] + config.alpha * grad_costs_prior
-    grads, _ = backward_params(cache, grad_costs)
+    grads = backward_params(cache, grad_costs)
 
     if not (math.isfinite(l_s) and math.isfinite(l_p)):
         raise NumericalError(f"non-finite loss at anchor {anchor}: L_S={l_s} L_P={l_p}")

@@ -4,11 +4,19 @@ look them up.
 perfbench/spans.py rebinds each function of perfbench/spec.py `LAYERS` at
 the module global its caller reads (`datasp.training`, `datasp.cli`, ...).
 A rename or a moved call there would otherwise only show in the slower
-`python3 -m pytest -q perfbench` run.
+`python3 -m pytest -q perfbench` run.  The same holds for the observers in
+perfbench/spans.py `OBSERVERS`, which read fields of their functions'
+arguments and results.
 """
 
 import importlib
+from collections import defaultdict
 from pathlib import Path
+
+from datasp.engine import datasp_forward_efficient
+from datasp.graph import build_cost_matrix, complete_graph, sample_subgraph
+from datasp.training import shortcut_loss
+from datasp.trajectories import build_frequency_tensor
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,3 +28,33 @@ def test_every_bench_layer_resolves_at_a_caller(monkeypatch):
     missing = [f"{layer}.{function}" for layer, function, _ in spec.LAYERS
                if not spans._sites(layer, function)]
     assert not missing, f"no caller binds {missing}"
+
+
+def test_bench_observers_count_real_results(monkeypatch):
+    # Each observer reads its function's positional arguments and result as
+    # a training step passes and gets them; a changed field or return value
+    # shows here as a wrong count.
+    monkeypatch.syspath_prepend(str(BENCH))
+    observers = importlib.import_module("spans").OBSERVERS
+    graph = complete_graph(6)
+    m = build_cost_matrix([abs(u - v) for u, v in graph.edges], graph)
+    beta = 30.0
+    kept = [0, 2, 3, 5]
+    comp = sample_subgraph(graph, m, kept, beta)
+    paths = [(0, 1, 3), (0, 2, 1, 3)]
+    freq = build_frequency_tensor(paths)
+    p, _, _ = datasp_forward_efficient(comp.matrix, beta)
+    calls = {
+        "graph.sample_subgraph": ((graph, m, kept, beta), comp),
+        "trajectories.build_frequency_tensor": ((paths,), freq),
+        "training.shortcut_loss": ((p, freq), shortcut_loss(p, freq)),
+    }
+    assert set(calls) == set(observers)
+
+    counts = defaultdict(float)
+    for name, (args, result) in calls.items():
+        observers[name](counts, args, result)
+    # nodes 1 and 4 removed; 6 decomposition pairs with 8 observed slots, of
+    # which the two backtracking legs of (0, 2, 1, 3) floor at beta = 30
+    assert counts == {"removed_nodes": 2, "paths": 2, "pairs": 6,
+                      "observed_terms": 8, "floored_terms": 2}

@@ -420,11 +420,18 @@ def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, cap
     ("predict-dest", {"partial": [0, 2], "beta": True}),
     ("predict-dest", {"partial": [0, 2], "beta": "2"}),
     ("predict-dest", {"partial": [0, 2], "prior": {"kind": "custom", "weights": [HUGE]}}),
+    ("sample-paths", {"context": [1.0, 2.0, 3.0]}),
+    ("predict-dest", {"partial": [0, 2], "context": [1.0, 2.0, 3.0]}),
+    ("predict-dest", {"partial": [0, 2], "prior": {"kind": "uniform", "weights": [1.0]}}),
+    ("predict-dest", {"partial": [0, 2],
+                      "prior": {"kind": "exp-negative-distance", "weights": [1.0]}}),
 ], ids=["partial-out-of-range", "partial-not-int", "custom-prior-no-weights",
         "prior-not-object", "target-not-int", "num-samples-not-int", "beta-not-number",
         "context-not-list", "context-not-numbers", "sample-paths-beta-bool",
         "sample-paths-beta-numeric-string", "predict-dest-beta-bool",
-        "predict-dest-beta-numeric-string", "custom-prior-weight-too-large"])
+        "predict-dest-beta-numeric-string", "custom-prior-weight-too-large",
+        "sample-paths-context-without-checkpoint", "predict-dest-context-without-checkpoint",
+        "uniform-prior-with-weights", "exp-negative-distance-prior-with-weights"])
 def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tmp_path,
                                                     capsys):
     if fields.get("checkpoint") == "CHECKPOINT":

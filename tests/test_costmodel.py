@@ -66,7 +66,7 @@ def test_backward_zero_gradient():
     params = init_params(3, [4], 5, seed=2)
     prior = np.ones(5)
     _, cache = predict_costs(params, np.ones(3), prior)
-    grads, _ = backward_params(cache, np.zeros(5))
+    grads = backward_params(cache, np.zeros(5))
     assert all(not g.any() for g in grads)
 
 
@@ -78,7 +78,7 @@ def test_backward_single_edge_analytic():
     prior = np.array([1.5])
     x = np.array([0.5, 1.0])
     costs, cache = predict_costs(params, x, prior)
-    grads, _ = backward_params(cache, np.array([1.0]))
+    grads = backward_params(cache, np.array([1.0]))
     shift = inv_softplus(np.array([1.5 - 0.01]))[0]
     raw = 0.3 * 0.5 - 0.7 * 1.0 + 0.2
     gate = 1.0 / (1.0 + np.exp(-(raw + shift)))
@@ -98,7 +98,7 @@ def test_backward_matches_finite_differences():
     upstream = rng.standard_normal(8)
 
     costs, cache = predict_costs(params, x, prior)
-    grads, _ = backward_params(cache, upstream)
+    grads = backward_params(cache, upstream)
 
     worst = 0.0
     for layer in range(len(params.weights)):

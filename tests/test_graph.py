@@ -21,6 +21,7 @@ from datasp.graph import (
     draw_kept_nodes,
     exclude_nodes,
     graph_from_json_dict,
+    kept_node_map,
     load_graph_json,
     path_cost,
     sample_subgraph,
@@ -247,7 +248,7 @@ def test_exclude_hard_min_prefers_two_hop():
     comp = exclude_nodes(m, [1], beta=100.0)
     # new (0, 2) entry ~ min(5, 1+2) = 3 in the hard limit
     assert comp.matrix[0, 1] == pytest.approx(3.0, abs=1e-2)
-    assert list(comp.node_map) == [0, -1, 1]
+    assert list(kept_node_map(3, comp.kept)) == [0, -1, 1]
     assert comp.kept == [0, 2] and comp.removed == [1]
 
 
@@ -395,7 +396,8 @@ def test_sample_subgraph_drop_one_preserves_hard_distances(k4):
         if comp.removed == [2]:
             found = True
             dist_sub = classical_floyd_warshall(comp.matrix)
-            a, b = comp.node_map[1], comp.node_map[3]
+            node_map = kept_node_map(4, comp.kept)
+            a, b = node_map[1], node_map[3]
             # exact branch ties leave a ln(2)/beta undershoot
             assert dist_sub[a, b] == pytest.approx(dist_full[1, 3], abs=0.01)
     assert found

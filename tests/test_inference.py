@@ -23,7 +23,6 @@ from datasp.inference import (
     match_rate,
     monte_carlo_path_distribution,
     optimal_cost_rate,
-    swap_nodes_in_matrix,
 )
 from datasp.oracle import WalkEnumerator, maxent_distribution
 
@@ -48,19 +47,19 @@ def test_sample_path_invalid_pair(rng, k4):
 
 
 def test_direct_walk_frequency(k4):
-    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 10000, np.random.default_rng(11))
+    est = monte_carlo_path_distribution(k4, 1.0, 0, 3, 10000, np.random.default_rng(11))
     assert est.frequencies.get((0, 3), 0.0) == pytest.approx(0.2136, abs=0.02)
     assert est.frequencies.get((0, 1, 0, 2, 3), 0.0) == pytest.approx(0.0289, abs=0.01)
     assert est.rejected_count == 0
 
 
 def test_revisited_high_node_never_sampled(k4):
-    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 20000, np.random.default_rng(4))
+    est = monte_carlo_path_distribution(k4, 1.0, 0, 3, 20000, np.random.default_rng(4))
     assert (0, 2, 0, 2, 3) not in est.frequencies
 
 
 def test_cycle_rejection_support_and_frequencies(k4):
-    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 10000, np.random.default_rng(5),
+    est = monte_carlo_path_distribution(k4, 1.0, 0, 3, 10000, np.random.default_rng(5),
                                         reject_cycles=True)
     walks = WalkEnumerator(k4).walks(0, 3)
     acyclic = [w for w in walks if len(set(w.nodes)) == len(w.nodes)]
@@ -75,8 +74,8 @@ def test_cycle_rejection_support_and_frequencies(k4):
 def test_all_samples_rejected_raises():
     # a 2-node graph whose only walk, the edge, is acyclic: cycle rejection
     # accepts every draw
-    tape = sweep(build_cost_matrix([1.0], Graph(2, [(0, 1)])), 1.0)
-    est = monte_carlo_path_distribution(tape, 0, 1, 5, np.random.default_rng(0),
+    m = build_cost_matrix([1.0], Graph(2, [(0, 1)]))
+    est = monte_carlo_path_distribution(m, 1.0, 0, 1, 5, np.random.default_rng(0),
                                         reject_cycles=True)
     assert est.frequencies == {(0, 1): 1.0}
 
@@ -117,25 +116,25 @@ def test_hard_limit_sampling_returns_optimal_path(rng):
     graph, costs = random_connected_graph(7, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
     best, _ = dijkstra(m, 0, 6)
-    est = monte_carlo_path_distribution(sweep(m, 1000.0), 0, 6, 3000, np.random.default_rng(1))
+    est = monte_carlo_path_distribution(m, 1000.0, 0, 6, 3000, np.random.default_rng(1))
     assert est.frequencies.get(tuple(best), 0.0) >= 0.999
 
 
 # --- destination likelihood ---------------------------------------------------
 
-def _two_candidate_tape():
+def _two_candidate_matrix():
     """0 -> 1 directly (cost 2) or through 3 (1 + 1); 0 -> 2 only through 3.
 
     At beta = 1, P[0, 1, 3] = 1/2 and P[0, 2, 3] = 1, so with the current
     node 3 weighted out, destinations 1 and 2 score 1/3 and 2/3.
     """
     graph = Graph(4, [(0, 1), (0, 3), (3, 1), (3, 2)])
-    return sweep(build_cost_matrix([2.0, 1.0, 1.0, 1.0], graph), 1.0)
+    return build_cost_matrix([2.0, 1.0, 1.0, 1.0], graph)
 
 
 def test_destination_two_candidates_normalize():
     prior = DestinationPrior(weights=np.array([1.0, 1.0, 1.0, 0.0]))
-    probs = destination_likelihood(_two_candidate_tape(), [0, 3], prior)
+    probs = destination_likelihood(_two_candidate_matrix(), 1.0, [0, 3], prior)
     assert probs[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert probs[2] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert probs[0] == 0.0 and probs[3] == 0.0
@@ -143,21 +142,21 @@ def test_destination_two_candidates_normalize():
 
 def test_destination_prior_mask_selects_single_node():
     prior = DestinationPrior(weights=np.array([0.0, 1.0, 0.0, 0.0]))
-    probs = destination_likelihood(_two_candidate_tape(), [0, 3], prior)
+    probs = destination_likelihood(_two_candidate_matrix(), 1.0, [0, 3], prior)
     assert probs[1] == 1.0
 
 
 def test_destination_zero_scores_raise():
     # partial [0, 2] on 0 -> 1 -> 2: no edge 0 -> 2 and no edge out of 2
-    tape = sweep(build_cost_matrix([1.0, 1.0], Graph(3, [(0, 1), (1, 2)])), 1.0)
+    m = build_cost_matrix([1.0, 1.0], Graph(3, [(0, 1), (1, 2)]))
     with pytest.raises(NoPathError):
-        destination_likelihood(tape, [0, 2], DestinationPrior.uniform(3))
+        destination_likelihood(m, 1.0, [0, 2], DestinationPrior.uniform(3))
 
 
 def test_destination_matches_walk_space_bayes(k4):
     # partial [0, 3]: P(destination = x) proportional to the Boltzmann mass
     # of walks 0 -> x whose highest intermediate is node 3, renormalized.
-    probs = destination_likelihood(sweep(k4, 1.0), [0, 3], DestinationPrior.uniform(4))
+    probs = destination_likelihood(k4, 1.0, [0, 3], DestinationPrior.uniform(4))
 
     expected = np.zeros(4)
     for x in (1, 2):
@@ -172,13 +171,20 @@ def test_destination_matches_walk_space_bayes(k4):
 
 
 def test_destination_swaps_final_node(k4):
-    # partial ending at node 1: scores must come from the sweep of the
-    # matrix with nodes 1 and 3 swapped
-    tape = sweep(swap_nodes_in_matrix(k4, 1, 3), 1.0)
-    probs = destination_likelihood(tape, [0, 1], DestinationPrior.uniform(4))
-    assert probs[0] == 0.0
-    assert probs.sum() == pytest.approx(1.0)
-    assert (probs[[1, 2, 3]] > 0).all()
+    # partial ending at node 1: the scores come from P of the matrix with
+    # nodes 1 and 3 swapped, given the unswapped matrix
+    probs = destination_likelihood(k4, 1.0, [0, 1], DestinationPrior.uniform(4))
+    p, _, _ = datasp_forward_efficient(_swap_nodes(k4, 1, 3), 1.0)
+    expected = _tensor_destination_likelihood(p, [0, 1], np.ones(4))
+    np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)
+    assert probs == pytest.approx([0.0, 0.414, 0.293, 0.293], abs=1e-3)
+
+
+def _swap_nodes(m, a, b):
+    """m with node indices a and b exchanged (rows and columns)."""
+    order = np.arange(m.shape[0])
+    order[[a, b]] = [b, a]
+    return m[np.ix_(order, order)]
 
 
 def _tensor_destination_likelihood(p, partial, weights):
@@ -210,21 +216,19 @@ def test_destination_likelihood_matches_tensor_formula():
         weights = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) > 0.2)
         weights[rng.integers(size)] = 1.0
         beta = float(rng.choice([0.5, 1.0, 5.0]))
-        m_swapped = swap_nodes_in_matrix(m, partial[-1], size - 1)
-        p, _, _ = datasp_forward_efficient(m_swapped, beta)
+        p, _, _ = datasp_forward_efficient(_swap_nodes(m, partial[-1], size - 1), beta)
         expected = _tensor_destination_likelihood(p, partial, weights)
-        probs = destination_likelihood(sweep(m_swapped, beta), partial,
-                                       DestinationPrior(weights=weights))
+        probs = destination_likelihood(m, beta, partial, DestinationPrior(weights=weights))
         assert np.array_equal(probs == 0.0, expected == 0.0)
         np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)
 
 
 def test_destination_validates_partial():
-    tape = sweep(build_cost_matrix(np.ones(6), complete_graph(3)), 1.0)
+    m = build_cost_matrix(np.ones(6), complete_graph(3))
     with pytest.raises(ValidationError):
-        destination_likelihood(tape, [1], DestinationPrior.uniform(3))
+        destination_likelihood(m, 1.0, [1], DestinationPrior.uniform(3))
     with pytest.raises(ValidationError):
-        destination_likelihood(tape, [0, 1, 0], DestinationPrior.uniform(3))
+        destination_likelihood(m, 1.0, [0, 1, 0], DestinationPrior.uniform(3))
 
 
 def test_exp_negative_distance_prior(k4):

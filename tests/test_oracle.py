@@ -15,7 +15,7 @@ from datasp.oracle import (
     total_variation,
     walk_cost_census,
 )
-from datasp.engine import datasp_forward_efficient, sweep
+from datasp.engine import datasp_forward_efficient
 from datasp.smoothing import softmin_value
 
 # The tabulated walk census of the bundled fixture for pair (0, 3): every
@@ -123,7 +123,7 @@ def test_distance_consistency_direct_formula(k4):
 def test_sampler_support_equals_walk_space(k4, rng):
     from datasp.inference import monte_carlo_path_distribution
 
-    est = monte_carlo_path_distribution(sweep(k4, 1.0), 0, 3, 60000, rng)
+    est = monte_carlo_path_distribution(k4, 1.0, 0, 3, 60000, rng)
     enumerated = {w.nodes for w in WalkEnumerator(k4).walks(0, 3)}
     sampled = set(est.frequencies)
     assert sampled <= enumerated
@@ -139,7 +139,7 @@ def test_sampler_total_variation_small_graphs(rng):
         graph, costs = random_connected_graph(size, rng, extra_edges=2)
         m = build_cost_matrix(costs, graph)
         theory = maxent_distribution(WalkEnumerator(m).walks(0, size - 1), 1.0)
-        estimate = monte_carlo_path_distribution(sweep(m, 1.0), 0, size - 1, 40000,
+        estimate = monte_carlo_path_distribution(m, 1.0, 0, size - 1, 40000,
                                                  np.random.default_rng(7))
         assert total_variation(theory, estimate.frequencies) <= 0.015
 

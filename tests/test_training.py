@@ -7,7 +7,7 @@ from conftest import random_connected_graph
 from datasp.costmodel import init_params, predict_costs
 from datasp.engine import datasp_backward, datasp_forward_efficient
 from datasp.errors import ValidationError
-from datasp.graph import build_cost_matrix, draw_kept_nodes, sample_subgraph
+from datasp.graph import build_cost_matrix, draw_kept_nodes, kept_node_map, sample_subgraph
 from datasp.oracle import finite_difference_gradcheck
 from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from datasp.trajectories import (
@@ -232,7 +232,8 @@ def test_exclusion_chain_cost_gradient():
         m = build_cost_matrix(edge_costs, graph)
         comp = sample_subgraph(graph, m, draw_kept_nodes(graph, keep, node_freqs, rng_seed=5),
                                beta=beta)
-        rewritten = [apply_node_exclusion_to_path(p, comp.node_map) for p in paths]
+        node_map = kept_node_map(8, comp.kept)
+        rewritten = [apply_node_exclusion_to_path(p, node_map) for p in paths]
         rewritten = [p for p in rewritten if p is not None]
         freq = build_frequency_tensor(rewritten)
         p, dist, tape = datasp_forward_efficient(comp.matrix, beta)
