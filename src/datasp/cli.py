@@ -36,9 +36,9 @@ from .errors import (
     is_real,
 )
 from .graph import (
+    block_slices,
     build_cost_matrix,
     complete_graph,
-    dijkstra,
     graph_to_json_dict,
     load_graph_json,
 )
@@ -362,20 +362,31 @@ def cmd_train(args) -> int:
 
 def _metric_rows(dataset, params, split, true_costs):
     """One metrics row per method.  Each distinct PRIOR (source, target) path
-    and each record's true optimum is searched for once."""
+    and each record's true optimum is searched for once, by block: the
+    matrices of one `block_slices` slice are built, searched and dropped
+    before the next."""
     graph, prior = dataset.graph, dataset.prior
     indices = dataset.split_indices(split)
     if not indices:
         raise ValidationError(f"split {split!r} is empty")
     obs = [list(dataset.paths[idx]) for idx in indices]
     ends = [(path[0], path[-1]) for path in obs]
-    prior_paths = {end: expected_optimal_path(prior, graph, *end)[0] for end in set(ends)}
+    distinct = list(dict.fromkeys(ends))
+    prior_paths = {}
+    for block in block_slices(len(distinct), graph.num_nodes):
+        pairs = distinct[block]
+        costs = np.broadcast_to(prior, (len(pairs), graph.num_edges))
+        prior_paths.update(zip(pairs, (path for path, _ in
+                                       expected_optimal_path(costs, graph, pairs))))
     methods = [("PRIOR", [prior_paths[end] for end in ends])]
     if params is not None:
         methods.append(("DataSP", predicted_paths(params, dataset, indices)))
     if true_costs is not None:
-        matrices = [build_cost_matrix(true_costs[idx], graph) for idx in indices]
-        optima = [dijkstra(m, *end)[1] for m, end in zip(matrices, ends)]
+        optima = []
+        for block in block_slices(len(indices), graph.num_nodes):
+            optima += [cost for _, cost in
+                       expected_optimal_path(true_costs[indices[block]], graph, ends[block])]
+        record_costs = [true_costs[idx] for idx in indices]
     rows = []
     for name, preds in methods:
         jacc = [jaccard_edges(p, o) for p, o in zip(preds, obs)]
@@ -384,7 +395,7 @@ def _metric_rows(dataset, params, split, true_costs):
             "jaccard_mean": float(np.mean(jacc)),
             "jaccard_std": float(np.std(jacc)),
             "match_pct": 100.0 * match_rate(preds, obs),
-            "optimal_cost_pct": (100.0 * optimal_cost_rate(preds, matrices, optima)
+            "optimal_cost_pct": (100.0 * optimal_cost_rate(preds, record_costs, graph, optima)
                                  if true_costs is not None else None),
             "n_test": len(indices),
         })

@@ -6,11 +6,17 @@ cost of edge i -> j; +inf marks an absent edge; the diagonal is always inf
 (self-loops are never considered).  All operations here are pure: they return
 new arrays and never mutate their inputs.
 
-`distances_to` (a dense Dijkstra) is the one hard-distance routine: through
-`dijkstra` it yields the synthetic trajectories (gen) and the best paths that
-eval scores, and it gives the exp-negative-distance destination prior its
-row.  `classical_floyd_warshall` is the all-pairs hard-min reference that
-tests compare against, and the engine's beta -> inf limit.
+`distances_to` is the one hard-distance routine, a dense Dijkstra over a
+block: a (B, V, V) stack of cost matrices, each searched towards its own
+target, advanced together one settled node per matrix a round.  `dijkstra`
+walks each matrix's lexicographically smallest best path from those
+distances.  Gen searches its trajectories and eval its best paths (through
+`inference.expected_optimal_path`) by block, one block per `block_slices`
+slice of their records, whose matrices fill at most BLOCK_FLOATS floats; the
+exp-negative-distance destination prior and the generator's connectivity
+check pass a block of one.  `classical_floyd_warshall` is the all-pairs
+hard-min reference that tests compare against, and the engine's
+beta -> inf limit.
 
 Node exclusion reconnects the neighbors of each removed node through local
 smooth mins.  With the removed nodes permuted first, removed node t is the
@@ -70,6 +76,13 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_index
+
+    def path_edges(self, path) -> list[int]:
+        """Edge index of each step of a node path, in path order."""
+        try:
+            return [self._edge_index[step] for step in zip(path[:-1], path[1:])]
+        except KeyError as exc:
+            raise ValidationError(f"path step {exc.args[0]} is not an edge") from None
 
     @functools.cached_property
     def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -164,18 +177,22 @@ def graph_to_json_dict(graph: Graph, prior=None, positions=None) -> dict:
 
 
 def build_cost_matrix(edge_costs, graph: Graph) -> np.ndarray:
-    """Dense cost matrix with inf off-edges and an inf diagonal."""
+    """Dense cost matrix with inf off-edges and an inf diagonal.
+
+    A (B, E) array of edge-cost rows gives the (B, V, V) block of their
+    matrices.
+    """
     costs = np.asarray(edge_costs, dtype=float)
-    if costs.shape != (graph.num_edges,):
+    if costs.ndim not in (1, 2) or costs.shape[-1] != graph.num_edges:
         raise ValidationError(
             f"expected {graph.num_edges} edge costs, got shape {costs.shape}"
         )
     if graph.num_edges and (not np.isfinite(costs).all() or (costs <= 0).any()):
         raise ValidationError("edge costs must be finite and strictly positive")
-    m = np.full((graph.num_nodes, graph.num_nodes), INF)
+    m = np.full(costs.shape[:-1] + (graph.num_nodes, graph.num_nodes), INF)
     if graph.num_edges:
         ea = graph.edge_array()
-        m[ea[:, 0], ea[:, 1]] = costs
+        m[..., ea[:, 0], ea[:, 1]] = costs
     return m
 
 
@@ -192,14 +209,19 @@ def validate_cost_matrix(m: np.ndarray, positive: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"cost matrix must be square, got shape {m.shape}")
+    return _check_entries(m, positive)
+
+
+def _check_entries(m: np.ndarray, positive: bool) -> np.ndarray:
+    """The entry checks of `validate_cost_matrix` on a (..., V, V) array."""
     if np.isnan(m).any():
         raise ValidationError("cost matrix contains NaN")
     if (m == -INF).any():
         raise ValidationError("cost entries must not be -inf")
-    finite = np.isfinite(m)
-    if positive and (m[finite] <= 0).any():
+    # With NaN and -inf ruled out, an entry <= 0 is a finite one.
+    if positive and (m <= 0).any():
         raise ValidationError("finite cost entries must be strictly positive")
-    if finite.diagonal().any():
+    if np.isfinite(np.diagonal(m, axis1=-2, axis2=-1)).any():
         raise ValidationError("diagonal entries must be inf (no self-loops)")
     return m
 
@@ -223,68 +245,98 @@ def path_cost(m: np.ndarray, path) -> float:
     return float(total)
 
 
-def distances_to(m: np.ndarray, target: int) -> np.ndarray:
-    """Hard shortest distance from every node to target (inf if unreachable).
+# Cost-matrix floats one block of hard searches holds; `block_slices` cuts a
+# run of records into blocks of as many V x V matrices as fit.
+BLOCK_FLOATS = 2 ** 18
 
-    Dense Dijkstra: each round settles the open node u with the smallest
-    tentative distance and relaxes every node v through the edge v -> u in
-    one vector minimum.  Finite entries of m must be strictly positive (see
-    `validate_cost_matrix`); then each settled node relaxes from its final
-    distance and the result does not depend on how ties are settled.
+
+def block_slices(count: int, num_nodes: int) -> list[slice]:
+    """Consecutive slices of range(count), each at most BLOCK_FLOATS // V^2
+    long (at least 1): the blocks in which gen and eval search."""
+    size = max(1, BLOCK_FLOATS // (num_nodes * num_nodes))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def distances_to(matrices: np.ndarray, targets) -> np.ndarray:
+    """Hard shortest distance from every node to the target of each matrix of
+    a block (inf if unreachable): row b of the (B, V) result is matrix b's
+    distances to targets[b].
+
+    Dense Dijkstra on all B matrices at once: each round settles, in every
+    matrix, the open node u with the smallest tentative distance and relaxes
+    every node v through its edge v -> u, with one argmin, one gather of the
+    B columns u and one minimum over (B, V) arrays.  Finite entries must be
+    strictly positive (see `validate_cost_matrix`).  Then each node is
+    settled at its final distance, in the order and with the additions of a
+    search of its matrix alone, and relaxing a settled node again cannot
+    lower it, so the relaxation needs no mask; a matrix whose open nodes are
+    all unreachable takes no-op rounds until the block is done.
     """
-    into = np.ascontiguousarray(m.T)  # into[u, v] = m[v, u]
-    n = into.shape[0]
-    dist = np.full(n, INF)
-    tentative = np.full(n, INF)  # inf once a node is settled
-    tentative[target] = 0.0
-    open_ = np.ones(n, dtype=bool)
+    b, n = matrices.shape[0], matrices.shape[-1]
+    rows = np.arange(b)
+    dist = np.full((b, n), INF)  # tentative while open, final once settled
+    dist[rows, targets] = 0.0
+    settled = np.zeros((b, n))  # +inf once settled, so argmin skips the node
+    key = np.empty((b, n))
     for _ in range(n):
-        u = int(tentative.argmin())
-        d = tentative[u]
-        if d == INF:
-            break
-        dist[u] = d
-        tentative[u] = INF
-        open_[u] = False
-        np.minimum(tentative, d + into[u], out=tentative, where=open_)
+        np.add(dist, settled, out=key)
+        u = key.argmin(axis=1)
+        d = key[rows, u]
+        settled[rows, u] = INF
+        relaxed = matrices[rows, :, u]  # relaxed[b, v] = matrices[b, v, u[b]]
+        relaxed += d[:, None]
+        np.minimum(dist, relaxed, out=dist)
     return dist
 
 
-def dijkstra(m: np.ndarray, source: int, target: int) -> tuple[list[int] | None, float]:
-    """Minimum-cost path with ties broken by the lexicographically smallest
-    node sequence.
+def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]:
+    """Minimum-cost path of each (source, target) pair of `ends` on the cost
+    matrix at the same index of the (B, V, V) block, with ties broken by the
+    lexicographically smallest node sequence.
 
-    Returns (path, cost); (None, inf) when the target is unreachable.  The
-    tie-break is realized by computing exact distances-to-target and then
-    greedily walking from the source, always taking the smallest-indexed
-    next node that stays on an optimal path.
+    Returns one (path, cost) per pair; (None, inf) when the target is
+    unreachable.  The tie-break is realized by computing exact
+    distances-to-target (`distances_to`, one search for the block) and then
+    greedily walking from each source, always taking the smallest-indexed
+    next node that stays on an optimal path; the walks advance together.
     """
-    m = validate_cost_matrix(m, positive=True)
-    n = m.shape[0]
-    if not (0 <= source < n and 0 <= target < n):
+    m = np.asarray(matrices, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValidationError(f"expected a block of square cost matrices, got shape {m.shape}")
+    m = _check_entries(m, positive=True)
+    b, n = m.shape[0], m.shape[1]
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+    if len(ends) != b:
+        raise ValidationError(f"{len(ends)} (source, target) pairs for {b} cost matrices")
+    if ((ends < 0) | (ends >= n)).any():
         raise ValidationError(f"source/target out of range for {n} nodes")
-    if source == target:
-        return [source], 0.0
+    sources, targets = ends[:, 0], ends[:, 1]
 
-    dist_to = distances_to(m, target)
-    total = dist_to[source]
-    if not math.isfinite(total):
-        return None, INF
-
-    path = [source]
-    u = source
-    for _ in range(n):
-        if u == target:
-            return path, float(total)
-        remaining = dist_to[u]
-        tol = 1e-12 * max(1.0, abs(remaining))
-        on_path = m[u] + dist_to <= remaining + tol
-        nxt = int(np.argmax(on_path))
-        if not on_path[nxt]:
+    rows = np.arange(b)
+    dist_to = distances_to(m, targets)
+    totals = dist_to[rows, sources]
+    found = (sources != targets) & np.isfinite(totals)
+    paths = [[s] for s in sources.tolist()]
+    at = np.where(found, sources, targets)  # pairs with nothing to walk start done
+    for _ in range(n - 1):  # a best path has at most n - 1 edges
+        walking = np.flatnonzero(at != targets)
+        if not walking.size:
+            break
+        u = at[walking]
+        remaining = dist_to[walking, u]
+        tol = 1e-12 * np.maximum(1.0, np.abs(remaining))
+        on_path = m[walking, u] + dist_to[walking] <= (remaining + tol)[:, None]
+        nxt = on_path.argmax(axis=1)
+        if not on_path[np.arange(walking.size), nxt].all():
             raise ValidationError("optimal successor not found; inconsistent distances")
-        path.append(nxt)
-        u = nxt
-    raise ValidationError("optimal path exceeded node count; nonpositive costs?")
+        at[walking] = nxt
+        for row, v in zip(walking.tolist(), nxt.tolist()):
+            paths[row].append(v)
+    if (at != targets).any():
+        raise ValidationError("optimal path exceeded node count; nonpositive costs?")
+    return [(path, float(total)) if ok else ([s], 0.0) if s == t else (None, INF)
+            for path, total, ok, s, t in zip(paths, totals.tolist(), found.tolist(),
+                                             sources.tolist(), targets.tolist())]
 
 
 @dataclass

@@ -38,7 +38,6 @@ from .graph import (
     build_cost_matrix,
     dijkstra,
     distances_to,
-    path_cost,
     validate_cost_matrix,
 )
 from .smoothing import INF
@@ -174,7 +173,7 @@ class DestinationPrior:
         m = validate_cost_matrix(m, positive=True)
         if not 0 <= origin < m.shape[0]:
             raise ValidationError(f"origin {origin} out of range for {m.shape[0]} nodes")
-        row = distances_to(m.T, origin)
+        row = distances_to(m.T[None], [origin])[0]
         finite = np.isfinite(row)
         scale = float(row[finite].mean()) if row[finite].max() > 0 else 1.0
         weights = np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
@@ -230,9 +229,15 @@ def destination_likelihood(
     return scores / scores.sum()
 
 
-def expected_optimal_path(costs, graph: Graph, i: int, j: int) -> tuple[list[int] | None, float]:
-    """Deterministic best path under the given edge costs."""
-    return dijkstra(build_cost_matrix(costs, graph), i, j)
+def expected_optimal_path(costs, graph: Graph, ends) -> list[tuple[list[int] | None, float]]:
+    """Deterministic best path of each (source, target) pair of `ends` under
+    the edge costs of the same row of the (B, E) array `costs`, as `dijkstra`
+    returns it.
+
+    The rows are one block: their B cost matrices are built and searched
+    together, so callers pass at most one `block_slices` slice of records.
+    """
+    return dijkstra(build_cost_matrix(costs, graph), ends)
 
 
 def jaccard_edges(pred, obs) -> float:
@@ -254,20 +259,23 @@ def match_rate(preds, obs_list) -> float:
     return hits / len(preds)
 
 
-def optimal_cost_rate(preds, true_matrices, optima, rel_tol: float = 1e-9) -> float:
+def optimal_cost_rate(preds, true_costs, graph: Graph, optima, rel_tol: float = 1e-9) -> float:
     """Fraction of predicted paths that are cost-optimal under the true costs.
 
-    true_matrices is one cost matrix per prediction (contexts differ), and
+    true_costs[k] is the edge-cost row of prediction k (contexts differ);
+    a path's true cost is the sum of its edges' costs in path order.
     optima[k] is the least cost between the endpoints of preds[k] under
-    true_matrices[k], as `dijkstra` returns it.
+    true_costs[k], as `expected_optimal_path` returns it.
     """
-    if not len(preds) == len(true_matrices) == len(optima):
-        raise ValidationError("predictions, true cost matrices and optima must align")
+    if not len(preds) == len(true_costs) == len(optima):
+        raise ValidationError("predictions, true edge costs and optima must align")
     if not preds:
         raise ValidationError("optimal_cost_rate of an empty list")
     hits = 0
-    for pred, m_true, best in zip(preds, true_matrices, optima):
-        cost = path_cost(m_true, pred)
+    for pred, costs, best in zip(preds, true_costs, optima):
+        cost = 0.0
+        for edge in graph.path_edges(pred):
+            cost += costs[edge]
         if np.isfinite(best) and abs(cost - best) <= rel_tol * max(1.0, abs(best)):
             hits += 1
     return hits / len(preds)

@@ -7,6 +7,10 @@ Latent costs multiply the prior by a context-driven nonlinear factor and a
 two-component (means +/-1) Gaussian noise mixture, floored at 5% of the
 prior.  Observed trajectories are exact shortest paths under the per-sample
 latent costs between source/target pairs drawn from a fixed limited pool.
+
+Every sample's context, pair and latent costs are drawn first, in sample
+order; the paths are then searched by block, one `dijkstra` over the cost
+matrices of each `graph.block_slices` slice of the samples.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ValidationError, is_real, require_types
-from .graph import Graph, build_cost_matrix, dijkstra, distances_to
+from .graph import Graph, block_slices, build_cost_matrix, dijkstra, distances_to
 from .trajectories import Dataset
 
 COST_FLOOR_FRACTION = 0.05
@@ -114,7 +118,7 @@ def _is_connected(n: int, pairs) -> bool:
     adjacency = np.full((n, n), np.inf)
     for u, v in pairs:
         adjacency[u, v] = adjacency[v, u] = 1.0
-    return bool(np.isfinite(distances_to(adjacency, 0)).all())
+    return bool(np.isfinite(distances_to(adjacency[None], [0])).all())
 
 
 def generate_synthetic_dataset(config: GeneratorConfig) -> SyntheticDataset:
@@ -160,18 +164,20 @@ def generate_synthetic_dataset(config: GeneratorConfig) -> SyntheticDataset:
                           replace=False)
     pair_pool = [all_pairs[int(x)] for x in pool_idx]
 
-    paths = []
     features = np.zeros((config.num_samples, config.feature_dim))
     true_costs = np.zeros((config.num_samples, graph.num_edges))
+    ends = []
     for idx in range(config.num_samples):
         x = features[idx] = rng.standard_normal(config.feature_dim)
-        s, t = pair_pool[int(rng.integers(len(pair_pool)))]
-        costs = latent.sample_costs(x, rng)
-        path, _ = dijkstra(build_cost_matrix(costs, graph), s, t)
-        if path is None:
-            raise GenerationError(f"pair ({s}, {t}) unreachable in a connected graph")
-        true_costs[idx] = costs
-        paths.append(tuple(path))
+        ends.append(pair_pool[int(rng.integers(len(pair_pool)))])
+        true_costs[idx] = latent.sample_costs(x, rng)
+    paths = []
+    for block in block_slices(config.num_samples, graph.num_nodes):
+        found = dijkstra(build_cost_matrix(true_costs[block], graph), ends[block])
+        for (path, _), (s, t) in zip(found, ends[block]):
+            if path is None:
+                raise GenerationError(f"pair ({s}, {t}) unreachable in a connected graph")
+            paths.append(tuple(path))
 
     dataset = Dataset(graph=graph, paths=paths, features=features, prior=prior)
     return SyntheticDataset(graph=graph, prior=prior, positions=positions,

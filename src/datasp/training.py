@@ -19,8 +19,10 @@ Every function here reads the graph and the prior costs from the `Dataset`:
 - `anchor_gradients(params, anchor, dataset, config, node_freqs,
   candidates, sample_seed)` is one anchor's forward and backward pass;
 - `predicted_paths(params, dataset, indices)` is each record's best path
-  under its predicted costs, and `evaluate_jaccard(params, dataset,
-  indices)` scores them against the observed paths;
+  under its predicted costs, searched by block (one
+  `inference.expected_optimal_path` call per `graph.block_slices` slice of
+  the records), and `evaluate_jaccard(params, dataset, indices)` scores
+  them against the observed paths;
 - `init_params_for(dataset, config)` initializes the cost model.
 
 A training run's state has one form each, the one its files hold:
@@ -43,7 +45,13 @@ import numpy as np
 from .costmodel import ModelParams, backward_params, init_params, predict_costs
 from .engine import datasp_backward, datasp_forward_efficient
 from .errors import NumericalError, ValidationError, is_int, require_types
-from .graph import build_cost_matrix, draw_kept_nodes, kept_node_map, sample_subgraph
+from .graph import (
+    block_slices,
+    build_cost_matrix,
+    draw_kept_nodes,
+    kept_node_map,
+    sample_subgraph,
+)
 from .inference import expected_optimal_path, jaccard_edges
 from .serialize import save_checkpoint
 from .trajectories import (
@@ -226,12 +234,15 @@ class TrainResult:
 
 def predicted_paths(params: ModelParams, dataset: Dataset, indices) -> list[list[int]]:
     """Each record's best path between its endpoints under its predicted costs
-    (one exists: the record's path runs over graph edges)."""
+    (one exists: the record's path runs over graph edges), searched one block
+    of records at a time."""
     preds = []
-    for idx in indices:
-        path = dataset.paths[idx]
-        costs, _ = predict_costs(params, dataset.features[idx], dataset.prior)
-        preds.append(expected_optimal_path(costs, dataset.graph, path[0], path[-1])[0])
+    for block in block_slices(len(indices), dataset.graph.num_nodes):
+        records = indices[block]
+        costs = np.stack([predict_costs(params, dataset.features[idx], dataset.prior)[0]
+                          for idx in records])
+        ends = [(dataset.paths[idx][0], dataset.paths[idx][-1]) for idx in records]
+        preds += [path for path, _ in expected_optimal_path(costs, dataset.graph, ends)]
     return preds
 
 

@@ -555,10 +555,11 @@ def test_unknown_profile_exits_2(profile, gen_dir, tmp_path, capsys):
 
 
 def test_eval_runs_each_hard_path_search_once(gen_dir, tmp_path, monkeypatch):
-    # Every dijkstra call runs exactly one graph.distances_to, so counting the
-    # latter counts the hard-path searches of one eval.
+    # Every dijkstra call runs exactly one graph.distances_to over its block,
+    # so counting the (matrix, target) pairs of the latter counts the
+    # hard-path searches of one eval.
     import datasp.graph
-    from datasp.graph import load_graph_json
+    from datasp.graph import block_slices, load_graph_json
 
     graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
     checkpoint = tmp_path / "init.bin"
@@ -573,13 +574,42 @@ def test_eval_runs_each_hard_path_search_once(gen_dir, tmp_path, monkeypatch):
     calls = []
     search = datasp.graph.distances_to
     monkeypatch.setattr(datasp.graph, "distances_to",
-                        lambda m, target: calls.append(target) or search(m, target))
+                        lambda m, targets: calls.append(len(targets)) or search(m, targets))
     cfg = write_config(tmp_path, "e.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
                                             "checkpoint": str(checkpoint)})
     assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 0
     # PRIOR: one per distinct pair; DataSP: one per record; true optimum: one
     # per record, shared by both methods.
-    assert len(calls) == len(set(ends)) + 2 * len(ends)
+    assert sum(calls) == len(set(ends)) + 2 * len(ends)
+    # Each kind of search runs one dense search per block of its pairs.
+    blocks = [len(block_slices(count, graph.num_nodes))
+              for count in (len(set(ends)), len(ends), len(ends))]
+    assert len(calls) == sum(blocks)
+
+
+def test_eval_search_memory_stays_within_a_block():
+    # Eval builds, searches and drops one block of cost matrices at a time,
+    # so its peak allocation does not grow with the number of records.
+    import tracemalloc
+
+    from datasp.cli import _metric_rows
+    from datasp.graph import BLOCK_FLOATS
+    from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
+
+    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=60, num_samples=300, seed=1))
+    params = init_params(syn.config.feature_dim, [8], syn.graph.num_edges, seed=0)
+    peaks = []
+    for count in (150, 300):  # three and five blocks of up to 72 records
+        syn.dataset.splits = {"test": list(range(count))}
+        tracemalloc.start()
+        try:
+            _metric_rows(syn.dataset, params, "test", syn.true_costs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block_bytes = 8 * BLOCK_FLOATS
+    assert peaks[1] <= peaks[0] + block_bytes / 10
+    assert peaks[1] <= 2 * block_bytes
 
 
 def test_overflowing_checkpoint_prints_only_the_error_line(gen_dir, tmp_path):

@@ -138,19 +138,19 @@ def test_fw_matches_simple_path_enumeration(rng):
 def test_dijkstra_k4_lexicographic_tie_break(k4):
     # four cost-3 routes tie: [0,3], [0,1,3], [0,2,3], [0,1,2,3]; the
     # lexicographically smallest node sequence wins.
-    path, cost = dijkstra(k4, 0, 3)
+    path, cost = dijkstra(k4[None], [(0, 3)])[0]
     assert cost == 3.0
     assert path == [0, 1, 2, 3]
 
 
 def test_dijkstra_source_equals_target(k4):
-    assert dijkstra(k4, 2, 2) == ([2], 0.0)
+    assert dijkstra(k4[None], [(2, 2)]) == [([2], 0.0)]
 
 
 def test_dijkstra_unreachable():
     g = Graph(3, [(0, 1)])
     m = build_cost_matrix([1.0], g)
-    path, cost = dijkstra(m, 0, 2)
+    path, cost = dijkstra(m[None], [(0, 2)])[0]
     assert path is None and cost == INF
 
 
@@ -163,7 +163,7 @@ def test_dijkstra_agrees_with_fw(rng):
             for j in range(7):
                 if i == j:
                     continue
-                path, cost = dijkstra(m, i, j)
+                path, cost = dijkstra(m[None], [(i, j)])[0]
                 assert cost == pytest.approx(dist[i, j], rel=1e-12)
                 assert path_cost(m, path) == pytest.approx(cost, rel=1e-12)
 
@@ -209,18 +209,25 @@ def _heap_dijkstra(m, source, target):
     lambda n: hnp.arrays(np.float64, (n, n), elements=st.sampled_from([INF, 1.0, 2.0, 3.0]))))
 def test_dijkstra_matches_heap_reference(m):
     # Integer costs tie often, so the lexicographic tie-break is exercised.
+    # Every (i, j) of the matrix and of its transpose, i == j and unreachable
+    # targets included, is one row of a single block, so a row that read
+    # another row's matrix or target would show.
     np.fill_diagonal(m, INF)
     n = m.shape[0]
-    for j in range(n):
-        assert np.array_equal(distances_to(m, j), _heap_distances(m.T, j))
-        for i in range(n):
-            assert dijkstra(m, i, j) == _heap_dijkstra(m, i, j)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    cases = [(mat, i, j) for mat in (m, m.T) for i, j in pairs]
+    block = np.stack([mat for mat, _, _ in cases])
+    dist = distances_to(block, [j for _, _, j in cases])
+    found = dijkstra(block, [(i, j) for _, i, j in cases])
+    for row, (mat, i, j) in enumerate(cases):
+        assert np.array_equal(dist[row], _heap_distances(mat.T, j))
+        assert found[row] == _heap_dijkstra(mat, i, j)
 
 
 def test_dijkstra_rejects_nonpositive_costs():
     m = np.array([[INF, -0.5], [INF, INF]])
     with pytest.raises(ValidationError):
-        dijkstra(m, 0, 1)
+        dijkstra(m[None], [(0, 1)])
 
 
 # --- node exclusion ----------------------------------------------------------

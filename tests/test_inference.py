@@ -115,7 +115,7 @@ def test_sampler_never_dead_ends_and_stays_in_walk_space():
 def test_hard_limit_sampling_returns_optimal_path(rng):
     graph, costs = random_connected_graph(7, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
-    best, _ = dijkstra(m, 0, 6)
+    best, _ = dijkstra(m[None], [(0, 6)])[0]
     est = monte_carlo_path_distribution(m, 1000.0, 0, 6, 3000, np.random.default_rng(1))
     assert est.frequencies.get(tuple(best), 0.0) >= 0.999
 
@@ -259,14 +259,14 @@ def test_exp_negative_distance_matches_floyd_warshall_row(case):
 def test_expected_optimal_path_prior_baseline(k4):
     graph = complete_graph(4)
     costs = [abs(u - v) for u, v in graph.edges]
-    path, cost = expected_optimal_path(costs, graph, 0, 3)
+    [(path, cost)] = expected_optimal_path([costs], graph, [(0, 3)])
     assert cost == 3.0
-    assert path == dijkstra(k4, 0, 3)[0]
+    assert path == dijkstra(k4[None], [(0, 3)])[0][0]
 
 
 def test_expected_optimal_path_uniform_grid_tie_break():
     graph = complete_graph(3)
-    path, cost = expected_optimal_path(np.ones(graph.num_edges), graph, 0, 2)
+    [(path, cost)] = expected_optimal_path(np.ones((1, graph.num_edges)), graph, [(0, 2)])
     assert path == [0, 2] and cost == 1.0
 
 
@@ -287,13 +287,15 @@ def test_match_rate():
 
 
 def test_optimal_cost_rate(k4, rng):
-    best, best_cost = dijkstra(k4, 0, 3)
-    assert optimal_cost_rate([best], [k4], [best_cost]) == 1.0
-    assert optimal_cost_rate([[0, 1, 0, 3]], [k4], [best_cost]) == 0.0
+    k4_graph = complete_graph(4)
+    k4_costs = np.array([abs(u - v) for u, v in k4_graph.edges], dtype=float)
+    best, best_cost = dijkstra(k4[None], [(0, 3)])[0]
+    assert optimal_cost_rate([best], [k4_costs], k4_graph, [best_cost]) == 1.0
+    assert optimal_cost_rate([[0, 1, 0, 3]], [k4_costs], k4_graph, [best_cost]) == 0.0
     with pytest.raises(ValidationError):
-        optimal_cost_rate([], [], [])
+        optimal_cost_rate([], [], k4_graph, [])
     with pytest.raises(ValidationError):
-        optimal_cost_rate([best], [k4], [])
+        optimal_cost_rate([best], [k4_costs], k4_graph, [])
     # random-walk predictions scored against brute-force optima
     graph, costs = random_connected_graph(6, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
@@ -308,11 +310,11 @@ def test_optimal_cost_rate(k4, rng):
         if walk[-1] == 5:
             preds.append(walk)
     if preds:
-        rate = optimal_cost_rate(preds, [m] * len(preds),
-                                 [dijkstra(m, 0, 5)[1]] * len(preds))
+        rate = optimal_cost_rate(preds, [costs] * len(preds), graph,
+                                 [dijkstra(m[None], [(0, 5)])[0][1]] * len(preds))
         from datasp.graph import path_cost
 
         expected = np.mean([
-            1.0 if path_cost(m, p) <= dijkstra(m, 0, 5)[1] * (1 + 1e-9) else 0.0
+            1.0 if path_cost(m, p) <= dijkstra(m[None], [(0, 5)])[0][1] * (1 + 1e-9) else 0.0
             for p in preds])
         assert rate == pytest.approx(expected)
