@@ -305,19 +305,19 @@ def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]
         raise ValidationError(f"expected a block of square cost matrices, got shape {m.shape}")
     m = _check_entries(m, positive=True)
     b, n = m.shape[0], m.shape[1]
-    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
-    if len(ends) != b:
-        raise ValidationError(f"{len(ends)} (source, target) pairs for {b} cost matrices")
+    ends = np.asarray(ends, dtype=np.int64)
+    if ends.shape != (b, 2):
+        raise ValidationError(f"expected {b} (source, target) pairs, got shape {ends.shape}")
     if ((ends < 0) | (ends >= n)).any():
         raise ValidationError(f"source/target out of range for {n} nodes")
     sources, targets = ends[:, 0], ends[:, 1]
 
     rows = np.arange(b)
     dist_to = distances_to(m, targets)
-    totals = dist_to[rows, sources]
-    found = (sources != targets) & np.isfinite(totals)
+    totals = dist_to[rows, sources]  # 0 where source == target
+    reachable = np.isfinite(totals)
     paths = [[s] for s in sources.tolist()]
-    at = np.where(found, sources, targets)  # pairs with nothing to walk start done
+    at = np.where(reachable, sources, targets)  # an unreachable pair walks nowhere
     for _ in range(n - 1):  # a best path has at most n - 1 edges
         walking = np.flatnonzero(at != targets)
         if not walking.size:
@@ -334,9 +334,8 @@ def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]
             paths[row].append(v)
     if (at != targets).any():
         raise ValidationError("optimal path exceeded node count; nonpositive costs?")
-    return [(path, float(total)) if ok else ([s], 0.0) if s == t else (None, INF)
-            for path, total, ok, s, t in zip(paths, totals.tolist(), found.tolist(),
-                                             sources.tolist(), targets.tolist())]
+    return [(path, total) if ok else (None, INF)
+            for path, total, ok in zip(paths, totals.tolist(), reachable.tolist())]
 
 
 @dataclass

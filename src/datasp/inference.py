@@ -167,8 +167,8 @@ class DestinationPrior:
         the origin node (d = 0 at the origin, weight 0 where unreachable);
         scale is the mean finite distance so the decay is unit-free.
 
-        The distances are one dense Dijkstra on the reversed graph, so the
-        finite entries of m must be strictly positive.
+        The distances are one dense Dijkstra, a block of one, on the
+        reversed graph, so the finite entries of m must be strictly positive.
         """
         m = validate_cost_matrix(m, positive=True)
         if not 0 <= origin < m.shape[0]:

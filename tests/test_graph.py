@@ -224,6 +224,17 @@ def test_dijkstra_matches_heap_reference(m):
         assert found[row] == _heap_dijkstra(mat, i, j)
 
 
+def test_dijkstra_block_takes_one_pair_per_matrix(k4):
+    block = np.stack([k4, k4])
+    for ends in ([(0, 3)], [(0, 3), (1, 2), (2, 1)], [0, 3]):
+        with pytest.raises(ValidationError):
+            dijkstra(block, ends)
+    with pytest.raises(ValidationError):
+        dijkstra(k4, [(0, 3)])
+    with pytest.raises(ValidationError):
+        dijkstra(block, [(0, 3), (1, 4)])
+
+
 def test_dijkstra_rejects_nonpositive_costs():
     m = np.array([[INF, -0.5], [INF, INF]])
     with pytest.raises(ValidationError):
