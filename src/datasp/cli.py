@@ -376,8 +376,8 @@ def _metric_rows(dataset, params, split, true_costs):
     for block in block_slices(len(distinct), graph.num_nodes):
         pairs = distinct[block]
         costs = np.broadcast_to(prior, (len(pairs), graph.num_edges))
-        prior_paths.update(zip(pairs, (path for path, _ in
-                                       expected_optimal_path(costs, graph, pairs))))
+        found = expected_optimal_path(costs, graph, pairs)
+        prior_paths.update((end, path) for end, (path, _) in zip(pairs, found))
     methods = [("PRIOR", [prior_paths[end] for end in ends])]
     if params is not None:
         methods.append(("DataSP", predicted_paths(params, dataset, indices)))
