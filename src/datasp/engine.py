@@ -32,12 +32,20 @@ pivots share one `smoothing.Workspace` of three V x V float buffers.
 The queries in `inference` (path sampling, destination likelihoods) run
 `sweep` themselves and read the rows they need through `shortcut_costs`; a
 sweep's tape holds no P, and no V^3 array is allocated for them.
-`datasp_forward_efficient` is `sweep` plus the dense O(V^3) build of P,
-which only the training loss and the oracle checks use; its tape holds that
-P.  The backward pass, which needs such a tape, reduces the upstream
-gradient on P to gradients on D, C, R and the direct slots, then runs one
-reverse sweep over the pivots, recomputing each sqrt(V)-pivot segment from
-its snapshot (checkpointing as in Griewank & Walther's "revolve").
+`datasp_forward_efficient` is `sweep` plus P from the closed form.  Given
+index arrays `at=(i, j, k)` it evaluates P only at those triples, with the
+same floating-point operations as the dense build, so the entries are
+bit-equal to the dense P gathered there; training asks for P this way, at
+the shortcuts its trajectories observe, and allocates no V^3 array.  Without
+`at` it builds the dense O(V^3) P, which only the oracle checks, the tests
+and the benchmark's engine sweep read.  Either tape holds the P it
+returned.  The backward pass, which needs such a tape, reduces the upstream
+gradient on P (in the shape of that P) to gradients on D, C, R and the
+direct slots, then runs one reverse sweep over the pivots, recomputing each
+sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank &
+Walther's "revolve").  The closed form of P and its adjoint follow Mensch &
+Blondel, "Differentiable Dynamic Programming for Structured Prediction and
+Attention" (ICML 2018).
 """
 
 from __future__ import annotations
@@ -57,8 +65,11 @@ class EngineTape:
     """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots.
 
     A tape from `datasp_forward_efficient` holds the P it returned, which
-    the backward reads (it must not be modified in place); a tape from
-    `sweep` holds none.
+    the backward reads (it must not be modified in place), and the triples
+    `at` it was evaluated at: a 1-D P at the training loss's observed
+    triples, or the dense V x V x V P (at None) that the oracle checks, the
+    tests and the benchmark's engine sweep read.  A tape from `sweep` holds
+    neither.
     """
 
     beta: float
@@ -70,6 +81,7 @@ class EngineTape:
     stride: int
     snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
     p: np.ndarray | None = None
+    at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def shortcut_costs(tape: EngineTape, a: int, b: int) -> np.ndarray:
@@ -99,6 +111,36 @@ def _shortcuts(tape: EngineTape) -> np.ndarray:
     return p
 
 
+def _shortcuts_at(tape: EngineTape) -> np.ndarray:
+    """P[i, j, k] at the tape's index arrays at = (i, j, k), by the
+    operations of `_shortcuts` (so bit-equal to it); a 1-D array."""
+    i, j, k = tape.at
+    beta = tape.beta
+    d = tape.dist[i, j]
+    d = np.where(np.isfinite(d), d, -INF)
+    p = tape.col[i, k] + tape.row[k, j]
+    p -= d
+    p *= -beta
+    np.exp(p, out=p)
+    direct = np.flatnonzero(k == i)
+    p[direct] = np.exp(-beta * (tape.m_input[i[direct], j[direct]] - d[direct]))
+    return p
+
+
+def _check_triples(at, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """at as three 1-D integer arrays of one length, with entries in [0, n)."""
+    try:
+        i, j, k = (np.asarray(a) for a in at)
+    except (TypeError, ValueError):
+        raise ValidationError("at must be three index arrays (i, j, k)") from None
+    triples = (i, j, k)
+    if any(a.ndim != 1 or a.shape != i.shape or a.dtype.kind not in "iu" for a in triples):
+        raise ValidationError("at must be three 1-D integer arrays of one length")
+    if i.size and (min(a.min() for a in triples) < 0 or max(a.max() for a in triples) >= n):
+        raise ValidationError(f"a triple of at lies outside the {n} nodes")
+    return i.astype(np.intp), j.astype(np.intp), k.astype(np.intp)
+
+
 def sweep(m: np.ndarray, beta: float) -> EngineTape:
     """The smoothed Floyd-Warshall sweep: D, C, R and the snapshots.
 
@@ -125,18 +167,58 @@ def sweep(m: np.ndarray, beta: float) -> EngineTape:
                       stride=stride, snapshots=snapshots)
 
 
-def datasp_forward_efficient(m: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, EngineTape]:
-    """Forward pass: returns (shortcut tensor P, smoothed distance matrix D, tape)."""
+def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
+                             ) -> tuple[np.ndarray, np.ndarray, EngineTape]:
+    """Forward pass: returns (shortcut tensor P, smoothed distance matrix D, tape).
+
+    With at = (i, j, k), three equal-length integer arrays, P is the 1-D
+    array of P[i, j, k] at those triples; without, the dense V x V x V P.
+    """
     tape = sweep(m, beta)
-    tape.p = _shortcuts(tape)
+    if at is None:
+        tape.p = _shortcuts(tape)
+    else:
+        tape.at = _check_triples(at, tape.size)
+        tape.p = _shortcuts_at(tape)
     return tape.p, tape.dist, tape
+
+
+def _shortcut_adjoint(tape: EngineTape, grad_p: np.ndarray):
+    """Reduce G = grad_p * P through the closed form: returns
+    (g_dist, g_col, g_row, g_direct), the V x V gradients on D, C, R and the
+    direct slots, each before its factor of beta."""
+    n = tape.size
+    g_p = grad_p * tape.p
+    if tape.at is None:
+        nodes = np.arange(n)
+        direct = (nodes[:, None], nodes[None, :], nodes[:, None])
+        g_direct = g_p[direct]
+        g_dist = g_p.sum(axis=2)
+        g_p[direct] = 0.0
+        return g_dist, g_p.sum(axis=1), g_p.sum(axis=0).T, g_direct
+    i, j, k = tape.at
+    is_direct = k == i
+    g_via = np.where(is_direct, 0.0, g_p)
+
+    def scatter(rows, cols, weights, along):
+        # Each bin adds its terms in ascending `along`: the order of the
+        # dense sums over axes 1 and 0, so C and R get the dense path's bits.
+        # The dense sum over k is pairwise, and D's bits match it wherever a
+        # pair observes at most two slots.
+        order = np.argsort(along, kind="stable")
+        flat = rows[order] * n + cols[order]
+        return np.bincount(flat, weights[order], minlength=n * n).reshape(n, n)
+
+    return (scatter(i, j, g_p, k), scatter(i, k, g_via, j), scatter(k, j, g_via, i),
+            scatter(i, j, np.where(is_direct, g_p, 0.0), k))
 
 
 def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) -> np.ndarray:
     """Reverse-mode adjoint: gradients of a scalar loss w.r.t. the input matrix.
 
     tape must come from `datasp_forward_efficient`, and grad_p / grad_m are
-    the upstream gradients w.r.t. the P and D it returned.  Through the
+    the upstream gradients w.r.t. the P and D it returned, grad_p in the
+    shape of that P (dense, or one entry per triple of `at`).  Through the
     closed form, G = grad_p * P moves beta * sum_k G[i, j, k] onto D[i, j],
     -beta * G[i, j, k] onto C[i, k] and R[k, j], and -beta * G[i, j, i] onto
     the input entry M[i, j].  The reverse sweep then carries the
@@ -149,21 +231,16 @@ def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) ->
     n = tape.size
     grad_p = np.asarray(grad_p, dtype=float)
     grad_m = np.asarray(grad_m, dtype=float)
-    if grad_p.shape != (n, n, n) or grad_m.shape != (n, n):
+    if grad_p.shape != tape.p.shape or grad_m.shape != (n, n):
         raise ValidationError(
-            f"upstream gradients must have shapes {(n, n, n)} and {(n, n)}, "
+            f"upstream gradients must have shapes {tape.p.shape} and {(n, n)}, "
             f"got {grad_p.shape} and {grad_m.shape}"
         )
     beta = tape.beta
-    g_p = grad_p * tape.p
-    nodes = np.arange(n)
-    direct = (nodes[:, None], nodes[None, :], nodes[:, None])
-    g_direct = g_p[direct]
-    g = grad_m + beta * g_p.sum(axis=2)
-    g_p[direct] = 0.0
-    g_col = -beta * g_p.sum(axis=1)    # [i, k]
-    g_row = -beta * g_p.sum(axis=0).T  # [k, j]
-    del g_p
+    g_dist, g_col, g_row, g_direct = _shortcut_adjoint(tape, grad_p)
+    g = grad_m + beta * g_dist
+    g_col *= -beta    # [i, k]
+    g_row *= -beta    # [k, j]
 
     cur = np.empty((n, n))
     work = Workspace(n * n)

@@ -6,7 +6,10 @@ nodes, rewrite the context-similar trajectories onto the compressed node
 set, encode them as shortcut frequencies, run the differentiable
 shortest-path forward pass, and backpropagate the KL divergence between
 observed and inferred shortcut distributions (plus a prior regularizer on
-the costs) all the way to the network weights.
+the costs) all the way to the network weights.  The forward pass evaluates
+the shortcut tensor P only at the observed (i, j, k) triples of the
+frequency tensor, and the loss and the backward carry the gradient from
+those triples alone, so a step holds no V^3 array.
 
 The context-similar trajectories are the training records nearest to the
 anchor, found at every step by `similar_indices` over the dataset's context
@@ -128,33 +131,32 @@ def adam_update(params: ModelParams, grads: list[np.ndarray], state: dict,
 def shortcut_loss(p: np.ndarray, freq: FrequencyTensor) -> tuple[float, np.ndarray, int]:
     """KL divergence between observed and inferred shortcut distributions.
 
-    Returns (loss, gradient w.r.t. P, floored-term count).  The gradient is
-    supported only on observed pairs; terms with zero observed frequency
-    contribute nothing.  Inferred probabilities are floored at P_FLOOR
-    inside the log, and such events are counted: they indicate shortcuts
-    observed in the data that the current graph view deems (near-)impossible.
+    p holds P at the observed triples, `freq.triples` (as
+    `datasp_forward_efficient(m, beta, at=freq.triples)` returns it), so the
+    loss never reads or writes a V^3 array.  Returns (loss, gradient w.r.t.
+    p in p's shape, floored-term count); terms with zero observed frequency
+    are not among the triples and contribute nothing.  Inferred
+    probabilities are floored at P_FLOOR inside the log, with zero
+    gradient, and such events are counted: they indicate shortcuts observed
+    in the data that the current graph view deems (near-)impossible.  The
+    loss sums its terms in Python, in the order of `freq.frequencies`.
     """
     if not freq.frequencies:
         raise ValidationError("empty shortcut frequency tensor")
-    n = p.shape[0]
-    grad = np.zeros_like(p)
-    loss = 0.0
-    floored = 0
+    p = np.asarray(p, dtype=float)
+    f = freq.weights
+    if p.shape != f.shape:
+        raise ValidationError(f"P must hold one entry per observed triple ({f.size}), "
+                              f"got shape {p.shape}")
     num_pairs = len(freq.frequencies)
-    for (i, j), row in freq.frequencies.items():
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"observed pair ({i}, {j}) outside tensor of size {n}")
-        for k, f in row.items():
-            if f <= 0.0:
-                continue
-            p_val = p[i, j, k]
-            if p_val > P_FLOOR:
-                loss += f * (math.log(f) - math.log(p_val))
-                grad[i, j, k] = -f / p_val / num_pairs
-            else:
-                loss += f * (math.log(f) - math.log(P_FLOOR))
-                floored += 1
-    return loss / num_pairs, grad, floored
+    live = p > P_FLOOR
+    grad = np.zeros(p.shape)
+    np.divide(-f, p, out=grad, where=live)
+    grad /= num_pairs
+    loss = 0.0
+    for f_val, p_val in zip(f.tolist(), np.where(live, p, P_FLOOR).tolist()):
+        loss += f_val * (math.log(f_val) - math.log(p_val))
+    return loss / num_pairs, grad, int(p.size - live.sum())
 
 
 def prior_loss(costs, prior) -> tuple[float, np.ndarray]:
@@ -204,7 +206,7 @@ def anchor_gradients(
     compression = sample_subgraph(graph, m_full, kept, config.beta)
 
     freq = build_frequency_tensor(paths)
-    p, _, tape = datasp_forward_efficient(compression.matrix, config.beta)
+    p, _, tape = datasp_forward_efficient(compression.matrix, config.beta, at=freq.triples)
     l_s, grad_p, floored = shortcut_loss(p, freq)
     l_p, grad_costs_prior = prior_loss(costs, prior)
 

@@ -121,11 +121,19 @@ class FrequencyTensor:
     """Sparse empirical distribution of highest intermediate nodes.
 
     frequencies maps each observed pair (i, j) -> {k: frequency}, each
-    inner map summing to 1.
+    inner map summing to 1.  triples = (i, j, k) are index arrays of its
+    slots with a positive frequency, in the iteration order of frequencies,
+    and weights their frequencies: the shape in which the training loss
+    reads P (`engine.datasp_forward_efficient(..., at=triples)`).
     """
 
     def __init__(self, frequencies: dict[tuple[int, int], dict[int, float]]):
         self.frequencies = frequencies
+        slots = [(i, j, k, f) for (i, j), row in frequencies.items()
+                 for k, f in row.items() if f > 0.0]
+        self.triples = tuple(np.array([slot[axis] for slot in slots], dtype=np.intp)
+                             for axis in range(3))
+        self.weights = np.array([slot[3] for slot in slots], dtype=float)
 
 
 def build_frequency_tensor(trajectories) -> FrequencyTensor:

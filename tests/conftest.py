@@ -11,6 +11,14 @@ def k4_cost_matrix() -> np.ndarray:
     return build_cost_matrix([abs(u - v) for u, v in graph.edges], graph)
 
 
+def scatter_triples(freq, values, n: int) -> np.ndarray:
+    """A V x V x V tensor holding `values` at `freq.triples`, zero elsewhere:
+    a per-triple P or loss gradient in the dense shape."""
+    dense = np.zeros((n, n, n))
+    dense[freq.triples] = values
+    return dense
+
+
 def random_connected_graph(num_nodes: int, rng, extra_edges: int | None = None,
                            low: float = 0.5, high: float = 2.0):
     """Random spanning tree plus chords, symmetric structure, independent

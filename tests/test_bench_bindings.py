@@ -7,11 +7,13 @@ A rename or a moved call there would otherwise only show in the slower
 `python3 -m pytest -q perfbench` run.  The same holds for the observers in
 perfbench/spans.py `OBSERVERS`, which read fields of their functions'
 arguments and results, and for the searches of gen and eval, which must
-still go through the names the bench wraps.
+still go through the names the bench wraps, and for the benchmark's engine
+sweep, which calls the engine with the dense shortcut tensor.
 """
 
 import importlib
 import json
+import math
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -50,7 +52,7 @@ def test_bench_observers_count_real_results(monkeypatch):
     comp = sample_subgraph(graph, m, kept, beta)
     paths = [(0, 1, 3), (0, 2, 1, 3)]
     freq = build_frequency_tensor(paths)
-    p, _, _ = datasp_forward_efficient(comp.matrix, beta)
+    p, _, _ = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
     calls = {
         "graph.sample_subgraph": ((graph, m, kept, beta), comp),
         "trajectories.build_frequency_tensor": ((paths,), freq),
@@ -67,36 +69,64 @@ def test_bench_observers_count_real_results(monkeypatch):
                       "observed_terms": 8, "floored_terms": 2}
 
 
+def _counted(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[f"{module.__name__}.{name}"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _run(tmp_path, command, config):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(config))
+    assert datasp.cli.main([command, "--config", str(path),
+                            "--out", str(tmp_path / command)]) == 0
+
+
+def test_train_steps_through_the_traced_names(tmp_path, monkeypatch):
+    # The bench times a training step's engine, frequency encoding and loss
+    # at these names of `datasp.training`, and its observers read the loss's
+    # and the encoding's arguments and results there.
+    names = ("datasp_forward_efficient", "datasp_backward", "shortcut_loss",
+             "build_frequency_tensor")
+    calls = Counter()
+    for name in names:
+        _counted(monkeypatch, calls, datasp.training, name)
+    _run(tmp_path, "gen", {"generator": {"num_nodes": 8, "num_samples": 20,
+                                         "feature_dim": 3}})
+    _run(tmp_path, "train", {"dataset": str(tmp_path / "gen" / "manifest.json"),
+                             "training": {"epochs": 1, "beta": 5.0, "hidden_sizes": [4],
+                                          "similarity_fraction": 0.2}})
+    assert set(calls) == {f"datasp.training.{name}" for name in names}
+
+
+def test_engine_sweep_runs_the_dense_shortcut_tensor(monkeypatch):
+    # perfbench/pipeline.py `engine_sweep` times the forward without `at`
+    # and a backward from np.full(p.shape, 1 / V), that is the dense P.
+    monkeypatch.syspath_prepend(str(BENCH))
+    pipeline = importlib.import_module("pipeline")
+    out = pipeline.engine_sweep((4, 6))
+    assert all(math.isfinite(value) for value in out.values())
+    assert out["engine.forward.peak_alloc_mb.v6"] * 2**20 >= 6 ** 3 * 8
+
+
 def test_gen_and_eval_search_through_the_traced_names(tmp_path, monkeypatch):
     # The bench times gen's searches at `datasp.synthetic.dijkstra` and eval's
     # at the callers' `expected_optimal_path`; a search that bypassed those
     # names would drop out of its span unnoticed.
     calls = Counter()
+    _counted(monkeypatch, calls, datasp.synthetic, "dijkstra")
+    _counted(monkeypatch, calls, datasp.training, "expected_optimal_path")
+    _counted(monkeypatch, calls, datasp.cli, "expected_optimal_path")
 
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[f"{module.__name__}.{name}"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(datasp.synthetic, "dijkstra")
-    counted(datasp.training, "expected_optimal_path")
-    counted(datasp.cli, "expected_optimal_path")
-
-    def run(command, config):
-        path = tmp_path / f"{command}.json"
-        path.write_text(json.dumps(config))
-        assert datasp.cli.main([command, "--config", str(path),
-                                "--out", str(tmp_path / command)]) == 0
-
-    run("gen", {"generator": {"num_nodes": 10, "num_samples": 20, "feature_dim": 3}})
+    _run(tmp_path, "gen", {"generator": {"num_nodes": 10, "num_samples": 20, "feature_dim": 3}})
     graph, _, _ = load_graph_json(tmp_path / "gen" / "graph.json")
     checkpoint = tmp_path / "init.bin"
     save_checkpoint(checkpoint, init_params(3, [4], graph.num_edges, seed=0))
-    run("eval", {"dataset": str(tmp_path / "gen" / "manifest.json"),
-                 "checkpoint": str(checkpoint)})
+    _run(tmp_path, "eval", {"dataset": str(tmp_path / "gen" / "manifest.json"),
+                            "checkpoint": str(checkpoint)})
     assert set(calls) == {"datasp.synthetic.dijkstra", "datasp.training.expected_optimal_path",
                           "datasp.cli.expected_optimal_path"}

@@ -3,20 +3,30 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, scatter_triples
 from datasp.engine import datasp_backward, datasp_forward_efficient, sweep
 from datasp.errors import ValidationError
 from datasp.graph import (
     Graph,
     build_cost_matrix,
     classical_floyd_warshall,
+    complete_graph,
     dijkstra,
     draw_kept_nodes,
     sample_subgraph,
 )
-from datasp.oracle import WalkEnumerator, engine_deviations, finite_difference_gradcheck
+from datasp.oracle import (
+    WalkEnumerator,
+    engine_deviations,
+    finite_difference_gradcheck,
+    normwise_gradient_error,
+)
 from datasp.smoothing import INF, Workspace, pair_softmin, pivot
+from datasp.training import shortcut_loss
+from datasp.trajectories import build_frequency_tensor
 
 
 def assert_shortcut_invariants(p, tol=1e-9):
@@ -310,3 +320,83 @@ def test_forward_rejects_bad_matrix():
         datasp_forward_efficient(np.array([[1.0, 2.0], [3.0, INF]]), 1.0)  # finite diagonal
     with pytest.raises(ValidationError):
         datasp_forward_efficient(np.full((2, 3), INF), 1.0)
+
+
+# --- P at observed triples ------------------------------------------------------
+
+def _squared_gap_matrix(size: int) -> np.ndarray:
+    """Complete graph with cost 4 (u - v)^2: backtracking legs are dear."""
+    graph = complete_graph(size)
+    return build_cost_matrix([4.0 * (u - v) ** 2 for u, v in graph.edges], graph)
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0, 30.0])
+def test_triple_shortcuts_are_bit_equal_to_dense(beta, rng):
+    full = _squared_gap_matrix(9)
+    comp = sample_subgraph(complete_graph(9), full, [0, 2, 3, 5, 6, 8], beta)
+    graph, costs = random_connected_graph(8, rng)
+    for m in (comp.matrix, build_cost_matrix(costs, graph)):
+        n = m.shape[0]
+        dense, dist, _ = datasp_forward_efficient(m, beta)
+        # every slot kind: direct, via, k == j, i == j; shuffled, with repeats
+        at = np.indices((n, n, n)).reshape(3, -1)
+        at = at[:, rng.permutation(np.r_[np.arange(n ** 3), rng.integers(n ** 3, size=20)])]
+        p, d, tape = datasp_forward_efficient(m, beta, at=tuple(at))
+        assert np.array_equal(p, dense[tuple(at)])
+        assert np.array_equal(d, dist)
+        assert tape.p is p and p.shape == (at.shape[1],)
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0, 30.0])
+def test_triple_backward_matches_dense_backward(beta, rng):
+    comp = sample_subgraph(complete_graph(9), _squared_gap_matrix(9), [0, 2, 3, 5, 6, 8], beta)
+    n = comp.matrix.shape[0]
+    # pair (0, 5) observes intermediates 1, 2, 3 and 4; (0, 5, 1) backtracks
+    # over the dearest legs, so its (0, 1, 5) term floors at every beta
+    freq = build_frequency_tensor([(0, 1, 5), (0, 2, 5), (0, 3, 5), (0, 4, 5), (0, 4, 2, 5),
+                                   (0, 5, 1), (3, 1, 4)])
+    assert len(freq.frequencies[(0, 5)]) >= 3
+    p, dist, tape = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
+    _, grad_p, floored = shortcut_loss(p, freq)
+    assert floored >= 1
+    grad_m = np.where(np.isfinite(dist), rng.standard_normal(dist.shape), 0.0)
+    sparse = datasp_backward(tape, grad_p, grad_m)
+
+    _, _, dense_tape = datasp_forward_efficient(comp.matrix, beta)
+    dense = datasp_backward(dense_tape, scatter_triples(freq, grad_p, n), grad_m)
+    np.testing.assert_allclose(sparse, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(size=st.integers(4, 8), beta=st.sampled_from([1.0, 3.0, 5.0]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_triple_path_gradcheck(size, beta, seed, data):
+    rng = np.random.default_rng(seed)
+    graph = complete_graph(size)
+    m = build_cost_matrix(rng.uniform(1.0, 3.0, graph.num_edges), graph)
+    paths = [tuple(data.draw(st.permutations(range(size)))[:data.draw(st.integers(2, size))])
+             for _ in range(data.draw(st.integers(1, 4)))]
+    freq = build_frequency_tensor(paths)
+
+    def loss(matrix):
+        p, _, _ = datasp_forward_efficient(matrix, beta, at=freq.triples)
+        return shortcut_loss(p, freq)[0]
+
+    p, dist, tape = datasp_forward_efficient(m, beta, at=freq.triples)
+    grad = datasp_backward(tape, shortcut_loss(p, freq)[1], np.zeros_like(dist))
+    # normwise: the KL gradient has entries near 1e-6 whose central
+    # differences are mostly round-off
+    assert normwise_gradient_error(loss, grad, m, step=1e-5) <= 1e-6
+
+
+def test_forward_rejects_bad_triples(k4):
+    for at in [([0], [1]), ([0, 1], [1], [2]), ([0.0], [1.0], [2.0]), ([0], [4], [1]),
+               ([-1], [1], [2]), (np.zeros((1, 1), int),) * 3]:
+        with pytest.raises(ValidationError):
+            datasp_forward_efficient(k4, 1.0, at=at)
+
+
+def test_triple_backward_shape_validation(k4):
+    _, _, tape = datasp_forward_efficient(k4, 1.0, at=([0, 1], [3, 2], [1, 1]))
+    with pytest.raises(ValidationError):
+        datasp_backward(tape, np.zeros((4, 4, 4)), np.zeros((4, 4)))

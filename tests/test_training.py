@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, scatter_triples
 from datasp.costmodel import init_params, predict_costs
 from datasp.engine import datasp_backward, datasp_forward_efficient
 from datasp.errors import ValidationError
@@ -12,6 +13,7 @@ from datasp.oracle import finite_difference_gradcheck
 from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from datasp.trajectories import (
     Dataset,
+    FrequencyTensor,
     apply_node_exclusion_to_path,
     build_frequency_tensor,
     node_visit_frequencies,
@@ -35,9 +37,11 @@ def test_shortcut_loss_zero_when_matched(k4):
     freq_rows = {}
     for (i, j) in [(0, 3), (1, 2)]:
         freq_rows[(i, j)] = {k: float(p[i, j, k]) for k in range(4) if p[i, j, k] > 0}
-    from datasp.trajectories import FrequencyTensor
+    freq = FrequencyTensor(freq_rows)
+    p_at, _, _ = datasp_forward_efficient(k4, 1.0, at=freq.triples)
 
-    loss, grad, floored = shortcut_loss(p, FrequencyTensor(freq_rows))
+    loss, grad, floored = shortcut_loss(p_at, freq)
+    grad = scatter_triples(freq, grad, 4)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert floored == 0
     # gradient of KL at the optimum is -f/p / |D| = -1/|D| on the support
@@ -45,37 +49,34 @@ def test_shortcut_loss_zero_when_matched(k4):
 
 
 def test_shortcut_loss_one_hot_vs_uniform():
-    from datasp.trajectories import FrequencyTensor
-
     n = 5
     p = np.zeros((n, n, n))
     options = [0, 1, 2]  # slot 0 is the direct slot for pair (0, 4)
     for k in options:
         p[0, 4, k] = 1.0 / len(options)
     freq = FrequencyTensor({(0, 4): {1: 1.0}})
-    loss, grad, _ = shortcut_loss(p, freq)
+    loss, grad, _ = shortcut_loss(p[freq.triples], freq)
+    grad = scatter_triples(freq, grad, n)
     assert loss == pytest.approx(math.log(len(options)), rel=1e-12)
     assert grad[0, 4, 1] == pytest.approx(-3.0)
     assert grad[0, 4, 0] == 0.0
 
 
 def test_shortcut_loss_floors_unreachable_terms():
-    from datasp.trajectories import FrequencyTensor
-
     p = np.zeros((3, 3, 3))
     freq = FrequencyTensor({(0, 2): {1: 1.0}})
-    loss, grad, floored = shortcut_loss(p, freq)
+    loss, grad, floored = shortcut_loss(p[freq.triples], freq)
+    grad = scatter_triples(freq, grad, 3)
     assert floored == 1
     assert loss == pytest.approx(-math.log(1e-12), rel=1e-6)
     assert np.array_equal(grad, np.zeros_like(grad))
 
 
 def test_shortcut_loss_gradient_outside_observed_pairs_is_zero(k4):
-    from datasp.trajectories import FrequencyTensor
-
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
     freq = FrequencyTensor({(0, 3): {2: 1.0}})
+    p, _, _ = datasp_forward_efficient(k4, 1.0, at=freq.triples)
     _, grad, _ = shortcut_loss(p, freq)
+    grad = scatter_triples(freq, grad, 4)
     mask = np.ones_like(grad, dtype=bool)
     mask[0, 3, :] = False
     assert np.array_equal(grad[mask], np.zeros(mask.sum()))
@@ -122,6 +123,27 @@ def test_train_step_zero_learning_rate_keeps_params():
     adam_update(params, grads, state, config)
     for w, old in zip(params.weights, before):
         assert np.array_equal(w, old)
+
+
+def test_anchor_step_allocates_less_than_one_v3_array():
+    # The loss reads P at its observed triples only: no P, loss gradient or
+    # grad_p * P of V^3 entries is allocated on the training path.
+    size = 64
+    result, dataset = small_dataset(num_samples=20, num_nodes=size)
+    config = TrainConfig(beta=5.0, similarity_fraction=0.2, hidden_sizes=[8])
+    params = init_params(3, [8], result.graph.num_edges, seed=0)
+    args = (params, 0, dataset, config, node_visit_frequencies(dataset),
+            list(range(len(dataset.paths))))
+    anchor_gradients(*args, sample_seed=0)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads, entry = anchor_gradients(*args, sample_seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not entry["skipped"] and grads is not None
+    assert peak < size ** 3 * 8
 
 
 def test_alpha_zero_equals_dropping_prior_loss():
@@ -236,7 +258,7 @@ def test_exclusion_chain_cost_gradient():
         rewritten = [apply_node_exclusion_to_path(p, node_map) for p in paths]
         rewritten = [p for p in rewritten if p is not None]
         freq = build_frequency_tensor(rewritten)
-        p, dist, tape = datasp_forward_efficient(comp.matrix, beta)
+        p, dist, tape = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
         loss, grad_p, _ = shortcut_loss(p, freq)
         grad_c = datasp_backward(tape, grad_p, np.zeros_like(comp.matrix))
         grad_full = comp.backward(grad_c)
