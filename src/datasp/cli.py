@@ -62,7 +62,6 @@ from .oracle import (
 )
 from .serialize import (
     canonical_json,
-    file_sha256,
     load_checkpoint,
     load_tensor,
     save_checkpoint,
@@ -237,7 +236,8 @@ def _model_costs(config, graph, prior, out_meta: dict):
         raise ValidationError("context is read only with a checkpoint; set checkpoint "
                               "or drop context")
     if config["checkpoint"] is not None:
-        params, _, _, _ = load_checkpoint(config["checkpoint"])
+        checkpoint = load_checkpoint(config["checkpoint"])
+        params = checkpoint.params
         if params.edge_count != graph.num_edges:
             raise ValidationError("checkpoint edge count does not match graph")
         context = config["context"]
@@ -245,7 +245,7 @@ def _model_costs(config, graph, prior, out_meta: dict):
             raise ValidationError(f"a checkpoint needs a context list of finite numbers, "
                                   f"got {context!r}")
         costs, _ = predict_costs(params, np.asarray(context, dtype=float), prior)
-        out_meta["checkpoint_sha256"] = file_sha256(config["checkpoint"])
+        out_meta["checkpoint_sha256"] = checkpoint.sha256
         return costs
     if prior is None:
         raise ValidationError("graph has neither prior costs nor node positions")
@@ -339,7 +339,8 @@ def cmd_train(args) -> int:
 
     initial_params, initial_step, initial_opt = None, 0, None
     if config["resume"] is not None:
-        initial_params, initial_step, _, initial_opt = load_checkpoint(config["resume"])
+        resume = load_checkpoint(config["resume"])
+        initial_params, initial_step, initial_opt = resume.params, resume.step, resume.opt_state
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
     log_path = os.path.join(out_dir, "train_log.jsonl")
@@ -415,7 +416,7 @@ def cmd_eval(args) -> int:
         raise ValidationError("evaluation requires prior costs")
     params = None
     if config["checkpoint"] is not None:
-        params, _, _, _ = load_checkpoint(config["checkpoint"])
+        params = load_checkpoint(config["checkpoint"]).params
     true_costs = None
     if true_costs_path:
         true_costs = load_tensor(true_costs_path)
@@ -468,11 +469,9 @@ def cmd_sample_paths(args) -> int:
     )
     samples_path = os.path.join(out_dir, "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
-        for walk in sorted(estimate.frequencies, key=lambda w: (-estimate.frequencies[w], w)):
-            freq = estimate.frequencies[walk]
-            count = round(freq * estimate.sample_count)
-            fh.write(json.dumps({"path": list(walk), "count": int(count),
-                                 "freq": freq}, sort_keys=True) + "\n")
+        for walk in sorted(estimate.counts, key=lambda w: (-estimate.counts[w], w)):
+            fh.write(json.dumps({"path": list(walk), "count": estimate.counts[walk],
+                                 "freq": estimate.frequencies[walk]}, sort_keys=True) + "\n")
     meta.update({
         "sample_count": estimate.sample_count,
         "rejected_count": estimate.rejected_count,

@@ -4,36 +4,47 @@ expected optimal paths, and evaluation metrics.
 Queries take the cost matrix and beta and run `engine.sweep` themselves, not
 the shortcut tensor P: every row they need is read from the sweep's tape
 through `engine.shortcut_costs`, in log space, so no V^3 array is built and
-no row underflows to all zeros.  `ShortcutSampler` is the sampler on a tape.
+no row underflows to all zeros.
 
-Sampling recursively draws the highest intermediate node H between the
-endpoints, then recurses into both halves with all slots above H masked out
-(the direct slot stays available on the left half even when its index
-exceeds H).  Because every draw inside a half is strictly smaller than the
-half's pivot, the mask a row would accumulate along a branch always equals
-the mask imposed by its immediate parent, so passing a single bound down the
-recursion reproduces the tensor-masking semantics exactly without copying
-anything.
+A walk i -> j is drawn top-down over its highest-node decomposition.  The
+segment (a, b, bound) draws its highest intermediate node H from row (a, b)
+of P with every slot above `bound` masked out (the direct slot a stays
+available even when a exceeds the bound).  A draw of H = a ends the segment
+as the edge a -> b; any other H splits it into (a, H, H) and (H, b, H).  A
+walk starts as the one segment (i, j, V - 1).  Because every draw inside a
+half is strictly smaller than the half's pivot, the mask a row would
+accumulate along a branch always equals the mask imposed by its immediate
+parent, so carrying one bound per segment reproduces the tensor-masking
+semantics exactly.
 
-The recursion cannot dead-end.  A draw of H from row (a, b) has a finite
-cost C[a, H] + R[H, b].  C[a, H] is the smooth min of the costs row (a, H)
-keeps under the mask at H (its direct slot and the slots below H), and
-R[H, b] is the same for row (H, b), so both halves have a finite slot to
-draw.  Weights are taken relative to the cheapest slot left in the row,
-which therefore always weighs exactly 1.
+The segments of a block of walks are drawn level by level: each round
+builds or looks up the cumulative slot weights of every distinct
+(a, b, bound) once, draws the H of every open segment from one
+`rng.random` call, and replaces each split segment by its two halves, side
+by side, so the segments of a walk stay in walk order.  A walk's nodes are
+i followed by the end node of each of its segments.  Nothing is done per
+draw in Python: the walks of a block are counted by sorting their node
+rows.
+
+No segment can dead-end.  A draw of H from row (a, b) has a finite cost
+C[a, H] + R[H, b].  C[a, H] is the smooth min of the costs row (a, H) keeps
+under the mask at H (its direct slot and the slots below H), and R[H, b] is
+the same for row (H, b), so both halves have a finite slot to draw.  Weights
+are taken relative to the cheapest slot left in the row, which therefore
+always weighs exactly 1.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import EngineTape, shortcut_costs, sweep
 from .errors import NoPathError, ValidationError
 from .graph import (
+    BLOCK_FLOATS,
     Graph,
     build_cost_matrix,
     dijkstra,
@@ -42,57 +53,130 @@ from .graph import (
 )
 from .smoothing import INF
 
+# Walks drawn together.  A walk's segments and node row hold a few dozen
+# 8-byte entries in all, so a block stays within the float budget that
+# gen and eval give a block of cost matrices.
+WALK_BLOCK = BLOCK_FLOATS // 32
+
 
 @dataclass
 class PathDistributionEstimate:
-    frequencies: dict[tuple[int, ...], float]
-    sample_count: int
+    """Accepted walks and how often each was drawn; the frequencies are the
+    counts over their sum, `sample_count`."""
+
+    counts: dict[tuple[int, ...], int]
     rejected_count: int
+    sample_count: int = field(init=False)
+    frequencies: dict[tuple[int, ...], float] = field(init=False)
+
+    def __post_init__(self):
+        self.sample_count = sum(self.counts.values())
+        self.frequencies = {w: c / self.sample_count for w, c in self.counts.items()}
 
 
-class ShortcutSampler:
-    """Recursive walk sampler over the rows of a sweep's tape.
-
-    Masked row distributions are cached per (source, target, bound) as
-    cumulative weights, so repeated draws (Monte Carlo) cost one bisection
-    per recursion step.
-    """
+class _SlotRows:
+    """Cumulative slot weights of the rows (a, b, bound) drawn so far, one
+    row of `cum` each, built once per sampling call by the arithmetic of a
+    single row: slots above the bound masked out except the direct slot, then
+    exp(-beta * (cost - cheapest slot left)) summed left to right."""
 
     def __init__(self, tape: EngineTape):
         self.tape = tape
-        self.n = tape.size
-        self._rows: dict[tuple[int, int, int], list[float]] = {}
+        self.row_of: dict[int, int] = {}  # (a * V + b) * V + bound -> row of cum
+        self.cum = np.empty((0, tape.size))
 
-    def _cumulative(self, a: int, b: int, bound: int) -> list[float]:
-        key = (a, b, bound)
-        cumulative = self._rows.get(key)
-        if cumulative is None:
-            costs = shortcut_costs(self.tape, a, b)
-            direct = costs[a]
-            costs[bound + 1:] = INF
-            costs[a] = direct  # the direct slot survives every mask
-            weights = np.exp(-self.tape.beta * (costs - costs.min()))
-            cumulative = self._rows[key] = np.cumsum(weights).tolist()
-        return cumulative
+    def _rows(self, a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """The row of `cum` of each segment (a, b, bound), built if new."""
+        n = self.tape.size
+        keys, inverse = np.unique((a * n + b) * n + bound, return_inverse=True)
+        keys = keys.tolist()
+        new = [key for key in keys if key not in self.row_of]
+        if new:
+            self.row_of.update(zip(new, range(len(self.row_of), len(self.row_of) + len(new))))
+            self.cum = np.concatenate([self.cum, self._build(*np.unravel_index(new, (n, n, n)))])
+        return np.array([self.row_of[key] for key in keys])[inverse]
 
-    def draw(self, a: int, b: int, bound: int, rng) -> int:
-        cumulative = self._cumulative(a, b, bound)
-        return bisect_right(cumulative, rng.random() * cumulative[-1])
+    def _build(self, a, b, bound) -> np.ndarray:
+        tape = self.tape
+        costs = tape.col[a] + tape.row[:, b].T
+        costs[np.arange(tape.size) > bound[:, None]] = INF
+        segs = np.arange(a.size)
+        costs[segs, b] = INF
+        costs[segs, a] = tape.m_input[a, b]  # the direct slot survives every mask
+        costs -= costs.min(axis=1, keepdims=True)
+        costs *= -tape.beta
+        np.exp(costs, out=costs)
+        return np.cumsum(costs, axis=1, out=costs)
 
-    def sample(self, i: int, j: int, rng) -> list[int]:
-        """One walk i -> j."""
-        if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
-            raise ValidationError(f"invalid pair ({i}, {j}) for {self.n} nodes")
-        if not np.isfinite(self.tape.dist[i, j]):
-            raise NoPathError(f"pair ({i}, {j}) is unreachable")
+    def draw(self, a: np.ndarray, b: np.ndarray, bound: np.ndarray, rng) -> np.ndarray:
+        """The highest intermediate node of each segment (a, b, bound): the
+        count of its row's cumulative weights <= u * total for
+        u = rng.random(), which is `bisect_right`, so a zero-weight slot is
+        never drawn.  u < 1 keeps u * total below the total, so the count
+        stays below V."""
+        n = self.tape.size
+        rows = self._rows(a, b, bound)
+        flat = self.cum.ravel()
+        base = rows * n
+        x = rng.random(rows.size) * flat[base + n - 1]
+        lo = np.zeros(rows.size, dtype=np.intp)
+        hi = np.full(rows.size, n, dtype=np.intp)
+        for _ in range(n.bit_length()):
+            mid = (lo + hi) >> 1
+            right = flat[base + mid] <= x
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return lo
 
-        def recurse(a: int, b: int, bound: int) -> list[int]:
-            h = self.draw(a, b, bound, rng)
-            if h == a:
-                return [a, b]
-            return recurse(a, h, h) + recurse(h, b, h)[1:]
 
-        return recurse(i, j, self.n - 1)
+def _draw_walks(slots: _SlotRows, i: int, j: int, count: int, rng) -> np.ndarray:
+    """`count` walks i -> j, one row each: their nodes, padded with -1."""
+    n = slots.tape.size
+    walk = np.arange(count)
+    a = np.full(count, i)
+    b = np.full(count, j)
+    bound = np.full(count, n - 1)
+    todo = walk
+    while todo.size:
+        h = slots.draw(a[todo], b[todo], bound[todo], rng)
+        split = h != a[todo]
+        todo, h = todo[split], h[split]
+        # Each split segment becomes two adjacent ones, (a, h, h) and
+        # (h, b, h), which the next round draws; the others are edges.
+        reps = np.ones(walk.size, dtype=np.intp)
+        reps[todo] = 2
+        left = np.cumsum(reps)[todo] - 2
+        walk, a, b, bound = (np.repeat(x, reps) for x in (walk, a, b, bound))
+        b[left] = a[left + 1] = bound[left] = bound[left + 1] = h
+        todo = np.stack([left, left + 1], axis=1).ravel()
+    edges = np.bincount(walk, minlength=count)
+    nodes = np.full((count, edges.max() + 1), -1)
+    nodes[:, 0] = i
+    first = np.cumsum(edges) - edges
+    nodes[walk, np.arange(walk.size) - first[walk] + 1] = b
+    return nodes
+
+
+def _count_walks(nodes: np.ndarray, counts: dict[tuple[int, ...], int],
+                 reject_cycles: bool) -> int:
+    """Add each distinct row of nodes (a walk padded with -1) to counts,
+    leaving out walks with a repeated node when reject_cycles is set;
+    returns the number of walks added."""
+    if reject_cycles:
+        ordered = np.sort(nodes, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+        nodes = nodes[~repeats.any(axis=1)]
+    if not nodes.size:
+        return 0
+    nodes = nodes[np.lexsort(nodes.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (nodes[1:] != nodes[:-1]).any(axis=1)])
+    distinct = nodes[starts]
+    sizes = (distinct >= 0).sum(axis=1).tolist()
+    times = np.diff(np.r_[starts, nodes.shape[0]]).tolist()
+    for row, size, c in zip(distinct.tolist(), sizes, times):
+        walk = tuple(row[:size])
+        counts[walk] = counts.get(walk, 0) + c
+    return nodes.shape[0]
 
 
 def monte_carlo_path_distribution(
@@ -104,40 +188,37 @@ def monte_carlo_path_distribution(
     rng,
     reject_cycles: bool = False,
 ) -> PathDistributionEstimate:
-    """Empirical walk distribution of i -> j from repeated sampling on the
-    sweep of cost matrix m at beta.
+    """Empirical walk distribution of i -> j from num_samples walks drawn on
+    the sweep of cost matrix m at beta, in blocks of at most WALK_BLOCK
+    walks, level by level (module docstring).
 
     With reject_cycles, walks with repeated nodes are discarded (and
-    counted); sampling continues until num_samples walks are accepted or
-    the 100 * num_samples attempt cap is hit.
+    counted), and the discarded number is drawn again, round after round,
+    until num_samples walks are accepted or 100 * num_samples walks have
+    been drawn.  Raises ValidationError for an invalid pair and NoPathError
+    for an unreachable one or when every walk was discarded.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
-    sampler = ShortcutSampler(sweep(m, beta))
+    tape = sweep(m, beta)
+    n = tape.size
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValidationError(f"invalid pair ({i}, {j}) for {n} nodes")
+    if not np.isfinite(tape.dist[i, j]):
+        raise NoPathError(f"pair ({i}, {j}) is unreachable")
+    slots = _SlotRows(tape)
     counts: dict[tuple[int, ...], int] = {}
-    accepted = 0
-    rejected = 0
-    attempts = 0
+    accepted = attempts = 0
     cap = 100 * num_samples
     while accepted < num_samples and attempts < cap:
-        attempts += 1
-        walk = sampler.sample(i, j, rng)
-        if reject_cycles and len(set(walk)) != len(walk):
-            rejected += 1
-            continue
-        key = tuple(walk)
-        counts[key] = counts.get(key, 0) + 1
-        accepted += 1
+        size = min(num_samples - accepted, cap - attempts, WALK_BLOCK)
+        accepted += _count_walks(_draw_walks(slots, i, j, size, rng), counts, reject_cycles)
+        attempts += size
     if accepted == 0:
         raise NoPathError(
             f"all {attempts} sampled walks for pair ({i}, {j}) were rejected"
         )
-    freqs = {w: c / accepted for w, c in counts.items()}
-    return PathDistributionEstimate(
-        frequencies=freqs,
-        sample_count=accepted,
-        rejected_count=rejected,
-    )
+    return PathDistributionEstimate(counts=counts, rejected_count=attempts - accepted)
 
 
 @dataclass

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,32 +111,47 @@ def _array_specs(header) -> list[dict]:
     return specs
 
 
-def load_checkpoint(path) -> tuple[ModelParams, int, dict, dict | None]:
-    """Returns (params, step, extra, opt_state or None)."""
+@dataclass
+class Checkpoint:
+    """A loaded checkpoint; `sha256` is the digest of the file's bytes."""
+
+    params: ModelParams
+    step: int
+    extra: dict
+    opt_state: dict | None
+    blob: bytes = field(repr=False)
+
+    @property
+    def sha256(self) -> str:
+        return hashlib.sha256(self.blob).hexdigest()
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at path, read in one call; every header and payload
+    check runs on those bytes, and each array is copied out of them."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValidationError(f"{path} is not a checkpoint file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        rest = fh.read()
-    if len(rest) < header_len:
+        blob = fh.read()
+    if blob[:4] != _CHECKPOINT_MAGIC:
+        raise ValidationError(f"{path} is not a checkpoint file")
+    (header_len,) = struct.unpack_from("<Q", blob, 4)
+    start = 12 + header_len
+    if len(blob) < start:
         raise ValidationError(f"{path}: checkpoint header is truncated")
-    header = json.loads(rest[:header_len].decode("utf-8"))
-    payload = memoryview(rest)[header_len:]
+    header = json.loads(blob[12:start].decode("utf-8"))
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: checkpoint header is not a JSON object")
     specs = _array_specs(header)
     if header.get("arrays") != specs:
         raise ValidationError(f"{path}: checkpoint arrays do not match its layer sizes")
     expected = 8 * sum(math.prod(spec["shape"]) for spec in specs)
-    if len(payload) != expected:
-        raise ValidationError(f"{path}: checkpoint payload has {len(payload)} bytes, "
+    if len(blob) - start != expected:
+        raise ValidationError(f"{path}: checkpoint payload has {len(blob) - start} bytes, "
                               f"expected {expected} (truncated?)")
 
-    arrays, offset = [], 0
+    arrays, offset = [], start
     for spec in specs:
         count = math.prod(spec["shape"])
-        chunk = np.frombuffer(payload, dtype=np.float64, count=count, offset=offset)
+        chunk = np.frombuffer(blob, dtype=np.float64, count=count, offset=offset)
         arrays.append(chunk.reshape(spec["shape"]).copy())
         offset += count * 8
 
@@ -151,15 +167,8 @@ def load_checkpoint(path) -> tuple[ModelParams, int, dict, dict | None]:
     opt_state = None
     if header.get("opt_state_t") is not None:
         opt_state = {"m": arrays[n:2 * n], "v": arrays[2 * n:], "t": header["opt_state_t"]}
-    return params, header["step"], header.get("extra", {}), opt_state
-
-
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return Checkpoint(params=params, step=header["step"], extra=header.get("extra", {}),
+                      opt_state=opt_state, blob=blob)
 
 
 def canonical_json(obj) -> str:

@@ -11,7 +11,9 @@ leak out of them.  `softmin_value`, `softmin_weights` and `pair_softmin`
 exclude them from the log-sum-exp; `pivot` passes them through exp() only
 as exp(-inf) = 0, mapping the NaN of inf - inf to -inf first.  All
 computations subtract the finite minimum before exponentiating, which keeps
-exp() arguments in [-inf, 0].
+exp() arguments in [-inf, 0].  A pivot that computes no weights floors the
+arguments at -38 instead: there 1 + exp() rounds to exactly 1.0, so the
+values are those of the unfloored arithmetic, bit for bit.
 
 `pivot` and `pivot_adjoint` allocate no matrix-sized temporaries: each
 writes its elementwise steps into a `Workspace` that its caller creates
@@ -171,7 +173,10 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
         via_wins = np.less(two_hop, old, out=work.mask(rows.size, cur.shape[1]))
     np.minimum(two_hop, old, out=two_hop)
     np.multiply(e, -beta, out=e)
-    np.fmax(e, -INF, out=e)  # NaN -> -inf: no finite branch, no mass
+    # NaN -> -inf: no finite branch, no mass.  Without weights the floor can
+    # be -38: exp(-38) < 2^-54, so 1 + exp(e) is exactly 1.0 either way and
+    # the values keep their bits, while exp skips its slow path far below 0.
+    np.fmax(e, -INF if weights else -38.0, out=e)
     np.exp(e, out=e)
     denom = np.add(e, 1.0, out=old)
     w_via = None

@@ -118,7 +118,8 @@ def test_train_epochs_zero_equals_prior_model(gen_dir, tmp_path):
     })
     out = str(tmp_path / "run0")
     assert run_cli("train", "--config", train_cfg, "--out", out) == 0
-    params, step, _, _ = load_checkpoint(os.path.join(out, "checkpoint.bin"))
+    checkpoint = load_checkpoint(os.path.join(out, "checkpoint.bin"))
+    params, step = checkpoint.params, checkpoint.step
     assert step == 0
     assert not params.weights[-1].any()
 
@@ -145,7 +146,7 @@ def test_train_resume_continues_step_counter(gen_dir, tmp_path):
     first_cfg = write_config(tmp_path, "first.json", base)
     out1 = str(tmp_path / "r1")
     assert run_cli("train", "--config", first_cfg, "--out", out1) == 0
-    _, step1, _, _ = load_checkpoint(os.path.join(out1, "final.bin"))
+    step1 = load_checkpoint(os.path.join(out1, "final.bin")).step
     assert step1 > 0
 
     resumed = dict(base)

@@ -125,6 +125,15 @@ def test_pivot_is_bit_identical_to_pair_softmin(rng):
         for k in range(size):
             _assert_pivot_matches_reference(cur, k, 1.3, work)
 
+    # at large beta most exponents fall below the floor the pivot puts on
+    # them when it computes no weights; the values must keep their bits
+    graph, costs = random_connected_graph(12, rng, extra_edges=12, low=0.1, high=50.0)
+    for beta in (30.0, 1000.0):
+        cur = build_cost_matrix(costs, graph)
+        work = Workspace(cur.size)
+        for k in range(12):
+            _assert_pivot_matches_reference(cur, k, beta, work)
+
 
 def test_sweep_working_memory_is_a_few_matrices(rng):
     """Beyond the tape it returns, a sweep holds at most 6 V x V float

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from datasp.graph import (
 )
 from datasp.inference import (
     DestinationPrior,
-    ShortcutSampler,
     destination_likelihood,
     expected_optimal_path,
     jaccard_edges,
@@ -29,21 +30,20 @@ from datasp.oracle import WalkEnumerator, maxent_distribution
 
 def test_sample_path_direct_tensor(rng):
     # the edge itself is the only 1 -> 4 walk
-    tape = sweep(build_cost_matrix([1.0], Graph(5, [(1, 4)])), 1.0)
-    sampler = ShortcutSampler(tape)
-    for _ in range(10):
-        assert sampler.sample(1, 4, rng) == [1, 4]
+    m = build_cost_matrix([1.0], Graph(5, [(1, 4)]))
+    est = monte_carlo_path_distribution(m, 1.0, 1, 4, 10, rng)
+    assert est.counts == {(1, 4): 10}
 
 
 def test_sample_path_unreachable(rng):
-    tape = sweep(build_cost_matrix([1.0], Graph(3, [(0, 1)])), 1.0)
+    m = build_cost_matrix([1.0], Graph(3, [(0, 1)]))
     with pytest.raises(NoPathError):
-        ShortcutSampler(tape).sample(0, 2, rng)
+        monte_carlo_path_distribution(m, 1.0, 0, 2, 1, rng)
 
 
 def test_sample_path_invalid_pair(rng, k4):
     with pytest.raises(ValidationError):
-        ShortcutSampler(sweep(k4, 1.0)).sample(2, 2, rng)
+        monte_carlo_path_distribution(k4, 1.0, 2, 2, 1, rng)
 
 
 def test_direct_walk_frequency(k4):
@@ -84,12 +84,12 @@ def test_sampled_walks_are_edge_feasible(rng):
     graph, costs = random_connected_graph(7, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
     tape = sweep(m, 1.0)
-    sampler = ShortcutSampler(tape)
     for i, j in [(0, 6), (2, 5)]:
         if not np.isfinite(tape.dist[i, j]):
             continue
-        for _ in range(200):
-            walk = sampler.sample(i, j, rng)
+        est = monte_carlo_path_distribution(m, 1.0, i, j, 200, rng)
+        assert est.sample_count == 200
+        for walk in est.counts:
             for u, v in zip(walk[:-1], walk[1:]):
                 assert np.isfinite(m[u, v])
 
@@ -102,14 +102,31 @@ def test_sampler_never_dead_ends_and_stays_in_walk_space():
         rng = np.random.default_rng(seed)
         for beta in (1.0, 30.0, 1000.0):
             tape = sweep(m, beta)
-            sampler = ShortcutSampler(tape)
             for i in range(size):
                 for j in range(size):
                     if i == j or not np.isfinite(tape.dist[i, j]):
                         continue
                     walks = {w.nodes for w in enum.walks(i, j)}
-                    for _ in range(20):
-                        assert tuple(sampler.sample(i, j, rng)) in walks
+                    est = monte_carlo_path_distribution(m, beta, i, j, 20, rng)
+                    assert est.sample_count == 20
+                    assert set(est.counts) <= walks
+
+
+def test_sampling_memory_is_bounded_by_blocks(k4):
+    """Walks are drawn in blocks of at most WALK_BLOCK, so ten times the
+    draws hold about the same working memory."""
+
+    def peak(draws):
+        tracemalloc.start()
+        try:
+            monte_carlo_path_distribution(k4, 1.0, 0, 3, draws, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_000), peak(100_000)
+    assert large <= 8 * 2 ** 20
+    assert large <= 1.25 * small
 
 
 def test_hard_limit_sampling_returns_optimal_path(rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -14,7 +15,6 @@ from datasp.cli import INPUT_ERRORS
 from datasp.costmodel import init_params
 from datasp.errors import ValidationError
 from datasp.serialize import (
-    file_sha256,
     load_checkpoint,
     load_tensor,
     save_checkpoint,
@@ -48,9 +48,10 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
            "t": 17}
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params, step=42, extra={"note": 1}, opt_state=opt)
-    loaded, step, extra, opt_back = load_checkpoint(path)
-    assert step == 42
-    assert extra == {"note": 1}
+    checkpoint = load_checkpoint(path)
+    loaded, opt_back = checkpoint.params, checkpoint.opt_state
+    assert checkpoint.step == 42
+    assert checkpoint.extra == {"note": 1}
     assert loaded.hidden_sizes == [8, 6]
     assert loaded.cost_floor == params.cost_floor
     for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
@@ -69,15 +70,14 @@ def test_checkpoint_without_opt_state(tmp_path):
     params = init_params(2, [], 3, seed=0)
     path = tmp_path / "c.bin"
     save_checkpoint(path, params, step=0)
-    _, _, _, opt = load_checkpoint(path)
-    assert opt is None
+    assert load_checkpoint(path).opt_state is None
 
 
 def test_sha256(tmp_path):
-    path = tmp_path / "x"
-    path.write_bytes(b"abc")
-    assert file_sha256(path) == (
-        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+    # the digest is taken from the bytes the checkpoint was loaded from
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, init_params(2, [], 3, seed=0), step=0)
+    assert load_checkpoint(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _loads_or_input_error(loader, blob):
