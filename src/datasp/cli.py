@@ -10,7 +10,7 @@ binary input), 3 numerical failure, 4 verification failure.
 `verify` checks the engine against the brute-force walk oracle on a bundled
 4-node fixture (and optionally an extra small graph): the walk census, the
 distances and shortcut tensor, the sampler, and the shortcut-loss gradient
-as training takes it, from P at the observed triples only.  Its
+as training takes it, from log P at the observed triples only.  Its
 `num_samples` walks form one Monte-Carlo estimate that drives both sampling
 checks, the per-walk frequency bands and the total variation.
 """
@@ -626,19 +626,19 @@ def cmd_verify(args) -> int:
 
 def _verify_gradients(m, beta) -> float:
     """Normwise relative error of the shortcut-loss gradient on `m`, taken
-    as training takes it: P and its adjoint at the observed triples only."""
+    as training takes it: log P and its adjoint at the observed triples only."""
     from .engine import datasp_backward
 
     freq = build_frequency_tensor([(0, 1, 2, 3), (0, 2, 3), (0, 3)])
 
     def loss_of(matrix):
-        p, _, _ = datasp_forward_efficient(matrix, beta, at=freq.triples)
-        value, _, _ = shortcut_loss(p, freq)
+        log_p, _, _ = datasp_forward_efficient(matrix, beta, at=freq.triples)
+        value, _, _ = shortcut_loss(log_p, freq)
         return value
 
-    p, dist, tape = datasp_forward_efficient(m, beta, at=freq.triples)
-    _, grad_p, _ = shortcut_loss(p, freq)
-    grad_m = datasp_backward(tape, grad_p, np.zeros_like(dist))
+    log_p, dist, tape = datasp_forward_efficient(m, beta, at=freq.triples)
+    _, grad_log_p, _ = shortcut_loss(log_p, freq)
+    grad_m = datasp_backward(tape, grad_log_p, np.zeros_like(dist))
     return normwise_gradient_error(loss_of, grad_m, m, step=1e-5)
 
 

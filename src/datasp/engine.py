@@ -15,35 +15,37 @@ and one adjoint.
 The shortcut tensor P[i, j, k] is the probability that k is the highest
 intermediate node on an i -> j walk, and P[i, j, i] the probability of the
 direct edge.  The softmin weights a pair collects over the sweep telescope,
-so P has a closed form in values the sweep already passes through:
+so log P has a closed form in values the sweep already passes through:
 
-    P[i, j, k] = exp(-beta * (C[i, k] + R[k, j] - D[i, j]))   for k not in {i, j}
-    P[i, j, i] = exp(-beta * (M[i, j] - D[i, j]))
+    log P[i, j, k] = -beta * (C[i, k] + R[k, j] - D[i, j])   for k not in {i, j}
+    log P[i, j, i] = -beta * (M[i, j] - D[i, j])
 
 where C[:, k] and R[k, :] are column k and row k of the running matrix just
-before pivot k, and M is the input matrix.  `shortcut_costs` returns the
-costs in those exponents for one pair, C[i, :] + R[:, j] with M[i, j] in the
-direct slot.  The sweep keeps C, R and the running matrix, O(V^2) each,
-plus a snapshot of the running matrix every ceil(sqrt(V)) pivots, O(V^2.5)
-in all, in an `EngineTape`.  It computes no softmin weights: P needs none,
-and the backward recomputes a segment's weights from its snapshot.  Its
-pivots share one `smoothing.Workspace` of three V x V float buffers.
+before pivot k, and M is the input matrix.  A slot whose P underflows keeps
+a finite log P; only a slot with no walk reads -inf.  `shortcut_costs`
+returns the costs in those expressions for pairs (i, j), C[i, :] + R[:, j]
+with M[i, j] in the direct slot.  The sweep keeps C, R and the running
+matrix, O(V^2) each, plus a snapshot of the running matrix every
+ceil(sqrt(V)) pivots, O(V^2.5) in all, in an `EngineTape`.  It computes no
+softmin weights: log P needs none, and the backward recomputes a segment's
+weights from its snapshot.  Its pivots share one `smoothing.Workspace` of
+three V x V float buffers.
 
 The queries in `inference` (path sampling, destination likelihoods) run
 `sweep` themselves and read the rows they need through `shortcut_costs`; a
-sweep's tape holds no P, and no V^3 array is allocated for them.
-`datasp_forward_efficient` is `sweep` plus P from the closed form.  Given
-index arrays `at=(i, j, k)` it evaluates P only at those triples, with the
-same floating-point operations as the dense build, so the entries are
-bit-equal to the dense P gathered there; training asks for P this way, at
-the shortcuts its trajectories observe, and allocates no V^3 array.  Without
-`at` it builds the dense O(V^3) P, which only the oracle checks, the tests
-and the benchmark's engine sweep read.  Either tape holds the P it
-returned.  The backward pass, which needs such a tape, reduces the upstream
-gradient on P (in the shape of that P) to gradients on D, C, R and the
-direct slots, then runs one reverse sweep over the pivots, recomputing each
-sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank &
-Walther's "revolve").  The closed form of P and its adjoint follow Mensch &
+sweep's tape holds no log P, and no V^3 array is allocated for them.
+`datasp_forward_efficient` is `sweep` plus log P from the closed form.
+Given index arrays `at=(i, j, k)` it evaluates log P only at those triples,
+by the operations of the dense build, so the entries are bit-equal to the
+dense log P gathered there; training asks for log P this way, at the
+shortcuts its trajectories observe, and allocates no V^3 array.  Without
+`at` it builds the dense O(V^3) log P, which only the oracle checks, the
+tests and the benchmark's engine sweep read.  Either tape holds the log P
+it returned.  The backward pass, which needs such a tape, moves the
+upstream gradient on log P (in the shape of that log P) onto D, C, R and
+the direct slots, then runs one reverse sweep over the pivots, recomputing
+each sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank
+& Walther's "revolve").  The closed form and its adjoint follow Mensch &
 Blondel, "Differentiable Dynamic Programming for Structured Prediction and
 Attention" (ICML 2018).
 """
@@ -64,12 +66,12 @@ from .graph import validate_cost_matrix
 class EngineTape:
     """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots.
 
-    A tape from `datasp_forward_efficient` holds the P it returned, which
-    the backward reads (it must not be modified in place), and the triples
-    `at` it was evaluated at: a 1-D P at the training loss's observed
-    triples, or the dense V x V x V P (at None) that the oracle checks, the
-    tests and the benchmark's engine sweep read.  A tape from `sweep` holds
-    neither.
+    A tape from `datasp_forward_efficient` holds the log P it returned,
+    whose -inf slots the backward leaves out (it must not be modified in
+    place), and the triples `at` it was evaluated at: a 1-D log P at the
+    training loss's observed triples, or the dense V x V x V log P (at None)
+    that the oracle checks, the tests and the benchmark's engine sweep read.
+    A tape from `sweep` holds neither.
     """
 
     beta: float
@@ -80,51 +82,49 @@ class EngineTape:
     dist: np.ndarray
     stride: int
     snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
-    p: np.ndarray | None = None
+    log_p: np.ndarray | None = None
     at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-def shortcut_costs(tape: EngineTape, a: int, b: int) -> np.ndarray:
-    """Per-slot walk costs of the pair (a, b): P[a, b, :] = exp(-beta * (costs - D[a, b])).
+def shortcut_costs(tape: EngineTape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-slot walk costs of each pair of the index arrays (a, b), a != b:
+    log P[a, b, :] = -beta * (costs - D[a, b]), one row per pair.
 
-    Slot k holds C[a, k] + R[k, b], slot a the direct cost M[a, b] and slot
-    b inf.  Returns a new array.
+    Slot k holds C[a, k] + R[k, b], slot a the direct cost M[a, b], and
+    slot b inf (R[b, b] is the diagonal).  Returns a new array.
     """
-    costs = tape.col[a] + tape.row[:, b]
-    costs[a] = tape.m_input[a, b]
-    costs[b] = INF
+    costs = tape.col[a] + tape.row[:, b].T
+    costs[np.arange(len(a)), a] = tape.m_input[a, b]
     return costs
 
 
-def _shortcuts(tape: EngineTape) -> np.ndarray:
-    """Build P from the closed form; unreachable pairs and i == j get 0."""
-    # A pair at infinite distance (i == j, or unreachable) gets -inf instead,
-    # which sends every term of its slice, finite or infinite, to exp(-inf).
+def _log_shortcuts(tape: EngineTape) -> np.ndarray:
+    """Build log P from the closed form; unreachable pairs and i == j get -inf."""
+    # A pair at infinite distance (i == j, or unreachable) takes D = -inf,
+    # which sends every term of its slice, finite or infinite, to -inf.
     beta = tape.beta
     d = np.where(np.isfinite(tape.dist), tape.dist, -INF)
-    p = tape.col[:, None, :] + tape.row.T[None, :, :]
-    p -= d[:, :, None]
-    p *= -beta
-    np.exp(p, out=p)
+    log_p = tape.col[:, None, :] + tape.row.T[None, :, :]
+    log_p -= d[:, :, None]
+    log_p *= -beta
     nodes = np.arange(tape.size)
-    p[nodes[:, None], nodes[None, :], nodes[:, None]] = np.exp(-beta * (tape.m_input - d))
-    return p
+    log_p[nodes[:, None], nodes[None, :], nodes[:, None]] = -beta * (tape.m_input - d)
+    return log_p
 
 
-def _shortcuts_at(tape: EngineTape) -> np.ndarray:
-    """P[i, j, k] at the tape's index arrays at = (i, j, k), by the
-    operations of `_shortcuts` (so bit-equal to it); a 1-D array."""
+def _log_shortcuts_at(tape: EngineTape) -> np.ndarray:
+    """log P[i, j, k] at the tape's index arrays at = (i, j, k), by the
+    operations of `_log_shortcuts` (so bit-equal to it); a 1-D array."""
     i, j, k = tape.at
     beta = tape.beta
     d = tape.dist[i, j]
     d = np.where(np.isfinite(d), d, -INF)
-    p = tape.col[i, k] + tape.row[k, j]
-    p -= d
-    p *= -beta
-    np.exp(p, out=p)
+    log_p = tape.col[i, k] + tape.row[k, j]
+    log_p -= d
+    log_p *= -beta
     direct = np.flatnonzero(k == i)
-    p[direct] = np.exp(-beta * (tape.m_input[i[direct], j[direct]] - d[direct]))
-    return p
+    log_p[direct] = -beta * (tape.m_input[i[direct], j[direct]] - d[direct])
+    return log_p
 
 
 def _check_triples(at, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,36 +169,36 @@ def sweep(m: np.ndarray, beta: float) -> EngineTape:
 
 def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
                              ) -> tuple[np.ndarray, np.ndarray, EngineTape]:
-    """Forward pass: returns (shortcut tensor P, smoothed distance matrix D, tape).
+    """Forward pass: returns (log shortcut tensor log P, distances D, tape).
 
-    With at = (i, j, k), three equal-length integer arrays, P is the 1-D
-    array of P[i, j, k] at those triples; without, the dense V x V x V P.
+    With at = (i, j, k), three equal-length integer arrays, log P is the
+    1-D array of log P[i, j, k] at those triples; without, the dense log P.
     """
     tape = sweep(m, beta)
     if at is None:
-        tape.p = _shortcuts(tape)
+        tape.log_p = _log_shortcuts(tape)
     else:
         tape.at = _check_triples(at, tape.size)
-        tape.p = _shortcuts_at(tape)
-    return tape.p, tape.dist, tape
+        tape.log_p = _log_shortcuts_at(tape)
+    return tape.log_p, tape.dist, tape
 
 
-def _shortcut_adjoint(tape: EngineTape, grad_p: np.ndarray):
-    """Reduce G = grad_p * P through the closed form: returns
-    (g_dist, g_col, g_row, g_direct), the V x V gradients on D, C, R and the
-    direct slots, each before its factor of beta."""
+def _shortcut_adjoint(tape: EngineTape, grad_log_p: np.ndarray):
+    """Reduce G = grad_log_p, zero where log P = -inf, through the closed
+    form: returns (g_dist, g_col, g_row, g_direct), the V x V gradients on D,
+    C, R and the direct slots, each before its factor of beta."""
     n = tape.size
-    g_p = grad_p * tape.p
+    g = np.where(np.isfinite(tape.log_p), grad_log_p, 0.0)
     if tape.at is None:
         nodes = np.arange(n)
         direct = (nodes[:, None], nodes[None, :], nodes[:, None])
-        g_direct = g_p[direct]
-        g_dist = g_p.sum(axis=2)
-        g_p[direct] = 0.0
-        return g_dist, g_p.sum(axis=1), g_p.sum(axis=0).T, g_direct
+        g_direct = g[direct]
+        g_dist = g.sum(axis=2)
+        g[direct] = 0.0
+        return g_dist, g.sum(axis=1), g.sum(axis=0).T, g_direct
     i, j, k = tape.at
     is_direct = k == i
-    g_via = np.where(is_direct, 0.0, g_p)
+    g_via = np.where(is_direct, 0.0, g)
 
     def scatter(rows, cols, weights, along):
         # Each bin adds its terms in ascending `along`: the order of the
@@ -209,35 +209,35 @@ def _shortcut_adjoint(tape: EngineTape, grad_p: np.ndarray):
         flat = rows[order] * n + cols[order]
         return np.bincount(flat, weights[order], minlength=n * n).reshape(n, n)
 
-    return (scatter(i, j, g_p, k), scatter(i, k, g_via, j), scatter(k, j, g_via, i),
-            scatter(i, j, np.where(is_direct, g_p, 0.0), k))
+    return (scatter(i, j, g, k), scatter(i, k, g_via, j), scatter(k, j, g_via, i),
+            scatter(i, j, np.where(is_direct, g, 0.0), k))
 
 
-def datasp_backward(tape: EngineTape, grad_p: np.ndarray, grad_m: np.ndarray) -> np.ndarray:
+def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray) -> np.ndarray:
     """Reverse-mode adjoint: gradients of a scalar loss w.r.t. the input matrix.
 
-    tape must come from `datasp_forward_efficient`, and grad_p / grad_m are
-    the upstream gradients w.r.t. the P and D it returned, grad_p in the
-    shape of that P (dense, or one entry per triple of `at`).  Through the
-    closed form, G = grad_p * P moves beta * sum_k G[i, j, k] onto D[i, j],
+    tape must come from `datasp_forward_efficient`, and grad_log_p / grad_m
+    are the upstream gradients w.r.t. the log P and D it returned, grad_log_p
+    in the shape of that log P and ignored where log P = -inf.  Through the
+    closed form, G = grad_log_p moves beta * sum_k G[i, j, k] onto D[i, j],
     -beta * G[i, j, k] onto C[i, k] and R[k, j], and -beta * G[i, j, i] onto
     the input entry M[i, j].  The reverse sweep then carries the
     running-matrix gradient back through each pivot, adding the C and R
     gradients of pivot k as it passes.
     """
-    if tape.p is None:
+    if tape.log_p is None:
         raise ValidationError("the backward needs the tape of datasp_forward_efficient; "
                               "a sweep's tape holds no shortcut tensor")
     n = tape.size
-    grad_p = np.asarray(grad_p, dtype=float)
+    grad_log_p = np.asarray(grad_log_p, dtype=float)
     grad_m = np.asarray(grad_m, dtype=float)
-    if grad_p.shape != tape.p.shape or grad_m.shape != (n, n):
+    if grad_log_p.shape != tape.log_p.shape or grad_m.shape != (n, n):
         raise ValidationError(
-            f"upstream gradients must have shapes {tape.p.shape} and {(n, n)}, "
-            f"got {grad_p.shape} and {grad_m.shape}"
+            f"upstream gradients must have shapes {tape.log_p.shape} and {(n, n)}, "
+            f"got {grad_log_p.shape} and {grad_m.shape}"
         )
     beta = tape.beta
-    g_dist, g_col, g_row, g_direct = _shortcut_adjoint(tape, grad_p)
+    g_dist, g_col, g_row, g_direct = _shortcut_adjoint(tape, grad_log_p)
     g = grad_m + beta * g_dist
     g_col *= -beta    # [i, k]
     g_row *= -beta    # [k, j]

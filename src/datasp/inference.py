@@ -36,7 +36,6 @@ always weighs exactly 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,11 +97,10 @@ class _SlotRows:
 
     def _build(self, a, b, bound) -> np.ndarray:
         tape = self.tape
-        costs = tape.col[a] + tape.row[:, b].T
-        costs[np.arange(tape.size) > bound[:, None]] = INF
-        segs = np.arange(a.size)
-        costs[segs, b] = INF
-        costs[segs, a] = tape.m_input[a, b]  # the direct slot survives every mask
+        costs = shortcut_costs(tape, a, b)
+        above = np.arange(tape.size) > bound[:, None]
+        above[np.arange(a.size), a] = False  # the direct slot survives every mask
+        costs[above] = INF
         costs -= costs.min(axis=1, keepdims=True)
         costs *= -tape.beta
         np.exp(costs, out=costs)
@@ -294,16 +292,17 @@ def destination_likelihood(
     swapped[[current, n - 1]] = [n - 1, current]
     tape = sweep(m[np.ix_(swapped, swapped)], beta)
     s = swapped[start]
-    visited = set(partial[:-1])
+    live = prior.weights > 0.0
+    live[partial[:-1]] = False
+    nodes = np.flatnonzero(live)
+    t = swapped[nodes]
+    slots = np.where(nodes == current, s, n - 1)
+    costs = shortcut_costs(tape, np.full(nodes.size, s), t)[np.arange(nodes.size), slots]
+    scored = np.isfinite(costs)
+    nodes, t = nodes[scored], t[scored]
     log_scores = np.full(n, -INF)
-    for node in range(n):
-        weight = prior.weights[node]
-        if node in visited or weight == 0.0:
-            continue
-        t = swapped[node]
-        cost = shortcut_costs(tape, s, t)[s if node == current else n - 1]
-        if np.isfinite(cost):
-            log_scores[node] = -tape.beta * (cost - tape.dist[s, t]) + math.log(weight)
+    log_scores[nodes] = (-tape.beta * (costs[scored] - tape.dist[s, t])
+                         + np.log(prior.weights[nodes]))
     if not np.isfinite(log_scores).any():
         raise NoPathError("no destination has positive score under this prior")
     scores = np.exp(log_scores - log_scores.max())

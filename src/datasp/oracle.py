@@ -11,7 +11,7 @@ sums over them grouped by highest intermediate node.
 Entry points: `WalkEnumerator(m).walks(i, j, bound)` lists one pair's
 visitable walks; `maxent_distribution` and `walk_cost_census` read a walk
 list; `engine_deviations` compares the engine's D and P with the walk space
-in one engine pass (the only code here that reads the dense P);
+in one engine pass (the only code here that reads the dense log P);
 `total_variation` compares two walk distributions; and
 `finite_difference_gradcheck` (componentwise) and `normwise_gradient_error`
 compare an analytic gradient with central differences.
@@ -141,7 +141,7 @@ def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
     at finite engine distance gives a distance deviation of inf.
     """
     n = enum.n
-    p, dist, _ = datasp_forward_efficient(enum.m, beta)
+    log_p, dist, _ = datasp_forward_efficient(enum.m, beta)
     distance_dev = shortcut_dev = 0.0
     for i in range(n):
         for j in range(n):
@@ -151,7 +151,7 @@ def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
             if not walks:
                 if np.isfinite(dist[i, j]):
                     distance_dev = float("inf")
-                shortcut_dev = max(shortcut_dev, float(np.abs(p[i, j, :]).max()))
+                shortcut_dev = max(shortcut_dev, float(np.exp(log_p[i, j, :]).max()))
                 continue
             expected = softmin_value([w.cost for w in walks], beta)
             distance_dev = max(distance_dev, abs(float(dist[i, j]) - expected))
@@ -160,7 +160,8 @@ def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
             slots = [i if w.highest_intermediate is None else w.highest_intermediate
                      for w in walks]
             expected_row = np.bincount(slots, weights=_boltzmann(walks, beta), minlength=n)
-            shortcut_dev = max(shortcut_dev, float(np.abs(p[i, j, :] - expected_row).max()))
+            row_dev = np.abs(np.exp(log_p[i, j, :]) - expected_row)
+            shortcut_dev = max(shortcut_dev, float(row_dev.max()))
     return distance_dev, shortcut_dev
 
 

@@ -7,9 +7,10 @@ set, encode them as shortcut frequencies, run the differentiable
 shortest-path forward pass, and backpropagate the KL divergence between
 observed and inferred shortcut distributions (plus a prior regularizer on
 the costs) all the way to the network weights.  The forward pass evaluates
-the shortcut tensor P only at the observed (i, j, k) triples of the
-frequency tensor, and the loss and the backward carry the gradient from
-those triples alone, so a step holds no V^3 array.
+log P, the log of the shortcut tensor, only at the observed (i, j, k)
+triples of the frequency tensor, and the exact loss on log P and the
+backward carry the gradient from those triples alone, so a step holds no
+V^3 array and no term's gradient is lost to an underflowing P.
 
 The context-similar trajectories are the training records nearest to the
 anchor, found at every step by `similar_indices` over the dataset's context
@@ -33,7 +34,7 @@ A training run's state has one form each, the one its files hold:
 - the Adam state is the checkpoint's dict `{"m": [...], "v": [...], "t": int}`
   (`init_adam`, `adam_update`, `TrainResult.opt_state`, `save_checkpoint`);
 - a step's record is its `train_log.jsonl` entry: `anchor_gradients` returns
-  `{L_S, L_P, grad_norm, kept_nodes, skipped, floored, reason}` and the loop
+  `{L_S, L_P, grad_norm, kept_nodes, skipped, reason}` and the loop
   writes it with its `step` (an epoch's entry is `{epoch, val_jaccard, step}`).
 """
 
@@ -66,7 +67,6 @@ from .trajectories import (
     similar_indices,
 )
 
-P_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -128,35 +128,32 @@ def adam_update(params: ModelParams, grads: list[np.ndarray], state: dict,
         arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def shortcut_loss(p: np.ndarray, freq: FrequencyTensor) -> tuple[float, np.ndarray, int]:
+def shortcut_loss(log_p: np.ndarray, freq: FrequencyTensor) -> tuple[float, np.ndarray, int]:
     """KL divergence between observed and inferred shortcut distributions.
 
-    p holds P at the observed triples, `freq.triples` (as
+    log_p holds log P at the observed triples, `freq.triples` (as
     `datasp_forward_efficient(m, beta, at=freq.triples)` returns it), so the
-    loss never reads or writes a V^3 array.  Returns (loss, gradient w.r.t.
-    p in p's shape, floored-term count); terms with zero observed frequency
-    are not among the triples and contribute nothing.  Inferred
-    probabilities are floored at P_FLOOR inside the log, with zero
-    gradient, and such events are counted: they indicate shortcuts observed
-    in the data that the current graph view deems (near-)impossible.  The
-    loss sums its terms in Python, in the order of `freq.frequencies`.
+    loss never reads or writes a V^3 array.  With f the observed
+    frequencies, the loss is sum f * (log f - log P) over the number of
+    observed pairs, and its gradient w.r.t. log_p is -f over that number, in
+    log_p's shape.  Returns (loss, gradient, 0).  Each observed triple of a
+    cycle-free path is the highest node of a visitable walk, after node
+    exclusion too, so a non-finite log P raises NumericalError.
     """
     if not freq.frequencies:
         raise ValidationError("empty shortcut frequency tensor")
-    p = np.asarray(p, dtype=float)
+    log_p = np.asarray(log_p, dtype=float)
     f = freq.weights
-    if p.shape != f.shape:
-        raise ValidationError(f"P must hold one entry per observed triple ({f.size}), "
-                              f"got shape {p.shape}")
+    if log_p.shape != f.shape:
+        raise ValidationError(f"log P must hold one entry per observed triple ({f.size}), "
+                              f"got shape {log_p.shape}")
+    if not np.isfinite(log_p).all():
+        raise NumericalError("an observed shortcut has a non-finite log P")
     num_pairs = len(freq.frequencies)
-    live = p > P_FLOOR
-    grad = np.zeros(p.shape)
-    np.divide(-f, p, out=grad, where=live)
-    grad /= num_pairs
-    loss = 0.0
-    for f_val, p_val in zip(f.tolist(), np.where(live, p, P_FLOOR).tolist()):
-        loss += f_val * (math.log(f_val) - math.log(p_val))
-    return loss / num_pairs, grad, int(p.size - live.sum())
+    loss = float(np.sum(f * (np.log(f) - log_p))) / num_pairs
+    # The third result, 0 floored terms, stays only for the benchmark's
+    # observer until ROADMAP item 3's follow-up.
+    return loss, -f / num_pairs, 0
 
 
 def prior_loss(costs, prior) -> tuple[float, np.ndarray]:
@@ -200,17 +197,17 @@ def anchor_gradients(
             paths.append(rewritten)
     if not paths:
         return None, {"L_S": float("nan"), "L_P": float("nan"), "grad_norm": 0.0,
-                      "kept_nodes": kept, "skipped": True, "floored": 0,
+                      "kept_nodes": kept, "skipped": True,
                       "reason": "no trajectories survived node exclusion"}
 
     compression = sample_subgraph(graph, m_full, kept, config.beta)
 
     freq = build_frequency_tensor(paths)
-    p, _, tape = datasp_forward_efficient(compression.matrix, config.beta, at=freq.triples)
-    l_s, grad_p, floored = shortcut_loss(p, freq)
+    log_p, _, tape = datasp_forward_efficient(compression.matrix, config.beta, at=freq.triples)
+    l_s, grad_log_p, _ = shortcut_loss(log_p, freq)
     l_p, grad_costs_prior = prior_loss(costs, prior)
 
-    grad_m_c = datasp_backward(tape, grad_p, np.zeros_like(compression.matrix))
+    grad_m_c = datasp_backward(tape, grad_log_p, np.zeros_like(compression.matrix))
     grad_m_full = compression.backward(grad_m_c)
     ea = graph.edge_array()
     grad_costs = grad_m_full[ea[:, 0], ea[:, 1]] + config.alpha * grad_costs_prior
@@ -221,8 +218,7 @@ def anchor_gradients(
 
     return grads, {"L_S": float(l_s), "L_P": float(l_p),
                    "grad_norm": math.sqrt(sum(float((g * g).sum()) for g in grads)),
-                   "kept_nodes": kept, "skipped": False, "floored": floored,
-                   "reason": ""}
+                   "kept_nodes": kept, "skipped": False, "reason": ""}
 
 
 @dataclass

@@ -124,7 +124,7 @@ class FrequencyTensor:
     inner map summing to 1.  triples = (i, j, k) are index arrays of its
     slots with a positive frequency, in the iteration order of frequencies,
     and weights their frequencies: the shape in which the training loss
-    reads P (`engine.datasp_forward_efficient(..., at=triples)`).
+    reads log P (`engine.datasp_forward_efficient(..., at=triples)`).
     """
 
     def __init__(self, frequencies: dict[tuple[int, int], dict[int, float]]):

@@ -52,21 +52,22 @@ def test_bench_observers_count_real_results(monkeypatch):
     comp = sample_subgraph(graph, m, kept, beta)
     paths = [(0, 1, 3), (0, 2, 1, 3)]
     freq = build_frequency_tensor(paths)
-    p, _, _ = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
+    log_p, _, _ = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
     calls = {
         "graph.sample_subgraph": ((graph, m, kept, beta), comp),
         "trajectories.build_frequency_tensor": ((paths,), freq),
-        "training.shortcut_loss": ((p, freq), shortcut_loss(p, freq)),
+        "training.shortcut_loss": ((log_p, freq), shortcut_loss(log_p, freq)),
     }
     assert set(calls) == set(observers)
 
     counts = defaultdict(float)
     for name, (args, result) in calls.items():
         observers[name](counts, args, result)
-    # nodes 1 and 4 removed; 6 decomposition pairs with 8 observed slots, of
-    # which the two backtracking legs of (0, 2, 1, 3) floor at beta = 30
+    # nodes 1 and 4 removed; 6 decomposition pairs with 8 observed slots.
+    # The two backtracking legs of (0, 2, 1, 3) have P below 1e-12 at
+    # beta = 30, but the loss is exact in log P and floors none of them.
     assert counts == {"removed_nodes": 2, "paths": 2, "pairs": 6,
-                      "observed_terms": 8, "floored_terms": 2}
+                      "observed_terms": 8, "floored_terms": 0}
 
 
 def _counted(monkeypatch, calls, module, name):
@@ -105,7 +106,7 @@ def test_train_steps_through_the_traced_names(tmp_path, monkeypatch):
 
 def test_engine_sweep_runs_the_dense_shortcut_tensor(monkeypatch):
     # perfbench/pipeline.py `engine_sweep` times the forward without `at`
-    # and a backward from np.full(p.shape, 1 / V), that is the dense P.
+    # and a backward from np.full(p.shape, 1 / V), that is the dense log P.
     monkeypatch.syspath_prepend(str(BENCH))
     pipeline = importlib.import_module("pipeline")
     out = pipeline.engine_sweep((4, 6))

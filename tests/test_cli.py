@@ -110,6 +110,30 @@ def test_train_eval_cycle(gen_dir, tmp_path):
         assert row["optimal_cost_pct"] is not None
 
 
+def test_train_real_profile_steps_are_finite(tmp_path):
+    # The real profile trains at beta = 30 with node exclusion (keep 20%).
+    # Some shortcuts this run observes have P far below 1e-12; the loss on
+    # log P keeps every one of them finite.
+    gen_cfg = write_config(tmp_path, "gen.json",
+                           {"generator": {"num_nodes": 30, "num_samples": 80,
+                                          "pair_pool_size": 6, "feature_dim": 3}})
+    assert run_cli("gen", "--config", gen_cfg, "--out", str(tmp_path / "data")) == 0
+    train_cfg = write_config(tmp_path, "train.json", {
+        "dataset": str(tmp_path / "data" / "manifest.json"),
+        "profile": "real",
+        "training": {"epochs": 1, "hidden_sizes": [8], "similarity_fraction": 0.2},
+    })
+    assert run_cli("train", "--config", train_cfg, "--out", str(tmp_path / "run")) == 0
+    resolved = json.load(open(tmp_path / "run" / "train_config.json"))
+    assert resolved["training"]["beta"] == 30.0 and resolved["training"]["keep_count"] == 6
+    log_lines = open(tmp_path / "run" / "train_log.jsonl").read().splitlines()
+    steps = [json.loads(line) for line in log_lines if "L_S" in line]
+    trained = [s for s in steps if not s["skipped"]]
+    assert trained
+    for s in trained:
+        assert all(np.isfinite(s[key]) for key in ("L_S", "L_P", "grad_norm"))
+
+
 def test_train_epochs_zero_equals_prior_model(gen_dir, tmp_path):
     manifest = os.path.join(gen_dir, "manifest.json")
     train_cfg = write_config(tmp_path, "t0.json", {

@@ -29,8 +29,10 @@ from datasp.training import shortcut_loss
 from datasp.trajectories import build_frequency_tensor
 
 
-def assert_shortcut_invariants(p, tol=1e-9):
-    """P entries lie in [0, 1], reachable rows sum to 1, and P[i, j, j] = 0."""
+def assert_shortcut_invariants(log_p, tol=1e-9):
+    """P = exp(log P) entries lie in [0, 1], reachable rows sum to 1, and
+    P[i, j, j] = 0."""
+    p = np.exp(log_p)
     n = p.shape[0]
     assert p.shape == (n, n, n)
     assert (p >= -tol).all() and (p <= 1 + tol).all()
@@ -47,14 +49,15 @@ def test_k4_smoothed_distance(k4):
 
 
 def test_k4_direct_probability(k4):
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
-    assert p[0, 3, 0] == pytest.approx(0.2136, abs=1e-3)
+    log_p, _, _ = datasp_forward_efficient(k4, 1.0)
+    assert np.exp(log_p[0, 3, 0]) == pytest.approx(0.2136, abs=1e-3)
 
 
 def test_k4_highest_node_one_probability(k4):
     # mass of the two walks whose highest intermediate is node 1, relative
     # to the full walk-space Boltzmann sum
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
+    log_p, _, _ = datasp_forward_efficient(k4, 1.0)
+    p = np.exp(log_p)
     walks = WalkEnumerator(k4).walks(0, 3)
     z = sum(np.exp(-w.cost) for w in walks)
     expect = (np.exp(-3.0) + np.exp(-5.0)) / z
@@ -67,9 +70,9 @@ def test_row_distribution_and_tensor_invariants(k4, rng):
     assert_shortcut_invariants(p)
     graph, costs = random_connected_graph(7, rng)
     m = build_cost_matrix(costs, graph)
-    p2, _, _ = datasp_forward_efficient(m, 0.7)
-    assert_shortcut_invariants(p2)
-    assert np.allclose(p2.sum(axis=2)[~np.eye(7, dtype=bool)], 1.0, atol=1e-9)
+    log_p2, _, _ = datasp_forward_efficient(m, 0.7)
+    assert_shortcut_invariants(log_p2)
+    assert np.allclose(np.exp(log_p2).sum(axis=2)[~np.eye(7, dtype=bool)], 1.0, atol=1e-9)
 
 
 def _pair_softmin_pivot(cur, k, beta):
@@ -169,8 +172,8 @@ def test_shortcut_invariants_on_compressed_matrix_with_nonpositive_entries():
 def test_disconnected_pair_stays_empty():
     g = Graph(3, [(0, 1)])
     m = build_cost_matrix([1.0], g)
-    p, dist, _ = datasp_forward_efficient(m, 1.0)
-    assert np.array_equal(p[0, 2, :], np.zeros(3))
+    log_p, dist, _ = datasp_forward_efficient(m, 1.0)
+    assert np.array_equal(log_p[0, 2, :], np.full(3, -INF))
     assert dist[0, 2] == INF
 
 
@@ -243,14 +246,14 @@ def test_backward_distance_loss_gradient(rng):
 
 
 def test_backward_log_shortcut_gradient(k4):
-    p, dist, tape = datasp_forward_efficient(k4, 1.0)
-    grad_p = np.zeros((4, 4, 4))
-    grad_p[0, 3, 1] = -1.0 / p[0, 3, 1]
-    grad = datasp_backward(tape, grad_p, np.zeros((4, 4)))
+    _, dist, tape = datasp_forward_efficient(k4, 1.0)
+    grad_log_p = np.zeros((4, 4, 4))
+    grad_log_p[0, 3, 1] = -1.0
+    grad = datasp_backward(tape, grad_log_p, np.zeros((4, 4)))
 
     def loss(matrix):
-        pp, _, _ = datasp_forward_efficient(matrix, 1.0)
-        return float(-np.log(pp[0, 3, 1]))
+        log_p, _, _ = datasp_forward_efficient(matrix, 1.0)
+        return float(-log_p[0, 3, 1])
 
     assert finite_difference_gradcheck(loss, grad, k4, step=1e-5) <= 1e-4
 
@@ -261,14 +264,15 @@ def test_backward_random_upstream_full_check(rng):
         graph, costs = random_connected_graph(size, rng)
         m = build_cost_matrix(costs, graph)
         beta = float(rng.uniform(0.5, 2.0))
-        p, dist, tape = datasp_forward_efficient(m, beta)
-        up_p = rng.standard_normal(p.shape)
+        log_p, dist, tape = datasp_forward_efficient(m, beta)
+        up_p = rng.standard_normal(log_p.shape)
         up_m = np.where(np.isfinite(dist), rng.standard_normal(dist.shape), 0.0)
-        grad = datasp_backward(tape, up_p, up_m)
+        # a gradient on P reaches log P as up_p * P
+        grad = datasp_backward(tape, up_p * np.exp(log_p), up_m)
 
         def loss(matrix):
-            pp, dd, _ = datasp_forward_efficient(matrix, beta)
-            total = float((pp * up_p).sum())
+            lp, dd, _ = datasp_forward_efficient(matrix, beta)
+            total = float((np.exp(lp) * up_p).sum())
             finite = np.isfinite(dd)
             total += float((dd[finite] * up_m[finite]).sum())
             return total
@@ -277,23 +281,25 @@ def test_backward_random_upstream_full_check(rng):
 
 
 def test_backward_gradcheck_with_underflowing_shortcuts():
-    # Costs up to 40 at beta = 30 push exp(-beta * detour) below the
-    # smallest double for many reachable (i, j, k) slots.
+    # Costs up to 40 at beta = 30 push P = exp(-beta * detour) below the
+    # smallest double for many reachable (i, j, k) slots; their log P stays
+    # finite, and so does its gradient.
     graph, costs = random_connected_graph(7, np.random.default_rng(0), low=0.5, high=40.0)
     m = build_cost_matrix(costs, graph)
     beta = 30.0
-    p, dist, tape = datasp_forward_efficient(m, beta)
-    two_hop_finite = np.isfinite(tape.col[:, None, :] + tape.row.T[None, :, :])
-    assert ((p == 0.0) & two_hop_finite & np.isfinite(dist)[:, :, None]).any()
+    log_p, dist, tape = datasp_forward_efficient(m, beta)
+    walk = np.isfinite(log_p)
+    assert (walk & (np.exp(log_p) == 0.0)).any()
     rng = np.random.default_rng(1)
-    up_p = rng.standard_normal(p.shape)
+    # upstream entries at the -inf slots (no walk) must carry no gradient
+    up_log_p = rng.standard_normal(log_p.shape)
     up_m = np.where(np.isfinite(dist), rng.standard_normal(dist.shape), 0.0)
-    grad = datasp_backward(tape, up_p, up_m)
+    grad = datasp_backward(tape, up_log_p, up_m)
 
     def loss(matrix):
-        pp, dd, _ = datasp_forward_efficient(matrix, beta)
+        lp, dd, _ = datasp_forward_efficient(matrix, beta)
         finite = np.isfinite(dd)
-        return float((pp * up_p).sum()) + float((dd[finite] * up_m[finite]).sum())
+        return float((lp[walk] * up_log_p[walk]).sum()) + float((dd[finite] * up_m[finite]).sum())
 
     assert finite_difference_gradcheck(loss, grad, m, step=1e-6) <= 1e-4
 
@@ -331,7 +337,7 @@ def test_forward_rejects_bad_matrix():
         datasp_forward_efficient(np.full((2, 3), INF), 1.0)
 
 
-# --- P at observed triples ------------------------------------------------------
+# --- log P at observed triples ------------------------------------------------------
 
 def _squared_gap_matrix(size: int) -> np.ndarray:
     """Complete graph with cost 4 (u - v)^2: backtracking legs are dear."""
@@ -350,10 +356,10 @@ def test_triple_shortcuts_are_bit_equal_to_dense(beta, rng):
         # every slot kind: direct, via, k == j, i == j; shuffled, with repeats
         at = np.indices((n, n, n)).reshape(3, -1)
         at = at[:, rng.permutation(np.r_[np.arange(n ** 3), rng.integers(n ** 3, size=20)])]
-        p, d, tape = datasp_forward_efficient(m, beta, at=tuple(at))
-        assert np.array_equal(p, dense[tuple(at)])
+        log_p, d, tape = datasp_forward_efficient(m, beta, at=tuple(at))
+        assert np.array_equal(log_p, dense[tuple(at)])
         assert np.array_equal(d, dist)
-        assert tape.p is p and p.shape == (at.shape[1],)
+        assert tape.log_p is log_p and log_p.shape == (at.shape[1],)
 
 
 @pytest.mark.parametrize("beta", [1.0, 3.0, 30.0])
@@ -361,18 +367,19 @@ def test_triple_backward_matches_dense_backward(beta, rng):
     comp = sample_subgraph(complete_graph(9), _squared_gap_matrix(9), [0, 2, 3, 5, 6, 8], beta)
     n = comp.matrix.shape[0]
     # pair (0, 5) observes intermediates 1, 2, 3 and 4; (0, 5, 1) backtracks
-    # over the dearest legs, so its (0, 1, 5) term floors at every beta
+    # over the dearest legs, so its (0, 1, 5) term has P below 1e-12 at every
+    # beta (and below the smallest double at beta = 30)
     freq = build_frequency_tensor([(0, 1, 5), (0, 2, 5), (0, 3, 5), (0, 4, 5), (0, 4, 2, 5),
                                    (0, 5, 1), (3, 1, 4)])
     assert len(freq.frequencies[(0, 5)]) >= 3
-    p, dist, tape = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
-    _, grad_p, floored = shortcut_loss(p, freq)
-    assert floored >= 1
+    log_p, dist, tape = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
+    _, grad_log_p, _ = shortcut_loss(log_p, freq)
+    assert (log_p < math.log(1e-12)).any()
     grad_m = np.where(np.isfinite(dist), rng.standard_normal(dist.shape), 0.0)
-    sparse = datasp_backward(tape, grad_p, grad_m)
+    sparse = datasp_backward(tape, grad_log_p, grad_m)
 
     _, _, dense_tape = datasp_forward_efficient(comp.matrix, beta)
-    dense = datasp_backward(dense_tape, scatter_triples(freq, grad_p, n), grad_m)
+    dense = datasp_backward(dense_tape, scatter_triples(freq, grad_log_p, n), grad_m)
     np.testing.assert_allclose(sparse, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
@@ -388,11 +395,11 @@ def test_triple_path_gradcheck(size, beta, seed, data):
     freq = build_frequency_tensor(paths)
 
     def loss(matrix):
-        p, _, _ = datasp_forward_efficient(matrix, beta, at=freq.triples)
-        return shortcut_loss(p, freq)[0]
+        log_p, _, _ = datasp_forward_efficient(matrix, beta, at=freq.triples)
+        return shortcut_loss(log_p, freq)[0]
 
-    p, dist, tape = datasp_forward_efficient(m, beta, at=freq.triples)
-    grad = datasp_backward(tape, shortcut_loss(p, freq)[1], np.zeros_like(dist))
+    log_p, dist, tape = datasp_forward_efficient(m, beta, at=freq.triples)
+    grad = datasp_backward(tape, shortcut_loss(log_p, freq)[1], np.zeros_like(dist))
     # normwise: the KL gradient has entries near 1e-6 whose central
     # differences are mostly round-off
     assert normwise_gradient_error(loss, grad, m, step=1e-5) <= 1e-6

@@ -191,8 +191,8 @@ def test_destination_swaps_final_node(k4):
     # partial ending at node 1: the scores come from P of the matrix with
     # nodes 1 and 3 swapped, given the unswapped matrix
     probs = destination_likelihood(k4, 1.0, [0, 1], DestinationPrior.uniform(4))
-    p, _, _ = datasp_forward_efficient(_swap_nodes(k4, 1, 3), 1.0)
-    expected = _tensor_destination_likelihood(p, [0, 1], np.ones(4))
+    log_p, _, _ = datasp_forward_efficient(_swap_nodes(k4, 1, 3), 1.0)
+    expected = _tensor_destination_likelihood(np.exp(log_p), [0, 1], np.ones(4))
     np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)
     assert probs == pytest.approx([0.0, 0.414, 0.293, 0.293], abs=1e-3)
 
@@ -233,8 +233,8 @@ def test_destination_likelihood_matches_tensor_formula():
         weights = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) > 0.2)
         weights[rng.integers(size)] = 1.0
         beta = float(rng.choice([0.5, 1.0, 5.0]))
-        p, _, _ = datasp_forward_efficient(_swap_nodes(m, partial[-1], size - 1), beta)
-        expected = _tensor_destination_likelihood(p, partial, weights)
+        log_p, _, _ = datasp_forward_efficient(_swap_nodes(m, partial[-1], size - 1), beta)
+        expected = _tensor_destination_likelihood(np.exp(log_p), partial, weights)
         probs = destination_likelihood(m, beta, partial, DestinationPrior(weights=weights))
         assert np.array_equal(probs == 0.0, expected == 0.0)
         np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)

@@ -7,9 +7,15 @@ import pytest
 from conftest import random_connected_graph, scatter_triples
 from datasp.costmodel import init_params, predict_costs
 from datasp.engine import datasp_backward, datasp_forward_efficient
-from datasp.errors import ValidationError
-from datasp.graph import build_cost_matrix, draw_kept_nodes, kept_node_map, sample_subgraph
-from datasp.oracle import finite_difference_gradcheck
+from datasp.errors import NumericalError, ValidationError
+from datasp.graph import (
+    build_cost_matrix,
+    complete_graph,
+    draw_kept_nodes,
+    kept_node_map,
+    sample_subgraph,
+)
+from datasp.oracle import finite_difference_gradcheck, normwise_gradient_error
 from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from datasp.trajectories import (
     Dataset,
@@ -33,49 +39,101 @@ from datasp.training import (
 # --- losses -------------------------------------------------------------------
 
 def test_shortcut_loss_zero_when_matched(k4):
-    p, _, _ = datasp_forward_efficient(k4, 1.0)
+    log_p, _, _ = datasp_forward_efficient(k4, 1.0)
+    p = np.exp(log_p)
     freq_rows = {}
     for (i, j) in [(0, 3), (1, 2)]:
         freq_rows[(i, j)] = {k: float(p[i, j, k]) for k in range(4) if p[i, j, k] > 0}
     freq = FrequencyTensor(freq_rows)
-    p_at, _, _ = datasp_forward_efficient(k4, 1.0, at=freq.triples)
+    log_p_at, _, _ = datasp_forward_efficient(k4, 1.0, at=freq.triples)
 
-    loss, grad, floored = shortcut_loss(p_at, freq)
+    loss, grad, floored = shortcut_loss(log_p_at, freq)
     grad = scatter_triples(freq, grad, 4)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert floored == 0
-    # gradient of KL at the optimum is -f/p / |D| = -1/|D| on the support
-    assert grad[0, 3, 2] == pytest.approx(-0.5)
+    # gradient of KL on P at the optimum is -f/p / |D| = -1/|D| on the
+    # support, so on log P it is -p/|D|
+    assert grad[0, 3, 2] == pytest.approx(-0.5 * p[0, 3, 2])
 
 
 def test_shortcut_loss_one_hot_vs_uniform():
     n = 5
-    p = np.zeros((n, n, n))
+    log_p = np.full((n, n, n), -np.inf)
     options = [0, 1, 2]  # slot 0 is the direct slot for pair (0, 4)
     for k in options:
-        p[0, 4, k] = 1.0 / len(options)
+        log_p[0, 4, k] = math.log(1.0 / len(options))
     freq = FrequencyTensor({(0, 4): {1: 1.0}})
-    loss, grad, _ = shortcut_loss(p[freq.triples], freq)
+    loss, grad, _ = shortcut_loss(log_p[freq.triples], freq)
     grad = scatter_triples(freq, grad, n)
     assert loss == pytest.approx(math.log(len(options)), rel=1e-12)
-    assert grad[0, 4, 1] == pytest.approx(-3.0)
+    # -f/p on P is -3; on log P it is -f = -3 * (1/3)
+    assert grad[0, 4, 1] == pytest.approx(-1.0)
     assert grad[0, 4, 0] == 0.0
 
 
-def test_shortcut_loss_floors_unreachable_terms():
-    p = np.zeros((3, 3, 3))
-    freq = FrequencyTensor({(0, 2): {1: 1.0}})
-    loss, grad, floored = shortcut_loss(p[freq.triples], freq)
-    grad = scatter_triples(freq, grad, 3)
-    assert floored == 1
-    assert loss == pytest.approx(-math.log(1e-12), rel=1e-6)
-    assert np.array_equal(grad, np.zeros_like(grad))
+def test_shortcut_loss_keeps_gradient_where_p_underflows():
+    # Complete 4-node graph with cost 8 (u - v)^2 at beta = 30: the path
+    # (0, 3, 1, 2) takes the dear direct edge 0 -> 3 and backtracks from 3
+    # to 1, so P underflows to 0 at its observed (0, 3, 0) and (0, 1, 3)
+    # terms.  Their log P is finite, and the loss keeps them with a finite,
+    # nonzero gradient.
+    graph = complete_graph(4)
+    m = build_cost_matrix([8.0 * (u - v) ** 2 for u, v in graph.edges], graph)
+    beta = 30.0
+    freq = build_frequency_tensor([(0, 3, 1, 2), (0, 1, 2)])
+    log_p, dist, tape = datasp_forward_efficient(m, beta, at=freq.triples)
+    assert np.isfinite(log_p).all()
+    assert (np.exp(log_p) == 0.0).any()
+    loss, grad_log_p, floored = shortcut_loss(log_p, freq)
+    assert math.isfinite(loss) and floored == 0
+    grad = datasp_backward(tape, grad_log_p, np.zeros_like(dist))
+    assert np.isfinite(grad).all() and np.abs(grad).max() > 0.0
+
+    def loss_of(matrix):
+        lp, _, _ = datasp_forward_efficient(matrix, beta, at=freq.triples)
+        return shortcut_loss(lp, freq)[0]
+
+    assert normwise_gradient_error(loss_of, grad, m, step=1e-6) <= 1e-6
+
+
+def test_shortcut_loss_rejects_an_infinite_log_p():
+    freq = FrequencyTensor({(0, 2): {0: 0.5, 1: 0.5}})
+    with pytest.raises(NumericalError, match="non-finite log P"):
+        shortcut_loss(np.array([math.log(0.5), -np.inf]), freq)
+
+
+def _dense_p_reference_loss(m, beta, freq):
+    """The KL loss read from the dense P = exp(log P), term by term, and its
+    gradient w.r.t. m: -f / P on P, which reaches log P times P."""
+    log_p, dist, tape = datasp_forward_efficient(m, beta)
+    p = np.exp(log_p)
+    loss, grad_p = 0.0, np.zeros_like(p)
+    for (i, j), row in freq.frequencies.items():
+        for k, f in row.items():
+            loss += f * (math.log(f) - math.log(p[i, j, k]))
+            grad_p[i, j, k] = -f / p[i, j, k]
+    pairs = len(freq.frequencies)
+    return loss / pairs, datasp_backward(tape, grad_p * p / pairs, np.zeros_like(dist))
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0])
+def test_shortcut_loss_matches_dense_p_reference(beta):
+    # costs in [2, 4] keep the walk series convergent at beta = 1
+    graph = complete_graph(8)
+    m = build_cost_matrix(np.random.default_rng(4).uniform(2.0, 4.0, graph.num_edges), graph)
+    freq = build_frequency_tensor([(0, 3, 5, 7), (0, 2, 7), (1, 4, 6), (6, 5, 3, 2)])
+    log_p, dist, tape = datasp_forward_efficient(m, beta, at=freq.triples)
+    loss, grad_log_p, _ = shortcut_loss(log_p, freq)
+    grad = datasp_backward(tape, grad_log_p, np.zeros_like(dist))
+    ref_loss, ref_grad = _dense_p_reference_loss(m, beta, freq)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-12 * np.abs(ref_grad).max())
 
 
 def test_shortcut_loss_gradient_outside_observed_pairs_is_zero(k4):
     freq = FrequencyTensor({(0, 3): {2: 1.0}})
-    p, _, _ = datasp_forward_efficient(k4, 1.0, at=freq.triples)
-    _, grad, _ = shortcut_loss(p, freq)
+    log_p, _, _ = datasp_forward_efficient(k4, 1.0, at=freq.triples)
+    _, grad, _ = shortcut_loss(log_p, freq)
     grad = scatter_triples(freq, grad, 4)
     mask = np.ones_like(grad, dtype=bool)
     mask[0, 3, :] = False
@@ -258,9 +316,9 @@ def test_exclusion_chain_cost_gradient():
         rewritten = [apply_node_exclusion_to_path(p, node_map) for p in paths]
         rewritten = [p for p in rewritten if p is not None]
         freq = build_frequency_tensor(rewritten)
-        p, dist, tape = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
-        loss, grad_p, _ = shortcut_loss(p, freq)
-        grad_c = datasp_backward(tape, grad_p, np.zeros_like(comp.matrix))
+        log_p, dist, tape = datasp_forward_efficient(comp.matrix, beta, at=freq.triples)
+        loss, grad_log_p, _ = shortcut_loss(log_p, freq)
+        grad_c = datasp_backward(tape, grad_log_p, np.zeros_like(comp.matrix))
         grad_full = comp.backward(grad_c)
         ea = graph.edge_array()
         return loss, grad_full[ea[:, 0], ea[:, 1]]
@@ -309,8 +367,7 @@ def test_step_log_records_floored_terms_and_skip_reason():
     assert [entry["step"] for entry in steps] == list(range(len(dataset.splits["train"])))
     for entry in steps:
         assert set(entry) == {"step", "L_S", "L_P", "grad_norm", "kept_nodes", "skipped",
-                              "floored", "reason"}
-        assert isinstance(entry["floored"], int) and entry["floored"] >= 0
+                              "reason"}
         assert (entry["reason"] != "") == entry["skipped"]
     assert any(entry["skipped"] for entry in steps)
     assert not all(entry["skipped"] for entry in steps)
