@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .costmodel import predict_costs
-from .engine import datasp_forward_efficient
+from .engine import datasp_backward, datasp_forward_efficient
 from .errors import (
     GenerationError,
     NoPathError,
@@ -627,8 +627,6 @@ def cmd_verify(args) -> int:
 def _verify_gradients(m, beta) -> float:
     """Normwise relative error of the shortcut-loss gradient on `m`, taken
     as training takes it: log P and its adjoint at the observed triples only."""
-    from .engine import datasp_backward
-
     freq = build_frequency_tensor([(0, 1, 2, 3), (0, 2, 3), (0, 3)])
 
     def loss_of(matrix):

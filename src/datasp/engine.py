@@ -22,30 +22,34 @@ so log P has a closed form in values the sweep already passes through:
 
 where C[:, k] and R[k, :] are column k and row k of the running matrix just
 before pivot k, and M is the input matrix.  A slot whose P underflows keeps
-a finite log P; only a slot with no walk reads -inf.  `shortcut_costs`
-returns the costs in those expressions for pairs (i, j), C[i, :] + R[:, j]
-with M[i, j] in the direct slot.  The sweep keeps C, R and the running
-matrix, O(V^2) each, plus a snapshot of the running matrix every
-ceil(sqrt(V)) pivots, O(V^2.5) in all, in an `EngineTape`.  It computes no
-softmin weights: log P needs none, and the backward recomputes a segment's
-weights from its snapshot.  Its pivots share one `smoothing.Workspace` of
-three V x V float buffers.
+a finite log P; only a slot with no walk reads -inf.  The sweep keeps C, R
+and the running matrix, O(V^2) each, plus a snapshot of the running matrix
+every ceil(sqrt(V)) pivots, O(V^2.5) in all, in an `EngineTape`.  It
+computes no softmin weights: log P needs none, and the backward recomputes
+a segment's weights from its snapshot.  Its pivots share one
+`smoothing.Workspace` of three V x V float buffers.
 
-The queries in `inference` (path sampling, destination likelihoods) run
-`sweep` themselves and read the rows they need through `shortcut_costs`; a
-sweep's tape holds no log P, and no V^3 array is allocated for them.
-`datasp_forward_efficient` is `sweep` plus log P from the closed form.
-Given index arrays `at=(i, j, k)` it evaluates log P only at those triples,
-by the operations of the dense build, so the entries are bit-equal to the
-dense log P gathered there; training asks for log P this way, at the
-shortcuts its trajectories observe, and allocates no V^3 array.  Without
-`at` it builds the dense O(V^3) log P, which only the oracle checks, the
-tests and the benchmark's engine sweep read.  Either tape holds the log P
-it returned.  The backward pass, which needs such a tape, moves the
-upstream gradient on log P (in the shape of that log P) onto D, C, R and
-the direct slots, then runs one reverse sweep over the pivots, recomputing
-each sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank
-& Walther's "revolve").  The closed form and its adjoint follow Mensch &
+The closed form has one home.  `shortcut_costs(tape, i, j, k)` returns the
+costs in it, C[i, k] + R[k, j] with M[i, j] where k == i, and
+`log_shortcuts(tape, i, j, k)` log P itself, each at broadcastable index
+arrays, so one expression serves every shape a caller reads:
+
+- training: log P at the triples its trajectories observe, 1-D arrays
+  `at=(i, j, k)` given to `datasp_forward_efficient`;
+- the dense V x V x V log P: the same call without `at`, on the open grid
+  `np.ogrid[:V, :V, :V]`, which only the tests and the benchmark's engine
+  sweep read;
+- the queries in `inference` and the oracle check: rows or single slots of
+  pairs, read from a `sweep` tape, so no V^3 array is allocated for them.
+
+Any entry is therefore bit-equal to the same entry of the dense log P.
+`datasp_forward_efficient` is `sweep` plus log P at `at` or on the grid, and
+its tape holds the log P it returned.  The backward pass, which needs such a
+tape, moves the upstream gradient on log P (in the shape of that log P) onto
+D, C, R and the direct slots, by axis sums of a dense gradient or a scatter
+of a 1-D one, then runs one reverse sweep over the pivots, recomputing each
+sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank &
+Walther's "revolve").  The closed form and its adjoint follow Mensch &
 Blondel, "Differentiable Dynamic Programming for Structured Prediction and
 Attention" (ICML 2018).
 """
@@ -66,12 +70,13 @@ from .graph import validate_cost_matrix
 class EngineTape:
     """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots.
 
-    A tape from `datasp_forward_efficient` holds the log P it returned,
-    whose -inf slots the backward leaves out (it must not be modified in
-    place), and the triples `at` it was evaluated at: a 1-D log P at the
-    training loss's observed triples, or the dense V x V x V log P (at None)
-    that the oracle checks, the tests and the benchmark's engine sweep read.
-    A tape from `sweep` holds neither.
+    `shortcut_costs` and `log_shortcuts` read the closed form from any
+    tape.  A tape from `datasp_forward_efficient` also holds the log P it
+    returned, whose -inf slots the backward leaves out (it must not be
+    modified in place), and the triples `at` it was evaluated at: a 1-D log P
+    at the training loss's observed triples, or the dense V x V x V log P (at
+    None) that the tests and the benchmark's engine sweep read.  A tape from
+    `sweep` holds neither.
     """
 
     beta: float
@@ -86,44 +91,25 @@ class EngineTape:
     at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-def shortcut_costs(tape: EngineTape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-slot walk costs of each pair of the index arrays (a, b), a != b:
-    log P[a, b, :] = -beta * (costs - D[a, b]), one row per pair.
-
-    Slot k holds C[a, k] + R[k, b], slot a the direct cost M[a, b], and
-    slot b inf (R[b, b] is the diagonal).  Returns a new array.
+def shortcut_costs(tape: EngineTape, i, j, k) -> np.ndarray:
+    """Walk costs C[i, k] + R[k, j] at the broadcastable index arrays
+    (i, j, k), with the direct cost M[i, j] where k == i; a new array in
+    their broadcast shape.  Slot k == j reads inf (R[j, j] is the diagonal).
     """
-    costs = tape.col[a] + tape.row[:, b].T
-    costs[np.arange(len(a)), a] = tape.m_input[a, b]
+    costs = tape.col[i, k] + tape.row[k, j]
+    np.copyto(costs, tape.m_input[i, j], where=k == i)
     return costs
 
 
-def _log_shortcuts(tape: EngineTape) -> np.ndarray:
-    """Build log P from the closed form; unreachable pairs and i == j get -inf."""
+def log_shortcuts(tape: EngineTape, i, j, k) -> np.ndarray:
+    """log P[i, j, k] = -beta * (costs - D[i, j]) at the broadcastable index
+    arrays (i, j, k), costs from `shortcut_costs`; a new array."""
     # A pair at infinite distance (i == j, or unreachable) takes D = -inf,
-    # which sends every term of its slice, finite or infinite, to -inf.
-    beta = tape.beta
-    d = np.where(np.isfinite(tape.dist), tape.dist, -INF)
-    log_p = tape.col[:, None, :] + tape.row.T[None, :, :]
-    log_p -= d[:, :, None]
-    log_p *= -beta
-    nodes = np.arange(tape.size)
-    log_p[nodes[:, None], nodes[None, :], nodes[:, None]] = -beta * (tape.m_input - d)
-    return log_p
-
-
-def _log_shortcuts_at(tape: EngineTape) -> np.ndarray:
-    """log P[i, j, k] at the tape's index arrays at = (i, j, k), by the
-    operations of `_log_shortcuts` (so bit-equal to it); a 1-D array."""
-    i, j, k = tape.at
-    beta = tape.beta
+    # which sends every slot of it, finite cost or not, to -inf.
     d = tape.dist[i, j]
-    d = np.where(np.isfinite(d), d, -INF)
-    log_p = tape.col[i, k] + tape.row[k, j]
-    log_p -= d
-    log_p *= -beta
-    direct = np.flatnonzero(k == i)
-    log_p[direct] = -beta * (tape.m_input[i[direct], j[direct]] - d[direct])
+    log_p = shortcut_costs(tape, i, j, k)
+    log_p -= np.where(np.isfinite(d), d, -INF)
+    log_p *= -tape.beta
     return log_p
 
 
@@ -171,15 +157,16 @@ def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
                              ) -> tuple[np.ndarray, np.ndarray, EngineTape]:
     """Forward pass: returns (log shortcut tensor log P, distances D, tape).
 
-    With at = (i, j, k), three equal-length integer arrays, log P is the
-    1-D array of log P[i, j, k] at those triples; without, the dense log P.
+    log P is `log_shortcuts` of the sweep's tape.  With at = (i, j, k),
+    three equal-length integer arrays, it is the 1-D array of log P[i, j, k]
+    at those triples; without, the dense log P on the open grid
+    np.ogrid[:V, :V, :V], the one V^3 array this allocates.
     """
     tape = sweep(m, beta)
-    if at is None:
-        tape.log_p = _log_shortcuts(tape)
-    else:
-        tape.at = _check_triples(at, tape.size)
-        tape.log_p = _log_shortcuts_at(tape)
+    n = tape.size
+    if at is not None:
+        tape.at = _check_triples(at, n)
+    tape.log_p = log_shortcuts(tape, *(np.ogrid[:n, :n, :n] if at is None else tape.at))
     return tape.log_p, tape.dist, tape
 
 

@@ -2,9 +2,11 @@
 expected optimal paths, and evaluation metrics.
 
 Queries take the cost matrix and beta and run `engine.sweep` themselves, not
-the shortcut tensor P: every row they need is read from the sweep's tape
-through `engine.shortcut_costs`, in log space, so no V^3 array is built and
-no row underflows to all zeros.
+the shortcut tensor P: they read the engine's closed form from the sweep's
+tape, the sampler rows of slot costs through `engine.shortcut_costs` and
+destination scoring one log P entry per destination through
+`engine.log_shortcuts`.  Everything stays in log space, so no V^3 array is
+built and no row underflows to all zeros.
 
 A walk i -> j is drawn top-down over its highest-node decomposition.  The
 segment (a, b, bound) draws its highest intermediate node H from row (a, b)
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EngineTape, shortcut_costs, sweep
+from .engine import EngineTape, log_shortcuts, shortcut_costs, sweep
 from .errors import NoPathError, ValidationError
 from .graph import (
     BLOCK_FLOATS,
@@ -97,10 +99,10 @@ class _SlotRows:
 
     def _build(self, a, b, bound) -> np.ndarray:
         tape = self.tape
-        costs = shortcut_costs(tape, a, b)
-        above = np.arange(tape.size) > bound[:, None]
-        above[np.arange(a.size), a] = False  # the direct slot survives every mask
-        costs[above] = INF
+        slots = np.arange(tape.size)
+        costs = shortcut_costs(tape, a[:, None], b[:, None], slots)
+        # the direct slot a survives every mask
+        costs[(slots > bound[:, None]) & (slots != a[:, None])] = INF
         costs -= costs.min(axis=1, keepdims=True)
         costs *= -tape.beta
         np.exp(costs, out=costs)
@@ -271,9 +273,10 @@ def destination_likelihood(
     sweep, so that "the final node is the highest intermediate" is a single
     slot.  Nodes already visited (except the current one) get probability
     zero; the current node itself is scored by its direct-connection slot.
-    Scores are summed in log space, log P[s, t, V-1] + log prior, so
-    destinations whose P underflows still rank.  Probabilities are returned
-    in original node indexing.
+    Each destination's score is one entry of `engine.log_shortcuts`,
+    log P[s, t, V-1] (log P[s, t, s] for the current node), plus its log
+    prior, so destinations whose P underflows still rank.  Probabilities are
+    returned in original node indexing.
     """
     m = validate_cost_matrix(m)
     n = m.shape[0]
@@ -297,12 +300,8 @@ def destination_likelihood(
     nodes = np.flatnonzero(live)
     t = swapped[nodes]
     slots = np.where(nodes == current, s, n - 1)
-    costs = shortcut_costs(tape, np.full(nodes.size, s), t)[np.arange(nodes.size), slots]
-    scored = np.isfinite(costs)
-    nodes, t = nodes[scored], t[scored]
     log_scores = np.full(n, -INF)
-    log_scores[nodes] = (-tape.beta * (costs[scored] - tape.dist[s, t])
-                         + np.log(prior.weights[nodes]))
+    log_scores[nodes] = log_shortcuts(tape, s, t, slots) + np.log(prior.weights[nodes])
     if not np.isfinite(log_scores).any():
         raise NoPathError("no destination has positive score under this prior")
     scores = np.exp(log_scores - log_scores.max())

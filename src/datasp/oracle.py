@@ -11,7 +11,8 @@ sums over them grouped by highest intermediate node.
 Entry points: `WalkEnumerator(m).walks(i, j, bound)` lists one pair's
 visitable walks; `maxent_distribution` and `walk_cost_census` read a walk
 list; `engine_deviations` compares the engine's D and P with the walk space
-in one engine pass (the only code here that reads the dense log P);
+after one `engine.sweep`, reading each pair's row of log P through
+`engine.log_shortcuts`, so it builds no V^3 array;
 `total_variation` compares two walk distributions; and
 `finite_difference_gradcheck` (componentwise) and `normwise_gradient_error`
 compare an analytic gradient with central differences.
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import EnumerationLimitError, ValidationError
 from .graph import validate_cost_matrix, path_cost
 from .smoothing import softmin_value
-from .engine import datasp_forward_efficient
+from .engine import log_shortcuts, sweep
 
 # MAX_ORACLE_NODES refuses a large graph before enumerating; the bound that
 # holds in practice is MAX_ORACLE_WALKS, which a 6-node generated graph
@@ -137,21 +138,25 @@ def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
     """(distance_dev, shortcut_dev): max deviations of the engine's D and P
     on `enum.m` from the walk-space smooth mins and Boltzmann ratios.
 
-    Compares off-diagonal pairs; a pair unreachable in the walk space but
-    at finite engine distance gives a distance deviation of inf.
+    Runs one `sweep` and reads each pair's row P[i, j, :] through
+    `log_shortcuts`.  Compares off-diagonal pairs; a pair unreachable in the
+    walk space but at finite engine distance gives a distance deviation of
+    inf.
     """
     n = enum.n
-    log_p, dist, _ = datasp_forward_efficient(enum.m, beta)
+    tape = sweep(enum.m, beta)
+    dist = tape.dist
     distance_dev = shortcut_dev = 0.0
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             walks = enum.walks(i, j)
+            p_row = np.exp(log_shortcuts(tape, i, j, np.arange(n)))
             if not walks:
                 if np.isfinite(dist[i, j]):
                     distance_dev = float("inf")
-                shortcut_dev = max(shortcut_dev, float(np.exp(log_p[i, j, :]).max()))
+                shortcut_dev = max(shortcut_dev, float(p_row.max()))
                 continue
             expected = softmin_value([w.cost for w in walks], beta)
             distance_dev = max(distance_dev, abs(float(dist[i, j]) - expected))
@@ -160,7 +165,7 @@ def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
             slots = [i if w.highest_intermediate is None else w.highest_intermediate
                      for w in walks]
             expected_row = np.bincount(slots, weights=_boltzmann(walks, beta), minlength=n)
-            row_dev = np.abs(np.exp(log_p[i, j, :]) - expected_row)
+            row_dev = np.abs(p_row - expected_row)
             shortcut_dev = max(shortcut_dev, float(row_dev.max()))
     return distance_dev, shortcut_dev
 

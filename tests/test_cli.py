@@ -300,10 +300,10 @@ def test_verify_passes_at_each_beta(beta, tmp_path):
 
 
 def test_verify_catches_an_adjoint_off_by_one_percent(monkeypatch, tmp_path):
-    from datasp import engine
+    from datasp import cli
 
-    exact = engine.datasp_backward
-    monkeypatch.setattr(engine, "datasp_backward", lambda *a: 0.99 * exact(*a))
+    exact = cli.datasp_backward
+    monkeypatch.setattr(cli, "datasp_backward", lambda *a: 0.99 * exact(*a))
     cfg = write_config(tmp_path, "v.json", {"beta": 5.0})
     assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
     report = json.load(open(tmp_path / "v" / "verify_report.json"))

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, scatter_triples
-from datasp.engine import datasp_backward, datasp_forward_efficient, sweep
+from datasp.engine import (
+    datasp_backward,
+    datasp_forward_efficient,
+    log_shortcuts,
+    shortcut_costs,
+    sweep,
+)
 from datasp.errors import ValidationError
 from datasp.graph import (
     Graph,
@@ -205,6 +211,22 @@ def test_hard_limit_matches_classical_solution(rng):
                 assert int(np.argmax(p[i, j, :])) == expected_slot
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(size=st.integers(3, 12), extra=st.integers(1, 12),
+       beta=st.sampled_from([0.1, 0.5, 1.0, 3.0, 30.0]), seed=st.integers(0, 2**16))
+def test_smoothed_distance_never_exceeds_hard_distance(size, extra, beta, seed):
+    """D is a smooth min over walks that include the hard shortest path, so
+    D <= the classical distance on every off-diagonal pair, even where the
+    walk series diverges; both are finite on the same pairs."""
+    graph, costs = random_connected_graph(size, np.random.default_rng(seed), extra_edges=extra,
+                                          low=0.1, high=5.0)
+    m = build_cost_matrix(costs, graph)
+    off = ~np.eye(size, dtype=bool)
+    smooth, hard = sweep(m, beta).dist[off], classical_floyd_warshall(m)[off]
+    assert np.array_equal(np.isfinite(smooth), np.isfinite(hard))
+    assert (smooth <= hard).all()
+
+
 def test_tape_holds_no_cubic_array():
     size = 64
     graph, costs = random_connected_graph(size, np.random.default_rng(3))
@@ -350,7 +372,9 @@ def test_triple_shortcuts_are_bit_equal_to_dense(beta, rng):
     full = _squared_gap_matrix(9)
     comp = sample_subgraph(complete_graph(9), full, [0, 2, 3, 5, 6, 8], beta)
     graph, costs = random_connected_graph(8, rng)
-    for m in (comp.matrix, build_cost_matrix(costs, graph)):
+    one_way = build_cost_matrix(costs, graph)
+    one_way[:, 0] = INF  # no walk reaches node 0
+    for m in (comp.matrix, build_cost_matrix(costs, graph), one_way):
         n = m.shape[0]
         dense, dist, _ = datasp_forward_efficient(m, beta)
         # every slot kind: direct, via, k == j, i == j; shuffled, with repeats
@@ -360,6 +384,23 @@ def test_triple_shortcuts_are_bit_equal_to_dense(beta, rng):
         assert np.array_equal(log_p, dense[tuple(at)])
         assert np.array_equal(d, dist)
         assert tape.log_p is log_p and log_p.shape == (at.shape[1],)
+
+        # the forms the queries read from a sweep's tape: a scalar pair with a
+        # slot vector, and (B, 1), (B, 1), (V,) rows of pairs; pair (1, 1) and
+        # pair (1, 0), unreachable on the one-way graph, read -inf
+        tape = sweep(m, beta)
+        slots = rng.permutation(np.r_[np.arange(n), rng.integers(n, size=5)])
+        pairs = np.r_[[[1, 1], [1, 0]], rng.integers(n, size=(10, 2))]
+        for i, j in pairs.tolist():
+            assert np.array_equal(log_shortcuts(tape, i, j, slots), dense[i, j, slots])
+        a, b, nodes = pairs[:, :1], pairs[:, 1:], np.arange(n)
+        rows = log_shortcuts(tape, a, b, nodes)
+        assert np.array_equal(rows, dense[a, b, nodes])
+        reached = np.isfinite(dist[a, b])[:, 0]
+        costs_of = shortcut_costs(tape, a, b, nodes)[reached]
+        assert np.array_equal((costs_of - dist[a, b][reached]) * -beta, rows[reached])
+        assert (rows[0] == -INF).all()
+        assert (rows[1] == -INF).all() == (m is one_way)
 
 
 @pytest.mark.parametrize("beta", [1.0, 3.0, 30.0])
