@@ -15,7 +15,6 @@ from .smoothing import Workspace, pivot, pivot_adjoint, softmin_value, softmin_w
 from .graph import (
     Graph,
     build_cost_matrix,
-    classical_floyd_warshall,
     complete_graph,
     dijkstra,
     draw_kept_nodes,
@@ -45,7 +44,6 @@ from .synthetic import GeneratorConfig, generate_synthetic_dataset
 from .oracle import (
     WalkEnumerator,
     engine_deviations,
-    finite_difference_gradcheck,
     maxent_distribution,
     normwise_gradient_error,
     total_variation,

@@ -14,9 +14,8 @@ distances.  Gen searches its trajectories and eval its best paths (through
 `inference.expected_optimal_path`) by block, one block per `block_slices`
 slice of their records, whose matrices fill at most BLOCK_FLOATS floats; the
 exp-negative-distance destination prior and the generator's connectivity
-check pass a block of one.  `classical_floyd_warshall` is the all-pairs
-hard-min reference that tests compare against, and the engine's
-beta -> inf limit.
+check pass a block of one.  The all-pairs hard-min reference that tests
+compare the engine's beta -> inf limit against lives with the tests.
 
 Node exclusion reconnects the neighbors of each removed node through local
 smooth mins.  With the removed nodes permuted first, removed node t is the
@@ -224,18 +223,6 @@ def _check_entries(m: np.ndarray, positive: bool) -> np.ndarray:
     if np.isfinite(np.diagonal(m, axis1=-2, axis2=-1)).any():
         raise ValidationError("diagonal entries must be inf (no self-loops)")
     return m
-
-
-def classical_floyd_warshall(m: np.ndarray) -> np.ndarray:
-    """All-pairs shortest distances, the hard-min reference for the engine.
-
-    Runs the textbook relaxation, including i == j, so the diagonal of the
-    result is the cheapest cycle cost (inf when no cycle exists).
-    """
-    dist = validate_cost_matrix(m).copy()
-    for k in range(dist.shape[0]):
-        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
-    return dist
 
 
 def path_cost(m: np.ndarray, path) -> float:

@@ -20,10 +20,10 @@ parent, so carrying one bound per segment reproduces the tensor-masking
 semantics exactly.
 
 The segments of a block of walks are drawn level by level: each round
-builds or looks up the cumulative slot weights of every distinct
-(a, b, bound) once, draws the H of every open segment from one
-`rng.random` call, and replaces each split segment by its two halves, side
-by side, so the segments of a walk stay in walk order.  A walk's nodes are
+builds the cumulative slot weights of its distinct (a, b, bound) once,
+draws the H of every open segment from one `rng.random` call, and replaces
+each split segment by its two halves, side by side, so the segments of a
+walk stay in walk order.  Nothing outlives its round.  A walk's nodes are
 i followed by the end node of each of its segments.  Nothing is done per
 draw in Python: the walks of a block are counted by sorting their node
 rows.
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EngineTape, log_shortcuts, shortcut_costs, sweep
-from .errors import NoPathError, ValidationError
+from .errors import NoPathError, NumericalError, ValidationError
 from .graph import (
     BLOCK_FLOATS,
     Graph,
@@ -75,70 +75,50 @@ class PathDistributionEstimate:
         self.frequencies = {w: c / self.sample_count for w, c in self.counts.items()}
 
 
-class _SlotRows:
-    """Cumulative slot weights of the rows (a, b, bound) drawn so far, one
-    row of `cum` each, built once per sampling call by the arithmetic of a
-    single row: slots above the bound masked out except the direct slot, then
-    exp(-beta * (cost - cheapest slot left)) summed left to right."""
+def _draw_highest(tape: EngineTape, a: np.ndarray, b: np.ndarray, bound: np.ndarray,
+                  rng) -> np.ndarray:
+    """The highest intermediate node of each segment (a, b, bound).
 
-    def __init__(self, tape: EngineTape):
-        self.tape = tape
-        self.row_of: dict[int, int] = {}  # (a * V + b) * V + bound -> row of cum
-        self.cum = np.empty((0, tape.size))
-
-    def _rows(self, a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """The row of `cum` of each segment (a, b, bound), built if new."""
-        n = self.tape.size
-        keys, inverse = np.unique((a * n + b) * n + bound, return_inverse=True)
-        keys = keys.tolist()
-        new = [key for key in keys if key not in self.row_of]
-        if new:
-            self.row_of.update(zip(new, range(len(self.row_of), len(self.row_of) + len(new))))
-            self.cum = np.concatenate([self.cum, self._build(*np.unravel_index(new, (n, n, n)))])
-        return np.array([self.row_of[key] for key in keys])[inverse]
-
-    def _build(self, a, b, bound) -> np.ndarray:
-        tape = self.tape
-        slots = np.arange(tape.size)
-        costs = shortcut_costs(tape, a[:, None], b[:, None], slots)
-        # the direct slot a survives every mask
-        costs[(slots > bound[:, None]) & (slots != a[:, None])] = INF
-        costs -= costs.min(axis=1, keepdims=True)
-        costs *= -tape.beta
-        np.exp(costs, out=costs)
-        return np.cumsum(costs, axis=1, out=costs)
-
-    def draw(self, a: np.ndarray, b: np.ndarray, bound: np.ndarray, rng) -> np.ndarray:
-        """The highest intermediate node of each segment (a, b, bound): the
-        count of its row's cumulative weights <= u * total for
-        u = rng.random(), which is `bisect_right`, so a zero-weight slot is
-        never drawn.  u < 1 keeps u * total below the total, so the count
-        stays below V."""
-        n = self.tape.size
-        rows = self._rows(a, b, bound)
-        flat = self.cum.ravel()
-        base = rows * n
-        x = rng.random(rows.size) * flat[base + n - 1]
-        lo = np.zeros(rows.size, dtype=np.intp)
-        hi = np.full(rows.size, n, dtype=np.intp)
-        for _ in range(n.bit_length()):
-            mid = (lo + hi) >> 1
-            right = flat[base + mid] <= x
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
-        return lo
+    The cumulative slot weights of each distinct segment are built once:
+    slots above the bound masked out except the direct slot a, then
+    exp(-beta * (cost - cheapest slot left)) summed left to right.  Each
+    segment draws the count of its row's cumulative weights <= u * total for
+    u = rng.random(), which is `bisect_right`, so a zero-weight slot is never
+    drawn.  u < 1 keeps u * total below the total, so the count stays below V.
+    """
+    n = tape.size
+    keys, inverse = np.unique((a * n + b) * n + bound, return_inverse=True)
+    ra, rb, rbound = np.unravel_index(keys, (n, n, n))
+    slots = np.arange(n)
+    cum = shortcut_costs(tape, ra[:, None], rb[:, None], slots)
+    # the direct slot a survives every mask
+    cum[(slots > rbound[:, None]) & (slots != ra[:, None])] = INF
+    cum -= cum.min(axis=1, keepdims=True)
+    cum *= -tape.beta
+    np.exp(cum, out=cum)
+    flat = np.cumsum(cum, axis=1, out=cum).ravel()
+    base = inverse * n
+    x = rng.random(base.size) * flat[base + n - 1]
+    lo = np.zeros(base.size, dtype=np.intp)
+    hi = np.full(base.size, n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        right = flat[base + mid] <= x
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
 
 
-def _draw_walks(slots: _SlotRows, i: int, j: int, count: int, rng) -> np.ndarray:
+def _draw_walks(tape: EngineTape, i: int, j: int, count: int, rng) -> np.ndarray:
     """`count` walks i -> j, one row each: their nodes, padded with -1."""
-    n = slots.tape.size
+    n = tape.size
     walk = np.arange(count)
     a = np.full(count, i)
     b = np.full(count, j)
     bound = np.full(count, n - 1)
     todo = walk
     while todo.size:
-        h = slots.draw(a[todo], b[todo], bound[todo], rng)
+        h = _draw_highest(tape, a[todo], b[todo], bound[todo], rng)
         split = h != a[todo]
         todo, h = todo[split], h[split]
         # Each split segment becomes two adjacent ones, (a, h, h) and
@@ -195,8 +175,10 @@ def monte_carlo_path_distribution(
     With reject_cycles, walks with repeated nodes are discarded (and
     counted), and the discarded number is drawn again, round after round,
     until num_samples walks are accepted or 100 * num_samples walks have
-    been drawn.  Raises ValidationError for an invalid pair and NoPathError
-    for an unreachable one or when every walk was discarded.
+    been drawn.  Raises ValidationError for an invalid pair, NoPathError
+    for an unreachable one or when every walk was discarded, and
+    NumericalError when the pair's smoothed distance is -inf or NaN (the
+    walk series diverged at this beta).
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
@@ -204,15 +186,17 @@ def monte_carlo_path_distribution(
     n = tape.size
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValidationError(f"invalid pair ({i}, {j}) for {n} nodes")
-    if not np.isfinite(tape.dist[i, j]):
+    if tape.dist[i, j] == INF:
         raise NoPathError(f"pair ({i}, {j}) is unreachable")
-    slots = _SlotRows(tape)
+    if not np.isfinite(tape.dist[i, j]):
+        raise NumericalError(f"the smoothed distance of pair ({i}, {j}) is "
+                             f"{tape.dist[i, j]} at beta={tape.beta}")
     counts: dict[tuple[int, ...], int] = {}
     accepted = attempts = 0
     cap = 100 * num_samples
     while accepted < num_samples and attempts < cap:
         size = min(num_samples - accepted, cap - attempts, WALK_BLOCK)
-        accepted += _count_walks(_draw_walks(slots, i, j, size, rng), counts, reject_cycles)
+        accepted += _count_walks(_draw_walks(tape, i, j, size, rng), counts, reject_cycles)
         attempts += size
     if accepted == 0:
         raise NoPathError(
@@ -276,7 +260,8 @@ def destination_likelihood(
     Each destination's score is one entry of `engine.log_shortcuts`,
     log P[s, t, V-1] (log P[s, t, s] for the current node), plus its log
     prior, so destinations whose P underflows still rank.  Probabilities are
-    returned in original node indexing.
+    returned in original node indexing.  Raises NumericalError when a
+    destination's smoothed distance from the start is -inf or NaN.
     """
     m = validate_cost_matrix(m)
     n = m.shape[0]
@@ -299,6 +284,10 @@ def destination_likelihood(
     live[partial[:-1]] = False
     nodes = np.flatnonzero(live)
     t = swapped[nodes]
+    dist = tape.dist[s, t]
+    if (np.isnan(dist) | (dist == -INF)).any():
+        raise NumericalError(f"a smoothed distance from node {start} is -inf or NaN "
+                             f"at beta={tape.beta}")
     slots = np.where(nodes == current, s, n - 1)
     log_scores = np.full(n, -INF)
     log_scores[nodes] = log_shortcuts(tape, s, t, slots) + np.log(prior.weights[nodes])

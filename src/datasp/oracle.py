@@ -14,8 +14,8 @@ list; `engine_deviations` compares the engine's D and P with the walk space
 after one `engine.sweep`, reading each pair's row of log P through
 `engine.log_shortcuts`, so it builds no V^3 array;
 `total_variation` compares two walk distributions; and
-`finite_difference_gradcheck` (componentwise) and `normwise_gradient_error`
-compare an analytic gradient with central differences.
+`normwise_gradient_error` compares an analytic gradient with central
+differences (its componentwise counterpart is a test reference).
 
 Everything here is exponential-time by design and guarded; it is used by
 tests and the `verify` command, never in training.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import EnumerationLimitError, ValidationError
 from .graph import validate_cost_matrix, path_cost
-from .smoothing import softmin_value
+from .smoothing import softmin_value, softmin_weights
 from .engine import log_shortcuts, sweep
 
 # MAX_ORACLE_NODES refuses a large graph before enumerating; the bound that
@@ -115,18 +115,10 @@ class WalkEnumerator:
         return out
 
 
-def _boltzmann(walks, beta: float) -> np.ndarray:
-    """P(w) proportional to exp(-beta * cost), in the order of `walks`."""
-    if not walks:
-        raise ValidationError("maxent_distribution requires at least one walk")
-    costs = np.array([w.cost for w in walks])
-    probs = np.exp(-float(beta) * (costs - costs.min()))
-    return probs / probs.sum()
-
-
 def maxent_distribution(walks, beta: float) -> dict[tuple[int, ...], float]:
     """Boltzmann distribution over walks: P(w) proportional to exp(-beta*cost)."""
-    return {w.nodes: float(p) for w, p in zip(walks, _boltzmann(walks, beta))}
+    weights = softmin_weights([w.cost for w in walks], beta)
+    return {w.nodes: float(p) for w, p in zip(walks, weights)}
 
 
 def walk_cost_census(walks) -> dict[float, int]:
@@ -158,13 +150,14 @@ def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
                     distance_dev = float("inf")
                 shortcut_dev = max(shortcut_dev, float(p_row.max()))
                 continue
-            expected = softmin_value([w.cost for w in walks], beta)
+            costs = [w.cost for w in walks]
+            expected = softmin_value(costs, beta)
             distance_dev = max(distance_dev, abs(float(dist[i, j]) - expected))
             # P[i, j, :] is the Boltzmann mass of the walks grouped by highest
             # intermediate node, slot i holding the direct edge.
             slots = [i if w.highest_intermediate is None else w.highest_intermediate
                      for w in walks]
-            expected_row = np.bincount(slots, weights=_boltzmann(walks, beta), minlength=n)
+            expected_row = np.bincount(slots, weights=softmin_weights(costs, beta), minlength=n)
             row_dev = np.abs(p_row - expected_row)
             shortcut_dev = max(shortcut_dev, float(row_dev.max()))
     return distance_dev, shortcut_dev
@@ -195,18 +188,6 @@ def _differences(func, analytic_grad, x, step: float) -> tuple[np.ndarray, np.nd
         f_minus = func(bumped.reshape(x.shape))
         fd[pos] = (f_plus - f_minus) / (2.0 * step)
     return fd, analytic.ravel()[coords]
-
-
-def finite_difference_gradcheck(func, analytic_grad, x, step: float = 1e-5) -> float:
-    """Max componentwise relative error between analytic_grad and central
-    differences of func.
-
-    Differences are taken per finite coordinate of x; the relative error
-    denominator is floored at 1e-8.
-    """
-    fd, g = _differences(func, analytic_grad, x, step)
-    err = np.abs(fd - g) / np.maximum(np.maximum(np.abs(fd), np.abs(g)), 1e-8)
-    return float(err.max(initial=0.0))
 
 
 def normwise_gradient_error(func, analytic_grad, x, step: float = 1e-5) -> float:

@@ -7,13 +7,15 @@ beta is a positive inverse temperature; beta -> inf recovers the hard min.
 
 An entry of +inf marks an absent branch.  Infinite entries are categorical:
 they get zero mass and zero gradient, and no overflow, underflow or NaN can
-leak out of them.  `softmin_value`, `softmin_weights` and `pair_softmin`
-exclude them from the log-sum-exp; `pivot` passes them through exp() only
-as exp(-inf) = 0, mapping the NaN of inf - inf to -inf first.  All
-computations subtract the finite minimum before exponentiating, which keeps
-exp() arguments in [-inf, 0].  A pivot that computes no weights floors the
-arguments at -38 instead: there 1 + exp() rounds to exactly 1.0, so the
-values are those of the unfloored arithmetic, bit for bit.
+leak out of them.  `softmin_value` and `softmin_weights` exclude them from
+the log-sum-exp; `pivot` passes them through exp() only as exp(-inf) = 0,
+mapping the NaN of inf - inf to -inf first.  All computations subtract the
+finite minimum before exponentiating, which keeps exp() arguments in
+[-inf, 0].  A pivot that computes no weights floors the arguments at -38
+instead: there 1 + exp() rounds to exactly 1.0, so the values are those of
+the unfloored arithmetic, bit for bit.  The elementwise two-branch smooth
+min that `pivot` matches bit for bit, `pair_softmin`, is a test reference
+and lives with the tests.
 
 `pivot` and `pivot_adjoint` allocate no matrix-sized temporaries: each
 writes its elementwise steps into a `Workspace` that its caller creates
@@ -78,35 +80,6 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     return w
 
 
-def pair_softmin(a, b, beta: float):
-    """Elementwise smooth min of two extended-real arrays, with both weights.
-
-    Returns (value, weight_a, weight_b).  Positions where both inputs are
-    inf yield (inf, 0, 0); callers treat those as absent branches.
-    """
-    beta = check_beta(beta)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    fa = np.isfinite(a)
-    fb = np.isfinite(b)
-    shift = np.where(fa & fb, np.minimum(a, b), np.where(fa, a, b))
-    ea = np.zeros(np.broadcast(a, b).shape)
-    eb = np.zeros_like(ea)
-    # shift is finite wherever the corresponding branch is, so the
-    # subtraction below never sees inf - inf.
-    np.subtract(a, shift, out=ea, where=fa)
-    np.subtract(b, shift, out=eb, where=fb)
-    ea = np.where(fa, np.exp(-beta * ea), 0.0)
-    eb = np.where(fb, np.exp(-beta * eb), 0.0)
-    denom = ea + eb
-    any_finite = fa | fb
-    safe = np.where(any_finite, denom, 1.0)
-    value = np.where(any_finite, shift - np.log(safe) / beta, INF)
-    wa = np.where(any_finite, ea / safe, 0.0)
-    wb = np.where(any_finite, eb / safe, 0.0)
-    return value, wa, wb
-
-
 class Workspace:
     """Scratch buffers for `pivot` and `pivot_adjoint`: three float buffers
     and one bool buffer of `size` entries each.
@@ -150,9 +123,9 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     cur[i, k] can change, so only those are computed.
 
     Every elementwise step is written into `work`, which must hold
-    rows x width entries (at most cur.size).  The arithmetic matches
-    `pair_softmin` operation for operation, so the values are bit-identical
-    to it.  A pair that is not updated (an infinite two-hop cost, or
+    rows x width entries (at most cur.size).  The arithmetic matches the
+    test reference `pair_softmin` operation for operation, so the values are
+    bit-identical to it.  A pair that is not updated (an infinite two-hop cost, or
     i == j) comes out of the same arithmetic unchanged: its two-hop branch
     gets weight exp(-inf) = 0.
 

@@ -654,3 +654,23 @@ def test_overflowing_checkpoint_prints_only_the_error_line(gen_dir, tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == "error: edge costs must be finite and strictly positive\n"
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("sample-paths", {"source": 0, "target": 1}),
+    ("predict-dest", {"partial": [0, 1]}),
+    ("verify", {}),
+])
+def test_diverged_distances_exit_as_numerical_failure(gen_dir, tmp_path, command, fields):
+    # At beta = 1e-308 the walk series diverges and every off-diagonal
+    # smoothed distance is -inf: a numerical failure, not an unreachable pair.
+    graph = {} if command == "verify" else {"graph": os.path.join(gen_dir, "graph.json")}
+    cfg = write_config(tmp_path, "c.json", {**graph, **fields, "beta": 1e-308})
+    src = os.path.dirname(os.path.dirname(datasp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "datasp.cli", command, "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("numerical failure:")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import finite_difference_gradcheck
 from datasp.costmodel import (
     backward_params,
     init_params,
@@ -9,7 +10,6 @@ from datasp.costmodel import (
     softplus,
 )
 from datasp.errors import ValidationError
-from datasp.oracle import finite_difference_gradcheck
 
 
 def test_initial_prediction_equals_prior():

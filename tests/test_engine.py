@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, scatter_triples
+from reference import classical_floyd_warshall, finite_difference_gradcheck, pair_softmin
 from datasp.engine import (
     datasp_backward,
     datasp_forward_efficient,
@@ -18,7 +19,6 @@ from datasp.errors import ValidationError
 from datasp.graph import (
     Graph,
     build_cost_matrix,
-    classical_floyd_warshall,
     complete_graph,
     dijkstra,
     draw_kept_nodes,
@@ -27,10 +27,9 @@ from datasp.graph import (
 from datasp.oracle import (
     WalkEnumerator,
     engine_deviations,
-    finite_difference_gradcheck,
     normwise_gradient_error,
 )
-from datasp.smoothing import INF, Workspace, pair_softmin, pivot
+from datasp.smoothing import INF, Workspace, pivot
 from datasp.training import shortcut_loss
 from datasp.trajectories import build_frequency_tensor
 
@@ -217,14 +216,26 @@ def test_hard_limit_matches_classical_solution(rng):
 def test_smoothed_distance_never_exceeds_hard_distance(size, extra, beta, seed):
     """D is a smooth min over walks that include the hard shortest path, so
     D <= the classical distance on every off-diagonal pair, even where the
-    walk series diverges; both are finite on the same pairs."""
+    walk series diverges; both are finite on the same pairs.
+
+    The visitable walks are a subset of all walks, so where the series of
+    A = exp(-beta * M) converges (spectral radius below 1), D is at least
+    the smooth min over all walks, -(1/beta) * log[(I - A)^-1], on every
+    off-diagonal pair whose walk sum does not underflow."""
     graph, costs = random_connected_graph(size, np.random.default_rng(seed), extra_edges=extra,
                                           low=0.1, high=5.0)
     m = build_cost_matrix(costs, graph)
     off = ~np.eye(size, dtype=bool)
-    smooth, hard = sweep(m, beta).dist[off], classical_floyd_warshall(m)[off]
+    dist = sweep(m, beta).dist
+    smooth, hard = dist[off], classical_floyd_warshall(m)[off]
     assert np.array_equal(np.isfinite(smooth), np.isfinite(hard))
     assert (smooth <= hard).all()
+    a = np.exp(-beta * m)
+    if np.abs(np.linalg.eigvals(a)).max() < 1:
+        walk_sums = np.linalg.inv(np.eye(size) - a)
+        pairs = off & (walk_sums > 1e-290)
+        bound = -np.log(walk_sums[pairs]) / beta
+        assert (dist[pairs] >= bound - 1e-12 * np.maximum(1.0, np.abs(dist[pairs]))).all()
 
 
 def test_tape_holds_no_cubic_array():

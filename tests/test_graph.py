@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import k4_cost_matrix, mostly, random_connected_graph
+from reference import classical_floyd_warshall, finite_difference_gradcheck, pair_softmin
 from datasp.cli import INPUT_ERRORS
 from datasp.errors import ValidationError
 from datasp.graph import (
     Graph,
     build_cost_matrix,
-    classical_floyd_warshall,
     complete_graph,
     dijkstra,
     distances_to,
@@ -26,7 +26,7 @@ from datasp.graph import (
     path_cost,
     sample_subgraph,
 )
-from datasp.smoothing import INF, Workspace, pair_softmin, pivot, pivot_adjoint
+from datasp.smoothing import INF, Workspace, pivot, pivot_adjoint
 
 
 # --- Graph / cost matrix construction ---------------------------------------
@@ -374,8 +374,6 @@ def test_exclusion_preserves_hard_distances(rng):
 
 
 def test_exclusion_backward_matches_finite_differences(rng):
-    from datasp.oracle import finite_difference_gradcheck
-
     graph, costs = random_connected_graph(8, rng)
     m = build_cost_matrix(costs, graph)
     # At beta = 30 some gradients are ~1e-8, where round-off in a 1e-6

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph, tractable_random_graph
+from reference import classical_floyd_warshall
 from datasp.engine import datasp_forward_efficient, sweep
 from datasp.errors import NoPathError, ValidationError
 from datasp.graph import (
     Graph,
     build_cost_matrix,
-    classical_floyd_warshall,
     complete_graph,
     dijkstra,
 )

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
+from reference import finite_difference_gradcheck
 from datasp.errors import EnumerationLimitError, ValidationError
 from datasp.graph import Graph, build_cost_matrix, complete_graph
 from datasp.oracle import (
     WalkEnumerator,
     engine_deviations,
-    finite_difference_gradcheck,
     maxent_distribution,
     normwise_gradient_error,
     total_variation,

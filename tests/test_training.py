@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, scatter_triples
+from reference import finite_difference_gradcheck
 from datasp.costmodel import init_params, predict_costs
 from datasp.engine import datasp_backward, datasp_forward_efficient
 from datasp.errors import NumericalError, ValidationError
@@ -15,7 +16,7 @@ from datasp.graph import (
     kept_node_map,
     sample_subgraph,
 )
-from datasp.oracle import finite_difference_gradcheck, normwise_gradient_error
+from datasp.oracle import normwise_gradient_error
 from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from datasp.trajectories import (
     Dataset,
