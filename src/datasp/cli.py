@@ -1,11 +1,14 @@
 """Command-line entry point.
 
-Subcommands: gen, train, eval, sample-paths, predict-dest, verify.  Every
-command reads a JSON config (all fields optional, defaults documented in
-DEFAULTS below), writes its fully-resolved config next to its outputs, and
-is byte-reproducible for a fixed seed.  Exit codes: 0 success, 2 validation
-error (including unreadable files, undecodable text and malformed JSON or
-binary input), 3 numerical failure, 4 verification failure.
+Subcommands: gen, train, eval, sample-paths, predict-dest, verify.  `main`
+is the one runner: it resolves the command's config (DEFAULTS below overlaid
+with the --config file and --seed; all fields optional), creates --out, and
+calls `cmd_<command>(config, out_dir)`.  Every command writes its canonical
+JSON outputs, its fully-resolved `<command>_config.json` among them, through
+`_write_json`, and is byte-reproducible for a fixed seed.  `main` maps errors
+to exit codes: 0 success, 2 validation error (including unreadable files,
+undecodable text and malformed JSON or binary input), 3 numerical failure,
+4 verification failure.
 
 `verify` checks the engine against the brute-force walk oracle on a bundled
 4-node fixture (and optionally an extra small graph): the walk census, the
@@ -205,11 +208,9 @@ def _validated(block: str, checked, *args):
         raise ValidationError(f"{block}: {exc}") from None
 
 
-def _write_resolved(config: dict, out_dir: str, command: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    name = command.replace("-", "_") + "_config.json"
+def _write_json(out_dir: str, name: str, doc) -> None:
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(config))
+        fh.write(canonical_json(doc))
 
 
 def _node_index(value, num_nodes: int, name: str) -> int:
@@ -230,51 +231,41 @@ def _positive_float(value, name: str) -> float:
     return float(value)
 
 
-def _model_costs(config, graph, prior, out_meta: dict):
-    """Edge costs from a checkpoint + context, or the prior when absent."""
-    if config["checkpoint"] is None and config["context"] is not None:
-        raise ValidationError("context is read only with a checkpoint; set checkpoint "
-                              "or drop context")
-    if config["checkpoint"] is not None:
-        checkpoint = load_checkpoint(config["checkpoint"])
-        params = checkpoint.params
-        if params.edge_count != graph.num_edges:
-            raise ValidationError("checkpoint edge count does not match graph")
-        context = config["context"]
-        if not isinstance(context, list) or not all(is_real(x) for x in context):
-            raise ValidationError(f"a checkpoint needs a context list of finite numbers, "
-                                  f"got {context!r}")
-        costs, _ = predict_costs(params, np.asarray(context, dtype=float), prior)
-        out_meta["checkpoint_sha256"] = checkpoint.sha256
-        return costs
-    if prior is None:
-        raise ValidationError("graph has neither prior costs nor node positions")
-    out_meta["checkpoint_sha256"] = None
-    return prior.copy()
+def _query_matrix(config, graph, prior):
+    """A query's cost matrix, from a checkpoint + context or else the prior,
+    and the checkpoint's sha256 (None without one)."""
+    if config["checkpoint"] is None:
+        if config["context"] is not None:
+            raise ValidationError("context is read only with a checkpoint; set checkpoint "
+                                  "or drop context")
+        if prior is None:
+            raise ValidationError("graph has neither prior costs nor node positions")
+        return build_cost_matrix(prior, graph), None
+    checkpoint = load_checkpoint(config["checkpoint"])
+    if checkpoint.params.edge_count != graph.num_edges:
+        raise ValidationError("checkpoint edge count does not match graph")
+    context = config["context"]
+    if not isinstance(context, list) or not all(is_real(x) for x in context):
+        raise ValidationError(f"a checkpoint needs a context list of finite numbers, "
+                              f"got {context!r}")
+    costs, _ = predict_costs(checkpoint.params, np.asarray(context, dtype=float), prior)
+    return build_cost_matrix(costs, graph), checkpoint.sha256
 
 
 # ---------------------------------------------------------------------------
 # gen
 
 
-def cmd_gen(args) -> int:
-    config = _load_config(args, "gen")
-    out_dir = args.out
+def cmd_gen(config: dict, out_dir: str) -> int:
     gen_fields = {**_nested(config, "generator", GeneratorConfig), "seed": config["seed"]}
     gen_config = _validated("generator", GeneratorConfig(**gen_fields))
     splits = assign_splits(gen_config.num_samples, config["split_fractions"])
 
     result = generate_synthetic_dataset(gen_config)
-    os.makedirs(out_dir, exist_ok=True)
-
-    graph_path = os.path.join(out_dir, "graph.json")
-    with open(graph_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(graph_to_json_dict(result.graph, prior=result.prior,
-                                                   positions=result.positions)))
-    traj_path = os.path.join(out_dir, "trajectories.jsonl")
-    write_trajectories_jsonl(traj_path, result.dataset)
-    costs_path = os.path.join(out_dir, "true_costs.bin")
-    save_tensor(costs_path, result.true_costs)
+    _write_json(out_dir, "graph.json", graph_to_json_dict(result.graph, prior=result.prior,
+                                                          positions=result.positions))
+    write_trajectories_jsonl(os.path.join(out_dir, "trajectories.jsonl"), result.dataset)
+    save_tensor(os.path.join(out_dir, "true_costs.bin"), result.true_costs)
 
     manifest = {
         "graph": "graph.json",
@@ -289,9 +280,8 @@ def cmd_gen(args) -> int:
                           for k in GeneratorConfig.__dataclass_fields__},
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(manifest))
-    _write_resolved(config, out_dir, "gen")
+    _write_json(out_dir, "manifest.json", manifest)
+    _write_json(out_dir, "gen_config.json", config)
     print(f"gen: {result.graph.num_nodes} nodes, {result.graph.num_edges} edges, "
           f"{len(result.dataset.paths)} trajectories -> {out_dir}")
     return 0
@@ -301,11 +291,7 @@ def cmd_gen(args) -> int:
 # train
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args, "train")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
+def cmd_train(config: dict, out_dir: str) -> int:
     dataset, _ = load_dataset(config["dataset"])
 
     name = config["profile"]
@@ -344,7 +330,7 @@ def cmd_train(args) -> int:
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
     log_path = os.path.join(out_dir, "train_log.jsonl")
-    _write_resolved(config, out_dir, "train")
+    _write_json(out_dir, "train_config.json", config)
     result = train_loop(dataset, train_config,
                         checkpoint_path=checkpoint_path, log_path=log_path,
                         initial_params=initial_params, initial_opt_state=initial_opt,
@@ -404,11 +390,7 @@ def _metric_rows(dataset, params, split, true_costs):
     return rows
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args, "eval")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
+def cmd_eval(config: dict, out_dir: str) -> int:
     if not isinstance(config["split"], str):
         raise ValidationError(f"split must be a split name, got {config['split']!r}")
     dataset, true_costs_path = load_dataset(config["dataset"])
@@ -434,9 +416,8 @@ def cmd_eval(args) -> int:
             opt = "" if row["optimal_cost_pct"] is None else f"{row['optimal_cost_pct']:.4f}"
             fh.write(f"{row['method']},{row['jaccard_mean']:.6f},{row['jaccard_std']:.6f},"
                      f"{row['match_pct']:.4f},{opt},{row['n_test']}\n")
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({"rows": rows, "split": config["split"]}))
-    _write_resolved(config, out_dir, "eval")
+    _write_json(out_dir, "metrics.json", {"rows": rows, "split": config["split"]})
+    _write_json(out_dir, "eval_config.json", config)
     for row in rows:
         print(f"eval[{row['method']}]: jaccard={row['jaccard_mean']:.4f} "
               f"match={row['match_pct']:.2f}% n={row['n_test']}")
@@ -447,11 +428,7 @@ def cmd_eval(args) -> int:
 # sample-paths
 
 
-def cmd_sample_paths(args) -> int:
-    config = _load_config(args, "sample-paths")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
+def cmd_sample_paths(config: dict, out_dir: str) -> int:
     graph, prior, _ = load_graph_json(config["graph"])
     source = _node_index(config["source"], graph.num_nodes, "source")
     target = _node_index(config["target"], graph.num_nodes, "target")
@@ -459,20 +436,19 @@ def cmd_sample_paths(args) -> int:
     if not isinstance(config["reject_cycles"], bool):
         raise ValidationError(f"reject_cycles must be true or false, "
                               f"got {config['reject_cycles']!r}")
-    meta: dict = {"beta": config["beta"]}
-    costs = _model_costs(config, graph, prior, meta)
+    m, checkpoint_sha256 = _query_matrix(config, graph, prior)
 
     rng = np.random.default_rng(config["seed"])
-    estimate = monte_carlo_path_distribution(
-        build_cost_matrix(costs, graph), config["beta"], source, target, num_samples, rng,
-        reject_cycles=config["reject_cycles"],
-    )
+    estimate = monte_carlo_path_distribution(m, config["beta"], source, target, num_samples,
+                                             rng, reject_cycles=config["reject_cycles"])
     samples_path = os.path.join(out_dir, "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
         for walk in sorted(estimate.counts, key=lambda w: (-estimate.counts[w], w)):
             fh.write(json.dumps({"path": list(walk), "count": estimate.counts[walk],
                                  "freq": estimate.frequencies[walk]}, sort_keys=True) + "\n")
-    meta.update({
+    _write_json(out_dir, "samples_meta.json", {
+        "beta": config["beta"],
+        "checkpoint_sha256": checkpoint_sha256,
         "sample_count": estimate.sample_count,
         "rejected_count": estimate.rejected_count,
         # The sampler cannot dead-end, so it never resamples; the key stays
@@ -481,9 +457,7 @@ def cmd_sample_paths(args) -> int:
         "source": source,
         "target": target,
     })
-    with open(os.path.join(out_dir, "samples_meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(meta))
-    _write_resolved(config, out_dir, "sample-paths")
+    _write_json(out_dir, "sample_paths_config.json", config)
     print(f"sample-paths: {estimate.sample_count} accepted walks, "
           f"{len(estimate.frequencies)} distinct -> {samples_path}")
     return 0
@@ -497,8 +471,7 @@ PRIOR_FIELDS = {"uniform": {"kind"}, "exp-negative-distance": {"kind"},
                 "custom": {"kind", "weights"}}
 
 
-def cmd_predict_dest(args) -> int:
-    config = _load_config(args, "predict-dest")
+def cmd_predict_dest(config: dict, out_dir: str) -> int:
     if not isinstance(config["partial"], list) or len(config["partial"]) < 2:
         raise ValidationError("predict-dest config requires a partial path of at least two nodes")
     prior_cfg = config["prior"]
@@ -510,14 +483,10 @@ def cmd_predict_dest(args) -> int:
     unread = sorted(set(prior_cfg) - PRIOR_FIELDS[kind])
     if unread:
         raise ValidationError(f"prior field {', '.join(unread)} is not read by kind {kind!r}")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
 
     graph, prior, _ = load_graph_json(config["graph"])
     partial = [_node_index(x, graph.num_nodes, "partial path node") for x in config["partial"]]
-    meta: dict = {"beta": config["beta"]}
-    costs = _model_costs(config, graph, prior, meta)
-    m = build_cost_matrix(costs, graph)
+    m, checkpoint_sha256 = _query_matrix(config, graph, prior)
 
     if kind == "uniform":
         dest_prior = DestinationPrior.uniform(graph.num_nodes)
@@ -531,18 +500,16 @@ def cmd_predict_dest(args) -> int:
         dest_prior = DestinationPrior(weights=weights)
 
     probs = destination_likelihood(m, config["beta"], partial, dest_prior)
-    doc = {
+    _write_json(out_dir, "destinations.json", {
         "probabilities": {str(node): float(prob) for node, prob in enumerate(probs)
                           if prob > 0},
         "prior": {"kind": dest_prior.kind,
                   "weights": [float(w) for w in dest_prior.weights]},
         "partial": partial,
         "beta": config["beta"],
-        "checkpoint_sha256": meta.get("checkpoint_sha256"),
-    }
-    with open(os.path.join(out_dir, "destinations.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-    _write_resolved(config, out_dir, "predict-dest")
+        "checkpoint_sha256": checkpoint_sha256,
+    })
+    _write_json(out_dir, "predict_dest_config.json", config)
     top = max(range(len(probs)), key=lambda n: probs[n])
     print(f"predict-dest: top destination {top} (p={probs[top]:.4f})")
     return 0
@@ -559,10 +526,7 @@ FIXTURE_CENSUS = {3.0: 4, 5.0: 4, 7.0: 7, 9.0: 5, 11.0: 1}
 FIXTURE_FREQUENCY_BANDS = {3.0: 0.02, 5.0: 0.01}
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args, "verify")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_verify(config: dict, out_dir: str) -> int:
     beta = check_beta(config["beta"])
     tol, tv_tol, grad_tol = (_positive_float(config[name], name) for name in
                              ("tolerance", "tv_tolerance", "gradcheck_tolerance"))
@@ -612,10 +576,9 @@ def cmd_verify(args) -> int:
         check("extra_graph", d1 <= tol and d2 <= tol, distance=d1, shortcut=d2)
 
     failures = [name for name, result in checks.items() if not result["ok"]]
-    report = {"beta": beta, "checks": checks, "ok": not failures, "failures": failures}
-    with open(os.path.join(out_dir, "verify_report.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
-    _write_resolved(config, out_dir, "verify")
+    _write_json(out_dir, "verify_report.json",
+                {"beta": beta, "checks": checks, "ok": not failures, "failures": failures})
+    _write_json(out_dir, "verify_config.json", config)
     for name, result in checks.items():
         print(f"verify[{name}]: {'PASS' if result['ok'] else 'FAIL'}")
     if failures:
@@ -674,7 +637,9 @@ INPUT_ERRORS = (ValidationError, GenerationError, NoPathError, OSError,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args, args.command)
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(config, args.out)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -268,7 +268,10 @@ def train_loop(
     given, the parameters are written there after each epoch that improves
     on the best score so far (after every epoch without a validation split).
     `initial_opt_state` is updated in place.  Deterministic for a given
-    config seed.
+    config seed.  A train-split record that revisits a node, or
+    `initial_params` whose shape (hidden_sizes, cost_floor, feature_dim,
+    edge_count) differs from the config's and the dataset's, is rejected
+    before the log is opened.
     """
     if dataset.prior is None:
         raise ValidationError("training requires prior costs (or node positions)")
@@ -277,6 +280,18 @@ def train_loop(
     val_idx = dataset.splits.get("val", [])
     if not train_idx:
         raise ValidationError("empty training split")
+    for idx in train_idx:
+        if len(set(dataset.paths[idx])) != len(dataset.paths[idx]):
+            raise ValidationError(f"training record {idx} revisits a node; training "
+                                  "needs cycle-free paths")
+    if initial_params is not None:
+        expected = {"hidden_sizes": config.hidden_sizes, "cost_floor": config.cost_floor,
+                    "feature_dim": dataset.features.shape[1],
+                    "edge_count": dataset.graph.num_edges}
+        for name, value in expected.items():
+            if getattr(initial_params, name) != value:
+                raise ValidationError(f"resumed model's {name} {getattr(initial_params, name)!r} "
+                                      f"differs from this run's {value!r}")
 
     params = (initial_params.copy() if initial_params is not None
               else init_params_for(dataset, config))

@@ -5,7 +5,8 @@ is built:
 
 - `graph`: the `Graph` the trajectories run on;
 - `paths`: one trajectory per record, a tuple of node ids along edges of
-  the graph;
+  the graph; a path may revisit a node, but `training.train_loop` rejects
+  a train-split record that does (the encoding needs cycle-free paths);
 - `features`: (N, F) float64 context features, one row per path;
 - `discrete`: (N, Dd) int64 discrete context values, one row per path, or
   None;
@@ -164,7 +165,7 @@ def apply_node_exclusion_to_path(path, node_map) -> tuple[int, ...] | None:
 
 
 def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
-                    candidate_indices=None) -> list[int]:
+                    candidate_indices) -> list[int]:
     """Indices of the ceil(fraction * N) candidates nearest to the anchor.
 
     The distance is the Euclidean distance between features, sqrt(d . d) of
@@ -175,8 +176,6 @@ def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
         raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
     if not dataset.paths:
         raise ValidationError("empty dataset")
-    if candidate_indices is None:
-        candidate_indices = list(range(len(dataset.paths)))
     count = int(np.ceil(fraction * len(candidate_indices)))
     diff = dataset.features[candidate_indices] - dataset.features[anchor_index]
     dists = np.sqrt(np.vecdot(diff, diff))
@@ -187,11 +186,9 @@ def similar_indices(dataset: Dataset, anchor_index: int, fraction: float,
     return [candidate_indices[int(x)] for x in order]
 
 
-def node_visit_frequencies(dataset: Dataset, indices=None) -> np.ndarray:
-    """How often each node appears across the given trajectories."""
+def node_visit_frequencies(dataset: Dataset, indices) -> np.ndarray:
+    """How often each node appears across the trajectories at `indices`."""
     freqs = np.zeros(dataset.graph.num_nodes)
-    if indices is None:
-        indices = range(len(dataset.paths))
     for idx in indices:
         for node in dataset.paths[idx]:
             freqs[node] += 1.0

@@ -322,6 +322,82 @@ def test_resolved_train_config_runs_again(gen_dir, tmp_path):
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "sample-paths", "predict-dest",
+                                     "verify"])
+def test_resolved_config_reproduces_every_output(command, gen_dir, tmp_path):
+    # Each command's <command>_config.json, run again into a new directory,
+    # writes the same files byte for byte.
+    graph_path = os.path.join(gen_dir, "graph.json")
+    manifest = os.path.join(gen_dir, "manifest.json")
+    graph, _, _ = load_graph_json(graph_path)
+    checkpoint = str(tmp_path / "init.bin")
+    save_checkpoint(checkpoint, init_params(3, [8], graph.num_edges, seed=1))
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps({"num_nodes": 5, "directed": False,
+                                "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]],
+                                "prior_costs": [1.0, 1.5, 1.0, 2.0, 1.0, 2.5]}))
+    query = {"graph": graph_path, "checkpoint": checkpoint, "context": [0.1, -0.2, 0.3],
+             "beta": 3.0}
+    fields = {
+        "gen": {"generator": {"num_nodes": 8, "num_samples": 20, "pair_pool_size": 3,
+                              "feature_dim": 2}},
+        "train": {"dataset": manifest, "resume": checkpoint, "keep_fraction": 0.5,
+                  "training": {"hidden_sizes": [8], "similarity_fraction": 0.2}},
+        "eval": {"dataset": manifest, "checkpoint": checkpoint},
+        "sample-paths": {**query, "num_samples": 300, "reject_cycles": True},
+        "predict-dest": {**query, "partial": [0, 2], "prior": {"kind": "exp-negative-distance"}},
+        "verify": {"beta": 5.0, "graph": str(five)},
+    }[command]
+    cfg = write_config(tmp_path, "c.json", fields)
+    assert run_cli(command, "--config", cfg, "--seed", "7", "--out", str(tmp_path / "a")) == 0
+    resolved = str(tmp_path / "a" / (command.replace("-", "_") + "_config.json"))
+    assert run_cli(command, "--config", resolved, "--out", str(tmp_path / "b")) == 0
+    assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+
+
+def test_train_rejects_a_cyclic_training_record_before_logging(gen_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    record = json.loads((data / "manifest.json").read_text())["splits"]["train"][-1]
+    lines = (data / "trajectories.jsonl").read_text().splitlines(keepends=True)
+    doc = json.loads(lines[record])
+    doc["path"] = doc["path"][:2] + doc["path"]  # u, v, u, v, ...
+    lines[record] = json.dumps(doc) + "\n"
+    (data / "trajectories.jsonl").write_text("".join(lines))
+    manifest = str(data / "manifest.json")
+    cfg = write_config(tmp_path, "t.json", {"dataset": manifest,
+                                            "training": {"hidden_sizes": [8]}})
+    assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: training record {record} ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out" / "train_log.jsonl")
+    # Evaluation still scores the record.
+    cfg = write_config(tmp_path, "e.json", {"dataset": manifest, "split": "train"})
+    assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "eval")) == 0
+
+
+@pytest.mark.parametrize("field, model, training", [
+    ("hidden_sizes", {"hidden_sizes": [4]}, {}),
+    ("cost_floor", {"cost_floor": 1e-2}, {"hidden_sizes": [8]}),
+    ("feature_dim", {"feature_dim": 2}, {"hidden_sizes": [8]}),
+    ("edge_count", {"edge_count": 3}, {"hidden_sizes": [8]}),
+])
+def test_resume_refuses_a_model_of_another_shape(field, model, training, gen_dir, tmp_path,
+                                                 capsys):
+    graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
+    shape = {"feature_dim": 3, "hidden_sizes": [8], "edge_count": graph.num_edges,
+             "seed": 0, **model}
+    checkpoint = str(tmp_path / "model.bin")
+    save_checkpoint(checkpoint, init_params(**shape))
+    cfg = write_config(tmp_path, "t.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
+                                            "resume": checkpoint,
+                                            "training": {"epochs": 0, **training}})
+    assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert not os.path.exists(tmp_path / "out" / "train_log.jsonl")
+
+
 def test_unknown_config_key_is_validation_error(tmp_path):
     cfg = write_config(tmp_path, "bad.json", {"no_such_key": 1})
     assert run_cli("gen", "--config", cfg, "--out", str(tmp_path / "x")) == 2

@@ -174,9 +174,10 @@ def test_train_step_zero_learning_rate_keeps_params():
     params = init_params(3, [8], result.graph.num_edges, seed=0)
     before = [w.copy() for w in params.weights]
     state = init_adam(params)
+    everyone = list(range(len(dataset.paths)))
     grads, metrics = anchor_gradients(params, 0, dataset, config,
-                                      node_visit_frequencies(dataset),
-                                      list(range(len(dataset.paths))), sample_seed=0)
+                                      node_visit_frequencies(dataset, everyone),
+                                      everyone, sample_seed=0)
     assert not metrics["skipped"]
     assert math.isfinite(metrics["L_S"])
     adam_update(params, grads, state, config)
@@ -191,8 +192,8 @@ def test_anchor_step_allocates_less_than_one_v3_array():
     result, dataset = small_dataset(num_samples=20, num_nodes=size)
     config = TrainConfig(beta=5.0, similarity_fraction=0.2, hidden_sizes=[8])
     params = init_params(3, [8], result.graph.num_edges, seed=0)
-    args = (params, 0, dataset, config, node_visit_frequencies(dataset),
-            list(range(len(dataset.paths))))
+    everyone = list(range(len(dataset.paths)))
+    args = (params, 0, dataset, config, node_visit_frequencies(dataset, everyone), everyone)
     anchor_gradients(*args, sample_seed=0)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -207,7 +208,7 @@ def test_anchor_step_allocates_less_than_one_v3_array():
 
 def test_alpha_zero_equals_dropping_prior_loss():
     result, dataset = small_dataset()
-    node_freqs = node_visit_frequencies(dataset)
+    node_freqs = node_visit_frequencies(dataset, range(len(dataset.paths)))
     candidates = list(range(len(dataset.paths)))
     params = init_params(3, [8], result.graph.num_edges, seed=0)
 
@@ -237,7 +238,7 @@ def test_descent_on_fixed_instance():
                          similarity_fraction=0.5, hidden_sizes=[16])
     params = init_params(3, [16], result.graph.num_edges, seed=0)
     state = init_adam(params)
-    node_freqs = node_visit_frequencies(dataset)
+    node_freqs = node_visit_frequencies(dataset, range(len(dataset.paths)))
     candidates = list(range(len(dataset.paths)))
     losses = []
     for step in range(50):
@@ -272,7 +273,7 @@ def test_end_to_end_parameter_gradient_no_exclusion():
         w += 0.2 * rng.standard_normal(w.shape)
     for b in params.biases:
         b += 0.2 * rng.standard_normal(b.shape)
-    node_freqs = node_visit_frequencies(dataset)
+    node_freqs = node_visit_frequencies(dataset, range(len(dataset.paths)))
     candidates = list(range(len(dataset.paths)))
 
     loss, grads = _pipeline_loss_and_grads(params, dataset, config, 0, node_freqs,

@@ -142,25 +142,25 @@ def _write_toy_files(tmp_path, docs, manifest=None):
 
 def test_similarity_fraction_one_returns_all():
     ds = _toy_dataset([[0.0], [1.0], [2.0]])
-    assert similar_indices(ds, 0, 1.0) == [0, 1, 2]
+    assert similar_indices(ds, 0, 1.0, [0, 1, 2]) == [0, 1, 2]
 
 
 def test_similarity_identical_context_is_nearest():
     ds = _toy_dataset([[5.0], [5.0], [50.0]], paths=[(0, 1), (1, 2), (2, 3)])
-    picked = similar_indices(ds, 0, 0.5)
+    picked = similar_indices(ds, 0, 0.5, [0, 1, 2])
     assert picked == [0, 1]
 
 
 def test_similarity_two_clusters():
     ds = _toy_dataset([[0.0], [0.1], [-0.1], [10.0], [10.1], [9.9]])
-    picked = similar_indices(ds, 0, 0.5)
+    picked = similar_indices(ds, 0, 0.5, list(range(6)))
     assert set(picked) == {0, 1, 2}
 
 
 def test_similarity_uses_hamming_for_discrete():
     ds = _toy_dataset([[0.0], [0.0], [0.0]],
                       discrete=[[1, 1], [1, 0], [1, 1]])
-    picked = similar_indices(ds, 0, 0.5)
+    picked = similar_indices(ds, 0, 0.5, [0, 1, 2])
     assert set(picked) == {0, 2}
 
 
@@ -228,7 +228,8 @@ def test_similarity_orders_rounding_level_near_ties_like_the_norm_loop(dim):
     candidates = list(range(len(contexts)))
     expected = _reference_distances(ds.features, ds.discrete, 0, candidates)
     assert len(set(expected)) > 2
-    assert similar_indices(ds, 0, 1.0) == [int(i) for i in np.argsort(expected, kind="stable")]
+    assert similar_indices(ds, 0, 1.0, candidates) == [int(i) for i in np.argsort(expected,
+                                                                                kind="stable")]
 
 
 def test_dataset_stores_contexts_as_matrices():
@@ -267,7 +268,7 @@ def test_dataset_rejects_features_without_one_row_per_path():
 def test_similarity_rejects_bad_fraction():
     ds = _toy_dataset([[0.0]])
     with pytest.raises(ValidationError):
-        similar_indices(ds, 0, 0.0)
+        similar_indices(ds, 0, 0.0, [0])
 
 
 def test_dataset_validates_paths():
@@ -278,7 +279,7 @@ def test_dataset_validates_paths():
 
 def test_node_visit_frequencies():
     ds = _toy_dataset([[0.0], [1.0]], paths=[(0, 1, 2), (2, 3)])
-    freqs = node_visit_frequencies(ds)
+    freqs = node_visit_frequencies(ds, [0, 1])
     assert list(freqs) == [1.0, 1.0, 2.0, 1.0]
 
 
