@@ -18,7 +18,6 @@ from .graph import (
     complete_graph,
     dijkstra,
     draw_kept_nodes,
-    exclude_nodes,
     sample_subgraph,
 )
 from .engine import datasp_backward, datasp_forward_efficient, sweep

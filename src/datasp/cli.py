@@ -330,7 +330,6 @@ def cmd_train(config: dict, out_dir: str) -> int:
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
     log_path = os.path.join(out_dir, "train_log.jsonl")
-    _write_json(out_dir, "train_config.json", config)
     result = train_loop(dataset, train_config,
                         checkpoint_path=checkpoint_path, log_path=log_path,
                         initial_params=initial_params, initial_opt_state=initial_opt,
@@ -338,6 +337,7 @@ def cmd_train(config: dict, out_dir: str) -> int:
     final_path = os.path.join(out_dir, "final.bin")
     save_checkpoint(final_path, result.params, step=result.step, extra={},
                     opt_state=result.opt_state)
+    _write_json(out_dir, "train_config.json", config)
     best = (f"best val jaccard {result.best_val_jaccard:.4f}" if dataset.splits.get("val")
             else "no validation split")
     print(f"train: {result.step - initial_step} steps, {best} -> {checkpoint_path}")

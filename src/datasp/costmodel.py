@@ -90,10 +90,8 @@ def init_params(feature_dim: int, hidden_sizes, edge_count: int, seed: int,
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
-    raw: np.ndarray
     gate: np.ndarray  # sigmoid(raw + shift), the d(cost)/d(raw) factor
     params: ModelParams = field(repr=False, default=None)
 
@@ -121,8 +119,8 @@ def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCac
         shift = inv_softplus(np.maximum(prior - params.cost_floor, 1e-9))
         costs = params.cost_floor + softplus(raw + shift)
         gate = np.exp(-np.logaddexp(0.0, -(raw + shift)))  # stable sigmoid
-    cache = ForwardCache(x=x, pre_activations=pre_acts, activations=acts,
-                         raw=raw, gate=gate, params=params)
+    cache = ForwardCache(pre_activations=pre_acts, activations=acts, gate=gate,
+                         params=params)
     return costs, cache
 
 

@@ -7,7 +7,7 @@ the smooth minimum of the costs of all visitable walks per pair.  Redundant
 updates are skipped: i == j (self loops), i == k or k == j (direct paths are
 fixed at initialization), and pairs whose two-hop cost through k is
 infinite.  One pivot is `smoothing.pivot` and its adjoint
-`smoothing.pivot_adjoint`; node exclusion (`graph.exclude_nodes`) runs the
+`smoothing.pivot_adjoint`; node exclusion (`graph.sample_subgraph`) runs the
 same pivot on ever smaller trailing blocks of a matrix whose removed nodes
 come first, so the sweep, the backward sweep and exclusion share one update
 and one adjoint.

@@ -18,14 +18,14 @@ check pass a block of one.  The all-pairs hard-min reference that tests
 compare the engine's beta -> inf limit against lives with the tests.
 
 Node exclusion reconnects the neighbors of each removed node through local
-smooth mins.  With the removed nodes permuted first, removed node t is the
-engine's smoothed Floyd-Warshall pivot (`smoothing.pivot`) on the trailing
-block cur[t:, t:], which no longer holds the nodes removed before it; the
-last block is the compressed matrix, and `smoothing.pivot_adjoint` run in
-reverse over the same blocks is its gradient.  `draw_kept_nodes` picks the
-nodes a training step keeps and `sample_subgraph` excludes the rest, so a
+smooth mins.  `draw_kept_nodes` picks the nodes a training step keeps, so a
 step can rewrite its paths through `kept_node_map` and skip before any
-exclusion runs.
+exclusion runs; `sample_subgraph` then excludes the rest.  With the removed
+nodes permuted first, removed node t is the engine's smoothed Floyd-Warshall
+pivot (`smoothing.pivot`) on the trailing block cur[t:, t:], which no longer
+holds the nodes removed before it; the last block is the compressed matrix,
+and `smoothing.pivot_adjoint` run in reverse over the same blocks
+(`Compression.backward`) is its gradient.
 """
 
 from __future__ import annotations
@@ -350,34 +350,6 @@ class Compression:
         return grad[np.ix_(inverse, inverse)]
 
 
-def exclude_nodes(m: np.ndarray, removed, beta: float) -> Compression:
-    """Remove nodes, reconnecting their neighbors through local smooth mins.
-
-    The nodes are permuted to the order removed + kept, each ascending, and
-    removed node t is the engine's pivot through index 0 of the trailing
-    block cur[t:, t:], which holds no node removed before t.  That is
-    deleting each removed node from a shrinking matrix, operand for
-    operand, so no pivot computes or stores entries of removed nodes.  The
-    compressed matrix is the last block cur[r:, r:].
-    """
-    m = validate_cost_matrix(m)
-    beta = check_beta(beta)
-    n = m.shape[0]
-    removed = sorted(int(k) for k in removed)
-    if any(not 0 <= k < n for k in removed):
-        raise ValidationError(f"removed nodes must lie in [0, {n}), got {removed}")
-    if len(set(removed)) != len(removed):
-        raise ValidationError(f"removed nodes must be distinct, got {removed}")
-
-    kept = sorted(set(range(n)) - set(removed))
-    order = removed + kept
-    r = len(removed)
-    cur = m[np.ix_(order, order)]  # a copy: pivot writes in place
-    work = Workspace(n * n)
-    steps = [pivot(cur[t:, t:], 0, beta, work, weights=True) for t in range(r)]
-    return Compression(matrix=cur[r:, r:].copy(), kept=kept, removed=removed, steps=steps)
-
-
 def kept_node_map(num_nodes: int, kept) -> np.ndarray:
     """Original node id -> index among the ascending kept nodes, or -1."""
     node_map = np.full(num_nodes, -1, dtype=np.int64)
@@ -414,14 +386,32 @@ def draw_kept_nodes(graph: Graph, keep_count: int, node_frequencies, rng_seed: i
 
 
 def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compression:
-    """Exclude every node of the graph outside `kept` (see `draw_kept_nodes`)."""
+    """Exclude every node of the graph outside `kept` (see `draw_kept_nodes`),
+    reconnecting their neighbors through local smooth mins.
+
+    The nodes are permuted to the order removed + kept, each ascending, and
+    removed node t is the engine's pivot through index 0 of the trailing
+    block cur[t:, t:], which holds no node removed before t.  That is
+    deleting each removed node from a shrinking matrix, operand for
+    operand, so no pivot computes or stores entries of removed nodes.  The
+    compressed matrix is the last block cur[r:, r:].
+    """
     n = graph.num_nodes
     if np.shape(m) != (n, n):
         raise ValidationError("cost matrix size does not match graph")
-    kept = set(kept)
-    if not kept <= set(range(n)):
-        raise ValidationError(f"kept nodes must lie in [0, {n}), got {sorted(kept)}")
-    return exclude_nodes(m, set(range(n)) - kept, beta)
+    keep = set(kept)
+    if not keep <= set(range(n)):
+        raise ValidationError(f"kept nodes must lie in [0, {n}), got {sorted(keep)}")
+    m = validate_cost_matrix(m)
+    beta = check_beta(beta)
+    removed = [x for x in range(n) if x not in keep]
+    kept = [x for x in range(n) if x in keep]
+    order = removed + kept
+    r = len(removed)
+    cur = m[np.ix_(order, order)]  # a copy: pivot writes in place
+    work = Workspace(n * n)
+    steps = [pivot(cur[t:, t:], 0, beta, work, weights=True) for t in range(r)]
+    return Compression(matrix=cur[r:, r:].copy(), kept=kept, removed=removed, steps=steps)
 
 
 def _grow_connected(graph: Graph, freqs: np.ndarray, target_size: int, rng) -> set[int]:
@@ -438,25 +428,17 @@ def _grow_connected(graph: Graph, freqs: np.ndarray, target_size: int, rng) -> s
     tree: set[int] = set()
     frontier: list[int] = []
 
-    def reseed() -> None:
-        candidates = [v for v in range(n) if v not in tree]
-        w = weights[candidates]
-        seed = candidates[int(rng.choice(len(candidates), p=w / w.sum()))]
-        tree.add(seed)
-        for v in nbrs[seed]:
+    def grow(node: int) -> None:
+        tree.add(node)
+        for v in nbrs[node]:
             if v not in tree and v not in frontier:
                 frontier.append(v)
 
-    reseed()
     while len(tree) < target_size:
-        if not frontier:
-            reseed()
-            continue
-        pick = frontier.pop(int(rng.integers(len(frontier))))
-        if pick in tree:
-            continue
-        tree.add(pick)
-        for v in nbrs[pick]:
-            if v not in tree and v not in frontier:
-                frontier.append(v)
+        if frontier:
+            grow(frontier.pop(int(rng.integers(len(frontier)))))
+        else:  # reseed from an untouched node
+            candidates = [v for v in range(n) if v not in tree]
+            w = weights[candidates]
+            grow(candidates[int(rng.choice(len(candidates), p=w / w.sum()))])
     return tree

@@ -26,8 +26,7 @@ Every function here reads the graph and the prior costs from the `Dataset`:
   under its predicted costs, searched by block (one
   `inference.expected_optimal_path` call per `graph.block_slices` slice of
   the records), and `evaluate_jaccard(params, dataset, indices)` scores
-  them against the observed paths;
-- `init_params_for(dataset, config)` initializes the cost model.
+  them against the observed paths.
 
 A training run's state has one form each, the one its files hold:
 
@@ -294,7 +293,8 @@ def train_loop(
                                       f"differs from this run's {value!r}")
 
     params = (initial_params.copy() if initial_params is not None
-              else init_params_for(dataset, config))
+              else init_params(dataset.features.shape[1], config.hidden_sizes,
+                               dataset.graph.num_edges, config.seed, config.cost_floor))
     opt_state = initial_opt_state if initial_opt_state is not None else init_adam(params)
     node_freqs = node_visit_frequencies(dataset, train_idx)
 
@@ -352,13 +352,6 @@ def train_loop(
             log_fh.close()
     return TrainResult(params=params, best_val_jaccard=best_val, log=log,
                        opt_state=opt_state, step=step)
-
-
-def init_params_for(dataset: Dataset, config: TrainConfig) -> ModelParams:
-    if not dataset.paths:
-        raise ValidationError("cannot infer feature dimension from an empty dataset")
-    return init_params(dataset.features.shape[1], config.hidden_sizes,
-                       dataset.graph.num_edges, config.seed, config.cost_floor)
 
 
 def _step_seed(seed: int, step: int) -> int:

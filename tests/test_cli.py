@@ -371,6 +371,7 @@ def test_train_rejects_a_cyclic_training_record_before_logging(gen_dir, tmp_path
     err = capsys.readouterr().err
     assert err.startswith(f"error: training record {record} ") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "out" / "train_log.jsonl")
+    assert not os.path.exists(tmp_path / "out" / "train_config.json")
     # Evaluation still scores the record.
     cfg = write_config(tmp_path, "e.json", {"dataset": manifest, "split": "train"})
     assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "eval")) == 0
@@ -396,6 +397,7 @@ def test_resume_refuses_a_model_of_another_shape(field, model, training, gen_dir
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
     assert not os.path.exists(tmp_path / "out" / "train_log.jsonl")
+    assert not os.path.exists(tmp_path / "out" / "train_config.json")
 
 
 def test_unknown_config_key_is_validation_error(tmp_path):

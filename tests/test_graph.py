@@ -19,7 +19,6 @@ from datasp.graph import (
     dijkstra,
     distances_to,
     draw_kept_nodes,
-    exclude_nodes,
     graph_from_json_dict,
     kept_node_map,
     load_graph_json,
@@ -263,7 +262,7 @@ def _shrinking_exclusion(m, removed, beta):
 def test_exclude_hard_min_prefers_two_hop():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     m = build_cost_matrix([1.0, 2.0, 5.0], g)
-    comp = exclude_nodes(m, [1], beta=100.0)
+    comp = sample_subgraph(g, m, [0, 2], beta=100.0)
     # new (0, 2) entry ~ min(5, 1+2) = 3 in the hard limit
     assert comp.matrix[0, 1] == pytest.approx(3.0, abs=1e-2)
     assert list(kept_node_map(3, comp.kept)) == [0, -1, 1]
@@ -273,7 +272,7 @@ def test_exclude_hard_min_prefers_two_hop():
 def test_exclude_isolated_node_just_drops_it(k4):
     g = Graph(3, [(0, 1)])
     m = build_cost_matrix([4.0], g)
-    comp = exclude_nodes(m, [2], beta=1.0)
+    comp = sample_subgraph(g, m, [0, 1], beta=1.0)
     assert comp.matrix.shape == (2, 2)
     assert comp.matrix[0, 1] == 4.0
 
@@ -281,26 +280,27 @@ def test_exclude_isolated_node_just_drops_it(k4):
 def test_exclude_tied_branches_undershoot():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     m = build_cost_matrix([1.0, 2.0, 3.0], g)
-    comp = exclude_nodes(m, [1], beta=1.0)
+    comp = sample_subgraph(g, m, [0, 2], beta=1.0)
     assert comp.matrix[0, 1] == pytest.approx(3.0 - math.log(2.0), abs=1e-12)
 
 
 def test_exclude_out_of_range(k4):
-    for removed in ([7], [-1], [1, 1]):
+    for kept in ([0, 1, 7], [-1, 0, 1]):
         with pytest.raises(ValidationError):
-            exclude_nodes(k4, removed, beta=1.0)
+            sample_subgraph(complete_graph(4), k4, kept, beta=1.0)
 
 
-def test_exclude_nodes_is_bit_identical_to_shrinking_reference():
+def test_exclusion_is_bit_identical_to_shrinking_reference():
     nonpositive = False
     for seed, (low, high) in enumerate([(0.5, 2.0), (0.5, 40.0), (0.1, 0.6)]):
         rng = np.random.default_rng(seed)
         graph, costs = random_connected_graph(14, rng, extra_edges=7, low=low, high=high)
         m = build_cost_matrix(costs, graph)
         removed = [int(x) for x in rng.choice(14, size=9, replace=False)]
+        kept = [x for x in range(14) if x not in removed]
         m_before = m.copy()
         for beta in (1.0, 30.0):
-            comp = exclude_nodes(m, removed, beta)
+            comp = sample_subgraph(graph, m, kept, beta)
             assert np.array_equal(m, m_before)
             assert np.array_equal(comp.matrix, _shrinking_exclusion(m, removed, beta))
             nonpositive |= bool((comp.matrix[np.isfinite(comp.matrix)] <= 0).any())
@@ -335,7 +335,8 @@ def test_exclusion_matches_both_references(num_nodes, seed, costs, beta, data):
     m = build_cost_matrix(edge_costs, graph)
     removed = sorted(data.draw(st.sets(st.integers(0, num_nodes - 1), min_size=1,
                                        max_size=num_nodes - 1)))
-    comp = exclude_nodes(m, removed, beta)
+    kept = [x for x in range(num_nodes) if x not in removed]
+    comp = sample_subgraph(graph, m, kept, beta)
     assert np.array_equal(comp.matrix, _shrinking_exclusion(m, removed, beta))
 
     upstream = np.where(np.isfinite(comp.matrix),
@@ -351,7 +352,7 @@ def test_exclusion_steps_hold_no_removed_column(rng):
     graph, costs = random_connected_graph(40, rng, extra_edges=30)
     m = build_cost_matrix(costs, graph)
     removed = [int(x) for x in rng.choice(40, size=32, replace=False)]
-    comp = exclude_nodes(m, removed, beta=30.0)
+    comp = sample_subgraph(graph, m, [x for x in range(40) if x not in removed], beta=30.0)
     assert len(comp.steps) == 32
     for t, (rows, w_via) in enumerate(comp.steps):
         # step t sees removed[t:] + kept, one column per node
@@ -364,7 +365,7 @@ def test_exclusion_preserves_hard_distances(rng):
         graph, costs = random_connected_graph(9, rng)
         m = build_cost_matrix(costs, graph)
         dist_full = classical_floyd_warshall(m)
-        comp = exclude_nodes(m, [8, 3], beta=200.0)
+        comp = sample_subgraph(graph, m, [0, 1, 2, 4, 5, 6, 7], beta=200.0)
         dist_sub = classical_floyd_warshall(comp.matrix)
         for a, u in enumerate(comp.kept):
             for b, v in enumerate(comp.kept):
@@ -379,14 +380,14 @@ def test_exclusion_backward_matches_finite_differences(rng):
     # At beta = 30 some gradients are ~1e-8, where round-off in a 1e-6
     # central difference is already a relative error of 1e-3.
     for beta, step, tol in ((1.0, 1e-6, 1e-6), (30.0, 1e-4, 1e-4)):
-        for removed in ([2, 4, 5], [0, 3, 6, 7]):
-            size = 8 - len(removed)
+        for kept in ([0, 1, 3, 6, 7], [1, 2, 4, 5]):
+            size = len(kept)
             upstream = rng.standard_normal((size, size))
-            comp = exclude_nodes(m, removed, beta)
+            comp = sample_subgraph(graph, m, kept, beta)
             grad = comp.backward(np.where(np.isfinite(comp.matrix), upstream, 0.0))
 
             def loss(matrix):
-                out = exclude_nodes(matrix, removed, beta).matrix
+                out = sample_subgraph(graph, matrix, kept, beta).matrix
                 return float(np.where(np.isfinite(out), out * upstream, 0.0).sum())
 
             assert finite_difference_gradcheck(loss, grad, m, step=step) <= tol
@@ -437,6 +438,15 @@ def test_sample_subgraph_grows_connected_half(rng):
     assert len(comp.kept) == 8
     assert len(comp.removed) == 4
     assert comp.matrix.shape == (8, 8)
+
+
+def test_draw_kept_nodes_reseeds_when_a_component_runs_out():
+    # The grown half is 3 nodes and every component has 2, so each draw
+    # exhausts its first component's frontier and reseeds.
+    g = Graph(6, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)])
+    draws = [draw_kept_nodes(g, 5, np.arange(1.0, 7.0), seed) for seed in range(6)]
+    assert draws == [[0, 1, 3, 4, 5], [0, 2, 3, 4, 5], [0, 2, 3, 4, 5],
+                     [0, 1, 2, 3, 5], [0, 2, 3, 4, 5], [1, 2, 3, 4, 5]]
 
 
 def test_sample_subgraph_validates_keep_count(k4):

@@ -412,16 +412,16 @@ def test_config_validation():
 def test_skipped_anchors_run_no_exclusion(monkeypatch):
     """The kept set is drawn and the similar paths rewritten before any
     exclusion runs, so only the anchors that train exclude nodes."""
-    import datasp.graph
+    import datasp.training
 
     calls = []
-    original = datasp.graph.exclude_nodes
+    original = datasp.training.sample_subgraph
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(datasp.graph, "exclude_nodes", counting)
+    monkeypatch.setattr(datasp.training, "sample_subgraph", counting)
     result, dataset = small_dataset(num_samples=30)
     config = TrainConfig(epochs=1, keep_count=2, hidden_sizes=[8],
                          similarity_fraction=0.1, seed=0)
