@@ -31,8 +31,8 @@ from .trajectories import (
 from .costmodel import ModelParams, backward_params, init_params, predict_costs
 from .training import TrainConfig, prior_loss, shortcut_loss, train_loop
 from .inference import (
-    DestinationPrior,
     destination_likelihood,
+    exp_negative_distance_weights,
     expected_optimal_path,
     jaccard_edges,
     match_rate,

@@ -47,8 +47,8 @@ from .graph import (
     load_graph_json,
 )
 from .inference import (
-    DestinationPrior,
     destination_likelihood,
+    exp_negative_distance_weights,
     jaccard_edges,
     match_rate,
     monte_carlo_path_distribution,
@@ -120,7 +120,7 @@ DEFAULTS = {
         "checkpoint": None,        # None scores under the prior costs
         "context": None,           # the checkpoint's input; set only with a checkpoint
         "partial": None,
-        "prior": {"kind": "uniform"},
+        "prior": {"kind": "uniform"},  # or "exp-negative-distance", or "custom" + "weights"
         "beta": 1.0,
     },
     "verify": {
@@ -489,22 +489,20 @@ def cmd_predict_dest(config: dict, out_dir: str) -> int:
     m, checkpoint_sha256 = _query_matrix(config, graph, prior)
 
     if kind == "uniform":
-        dest_prior = DestinationPrior.uniform(graph.num_nodes)
+        weights = np.ones(graph.num_nodes)
     elif kind == "exp-negative-distance":
-        dest_prior = DestinationPrior.exp_negative_distance(m, partial[-1])
+        weights = exp_negative_distance_weights(m, partial[-1])
     else:
         weights = prior_cfg.get("weights")
         if not isinstance(weights, list) or not all(is_real(w) for w in weights):
             raise ValidationError(f"a custom prior needs a 'weights' list of finite numbers, "
                                   f"got {weights!r}")
-        dest_prior = DestinationPrior(weights=weights)
 
-    probs = destination_likelihood(m, config["beta"], partial, dest_prior)
+    probs = destination_likelihood(m, config["beta"], partial, weights)
     _write_json(out_dir, "destinations.json", {
         "probabilities": {str(node): float(prob) for node, prob in enumerate(probs)
                           if prob > 0},
-        "prior": {"kind": dest_prior.kind,
-                  "weights": [float(w) for w in dest_prior.weights]},
+        "prior": {"kind": kind, "weights": [float(w) for w in weights]},
         "partial": partial,
         "beta": config["beta"],
         "checkpoint_sha256": checkpoint_sha256,

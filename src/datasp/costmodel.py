@@ -9,7 +9,7 @@ the parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,21 +42,13 @@ class ModelParams:
     cost_floor: float = DEFAULT_COST_FLOOR
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            feature_dim=self.feature_dim,
-            hidden_sizes=list(self.hidden_sizes),
-            edge_count=self.edge_count,
-            cost_floor=self.cost_floor,
-        )
+        return replace(self, weights=[w.copy() for w in self.weights],
+                       biases=[b.copy() for b in self.biases],
+                       hidden_sizes=list(self.hidden_sizes))
 
     def flat_arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """weight_0, bias_0, weight_1, bias_1, ...: the checkpoint and Adam order."""
+        return [arr for pair in zip(self.weights, self.biases) for arr in pair]
 
 
 def init_params(feature_dim: int, hidden_sizes, edge_count: int, seed: int,

@@ -6,7 +6,8 @@ the shortcut tensor P: they read the engine's closed form from the sweep's
 tape, the sampler rows of slot costs through `engine.shortcut_costs` and
 destination scoring one log P entry per destination through
 `engine.log_shortcuts`.  Everything stays in log space, so no V^3 array is
-built and no row underflows to all zeros.
+built and no row underflows to all zeros.  A destination prior is a plain
+weight vector, checked by `destination_likelihood`.
 
 A walk i -> j is drawn top-down over its highest-node decomposition.  The
 segment (a, b, bound) draws its highest intermediate node H from row (a, b)
@@ -205,53 +206,30 @@ def monte_carlo_path_distribution(
     return PathDistributionEstimate(counts=counts, rejected_count=attempts - accepted)
 
 
-@dataclass
-class DestinationPrior:
-    """Per-node nonnegative destination weights."""
-
-    weights: np.ndarray
-    kind: str = "custom"
-
-    def __post_init__(self):
-        try:
-            self.weights = np.asarray(self.weights, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"prior weights must be numbers: {exc}") from None
-        w = self.weights
-        if not np.isfinite(w).all() or (w < 0).any() or not (w > 0).any():
-            raise ValidationError("prior weights must be finite and nonnegative with at "
-                                  "least one positive")
-
-    @classmethod
-    def uniform(cls, num_nodes: int) -> "DestinationPrior":
-        return cls(weights=np.ones(num_nodes), kind="uniform")
-
-    @classmethod
-    def exp_negative_distance(cls, m: np.ndarray, origin: int) -> "DestinationPrior":
-        """Weights exp(-d/scale) from the hard shortest distances d out of
-        the origin node (d = 0 at the origin, weight 0 where unreachable);
-        scale is the mean finite distance so the decay is unit-free.
-
-        The distances are one dense Dijkstra, a block of one, on the
-        reversed graph, so the finite entries of m must be strictly positive.
-        """
-        m = validate_cost_matrix(m, positive=True)
-        if not 0 <= origin < m.shape[0]:
-            raise ValidationError(f"origin {origin} out of range for {m.shape[0]} nodes")
-        row = distances_to(m.T[None], [origin])[0]
-        finite = np.isfinite(row)
-        scale = float(row[finite].mean()) if row[finite].max() > 0 else 1.0
-        weights = np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
-        return cls(weights=weights, kind="exp-negative-distance")
+def exp_negative_distance_weights(m: np.ndarray, origin: int) -> np.ndarray:
+    """Destination weights exp(-d/scale) from the hard shortest distances d
+    out of the origin node (weight 0 where unreachable), scale being the mean
+    finite distance.  The distances are one dense Dijkstra on the reversed
+    graph, so the finite entries of m must be strictly positive."""
+    m = validate_cost_matrix(m, positive=True)
+    if not 0 <= origin < m.shape[0]:
+        raise ValidationError(f"origin {origin} out of range for {m.shape[0]} nodes")
+    row = distances_to(m.T[None], [origin])[0]
+    finite = np.isfinite(row)
+    scale = float(row[finite].mean()) if row[finite].max() > 0 else 1.0
+    return np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
 
 
 def destination_likelihood(
     m: np.ndarray,
     beta: float,
     partial: list[int],
-    prior: DestinationPrior,
+    weights,
 ) -> np.ndarray:
-    """Per-node destination probabilities given a partial path on cost matrix m.
+    """Per-node destination probabilities given a partial path on cost matrix m
+    and one prior weight per node (0 excludes the node as a destination).
+    Raises ValidationError unless the weights are V finite nonnegative
+    numbers, at least one positive.
 
     The partial path's final node is swapped with index V-1 before the
     sweep, so that "the final node is the highest intermediate" is a single
@@ -259,8 +237,8 @@ def destination_likelihood(
     zero; the current node itself is scored by its direct-connection slot.
     Each destination's score is one entry of `engine.log_shortcuts`,
     log P[s, t, V-1] (log P[s, t, s] for the current node), plus its log
-    prior, so destinations whose P underflows still rank.  Probabilities are
-    returned in original node indexing.  Raises NumericalError when a
+    weight, so destinations whose P underflows still rank.  Probabilities
+    are returned in original node indexing.  Raises NumericalError when a
     destination's smoothed distance from the start is -inf or NaN.
     """
     m = validate_cost_matrix(m)
@@ -272,15 +250,22 @@ def destination_likelihood(
         raise ValidationError("partial path must be cycle-free")
     if any(not 0 <= x < n for x in partial):
         raise ValidationError("partial path node out of range")
-    if prior.weights.shape != (n,):
+    try:
+        weights = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"prior weights must be numbers: {exc}") from None
+    if weights.shape != (n,):
         raise ValidationError("prior weight vector size must match node count")
+    if not np.isfinite(weights).all() or (weights < 0).any() or not (weights > 0).any():
+        raise ValidationError("prior weights must be finite and nonnegative with at "
+                              "least one positive")
 
     start, current = partial[0], partial[-1]
     swapped = np.arange(n)  # its own inverse: original <-> swapped index
     swapped[[current, n - 1]] = [n - 1, current]
     tape = sweep(m[np.ix_(swapped, swapped)], beta)
     s = swapped[start]
-    live = prior.weights > 0.0
+    live = weights > 0.0
     live[partial[:-1]] = False
     nodes = np.flatnonzero(live)
     t = swapped[nodes]
@@ -290,7 +275,7 @@ def destination_likelihood(
                              f"at beta={tape.beta}")
     slots = np.where(nodes == current, s, n - 1)
     log_scores = np.full(n, -INF)
-    log_scores[nodes] = log_shortcuts(tape, s, t, slots) + np.log(prior.weights[nodes])
+    log_scores[nodes] = log_shortcuts(tape, s, t, slots) + np.log(weights[nodes])
     if not np.isfinite(log_scores).any():
         raise NoPathError("no destination has positive score under this prior")
     scores = np.exp(log_scores - log_scores.max())

@@ -58,16 +58,6 @@ def load_tensor(path) -> np.ndarray:
 
 def save_checkpoint(path, params: ModelParams, step: int = 0, extra: dict | None = None,
                     opt_state: dict | None = None) -> None:
-    arrays: list[tuple[str, np.ndarray]] = []
-    for idx, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays.append((f"weight_{idx}", w))
-        arrays.append((f"bias_{idx}", b))
-    if opt_state is not None:
-        for idx, m in enumerate(opt_state["m"]):
-            arrays.append((f"adam_m_{idx}", m))
-        for idx, v in enumerate(opt_state["v"]):
-            arrays.append((f"adam_v_{idx}", v))
-
     header = {
         "kind": "cost-model",
         "feature_dim": params.feature_dim,
@@ -75,16 +65,21 @@ def save_checkpoint(path, params: ModelParams, step: int = 0, extra: dict | None
         "edge_count": params.edge_count,
         "cost_floor": params.cost_floor,
         "step": int(step),
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
         "opt_state_t": int(opt_state["t"]) if opt_state is not None else None,
         "extra": extra or {},
     }
+    header["arrays"] = _array_specs(header)
+    arrays = params.flat_arrays()
+    if opt_state is not None:
+        arrays += opt_state["m"] + opt_state["v"]
+    if [list(np.shape(arr)) for arr in arrays] != [spec["shape"] for spec in header["arrays"]]:
+        raise ValidationError("checkpoint arrays do not match the model's layer sizes")
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, arr in arrays:
+        for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes(order="C"))
 
 

@@ -94,9 +94,11 @@ class TrainConfig:
                                   f"got {self.hidden_sizes!r}")
         if self.learning_rate < 0:
             raise ValidationError("learning_rate must be nonnegative")
-        for name in ("beta", "batch_size", "similarity_fraction", "cost_floor"):
+        for name in ("beta", "batch_size", "cost_floor"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
+        if not 0 < self.similarity_fraction <= 1:
+            raise ValidationError("similarity_fraction must be in (0, 1]")
         if self.alpha < 0 or self.epochs < 0 or self.seed < 0:
             raise ValidationError("alpha, epochs and seed must be nonnegative")
         if self.keep_count is not None and not (

@@ -353,6 +353,9 @@ def test_resolved_config_reproduces_every_output(command, gen_dir, tmp_path):
     resolved = str(tmp_path / "a" / (command.replace("-", "_") + "_config.json"))
     assert run_cli(command, "--config", resolved, "--out", str(tmp_path / "b")) == 0
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+    if command == "predict-dest":
+        doc = json.loads((tmp_path / "a" / "destinations.json").read_text())
+        assert doc["prior"]["kind"] == "exp-negative-distance"
 
 
 def test_train_rejects_a_cyclic_training_record_before_logging(gen_dir, tmp_path, capsys):
@@ -528,13 +531,19 @@ def test_unreadable_input_exits_2_without_traceback(case, gen_dir, tmp_path, cap
     ("predict-dest", {"partial": [0, 2], "prior": {"kind": "uniform", "weights": [1.0]}}),
     ("predict-dest", {"partial": [0, 2],
                       "prior": {"kind": "exp-negative-distance", "weights": [1.0]}}),
+    ("predict-dest", {"partial": [0, 2], "prior": {"kind": "custom", "weights": [1.0]}}),
+    ("predict-dest", {"partial": [0, 2],
+                      "prior": {"kind": "custom", "weights": [-1.0] + [1.0] * 13}}),
+    ("predict-dest", {"partial": [0, 2], "prior": {"kind": "custom", "weights": [0.0] * 14}}),
 ], ids=["partial-out-of-range", "partial-not-int", "custom-prior-no-weights",
         "prior-not-object", "target-not-int", "num-samples-not-int", "beta-not-number",
         "context-not-list", "context-not-numbers", "sample-paths-beta-bool",
         "sample-paths-beta-numeric-string", "predict-dest-beta-bool",
         "predict-dest-beta-numeric-string", "custom-prior-weight-too-large",
         "sample-paths-context-without-checkpoint", "predict-dest-context-without-checkpoint",
-        "uniform-prior-with-weights", "exp-negative-distance-prior-with-weights"])
+        "uniform-prior-with-weights", "exp-negative-distance-prior-with-weights",
+        "custom-prior-wrong-length", "custom-prior-negative-weight",
+        "custom-prior-all-zero"])
 def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tmp_path,
                                                     capsys):
     if fields.get("checkpoint") == "CHECKPOINT":
@@ -585,6 +594,7 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
     ("verify", {"tv_tolerance": HUGE}),
     ("verify", {"gradcheck_tolerance": HUGE}),
     ("verify", {"tv_num_samples": 100000}),
+    ("train", {"training": {"similarity_fraction": 1.5}}),
 ], ids=["sample-paths-seed-not-int", "sample-paths-seed-negative", "gen-seed-not-int",
         "gen-seed-bool", "train-seed-not-int", "verify-tolerance-not-number",
         "verify-tv-tolerance-not-number", "verify-gradcheck-tolerance-zero",
@@ -599,7 +609,7 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
         "verify-beta-bool", "verify-beta-numeric-string",
         "train-keep-count-differs-from-keep-fraction", "verify-tolerance-too-large",
         "verify-tv-tolerance-too-large", "verify-gradcheck-tolerance-too-large",
-        "verify-removed-tv-num-samples"])
+        "verify-removed-tv-num-samples", "train-similarity-fraction-above-one"])
 def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, gen_dir,
                                                              tmp_path, capsys):
     needs = {"sample-paths": {"graph": os.path.join(gen_dir, "graph.json")},
@@ -611,6 +621,7 @@ def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, ge
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(fields)) in err
+    assert not os.path.exists(tmp_path / "out" / "train_log.jsonl")
 
 
 def _with_contexts(gen_dir, tmp_path, case):

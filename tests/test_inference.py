@@ -17,8 +17,8 @@ from datasp.graph import (
     dijkstra,
 )
 from datasp.inference import (
-    DestinationPrior,
     destination_likelihood,
+    exp_negative_distance_weights,
     expected_optimal_path,
     jaccard_edges,
     match_rate,
@@ -150,7 +150,7 @@ def _two_candidate_matrix():
 
 
 def test_destination_two_candidates_normalize():
-    prior = DestinationPrior(weights=np.array([1.0, 1.0, 1.0, 0.0]))
+    prior = np.array([1.0, 1.0, 1.0, 0.0])
     probs = destination_likelihood(_two_candidate_matrix(), 1.0, [0, 3], prior)
     assert probs[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert probs[2] == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -158,7 +158,7 @@ def test_destination_two_candidates_normalize():
 
 
 def test_destination_prior_mask_selects_single_node():
-    prior = DestinationPrior(weights=np.array([0.0, 1.0, 0.0, 0.0]))
+    prior = np.array([0.0, 1.0, 0.0, 0.0])
     probs = destination_likelihood(_two_candidate_matrix(), 1.0, [0, 3], prior)
     assert probs[1] == 1.0
 
@@ -167,13 +167,13 @@ def test_destination_zero_scores_raise():
     # partial [0, 2] on 0 -> 1 -> 2: no edge 0 -> 2 and no edge out of 2
     m = build_cost_matrix([1.0, 1.0], Graph(3, [(0, 1), (1, 2)]))
     with pytest.raises(NoPathError):
-        destination_likelihood(m, 1.0, [0, 2], DestinationPrior.uniform(3))
+        destination_likelihood(m, 1.0, [0, 2], np.ones(3))
 
 
 def test_destination_matches_walk_space_bayes(k4):
     # partial [0, 3]: P(destination = x) proportional to the Boltzmann mass
     # of walks 0 -> x whose highest intermediate is node 3, renormalized.
-    probs = destination_likelihood(k4, 1.0, [0, 3], DestinationPrior.uniform(4))
+    probs = destination_likelihood(k4, 1.0, [0, 3], np.ones(4))
 
     expected = np.zeros(4)
     for x in (1, 2):
@@ -190,7 +190,7 @@ def test_destination_matches_walk_space_bayes(k4):
 def test_destination_swaps_final_node(k4):
     # partial ending at node 1: the scores come from P of the matrix with
     # nodes 1 and 3 swapped, given the unswapped matrix
-    probs = destination_likelihood(k4, 1.0, [0, 1], DestinationPrior.uniform(4))
+    probs = destination_likelihood(k4, 1.0, [0, 1], np.ones(4))
     log_p, _, _ = datasp_forward_efficient(_swap_nodes(k4, 1, 3), 1.0)
     expected = _tensor_destination_likelihood(np.exp(log_p), [0, 1], np.ones(4))
     np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)
@@ -235,7 +235,7 @@ def test_destination_likelihood_matches_tensor_formula():
         beta = float(rng.choice([0.5, 1.0, 5.0]))
         log_p, _, _ = datasp_forward_efficient(_swap_nodes(m, partial[-1], size - 1), beta)
         expected = _tensor_destination_likelihood(np.exp(log_p), partial, weights)
-        probs = destination_likelihood(m, beta, partial, DestinationPrior(weights=weights))
+        probs = destination_likelihood(m, beta, partial, weights)
         assert np.array_equal(probs == 0.0, expected == 0.0)
         np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0.0)
 
@@ -243,15 +243,24 @@ def test_destination_likelihood_matches_tensor_formula():
 def test_destination_validates_partial():
     m = build_cost_matrix(np.ones(6), complete_graph(3))
     with pytest.raises(ValidationError):
-        destination_likelihood(m, 1.0, [1], DestinationPrior.uniform(3))
+        destination_likelihood(m, 1.0, [1], np.ones(3))
     with pytest.raises(ValidationError):
-        destination_likelihood(m, 1.0, [0, 1, 0], DestinationPrior.uniform(3))
+        destination_likelihood(m, 1.0, [0, 1, 0], np.ones(3))
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+    ["x", 1.0, 1.0],
+], ids=["wrong-length", "nan", "inf", "negative", "all-zero", "not-numbers"])
+def test_destination_validates_weights(weights):
+    m = build_cost_matrix(np.ones(6), complete_graph(3))
+    with pytest.raises(ValidationError):
+        destination_likelihood(m, 1.0, [0, 1], weights)
 
 
 def test_exp_negative_distance_prior(k4):
-    prior = DestinationPrior.exp_negative_distance(k4, 0)
-    assert prior.kind == "exp-negative-distance"
-    assert prior.weights[1] > prior.weights[3]
+    weights = exp_negative_distance_weights(k4, 0)
+    assert weights[1] > weights[3]
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -266,7 +275,7 @@ def test_exp_negative_distance_matches_floyd_warshall_row(case):
     finite = np.isfinite(row)
     scale = row[finite].mean() if row[finite].max() > 0 else 1.0
     expected = np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
-    weights = DestinationPrior.exp_negative_distance(m, origin).weights
+    weights = exp_negative_distance_weights(m, origin)
     np.testing.assert_array_equal(weights == 0.0, expected == 0.0)
     np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=0.0)
 

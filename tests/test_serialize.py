@@ -73,6 +73,24 @@ def test_checkpoint_without_opt_state(tmp_path):
     assert load_checkpoint(path).opt_state is None
 
 
+@pytest.mark.parametrize("case", ["transposed-weight", "zero-floor", "short-adam-state"])
+def test_checkpoint_refuses_a_model_its_header_cannot_describe(case, tmp_path):
+    # Each of these would otherwise be written and then read back wrongly
+    # or refused only at load.
+    params = init_params(3, [4], 5, seed=0)
+    opt = None
+    if case == "transposed-weight":
+        params.weights[0] = params.weights[0].T.copy()
+    elif case == "zero-floor":
+        params.cost_floor = 0.0
+    else:
+        opt = {"m": params.flat_arrays()[:-1], "v": params.flat_arrays(), "t": 1}
+    path = tmp_path / "c.bin"
+    with pytest.raises(ValidationError):
+        save_checkpoint(path, params, opt_state=opt)
+    assert not path.exists()
+
+
 def test_sha256(tmp_path):
     # the digest is taken from the bytes the checkpoint was loaded from
     path = tmp_path / "c.bin"
