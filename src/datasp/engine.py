@@ -29,6 +29,17 @@ computes no softmin weights: log P needs none, and the backward recomputes
 a segment's weights from its snapshot.  Its pivots share one
 `smoothing.Workspace` of three V x V float buffers.
 
+A query reads one source row s of D and nothing the backward needs, so
+`sweep(m, beta, source=s)` keeps O(V^2) in all: no snapshots, and fewer
+rows updated.  The sweep is Gaussian elimination over the (smooth min, +)
+semiring (Carre, "An algebra for network routing problems", 1971): pivot
+k' updates each row from that row's own entry in column k' and from row k'.
+Row k is a pivot row only at pivot k, so once it is saved as R[k, :], no
+other row reads it again, and no query reads its later values.  The source
+tape retires it then (writes NaN) unless k == s.  Row s, every R[k, :] and
+every C[a, k] with a == s or a >= k keep the full sweep's bits;
+`EngineTape` lists them.
+
 The closed form has one home.  `shortcut_costs(tape, i, j, k)` returns the
 costs in it, C[i, k] + R[k, j] with M[i, j] where k == i, and
 `log_shortcuts(tape, i, j, k)` log P itself, each at broadcastable index
@@ -39,8 +50,9 @@ arrays, so one expression serves every shape a caller reads:
 - the dense V x V x V log P: the same call without `at`, on the open grid
   `np.ogrid[:V, :V, :V]`, which only the tests and the benchmark's engine
   sweep read;
-- the queries in `inference` and the oracle check: rows or single slots of
-  pairs, read from a `sweep` tape, so no V^3 array is allocated for them.
+- the queries in `inference`: rows or single slots of pairs out of one
+  source node, read from a source tape of `sweep`, and the oracle check,
+  read from a full one, so no V^3 array is allocated for them.
 
 Any entry is therefore bit-equal to the same entry of the dense log P.
 `datasp_forward_efficient` is `sweep` plus log P at `at` or on the grid, and
@@ -77,6 +89,17 @@ class EngineTape:
     at the training loss's observed triples, or the dense V x V x V log P (at
     None) that the tests and the benchmark's engine sweep read.  A tape from
     `sweep` holds neither.
+
+    A tape from `sweep` with a source node s (`source` is s; None for a full
+    sweep) holds no snapshot but the input, and only these entries, each
+    bit-equal to the full sweep's:
+
+    - row s of D, `dist[s, :]`;
+    - C[a, k] where a == s or a >= k (C[k, k] is the diagonal, inf);
+    - all of R and `m_input`.
+
+    Every other entry of `dist` and `col` is NaN, so a reader that strays
+    outside them gets NaN rather than a plausible cost.
     """
 
     beta: float
@@ -89,6 +112,7 @@ class EngineTape:
     snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
     log_p: np.ndarray | None = None
     at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    source: int | None = None
 
 
 def shortcut_costs(tape: EngineTape, i, j, k) -> np.ndarray:
@@ -127,16 +151,24 @@ def _check_triples(at, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i.astype(np.intp), j.astype(np.intp), k.astype(np.intp)
 
 
-def sweep(m: np.ndarray, beta: float) -> EngineTape:
+def sweep(m: np.ndarray, beta: float, source: int | None = None) -> EngineTape:
     """The smoothed Floyd-Warshall sweep: D, C, R and the snapshots.
 
     For a fixed pivot k the (i, j) updates are independent: row k and
     column k are never written during iteration k (those pairs are skipped
     as redundant), so each pivot is one batched in-place operation.
+
+    With a source node, the sweep retires row k right after pivot k, unless
+    k is the source: it writes NaN there, so later pivots, which only update
+    rows with a finite entry in their column, skip it.  The tape then holds
+    the entries `EngineTape` lists for a source tape, and no snapshots.
     """
     m_input = validate_cost_matrix(m).copy()
     beta = check_beta(beta)
     n = m_input.shape[0]
+    if source is not None and not (isinstance(source, (int, np.integer))
+                                   and not isinstance(source, bool) and 0 <= source < n):
+        raise ValidationError(f"source must be a node index in [0, {n}), got {source!r}")
     stride = max(1, math.ceil(math.sqrt(n)))
     col = np.empty((n, n))
     row = np.empty((n, n))
@@ -144,13 +176,16 @@ def sweep(m: np.ndarray, beta: float) -> EngineTape:
     cur = m_input.copy()
     work = Workspace(n * n)
     for k in range(n):
-        if k and k % stride == 0:
+        if source is None and k and k % stride == 0:
             snapshots.append(cur.copy())
         col[:, k] = cur[:, k]
         row[k, :] = cur[k, :]
         pivot(cur, k, beta, work)
+        if source is not None and k != source:
+            cur[k] = np.nan
     return EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
-                      stride=stride, snapshots=snapshots)
+                      stride=stride, snapshots=snapshots,
+                      source=None if source is None else int(source))
 
 
 def datasp_forward_efficient(m: np.ndarray, beta: float, at=None

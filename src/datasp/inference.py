@@ -2,12 +2,16 @@
 expected optimal paths, and evaluation metrics.
 
 Queries take the cost matrix and beta and run `engine.sweep` themselves, not
-the shortcut tensor P: they read the engine's closed form from the sweep's
+the shortcut tensor P, with their source node: the sampler's i, destination
+scoring's start node.  They read the engine's closed form from that source
 tape, the sampler rows of slot costs through `engine.shortcut_costs` and
 destination scoring one log P entry per destination through
-`engine.log_shortcuts`.  Everything stays in log space, so no V^3 array is
-built and no row underflows to all zeros.  A destination prior is a plain
-weight vector, checked by `destination_likelihood`.
+`engine.log_shortcuts`, and stay inside the entries a source tape keeps
+(`engine.EngineTape`): D[s, :], C[s, V-1] and R[V-1, :] for destination
+scoring, and for the sampler the entries its segments read (below).
+Everything stays in log space, so no V^3 array is built and no row
+underflows to all zeros.  A destination prior is a plain weight vector,
+checked by `destination_likelihood`.
 
 A walk i -> j is drawn top-down over its highest-node decomposition.  The
 segment (a, b, bound) draws its highest intermediate node H from row (a, b)
@@ -18,7 +22,11 @@ walk starts as the one segment (i, j, V - 1).  Because every draw inside a
 half is strictly smaller than the half's pivot, the mask a row would
 accumulate along a branch always equals the mask imposed by its immediate
 parent, so carrying one bound per segment reproduces the tensor-masking
-semantics exactly.
+semantics exactly.  A segment's a is i or a node at or above its bound: a
+split of (a, b, bound) gives (a, H, H) and (H, b, H), where H <= bound and
+H != a.  So each unmasked slot k != a reads C[a, k] with a == i or a > k,
+slot a reads M[a, b], and every slot reads a row of R: entries a source
+tape of i keeps.  Masked slots are overwritten with inf before use.
 
 The segments of a block of walks are drawn level by level: each round
 builds the cumulative slot weights of its distinct (a, b, bound) once,
@@ -183,10 +191,11 @@ def monte_carlo_path_distribution(
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
-    tape = sweep(m, beta)
-    n = tape.size
+    m = validate_cost_matrix(m)
+    n = m.shape[0]
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValidationError(f"invalid pair ({i}, {j}) for {n} nodes")
+    tape = sweep(m, beta, source=i)
     if tape.dist[i, j] == INF:
         raise NoPathError(f"pair ({i}, {j}) is unreachable")
     if not np.isfinite(tape.dist[i, j]):
@@ -263,8 +272,8 @@ def destination_likelihood(
     start, current = partial[0], partial[-1]
     swapped = np.arange(n)  # its own inverse: original <-> swapped index
     swapped[[current, n - 1]] = [n - 1, current]
-    tape = sweep(m[np.ix_(swapped, swapped)], beta)
     s = swapped[start]
+    tape = sweep(m[np.ix_(swapped, swapped)], beta, source=s)
     live = weights > 0.0
     live[partial[:-1]] = False
     nodes = np.flatnonzero(live)

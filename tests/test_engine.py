@@ -238,6 +238,52 @@ def test_smoothed_distance_never_exceeds_hard_distance(size, extra, beta, seed):
         assert (dist[pairs] >= bound - 1e-12 * np.maximum(1.0, np.abs(dist[pairs]))).all()
 
 
+def _source_tape_cases(size, density, seed):
+    """Matrices for the source-tape check: a random directed graph, whose
+    sparse edges leave pairs unreachable, and a compressed matrix with
+    entries <= 0 (as in the compressed-matrix invariants test)."""
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(size) for v in range(size)
+             if u != v and rng.uniform() < density]
+    yield build_cost_matrix(rng.uniform(0.1, 5.0, len(edges)), Graph(size, edges))
+    graph, costs = random_connected_graph(10, rng, extra_edges=4, low=0.1, high=0.6)
+    kept = draw_kept_nodes(graph, 5, np.ones(10), rng_seed=seed)
+    yield sample_subgraph(graph, build_cost_matrix(costs, graph), kept, beta=1.0).matrix
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(size=st.integers(2, 10), density=st.floats(0.1, 0.6),
+       beta=st.sampled_from([0.5, 1.0, 5.0, 30.0]), seed=st.integers(0, 2**16))
+def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed):
+    """A source tape holds row s of D, C[a, k] for a == s or a >= k, all of R
+    and M, bit-equal to the full sweep's; every other dist and col entry is
+    NaN, and it holds no snapshot but the input."""
+    for m in _source_tape_cases(size, density, seed):
+        n = m.shape[0]
+        full = sweep(m, beta)
+        below = np.tril(np.ones((n, n), dtype=bool))  # [a, k]: a >= k
+        for s in range(n):
+            tape = sweep(m, beta, source=s)
+            assert tape.source == s and full.source is None
+            assert len(tape.snapshots) == 1 and tape.snapshots[0] is tape.m_input
+            for name in ("row", "m_input"):
+                assert np.array_equal(getattr(tape, name).view(np.int64),
+                                      getattr(full, name).view(np.int64))
+            kept_col = below.copy()
+            kept_col[s] = True
+            assert np.array_equal(tape.col[kept_col].view(np.int64),
+                                  full.col[kept_col].view(np.int64))
+            assert np.isnan(tape.col[~kept_col]).all()
+            assert np.array_equal(tape.dist[s].view(np.int64), full.dist[s].view(np.int64))
+            assert np.isnan(np.delete(tape.dist, s, axis=0)).all()
+
+
+@pytest.mark.parametrize("source", [-1, 4, 1.0, True, "0", np.int64(4)])
+def test_sweep_rejects_a_source_outside_the_nodes(k4, source):
+    with pytest.raises(ValidationError, match="source must be a node index"):
+        sweep(k4, 1.0, source=source)
+
+
 def test_tape_holds_no_cubic_array():
     size = 64
     graph, costs = random_connected_graph(size, np.random.default_rng(3))

@@ -8,8 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph, tractable_random_graph
 from reference import classical_floyd_warshall
+import datasp.inference
+from datasp import engine
 from datasp.engine import datasp_forward_efficient, sweep
-from datasp.errors import NoPathError, ValidationError
+from datasp.errors import NoPathError, NumericalError, ValidationError
 from datasp.graph import (
     Graph,
     build_cost_matrix,
@@ -44,6 +46,84 @@ def test_sample_path_unreachable(rng):
 def test_sample_path_invalid_pair(rng, k4):
     with pytest.raises(ValidationError):
         monte_carlo_path_distribution(k4, 1.0, 2, 2, 1, rng)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (0, 4), (4, 0), (-1, 2)])
+def test_sample_path_checks_the_pair_before_sweeping(monkeypatch, rng, k4, pair):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine.sweep(*args, **kwargs)
+
+    monkeypatch.setattr(datasp.inference, "sweep", counted)
+    with pytest.raises(ValidationError, match=r"invalid pair \(.*\) for 4 nodes"):
+        monte_carlo_path_distribution(k4, 1.0, *pair, 1, rng)
+    assert calls == []
+
+
+def _query_outcomes(matrices, betas):
+    """Every query result on the matrices at each beta: the sampler's
+    counts with and without cycle rejection for a few pairs, and the
+    destination probabilities for every current node, or the error raised."""
+
+    def outcome(query, *args):
+        try:
+            result = query(*args)
+        except (NoPathError, NumericalError) as exc:
+            return type(exc).__name__, str(exc)
+        if isinstance(result, np.ndarray):
+            return result.tobytes()
+        return result.counts, result.rejected_count
+
+    out = []
+    for m in matrices:
+        n = m.shape[0]
+        for beta in betas:
+            for i, j in [(0, n - 1), (n - 1, 0), (1, n // 2)]:
+                if i == j:
+                    continue
+                for reject in (False, True):
+                    out.append(outcome(monte_carlo_path_distribution, m, beta, i, j, 300,
+                                       np.random.default_rng(i * n + j), reject))
+            for start in (0, n - 1):
+                for current in range(n):
+                    if current != start:
+                        out.append(outcome(destination_likelihood, m, beta, [start, current],
+                                           np.ones(n)))
+    return out
+
+
+def test_queries_match_the_full_sweep(monkeypatch, k4):
+    """Sweeping only the source row changes no query result, bit for bit."""
+    rng = np.random.default_rng(6)
+    matrices = [k4] + [build_cost_matrix(costs, graph) for graph, costs in
+                       (random_connected_graph(size, rng) for size in (5, 8, 12))]
+    betas = (1.0, 3.0, 30.0)
+    with_source = _query_outcomes(matrices, betas)
+    monkeypatch.setattr(datasp.inference, "sweep",
+                        lambda m, beta, source=None: engine.sweep(m, beta))
+    assert with_source == _query_outcomes(matrices, betas)
+
+
+def _peak_bytes(query, *args):
+    tracemalloc.start()
+    try:
+        query(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_query_memory_is_a_few_matrices():
+    """A query holds at most 10 V x V float matrices at once: no snapshots."""
+    n = 64
+    graph, costs = random_connected_graph(n, np.random.default_rng(2))
+    m = build_cost_matrix(costs, graph)
+    sampled = _peak_bytes(monte_carlo_path_distribution, m, 3.0, 0, n - 1, 100,
+                          np.random.default_rng(0))
+    scored = _peak_bytes(destination_likelihood, m, 3.0, [0, n // 2], np.ones(n))
+    assert max(sampled, scored) <= 10 * n * n * 8
 
 
 def test_direct_walk_frequency(k4):
