@@ -10,6 +10,10 @@ to exit codes: 0 success, 2 validation error (including unreadable files,
 undecodable text and malformed JSON or binary input), 3 numerical failure,
 4 verification failure.
 
+`sample-paths` and `predict-dest` record the sha256 of their checkpoint.  It
+is hashed on a worker thread, started once the checkpoint loads and joined
+after the query's compute, before any output is written (`_query_matrix`).
+
 `verify` checks the engine against the brute-force walk oracle on a bundled
 4-node fixture (and optionally an extra small graph): the walk census, the
 distances and shortcut tensor, the sampler, and the shortcut-loss gradient
@@ -21,11 +25,13 @@ checks, the per-walk frequency bands and the total variation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
 import struct
 import sys
+import threading
 
 import numpy as np
 
@@ -231,25 +237,40 @@ def _positive_float(value, name: str) -> float:
     return float(value)
 
 
+@contextlib.contextmanager
 def _query_matrix(config, graph, prior):
     """A query's cost matrix, from a checkpoint + context or else the prior,
-    and the checkpoint's sha256 (None without one)."""
+    and a dict whose "sha256" is the checkpoint's digest (None without one)
+    once the block exits.
+
+    The digest is hashed on a worker thread, started as soon as the
+    checkpoint loads: `hashlib` releases the GIL on large buffers, so the
+    hash runs beside the query's sweep.  The worker runs only the hash, and
+    is joined when the block exits, on every path out of it.
+    """
+    digest = {"sha256": None}
     if config["checkpoint"] is None:
         if config["context"] is not None:
             raise ValidationError("context is read only with a checkpoint; set checkpoint "
                                   "or drop context")
         if prior is None:
             raise ValidationError("graph has neither prior costs nor node positions")
-        return build_cost_matrix(prior, graph), None
+        yield build_cost_matrix(prior, graph), digest
+        return
     checkpoint = load_checkpoint(config["checkpoint"])
-    if checkpoint.params.edge_count != graph.num_edges:
-        raise ValidationError("checkpoint edge count does not match graph")
-    context = config["context"]
-    if not isinstance(context, list) or not all(is_real(x) for x in context):
-        raise ValidationError(f"a checkpoint needs a context list of finite numbers, "
-                              f"got {context!r}")
-    costs, _ = predict_costs(checkpoint.params, np.asarray(context, dtype=float), prior)
-    return build_cost_matrix(costs, graph), checkpoint.sha256
+    worker = threading.Thread(target=lambda: digest.update(sha256=checkpoint.sha256))
+    worker.start()
+    try:
+        if checkpoint.params.edge_count != graph.num_edges:
+            raise ValidationError("checkpoint edge count does not match graph")
+        context = config["context"]
+        if not isinstance(context, list) or not all(is_real(x) for x in context):
+            raise ValidationError(f"a checkpoint needs a context list of finite numbers, "
+                                  f"got {context!r}")
+        costs, _ = predict_costs(checkpoint.params, np.asarray(context, dtype=float), prior)
+        yield build_cost_matrix(costs, graph), digest
+    finally:
+        worker.join()
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +457,11 @@ def cmd_sample_paths(config: dict, out_dir: str) -> int:
     if not isinstance(config["reject_cycles"], bool):
         raise ValidationError(f"reject_cycles must be true or false, "
                               f"got {config['reject_cycles']!r}")
-    m, checkpoint_sha256 = _query_matrix(config, graph, prior)
-
-    rng = np.random.default_rng(config["seed"])
-    estimate = monte_carlo_path_distribution(m, config["beta"], source, target, num_samples,
-                                             rng, reject_cycles=config["reject_cycles"])
+    with _query_matrix(config, graph, prior) as (m, digest):
+        rng = np.random.default_rng(config["seed"])
+        estimate = monte_carlo_path_distribution(m, config["beta"], source, target,
+                                                 num_samples, rng,
+                                                 reject_cycles=config["reject_cycles"])
     samples_path = os.path.join(out_dir, "samples.jsonl")
     with open(samples_path, "w", encoding="utf-8") as fh:
         for walk in sorted(estimate.counts, key=lambda w: (-estimate.counts[w], w)):
@@ -448,7 +469,7 @@ def cmd_sample_paths(config: dict, out_dir: str) -> int:
                                  "freq": estimate.frequencies[walk]}, sort_keys=True) + "\n")
     _write_json(out_dir, "samples_meta.json", {
         "beta": config["beta"],
-        "checkpoint_sha256": checkpoint_sha256,
+        "checkpoint_sha256": digest["sha256"],
         "sample_count": estimate.sample_count,
         "rejected_count": estimate.rejected_count,
         # The sampler cannot dead-end, so it never resamples; the key stays
@@ -486,26 +507,24 @@ def cmd_predict_dest(config: dict, out_dir: str) -> int:
 
     graph, prior, _ = load_graph_json(config["graph"])
     partial = [_node_index(x, graph.num_nodes, "partial path node") for x in config["partial"]]
-    m, checkpoint_sha256 = _query_matrix(config, graph, prior)
-
-    if kind == "uniform":
-        weights = np.ones(graph.num_nodes)
-    elif kind == "exp-negative-distance":
-        weights = exp_negative_distance_weights(m, partial[-1])
-    else:
-        weights = prior_cfg.get("weights")
-        if not isinstance(weights, list) or not all(is_real(w) for w in weights):
-            raise ValidationError(f"a custom prior needs a 'weights' list of finite numbers, "
-                                  f"got {weights!r}")
-
-    probs = destination_likelihood(m, config["beta"], partial, weights)
+    with _query_matrix(config, graph, prior) as (m, digest):
+        if kind == "uniform":
+            weights = np.ones(graph.num_nodes)
+        elif kind == "exp-negative-distance":
+            weights = exp_negative_distance_weights(m, partial[-1])
+        else:
+            weights = prior_cfg.get("weights")
+            if not isinstance(weights, list) or not all(is_real(w) for w in weights):
+                raise ValidationError(f"a custom prior needs a 'weights' list of finite "
+                                      f"numbers, got {weights!r}")
+        probs = destination_likelihood(m, config["beta"], partial, weights)
     _write_json(out_dir, "destinations.json", {
         "probabilities": {str(node): float(prob) for node, prob in enumerate(probs)
                           if prob > 0},
         "prior": {"kind": kind, "weights": [float(w) for w in weights]},
         "partial": partial,
         "beta": config["beta"],
-        "checkpoint_sha256": checkpoint_sha256,
+        "checkpoint_sha256": digest["sha256"],
     })
     _write_json(out_dir, "predict_dest_config.json", config)
     top = max(range(len(probs)), key=lambda n: probs[n])

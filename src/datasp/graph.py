@@ -6,6 +6,13 @@ cost of edge i -> j; +inf marks an absent edge; the diagonal is always inf
 (self-loops are never considered).  All operations here are pure: they return
 new arrays and never mutate their inputs.
 
+Graph documents are checked as arrays.  `graph_from_json_dict` checks the
+types of each decoded list with one set of its entries' types (a bool or
+1.0 is not a node id) and converts the list once; `Graph` then finds the
+first self-loop, out-of-range or repeated edge in list order on the (E, 2)
+array.  The messages are those a per-edge check in list order gives, also
+for ids beyond int64 and prior costs beyond float64.
+
 `distances_to` is the one hard-distance routine, a dense Dijkstra over a
 block: a (B, V, V) stack of cost matrices, each searched towards its own
 target, advanced together one settled node per matrix a round.  `dijkstra`
@@ -31,8 +38,10 @@ and `smoothing.pivot_adjoint` run in reverse over the same blocks
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,32 +55,47 @@ class Graph:
 
     The edge ordering is significant: per-edge vectors (costs, priors) are
     aligned with it.  Instances are treated as immutable after construction.
+    `edges` is a sequence of (u, v) pairs or an (E, 2) int array.
     """
 
     def __init__(self, num_nodes: int, edges):
         if num_nodes <= 0:
             raise ValidationError(f"num_nodes must be positive, got {num_nodes}")
         self.num_nodes = int(num_nodes)
-        self.edges: tuple[tuple[int, int], ...] = tuple((int(u), int(v)) for u, v in edges)
-        seen = set()
-        for u, v in self.edges:
+        ends = _int_array(edges).reshape(len(edges), 2)
+        u, v = ends[:, 0], ends[:, 1]
+        order = np.lexsort((v, u))  # stable: a repeat sorts after its first occurrence
+        repeat = np.zeros(len(ends), dtype=bool)
+        repeat[order[1:][(ends[order[1:]] == ends[order[:-1]]).all(axis=1)]] = True
+        bad = (u == v) | (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes) | repeat
+        if bad.any():
+            u, v = ends[bad.argmax()]
             if u == v:
                 raise ValidationError(f"self-loop edge ({u}, {v}) is not allowed")
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise ValidationError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-            if (u, v) in seen:
-                raise ValidationError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        self._edge_array = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
+            raise ValidationError(f"duplicate edge ({u}, {v})")
+        self._edge_array = np.asarray(ends, dtype=np.int64)
+        self._edge_array.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._edge_array)
 
     def edge_array(self) -> np.ndarray:
-        """(E, 2) int array of (u, v) pairs, aligned with the edge ordering."""
+        """(E, 2) read-only int array of (u, v) pairs, aligned with the edge
+        ordering."""
         return self._edge_array
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (u, v) pairs as Python ints, in edge order; built on first use,
+        since queries read only `edge_array()`."""
+        return tuple(map(tuple, self._edge_array.tolist()))
+
+    @functools.cached_property
+    def _edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.edges)}
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_index
@@ -102,6 +126,41 @@ def complete_graph(num_nodes: int) -> Graph:
     return Graph(num_nodes, edges)
 
 
+def _int_array(values) -> np.ndarray:
+    """values as an int64 array, or as an array of Python ints when one does
+    not fit int64, so that checks and messages still see its exact value."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _pair_entries(value) -> list | None:
+    """The entries of a list of two-entry lists, in order, or None when value
+    is not one."""
+    if (not isinstance(value, list) or set(map(type, value)) - {list}
+            or set(map(len, value)) - {2}):
+        return None
+    return list(itertools.chain.from_iterable(value))
+
+
+def _finite_floats(values: list) -> np.ndarray | None:
+    """values as a float64 array, or None unless every one passes
+    `errors.is_real`."""
+    if set(map(type, values)) - {int, float}:
+        return None
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond float64
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    # An int just above the float64 maximum rounds down to it.
+    if not all(is_real(values[i]) for i in np.flatnonzero(np.abs(arr) == sys.float_info.max)):
+        return None
+    return arr
+
+
 def graph_from_json_dict(doc: dict) -> tuple[Graph, np.ndarray | None, np.ndarray | None]:
     """Build (graph, prior_costs, node_positions) from a graph JSON document.
 
@@ -117,9 +176,8 @@ def graph_from_json_dict(doc: dict) -> tuple[Graph, np.ndarray | None, np.ndarra
     num_nodes, raw_edges = doc.get("num_nodes"), doc.get("edges")
     if not is_int(num_nodes):
         raise ValidationError(f"num_nodes must be an integer, got {num_nodes!r}")
-    if not isinstance(raw_edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and is_int(e[0]) and is_int(e[1])
-            for e in raw_edges):
+    ids = _pair_entries(raw_edges)
+    if ids is None or set(map(type, ids)) - {int}:  # a bool is not an int here
         raise ValidationError("edges must be a list of [u, v] pairs of integer node ids")
     directed = doc.get("directed", True)
     if not isinstance(directed, bool):
@@ -128,30 +186,30 @@ def graph_from_json_dict(doc: dict) -> tuple[Graph, np.ndarray | None, np.ndarra
     positions = doc.get("node_positions")
 
     if positions is not None:
-        if not isinstance(positions, list) or not all(
-                isinstance(p, list) and len(p) == 2 and is_real(p[0]) and is_real(p[1])
-                for p in positions) or len(positions) != num_nodes:
+        coords = _pair_entries(positions)
+        coords = None if coords is None else _finite_floats(coords)
+        if coords is None or len(positions) != num_nodes:
             raise ValidationError(f"node_positions must be {num_nodes} [x, y] pairs "
                                   "of finite numbers")
-        positions = np.array(positions, dtype=float)
+        positions = coords.reshape(-1, 2)
 
-    if prior is not None and (not isinstance(prior, list)
-                              or not all(is_real(x) for x in prior)):
-        raise ValidationError("prior_costs must be a list of finite numbers")
-    if prior is not None and len(prior) != len(raw_edges):
-        raise ValidationError(
-            f"prior_costs has {len(prior)} entries for {len(raw_edges)} edges"
-        )
+    if prior is not None:
+        prior = _finite_floats(prior) if isinstance(prior, list) else None
+        if prior is None:
+            raise ValidationError("prior_costs must be a list of finite numbers")
+        if len(prior) != len(raw_edges):
+            raise ValidationError(
+                f"prior_costs has {len(prior)} entries for {len(raw_edges)} edges"
+            )
 
-    edges = [e for u, v in raw_edges for e in ([(u, v)] if directed else [(u, v), (v, u)])]
-    graph = Graph(num_nodes, edges)
+    ends = _int_array(ids).reshape(-1, 2)
+    graph = Graph(num_nodes, ends if directed
+                  else np.stack([ends, ends[:, ::-1]], axis=1).reshape(-1, 2))
     if prior is None and positions is not None:
-        ends = np.array(raw_edges, dtype=np.int64).reshape(-1, 2)
         with np.errstate(over="ignore"):
             delta = positions[ends[:, 0]] - positions[ends[:, 1]]
             prior = np.hypot(delta[:, 0], delta[:, 1])
-    prior_arr = None if prior is None else np.repeat(np.asarray(prior, dtype=float),
-                                                     1 if directed else 2)
+    prior_arr = None if prior is None else np.repeat(prior, 1 if directed else 2)
     if prior_arr is not None and not ((prior_arr >= 0) & (prior_arr < INF)).all():
         raise ValidationError("prior costs must be finite and nonnegative")
     return graph, prior_arr, positions
@@ -166,7 +224,7 @@ def graph_to_json_dict(graph: Graph, prior=None, positions=None) -> dict:
     doc: dict = {
         "num_nodes": graph.num_nodes,
         "directed": True,
-        "edges": [[u, v] for u, v in graph.edges],
+        "edges": graph.edge_array().tolist(),
     }
     if prior is not None:
         doc["prior_costs"] = [float(x) for x in prior]

@@ -6,14 +6,20 @@ then the row-major float64 payload.
 Checkpoint: magic "DSPC", uint64 header length, UTF-8 JSON header, then the
 concatenated row-major float64 payloads of every array listed in the
 header's "arrays" entry (name + shape, in order).  Round trips are
-bit-exact.
+bit-exact.  `load_checkpoint` reads the payload into one aligned, read-only
+float64 buffer and hands out views of it, so no array is copied; the
+checkpoint's `sha256` covers every byte of the file, head and payload.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -108,47 +114,69 @@ def _array_specs(header) -> list[dict]:
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint; `sha256` is the digest of the file's bytes."""
+    """A loaded checkpoint.
+
+    Every array of `params` and `opt_state` is a read-only view of
+    `payload`, the one aligned float64 buffer the file's payload was read
+    into; `head` holds the bytes before it (magic, header length, header).
+    `sha256` hashes head then payload, which is the digest of the file's
+    bytes, and stays so since nothing can write to the arrays.
+    """
 
     params: ModelParams
     step: int
     extra: dict
     opt_state: dict | None
-    blob: bytes = field(repr=False)
+    head: bytes = field(repr=False)
+    payload: np.ndarray = field(repr=False)
 
     @property
     def sha256(self) -> str:
-        return hashlib.sha256(self.blob).hexdigest()
+        digest = hashlib.sha256(self.head)
+        digest.update(self.payload)
+        return digest.hexdigest()
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at path, read in one call; every header and payload
-    check runs on those bytes, and each array is copied out of them."""
+    """The checkpoint at path.  The head and header are read and checked
+    first, each length against the file's size, so a forged length never
+    sizes a read or an allocation; the payload is then read straight into
+    one float64 buffer, of which each array is a view."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise ValidationError(f"{path} is not a checkpoint file")
-    (header_len,) = struct.unpack_from("<Q", blob, 4)
-    start = 12 + header_len
-    if len(blob) < start:
-        raise ValidationError(f"{path}: checkpoint header is truncated")
-    header = json.loads(blob[12:start].decode("utf-8"))
-    if not isinstance(header, dict):
-        raise ValidationError(f"{path}: checkpoint header is not a JSON object")
-    specs = _array_specs(header)
-    if header.get("arrays") != specs:
-        raise ValidationError(f"{path}: checkpoint arrays do not match its layer sizes")
-    expected = 8 * sum(math.prod(spec["shape"]) for spec in specs)
-    if len(blob) - start != expected:
-        raise ValidationError(f"{path}: checkpoint payload has {len(blob) - start} bytes, "
+        info = os.fstat(fh.fileno())
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size: read it whole
+            fh = io.BytesIO(fh.read())
+            size = len(fh.getbuffer())
+        head = fh.read(12)
+        if head[:4] != _CHECKPOINT_MAGIC:
+            raise ValidationError(f"{path} is not a checkpoint file")
+        (header_len,) = struct.unpack_from("<Q", head, 4)
+        start = 12 + header_len
+        if size < start:
+            raise ValidationError(f"{path}: checkpoint header is truncated")
+        text = fh.read(header_len)
+        head += text
+        header = json.loads(text.decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValidationError(f"{path}: checkpoint header is not a JSON object")
+        specs = _array_specs(header)
+        if header.get("arrays") != specs:
+            raise ValidationError(f"{path}: checkpoint arrays do not match its layer sizes")
+        counts = [math.prod(spec["shape"]) for spec in specs]
+        expected = 8 * sum(counts)
+        if size - start != expected:
+            raise ValidationError(f"{path}: checkpoint payload has {size - start} bytes, "
+                                  f"expected {expected} (truncated?)")
+        payload = np.empty(sum(counts))
+        got = fh.readinto(payload)
+    if got != expected:
+        raise ValidationError(f"{path}: checkpoint payload has {got} bytes, "
                               f"expected {expected} (truncated?)")
-
-    arrays, offset = [], start
-    for spec in specs:
-        count = math.prod(spec["shape"])
-        chunk = np.frombuffer(blob, dtype=np.float64, count=count, offset=offset)
-        arrays.append(chunk.reshape(spec["shape"]).copy())
-        offset += count * 8
+    payload.flags.writeable = False
+    bounds = list(itertools.accumulate(counts, initial=0))
+    arrays = [payload[lo:hi].reshape(spec["shape"])
+              for spec, lo, hi in zip(specs, bounds[:-1], bounds[1:])]
 
     n = 2 * (len(header["hidden_sizes"]) + 1)
     params = ModelParams(
@@ -163,7 +191,7 @@ def load_checkpoint(path) -> Checkpoint:
     if header.get("opt_state_t") is not None:
         opt_state = {"m": arrays[n:2 * n], "v": arrays[2 * n:], "t": header["opt_state_t"]}
     return Checkpoint(params=params, step=header["step"], extra=header.get("extra", {}),
-                      opt_state=opt_state, blob=blob)
+                      opt_state=opt_state, head=head, payload=payload)
 
 
 def canonical_json(obj) -> str:

@@ -268,7 +268,8 @@ def train_loop(
     Validation Jaccard is computed each epoch.  When `checkpoint_path` is
     given, the parameters are written there after each epoch that improves
     on the best score so far (after every epoch without a validation split).
-    `initial_opt_state` is updated in place.  Deterministic for a given
+    `initial_params` and `initial_opt_state` are copied, never written (a
+    loaded checkpoint's arrays are read-only).  Deterministic for a given
     config seed.  A train-split record that revisits a node, or
     `initial_params` whose shape (hidden_sizes, cost_floor, feature_dim,
     edge_count) differs from the config's and the dataset's, is rejected
@@ -297,7 +298,9 @@ def train_loop(
     params = (initial_params.copy() if initial_params is not None
               else init_params(dataset.features.shape[1], config.hidden_sizes,
                                dataset.graph.num_edges, config.seed, config.cost_floor))
-    opt_state = initial_opt_state if initial_opt_state is not None else init_adam(params)
+    opt_state = ({"m": [a.copy() for a in initial_opt_state["m"]],
+                  "v": [a.copy() for a in initial_opt_state["v"]], "t": initial_opt_state["t"]}
+                 if initial_opt_state is not None else init_adam(params))
     node_freqs = node_visit_frequencies(dataset, train_idx)
 
     log: list[dict] = []

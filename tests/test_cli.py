@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -763,3 +765,39 @@ def test_diverged_distances_exit_as_numerical_failure(gen_dir, tmp_path, command
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("sample-paths", {"source": 0, "target": 1, "num_samples": 50}),
+    ("predict-dest", {"partial": [0, 2], "prior": {"kind": "custom", "weights": [1.0] * 14}}),
+])
+@pytest.mark.parametrize("outcome", ["ok", "diverged", "bad-input-after-load"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_query_digest_thread_ends_with_its_command(gen_dir, tmp_path, command, fields,
+                                                    outcome):
+    # The checkpoint is hashed on a worker thread while the query computes;
+    # it is joined on every exit, and on success the recorded digest is the
+    # file's.
+    graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
+    # A wide layer, so that the hash outlasts a query that fails early.
+    params = [init_params(3, [4096], graph.num_edges, seed=seed) for seed in (1, 2, 3)]
+    checkpoint = tmp_path / "c.bin"
+    save_checkpoint(checkpoint, params[0], opt_state={"m": params[1].flat_arrays(),
+                                                      "v": params[2].flat_arrays(), "t": 5})
+    config = {**fields, "graph": os.path.join(gen_dir, "graph.json"),
+              "checkpoint": str(checkpoint), "context": [0.1, -0.2, 0.3], "beta": 3.0}
+    if outcome == "diverged":
+        config["beta"] = 1e-308
+    elif outcome == "bad-input-after-load" and command == "sample-paths":
+        config["context"] = [0.1, "x", 0.3]
+    elif outcome == "bad-input-after-load":
+        config["prior"] = {"kind": "custom", "weights": [1.0, -1.0] + [1.0] * 12}
+    cfg = write_config(tmp_path, "q.json", config)
+    before = threading.active_count()
+    code = run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert threading.active_count() == before
+    assert code == {"ok": 0, "diverged": 3, "bad-input-after-load": 2}[outcome]
+    if outcome == "ok":
+        name = "samples_meta.json" if command == "sample-paths" else "destinations.json"
+        recorded = json.loads((tmp_path / "out" / name).read_text())["checkpoint_sha256"]
+        assert recorded == hashlib.sha256(checkpoint.read_bytes()).hexdigest()

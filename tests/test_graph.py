@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import k4_cost_matrix, mostly, random_connected_graph
-from reference import classical_floyd_warshall, finite_difference_gradcheck, pair_softmin
+from reference import (
+    classical_floyd_warshall,
+    finite_difference_gradcheck,
+    pair_softmin,
+    reference_graph_from_json_dict,
+)
 from datasp.cli import INPUT_ERRORS
 from datasp.errors import ValidationError
 from datasp.graph import (
@@ -85,6 +90,128 @@ def test_undirected_json_listing_both_directions_is_rejected():
     doc = {"num_nodes": 3, "directed": False, "edges": [[0, 1], [1, 0]]}
     with pytest.raises(ValidationError):
         graph_from_json_dict(doc)
+
+
+# Values that a per-value check tells apart from a node id or a finite
+# float64: bools, 1.0, strings, nested lists, ints beyond int64 or float64,
+# and (for numbers) NaN, the infinities and an int that exceeds the float64
+# maximum but rounds down to it.
+_NOT_IDS = [True, False, 1.0, "1", [1], None]
+_WIDE_IDS = [2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 63 - 1]
+_NOT_REALS = [math.nan, math.inf, -math.inf, 10 ** 400, 2 ** 1024 - 2 ** 971 + 5, True, "1",
+              [1.0], None]
+_reals = st.floats(0, 10) | st.integers(0, 3) | st.just(1.7976931348623157e308)
+
+
+@st.composite
+def _graph_documents(draw):
+    """Well-formed documents (whose random edges may repeat or list both
+    directions), half of them with one value spoilt."""
+    n = draw(st.integers(2, 6))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    edges = draw(st.lists(pair, max_size=8, unique_by=tuple) | st.lists(pair, max_size=6))
+    spoil = draw(st.sampled_from(["none"] * 7 + ["num_nodes", "id", "id", "pair", "edges",
+                                                 "directed", "prior", "prior", "positions",
+                                                 "loop", "repeat"]))
+    if spoil in ("loop", "repeat") and edges:
+        u, v = draw(st.sampled_from(edges))
+        edge = [u, u] if spoil == "loop" else draw(st.sampled_from([[u, v], [v, u]]))
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    doc = {"num_nodes": n, "edges": edges}
+    if draw(st.booleans()):
+        doc["directed"] = draw(st.booleans())
+    if draw(st.booleans()):
+        doc["prior_costs"] = draw(st.lists(_reals, min_size=len(edges), max_size=len(edges)))
+    if draw(st.booleans()):
+        doc["node_positions"] = draw(st.lists(st.lists(st.floats(-10, 10), min_size=2,
+                                                       max_size=2), min_size=n, max_size=n))
+    if spoil == "num_nodes":
+        doc["num_nodes"] = draw(st.sampled_from([0, -1, 1, n - 1, 2 ** 63 - 1, 2 ** 70]
+                                                + _NOT_IDS))
+    elif spoil == "id" and edges:
+        row = draw(st.sampled_from(edges))
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from([-1, n] + _WIDE_IDS + _NOT_IDS))
+    elif spoil == "pair" and edges:
+        edges[draw(st.integers(0, len(edges) - 1))] = draw(st.sampled_from(
+            [[0], [0, 1, 2], 0, "01", None, (0, 1)]))
+    elif spoil == "edges":
+        doc["edges"] = draw(st.sampled_from([None, "edges", 3, {"0": 1}]))
+    elif spoil == "directed":
+        doc["directed"] = draw(st.sampled_from([0, 1, None, "true"]))
+    elif spoil in ("prior", "positions"):
+        key = "prior_costs" if spoil == "prior" else "node_positions"
+        values = doc.get(key)
+        if values and draw(st.booleans()):
+            row = draw(st.integers(0, len(values) - 1))
+            bad = draw(st.sampled_from(_NOT_REALS))
+            if key == "prior_costs":
+                values[row] = bad
+            else:
+                values[row][draw(st.integers(0, 1))] = bad
+        else:
+            doc[key] = draw(st.sampled_from([None, 1.0, [], [[0.0, 0.0]], [1.0] * 3]))
+    return doc
+
+
+def _read(reader, doc):
+    """What reader gives for doc: its exception's type and message, or its
+    edges, edge array and the bytes of its priors and positions."""
+    try:
+        result = reader(doc)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    if isinstance(result[0], Graph):
+        graph, prior, positions = result
+        result = graph.edges, graph.edge_array(), prior, positions
+    edges, edge_array, prior, positions = result
+    return (edges, edge_array.dtype, edge_array.shape, edge_array.tobytes(),
+            *[None if a is None else (a.dtype, a.shape, a.tobytes()) for a in (prior, positions)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_graph_documents())
+def test_graph_documents_read_as_the_per_edge_reference_reads_them(doc):
+    got = _read(graph_from_json_dict, doc)
+    assert got == _read(reference_graph_from_json_dict, doc)
+    if isinstance(got[0], type):
+        return
+    # The same graph from a list of pairs and from an (E, 2) array.
+    graph, _, _ = graph_from_json_dict(doc)
+    n = graph.num_nodes
+    from_list, from_array = Graph(n, list(graph.edges)), Graph(n, graph.edge_array())
+    for u, v in itertools.product(range(-1, min(n, 6) + 1), repeat=2):
+        listed = (u, v) in set(graph.edges)
+        assert from_list.has_edge(u, v) == from_array.has_edge(u, v) == listed
+        assert graph.has_edge(np.int64(u), np.int64(v)) == listed
+    for i, (u, v) in enumerate(graph.edges):
+        for path in ([u, v], np.array([u, v]), (u, v)):
+            assert from_list.path_edges(path) == from_array.path_edges(path) == [i]
+    bad_path = [0, 0]
+    for g in (from_list, from_array):
+        with pytest.raises(ValidationError, match=r"path step \(0, 0\) is not an edge"):
+            g.path_edges(bad_path)
+
+
+def test_graph_documents_report_wide_values_like_any_bad_value():
+    # Ids beyond int64 and priors beyond float64 give the per-edge messages,
+    # never an OverflowError.
+    cases = [
+        ({"num_nodes": 3, "edges": [[0, 1], [0, 2 ** 70]]},
+         "edge (0, 1180591620717411303424) out of range for 3 nodes"),
+        ({"num_nodes": 3, "edges": [[2 ** 70, 2 ** 70], [0, 5]]},
+         "self-loop edge (1180591620717411303424, 1180591620717411303424) is not allowed"),
+        ({"num_nodes": 3, "edges": [[0, 1], [0, 1], [-2 ** 63 - 1, 1]]}, "duplicate edge (0, 1)"),
+        ({"num_nodes": 3, "edges": [[0, 1]], "prior_costs": [10 ** 400]},
+         "prior_costs must be a list of finite numbers"),
+        ({"num_nodes": 3, "edges": [[0, 1]], "prior_costs": [math.nan]},
+         "prior_costs must be a list of finite numbers"),
+        ({"num_nodes": 3, "edges": [[0, 1]], "prior_costs": [2 ** 1024 - 2 ** 971 + 5]},
+         "prior_costs must be a list of finite numbers"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ValidationError) as info:
+            graph_from_json_dict(doc)
+        assert str(info.value) == message
 
 
 def test_json_prior_defaults_to_euclidean():

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import struct
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from datasp.cli import INPUT_ERRORS
 from datasp.costmodel import init_params
 from datasp.errors import ValidationError
 from datasp.serialize import (
+    _array_specs,
     load_checkpoint,
     load_tensor,
     save_checkpoint,
@@ -96,6 +100,87 @@ def test_sha256(tmp_path):
     path = tmp_path / "c.bin"
     save_checkpoint(path, init_params(2, [], 3, seed=0), step=0)
     assert load_checkpoint(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _adam_checkpoint(path, with_opt: bool):
+    params = init_params(3, [5], 7, seed=2)
+    opt = ({"m": [a + 0.5 for a in params.flat_arrays()],
+            "v": [a * a for a in params.flat_arrays()], "t": 4} if with_opt else None)
+    save_checkpoint(path, params, step=9, extra={"val_jaccard": 0.25}, opt_state=opt)
+
+
+@pytest.mark.parametrize("with_opt", [False, True])
+def test_sha256_is_the_digest_of_the_file_with_and_without_adam_state(tmp_path, with_opt):
+    path = tmp_path / "c.bin"
+    _adam_checkpoint(path, with_opt)
+    checkpoint = load_checkpoint(path)
+    assert (checkpoint.opt_state is not None) == with_opt
+    assert checkpoint.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_loaded_arrays_are_aligned_read_only_views(tmp_path):
+    path = tmp_path / "c.bin"
+    _adam_checkpoint(path, with_opt=True)
+    checkpoint = load_checkpoint(path)
+    opt = checkpoint.opt_state
+    arrays = checkpoint.params.flat_arrays() + opt["m"] + opt["v"]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.aligned and not arr.flags.writeable
+        assert np.shares_memory(arr, checkpoint.payload)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+    assert sum(arr.size for arr in arrays) == checkpoint.payload.size
+    assert checkpoint.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _forged(blob: bytes, case: str) -> bytes:
+    """A checkpoint whose header length, or whose declared payload, runs
+    far past the end of the file."""
+    (length,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + length])
+    if case == "header-length":
+        return blob[:4] + struct.pack("<Q", 2 ** 40) + blob[12:]
+    header["edge_count"] = 2 ** 40  # a 2**43-byte last layer
+    header["arrays"] = _array_specs(header)
+    text = json.dumps(header).encode("utf-8")
+    return b"DSPC" + struct.pack("<Q", len(text)) + text + blob[12 + length:]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("header-length", "checkpoint header is truncated"),
+    ("payload", "checkpoint payload has"),
+])
+def test_lengths_past_the_end_of_the_file_are_refused_before_any_allocation(
+        tmp_path, case, message):
+    path = tmp_path / "c.bin"
+    _adam_checkpoint(path, with_opt=True)
+    path.write_bytes(_forged(path.read_bytes(), case))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=message):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_a_checkpoint_read_through_a_pipe_loads_like_the_file(tmp_path):
+    path = tmp_path / "c.bin"
+    _adam_checkpoint(path, with_opt=True)
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, path.read_bytes()),
+                                              os.close(write_end)))
+    writer.start()
+    try:
+        piped = load_checkpoint(f"/dev/fd/{read_end}")
+    finally:
+        writer.join()
+        os.close(read_end)
+    assert piped.sha256 == load_checkpoint(path).sha256
 
 
 def _loads_or_input_error(loader, blob):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from datasp.graph import (
     sample_subgraph,
 )
 from datasp.oracle import normwise_gradient_error
+from datasp.serialize import load_checkpoint, save_checkpoint
 from datasp.synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from datasp.trajectories import (
     Dataset,
@@ -351,6 +353,32 @@ def test_train_loop_deterministic():
     assert a.log == b.log
     for wa, wb in zip(a.params.weights, b.params.weights):
         assert np.array_equal(wa, wb)
+
+
+def test_resuming_from_a_loaded_checkpoint_leaves_it_as_read(tmp_path):
+    # A loaded checkpoint's arrays are read-only views of the file's bytes;
+    # train_loop trains on copies, so the resumed run matches one from
+    # writable arrays and the checkpoint still hashes to its file.
+    result, dataset = small_dataset(num_samples=30)
+    config = TrainConfig(epochs=1, learning_rate=1e-3, hidden_sizes=[8],
+                         similarity_fraction=0.3, batch_size=4, seed=7)
+    first = train_loop(dataset, config)
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, first.params, step=first.step, opt_state=first.opt_state)
+    checkpoint = load_checkpoint(path)
+    resumed = train_loop(dataset, config, initial_params=checkpoint.params,
+                         initial_opt_state=checkpoint.opt_state, initial_step=checkpoint.step)
+    writable = train_loop(dataset, config, initial_params=first.params.copy(),
+                          initial_opt_state={"m": [a.copy() for a in first.opt_state["m"]],
+                                             "v": [a.copy() for a in first.opt_state["v"]],
+                                             "t": first.opt_state["t"]},
+                          initial_step=first.step)
+    assert resumed.log == writable.log and resumed.opt_state["t"] == writable.opt_state["t"]
+    for a, b in zip(resumed.params.flat_arrays() + resumed.opt_state["m"],
+                    writable.params.flat_arrays() + writable.opt_state["m"]):
+        assert np.array_equal(a, b)
+    assert checkpoint.opt_state["t"] == first.opt_state["t"]
+    assert checkpoint.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_train_loop_skips_empty_batches():
