@@ -29,16 +29,17 @@ computes no softmin weights: log P needs none, and the backward recomputes
 a segment's weights from its snapshot.  Its pivots share one
 `smoothing.Workspace` of three V x V float buffers.
 
-A query reads one source row s of D and nothing the backward needs, so
-`sweep(m, beta, source=s)` keeps O(V^2) in all: no snapshots, and fewer
-rows updated.  The sweep is Gaussian elimination over the (smooth min, +)
-semiring (Carre, "An algebra for network routing problems", 1971): pivot
-k' updates each row from that row's own entry in column k' and from row k'.
-Row k is a pivot row only at pivot k, so once it is saved as R[k, :], no
-other row reads it again, and no query reads its later values.  The source
-tape retires it then (writes NaN) unless k == s.  Row s, every R[k, :] and
-every C[a, k] with a == s or a >= k keep the full sweep's bits;
-`EngineTape` lists them.
+A query reads one source row s of D, and a training step the rows of the
+sources i of its triples; `sweep(m, beta, sources)` keeps only those rows.
+The sweep is Gaussian elimination over the (smooth min, +) semiring (Carre,
+"An algebra for network routing problems", 1971): pivot k' updates each row
+from that row's own entry in column k' and from row k'.  Row k is a pivot
+row only at pivot k, so once it is saved as R[k, :], no other row reads it
+again.  Unless k is a source, the sweep retires it then (writes NaN), and
+later pivots skip it: about V^3/2 + |S| V^2 updates for S sources, not V^3.
+A query's tape holds no snapshots, O(V^2) in all; the backward retires the
+same rows of a training tape as it recomputes each segment.  `EngineTape`
+lists the entries a restricted tape keeps, each with the full sweep's bits.
 
 The closed form has one home.  `shortcut_costs(tape, i, j, k)` returns the
 costs in it, C[i, k] + R[k, j] with M[i, j] where k == i, and
@@ -51,7 +52,7 @@ arrays, so one expression serves every shape a caller reads:
   `np.ogrid[:V, :V, :V]`, which only the tests and the benchmark's engine
   sweep read;
 - the queries in `inference`: rows or single slots of pairs out of one
-  source node, read from a source tape of `sweep`, and the oracle check,
+  source node, read from a query tape of `sweep`, and the oracle check,
   read from a full one, so no V^3 array is allocated for them.
 
 Any entry is therefore bit-equal to the same entry of the dense log P.
@@ -90,16 +91,19 @@ class EngineTape:
     None) that the tests and the benchmark's engine sweep read.  A tape from
     `sweep` holds neither.
 
-    A tape from `sweep` with a source node s (`source` is s; None for a full
-    sweep) holds no snapshot but the input, and only these entries, each
-    bit-equal to the full sweep's:
+    A tape restricted to sources S (`kept_rows` marks them; every row for a
+    full sweep), from `sweep` or from `datasp_forward_efficient` with `at`
+    (S the i of its triples), holds only these entries, each bit-equal to
+    the full sweep's:
 
-    - row s of D, `dist[s, :]`;
-    - C[a, k] where a == s or a >= k (C[k, k] is the diagonal, inf);
+    - the rows of D at S, `dist[S, :]`;
+    - C[a, k] where a is in S or a >= k (C[k, k] is the diagonal, inf);
     - all of R and `m_input`.
 
     Every other entry of `dist` and `col` is NaN, so a reader that strays
-    outside them gets NaN rather than a plausible cost.
+    outside them gets NaN rather than a plausible cost.  A query's tape (S
+    one node index) holds no snapshot but the input, a training tape's hold
+    NaN in the rows retired before them.
     """
 
     beta: float
@@ -110,9 +114,9 @@ class EngineTape:
     dist: np.ndarray
     stride: int
     snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
+    kept_rows: np.ndarray  # kept_rows[a]: row a outlives its pivot
     log_p: np.ndarray | None = None
     at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    source: int | None = None
 
 
 def shortcut_costs(tape: EngineTape, i, j, k) -> np.ndarray:
@@ -151,41 +155,51 @@ def _check_triples(at, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i.astype(np.intp), j.astype(np.intp), k.astype(np.intp)
 
 
-def sweep(m: np.ndarray, beta: float, source: int | None = None) -> EngineTape:
+def _step(cur: np.ndarray, k: int, beta: float, work: Workspace, kept_rows, weights=False):
+    """`pivot` k, then retire row k (write NaN) unless kept_rows[k]: later
+    pivots only update rows with a finite entry in their column."""
+    step = pivot(cur, k, beta, work, weights)
+    if not kept_rows[k]:
+        cur[k] = np.nan
+    return step
+
+
+def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
     """The smoothed Floyd-Warshall sweep: D, C, R and the snapshots.
 
     For a fixed pivot k the (i, j) updates are independent: row k and
     column k are never written during iteration k (those pairs are skipped
     as redundant), so each pivot is one batched in-place operation.
 
-    With a source node, the sweep retires row k right after pivot k, unless
-    k is the source: it writes NaN there, so later pivots, which only update
-    rows with a finite entry in their column, skip it.  The tape then holds
-    the entries `EngineTape` lists for a source tape, and no snapshots.
+    `sources` names the rows kept past their own pivot: one node index (a
+    query: no snapshots), a 1-D integer array of them (training; repeats
+    allowed, and an empty array keeps no row, so D is all NaN), or None
+    (every row, the full sweep).  The tape holds what `EngineTape` lists.
     """
     m_input = validate_cost_matrix(m).copy()
     beta = check_beta(beta)
     n = m_input.shape[0]
-    if source is not None and not (isinstance(source, (int, np.integer))
-                                   and not isinstance(source, bool) and 0 <= source < n):
-        raise ValidationError(f"source must be a node index in [0, {n}), got {source!r}")
+    s = np.arange(n) if sources is None else np.asarray(sources)
+    if s.ndim > 1 or s.dtype.kind not in "iu" or (s.size and not 0 <= s.min() <= s.max() < n):
+        raise ValidationError(f"sources must be a node index in [0, {n}) or a 1-D "
+                              f"integer array of them, got {sources!r}")
+    kept_rows = np.zeros(n, dtype=bool)
+    kept_rows[s] = True
     stride = max(1, math.ceil(math.sqrt(n)))
+    snapshot = s.ndim == 1  # a query's one source takes none
     col = np.empty((n, n))
     row = np.empty((n, n))
     snapshots = [m_input]
     cur = m_input.copy()
     work = Workspace(n * n)
     for k in range(n):
-        if source is None and k and k % stride == 0:
+        if snapshot and k and k % stride == 0:
             snapshots.append(cur.copy())
         col[:, k] = cur[:, k]
         row[k, :] = cur[k, :]
-        pivot(cur, k, beta, work)
-        if source is not None and k != source:
-            cur[k] = np.nan
+        _step(cur, k, beta, work, kept_rows)
     return EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
-                      stride=stride, snapshots=snapshots,
-                      source=None if source is None else int(source))
+                      stride=stride, snapshots=snapshots, kept_rows=kept_rows)
 
 
 def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
@@ -194,14 +208,15 @@ def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
 
     log P is `log_shortcuts` of the sweep's tape.  With at = (i, j, k),
     three equal-length integer arrays, it is the 1-D array of log P[i, j, k]
-    at those triples; without, the dense log P on the open grid
+    at those triples, from a sweep restricted to the rows i, so D is NaN in
+    every other row; without, the full sweep's dense log P on the open grid
     np.ogrid[:V, :V, :V], the one V^3 array this allocates.
     """
-    tape = sweep(m, beta)
-    n = tape.size
-    if at is not None:
-        tape.at = _check_triples(at, n)
-    tape.log_p = log_shortcuts(tape, *(np.ogrid[:n, :n, :n] if at is None else tape.at))
+    n = validate_cost_matrix(m).shape[0]
+    triples = None if at is None else _check_triples(at, n)
+    tape = sweep(m, beta, None if at is None else triples[0])
+    tape.at = triples
+    tape.log_p = log_shortcuts(tape, *(np.ogrid[:n, :n, :n] if at is None else triples))
     return tape.log_p, tape.dist, tape
 
 
@@ -245,7 +260,9 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
     -beta * G[i, j, k] onto C[i, k] and R[k, j], and -beta * G[i, j, i] onto
     the input entry M[i, j].  The reverse sweep then carries the
     running-matrix gradient back through each pivot, adding the C and R
-    gradients of pivot k as it passes.
+    gradients of pivot k as it passes.  It ignores grad_m outside the kept
+    rows, where D is NaN, and skips each retired row after its pivot, where
+    its gradient is exactly zero, by retiring it as it recomputes a segment.
     """
     if tape.log_p is None:
         raise ValidationError("the backward needs the tape of datasp_forward_efficient; "
@@ -261,6 +278,7 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
     beta = tape.beta
     g_dist, g_col, g_row, g_direct = _shortcut_adjoint(tape, grad_log_p)
     g = grad_m + beta * g_dist
+    g[~tape.kept_rows] = 0.0
     g_col *= -beta    # [i, k]
     g_row *= -beta    # [k, j]
 
@@ -268,7 +286,7 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
     work = Workspace(n * n)
     for start in reversed(range(0, n, tape.stride)):
         np.copyto(cur, tape.snapshots[start // tape.stride])
-        steps = [pivot(cur, k, beta, work, weights=True)
+        steps = [_step(cur, k, beta, work, tape.kept_rows, weights=True)
                  for k in range(start, min(start + tape.stride, n))]
         for k in reversed(range(start, start + len(steps))):
             g[:, k] += g_col[:, k]

@@ -3,10 +3,10 @@ expected optimal paths, and evaluation metrics.
 
 Queries take the cost matrix and beta and run `engine.sweep` themselves, not
 the shortcut tensor P, with their source node: the sampler's i, destination
-scoring's start node.  They read the engine's closed form from that source
+scoring's start node.  They read the engine's closed form from that query
 tape, the sampler rows of slot costs through `engine.shortcut_costs` and
 destination scoring one log P entry per destination through
-`engine.log_shortcuts`, and stay inside the entries a source tape keeps
+`engine.log_shortcuts`, and stay inside the entries a query tape keeps
 (`engine.EngineTape`): D[s, :], C[s, V-1] and R[V-1, :] for destination
 scoring, and for the sampler the entries its segments read (below).
 Everything stays in log space, so no V^3 array is built and no row
@@ -195,7 +195,7 @@ def monte_carlo_path_distribution(
     n = m.shape[0]
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValidationError(f"invalid pair ({i}, {j}) for {n} nodes")
-    tape = sweep(m, beta, source=i)
+    tape = sweep(m, beta, sources=i)
     if tape.dist[i, j] == INF:
         raise NoPathError(f"pair ({i}, {j}) is unreachable")
     if not np.isfinite(tape.dist[i, j]):
@@ -273,7 +273,7 @@ def destination_likelihood(
     swapped = np.arange(n)  # its own inverse: original <-> swapped index
     swapped[[current, n - 1]] = [n - 1, current]
     s = swapped[start]
-    tape = sweep(m[np.ix_(swapped, swapped)], beta, source=s)
+    tape = sweep(m[np.ix_(swapped, swapped)], beta, sources=s)
     live = weights > 0.0
     live[partial[:-1]] = False
     nodes = np.flatnonzero(live)

@@ -10,7 +10,9 @@ the costs) all the way to the network weights.  The forward pass evaluates
 log P, the log of the shortcut tensor, only at the observed (i, j, k)
 triples of the frequency tensor, and the exact loss on log P and the
 backward carry the gradient from those triples alone, so a step holds no
-V^3 array and no term's gradient is lost to an underflowing P.
+V^3 array and no term's gradient is lost to an underflowing P.  Its sweep
+keeps only the rows of the sources i past their pivots, and its D is NaN in
+every other row (a restricted tape, `engine.EngineTape`).
 
 The context-similar trajectories are the training records nearest to the
 anchor, found at every step by `similar_indices` over the dataset's context

@@ -292,7 +292,7 @@ def test_verify_command(tmp_path):
     assert report["checks"]["distance_consistency"]["max_deviation"] <= 1e-9
 
 
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 5.0, 10.0, 30.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 5.0, 10.0, 30.0, 1e4])
 def test_verify_passes_at_each_beta(beta, tmp_path):
     cfg = write_config(tmp_path, "v.json", {"beta": beta})
     assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
@@ -306,10 +306,26 @@ def test_verify_catches_an_adjoint_off_by_one_percent(monkeypatch, tmp_path):
 
     exact = cli.datasp_backward
     monkeypatch.setattr(cli, "datasp_backward", lambda *a: 0.99 * exact(*a))
-    cfg = write_config(tmp_path, "v.json", {"beta": 5.0})
-    assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
-    report = json.load(open(tmp_path / "v" / "verify_report.json"))
-    assert report["failures"] == ["gradients"]
+    for beta in (1.0, 5.0, 1e4):
+        cfg = write_config(tmp_path, "v.json", {"beta": beta})
+        assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
+        report = json.load(open(tmp_path / "v" / "verify_report.json"))
+        assert report["failures"] == ["gradients"]
+
+
+def test_verify_gradients_retire_a_row_before_the_last_pivot(monkeypatch, k4):
+    from datasp import cli, engine
+
+    tapes = []
+    full_sweep = engine.sweep
+
+    def recorded(*args, **kwargs):
+        tapes.append(full_sweep(*args, **kwargs))
+        return tapes[-1]
+
+    monkeypatch.setattr(engine, "sweep", recorded)
+    cli._verify_gradients(k4, 1.0)
+    assert tapes and all(not tape.kept_rows[:-1].all() for tape in tapes)
 
 
 def test_resolved_train_config_runs_again(gen_dir, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph, scatter_triples
 from reference import classical_floyd_warshall, finite_difference_gradcheck, pair_softmin
+from datasp import engine
 from datasp.engine import (
     datasp_backward,
     datasp_forward_efficient,
@@ -32,6 +33,8 @@ from datasp.oracle import (
 from datasp.smoothing import INF, Workspace, pivot
 from datasp.training import shortcut_loss
 from datasp.trajectories import build_frequency_tensor
+
+full_sweep = engine.sweep
 
 
 def assert_shortcut_invariants(log_p, tol=1e-9):
@@ -251,37 +254,72 @@ def _source_tape_cases(size, density, seed):
     yield sample_subgraph(graph, build_cost_matrix(costs, graph), kept, beta=1.0).matrix
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(size=st.integers(2, 10), density=st.floats(0.1, 0.6),
-       beta=st.sampled_from([0.5, 1.0, 5.0, 30.0]), seed=st.integers(0, 2**16))
-def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed):
-    """A source tape holds row s of D, C[a, k] for a == s or a >= k, all of R
-    and M, bit-equal to the full sweep's; every other dist and col entry is
-    NaN, and it holds no snapshot but the input."""
+       beta=st.sampled_from([0.5, 1.0, 5.0, 30.0]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed, data):
+    """A tape restricted to sources S holds the rows of D at S, C[a, k] for a
+    in S or a >= k, all of R and M, bit-equal to the full sweep's; every
+    other dist and col entry is NaN.  A query's tape (one node index) holds
+    no snapshot but the input; a training tape's snapshots keep the full
+    sweep's rows that are still live.  The backward from a tape restricted
+    to the sources of random triples gives the full sweep's gradient, bit
+    for bit."""
     for m in _source_tape_cases(size, density, seed):
         n = m.shape[0]
         full = sweep(m, beta)
+        assert full.kept_rows.all()
         below = np.tril(np.ones((n, n), dtype=bool))  # [a, k]: a >= k
-        for s in range(n):
-            tape = sweep(m, beta, source=s)
-            assert tape.source == s and full.source is None
-            assert len(tape.snapshots) == 1 and tape.snapshots[0] is tape.m_input
+        drawn = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
+        for sources in [*range(n), drawn, np.arange(n), np.array([], dtype=np.intp)]:
+            tape = sweep(m, beta, sources=sources)
+            kept = np.zeros(n, dtype=bool)
+            kept[sources] = True
+            assert np.array_equal(tape.kept_rows, kept)
             for name in ("row", "m_input"):
-                assert np.array_equal(getattr(tape, name).view(np.int64),
-                                      getattr(full, name).view(np.int64))
-            kept_col = below.copy()
-            kept_col[s] = True
-            assert np.array_equal(tape.col[kept_col].view(np.int64),
-                                  full.col[kept_col].view(np.int64))
+                assert np.array_equal(_bits(getattr(tape, name)), _bits(getattr(full, name)))
+            kept_col = below | kept[:, None]
+            assert np.array_equal(_bits(tape.col[kept_col]), _bits(full.col[kept_col]))
             assert np.isnan(tape.col[~kept_col]).all()
-            assert np.array_equal(tape.dist[s].view(np.int64), full.dist[s].view(np.int64))
-            assert np.isnan(np.delete(tape.dist, s, axis=0)).all()
+            assert np.array_equal(_bits(tape.dist[kept]), _bits(full.dist[kept]))
+            assert np.isnan(tape.dist[~kept]).all()
+            if np.ndim(sources) == 0:
+                assert len(tape.snapshots) == 1 and tape.snapshots[0] is tape.m_input
+                continue
+            assert len(tape.snapshots) == len(full.snapshots)
+            for q, (snap, ref) in enumerate(zip(tape.snapshots, full.snapshots)):
+                live = kept | (np.arange(n) >= q * tape.stride)
+                assert np.array_equal(_bits(snap[live]), _bits(ref[live]))
+                assert np.isnan(snap[~live]).all()
+
+        rng = np.random.default_rng(seed)
+        at = tuple(rng.integers(n, size=(3, data.draw(st.integers(1, 3 * n)))))
+        grad_log_p = rng.standard_normal(at[0].size)
+        log_p, dist, tape = datasp_forward_efficient(m, beta, at=at)
+        # the restricted backward ignores grad_m in the retired (NaN) rows of D
+        noise = rng.standard_normal((n, n))
+        grad = datasp_backward(tape, grad_log_p, np.where(np.isinf(dist), 0.0, noise))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "sweep", lambda m, beta, sources=None: full_sweep(m, beta))
+            full_log_p, _, full_tape = datasp_forward_efficient(m, beta, at=at)
+            assert full_tape.kept_rows.all()
+            full_grad = datasp_backward(full_tape, grad_log_p,
+                                        np.where(np.isfinite(dist), noise, 0.0))
+        assert np.array_equal(_bits(log_p), _bits(full_log_p))
+        assert np.array_equal(_bits(grad), _bits(full_grad))
 
 
-@pytest.mark.parametrize("source", [-1, 4, 1.0, True, "0", np.int64(4)])
+@pytest.mark.parametrize("source", [-1, 4, 1.0, True, "0", np.int64(4), [0, 4], [2, -1],
+                                    np.array([True, False]), np.array([0.0, 1.0]),
+                                    np.zeros((1, 1), dtype=int)])
 def test_sweep_rejects_a_source_outside_the_nodes(k4, source):
-    with pytest.raises(ValidationError, match="source must be a node index"):
-        sweep(k4, 1.0, source=source)
+    with pytest.raises(ValidationError, match="sources must be a node index"):
+        sweep(k4, 1.0, sources=source)
 
 
 def test_tape_holds_no_cubic_array():

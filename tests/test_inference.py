@@ -102,7 +102,7 @@ def test_queries_match_the_full_sweep(monkeypatch, k4):
     betas = (1.0, 3.0, 30.0)
     with_source = _query_outcomes(matrices, betas)
     monkeypatch.setattr(datasp.inference, "sweep",
-                        lambda m, beta, source=None: engine.sweep(m, beta))
+                        lambda m, beta, sources=None: engine.sweep(m, beta))
     assert with_source == _query_outcomes(matrices, betas)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -353,6 +354,34 @@ def test_train_loop_deterministic():
     assert a.log == b.log
     for wa, wb in zip(a.params.weights, b.params.weights):
         assert np.array_equal(wa, wb)
+
+
+def test_training_matches_the_full_sweep(monkeypatch):
+    """Sweeping only the sources of each step's triples changes no log entry
+    and no parameter, bit for bit, with node exclusion and without."""
+    from datasp import engine
+
+    _, dataset = small_dataset(num_samples=30)
+    configs = [TrainConfig(epochs=2, learning_rate=1e-3, beta=3.0, hidden_sizes=[8],
+                           similarity_fraction=0.3, batch_size=4, seed=7, keep_count=keep)
+               for keep in (None, 6)]
+    full_sweep = engine.sweep
+    retired = []
+
+    def recorded(m, beta, sources=None):
+        tape = full_sweep(m, beta, sources)
+        retired.append(not tape.kept_rows.all())
+        return tape
+
+    monkeypatch.setattr(engine, "sweep", recorded)
+    restricted = [train_loop(dataset, config) for config in configs]
+    assert any(retired)
+    monkeypatch.setattr(engine, "sweep", lambda m, beta, sources=None: full_sweep(m, beta))
+    for config, ours in zip(configs, restricted):
+        full = train_loop(dataset, config)
+        assert json.dumps(full.log) == json.dumps(ours.log)
+        for a, b in zip(full.params.flat_arrays(), ours.params.flat_arrays()):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_resuming_from_a_loaded_checkpoint_leaves_it_as_read(tmp_path):
