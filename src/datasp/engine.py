@@ -24,10 +24,14 @@ where C[:, k] and R[k, :] are column k and row k of the running matrix just
 before pivot k, and M is the input matrix.  A slot whose P underflows keeps
 a finite log P; only a slot with no walk reads -inf.  The sweep keeps C, R
 and the running matrix, O(V^2) each, plus a snapshot of the running matrix
-every ceil(sqrt(V)) pivots, O(V^2.5) in all, in an `EngineTape`.  It
-computes no softmin weights: log P needs none, and the backward recomputes
-a segment's weights from its snapshot.  Its pivots share one
-`smoothing.Workspace` of three V x V float buffers.
+every ceil(sqrt(V)) pivots, O(V^2.5) in all, in an `EngineTape`.  log P
+needs no softmin weights, but the backward needs those of every pivot.  A
+training sweep computes them for its trailing segments and keeps each
+pivot's (rows, w_via) step instead of the segment's snapshot, as many whole
+segments as fit `graph.BLOCK_FLOATS` floats; the backward recomputes the
+weights of every other segment from its snapshot.  A full sweep and a
+query's sweep keep no steps.  Its pivots share one `smoothing.Workspace` of
+three V x V float buffers.
 
 A query reads one source row s of D, and a training step the rows of the
 sources i of its triples; `sweep(m, beta, sources)` keeps only those rows.
@@ -60,9 +64,11 @@ Any entry is therefore bit-equal to the same entry of the dense log P.
 its tape holds the log P it returned.  The backward pass, which needs such a
 tape, moves the upstream gradient on log P (in the shape of that log P) onto
 D, C, R and the direct slots, by axis sums of a dense gradient or a scatter
-of a 1-D one, then runs one reverse sweep over the pivots, recomputing each
-sqrt(V)-pivot segment from its snapshot (checkpointing as in Griewank &
-Walther's "revolve").  The closed form and its adjoint follow Mensch &
+of a 1-D one, then runs one reverse sweep over the pivots.  It reads the
+kept steps of the trailing segments and recomputes each other
+sqrt(V)-pivot segment from its snapshot: checkpointing within a float
+budget, as in Griewank & Walther, "Algorithm 799: revolve" (ACM TOMS
+2000).  The closed form and its adjoint follow Mensch &
 Blondel, "Differentiable Dynamic Programming for Structured Prediction and
 Attention" (ICML 2018).
 """
@@ -76,12 +82,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .smoothing import INF, Workspace, check_beta, pivot, pivot_adjoint
-from .graph import validate_cost_matrix
+from .graph import BLOCK_FLOATS, validate_cost_matrix
 
 
 @dataclass
 class EngineTape:
-    """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots.
+    """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots
+    or the steps that stand in for them.
 
     `shortcut_costs` and `log_shortcuts` read the closed form from any
     tape.  A tape from `datasp_forward_efficient` also holds the log P it
@@ -101,9 +108,21 @@ class EngineTape:
     - all of R and `m_input`.
 
     Every other entry of `dist` and `col` is NaN, so a reader that strays
-    outside them gets NaN rather than a plausible cost.  A query's tape (S
-    one node index) holds no snapshot but the input, a training tape's hold
-    NaN in the rows retired before them.
+    outside them gets NaN rather than a plausible cost.
+
+    The backward needs each segment of `stride` pivots either as the
+    snapshot it starts from or as its steps, `pivot`'s (rows, w_via) at
+    each of its pivots:
+
+    - a full sweep holds the snapshot of every segment (the first is
+      `m_input`) and no steps;
+    - a query's tape (S one node index) holds no snapshot but the input and
+      no steps;
+    - a training tape (S an array) holds the steps of its trailing segments,
+      pivots V - len(steps) to V - 1, as many whole segments as bound their
+      live rows times V within `graph.BLOCK_FLOATS` floats, and the
+      snapshots of the segments before them only.  Those hold NaN in the
+      rows retired before them.
     """
 
     beta: float
@@ -113,8 +132,9 @@ class EngineTape:
     row: np.ndarray        # row[k, :] = row k of the running matrix before pivot k
     dist: np.ndarray
     stride: int
-    snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, 2*stride, ...
+    snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, ... of re-run segments
     kept_rows: np.ndarray  # kept_rows[a]: row a outlives its pivot
+    steps: list[tuple[np.ndarray, np.ndarray]]  # `pivot`'s (rows, w_via) of the last pivots
     log_p: np.ndarray | None = None
     at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -164,6 +184,16 @@ def _step(cur: np.ndarray, k: int, beta: float, work: Workspace, kept_rows, weig
     return step
 
 
+def _first_kept_pivot(kept_rows: np.ndarray, stride: int) -> int:
+    """The first pivot of the trailing segments whose steps a training sweep
+    keeps: as many whole segments as fit BLOCK_FLOATS floats, counting V
+    floats for each row still live at each pivot (V when none fits)."""
+    n = kept_rows.size
+    live = np.arange(n, 0, -1) + np.cumsum(kept_rows) - kept_rows  # rows >= k, kept rows < k
+    tail = np.cumsum(live[::-1] * n)[::-1]  # tail[k]: the bound of pivots k, ..., V-1
+    return next((k for k in range(0, n, stride) if tail[k] <= BLOCK_FLOATS), n)
+
+
 def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
     """The smoothed Floyd-Warshall sweep: D, C, R and the snapshots.
 
@@ -174,7 +204,10 @@ def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
     `sources` names the rows kept past their own pivot: one node index (a
     query: no snapshots), a 1-D integer array of them (training; repeats
     allowed, and an empty array keeps no row, so D is all NaN), or None
-    (every row, the full sweep).  The tape holds what `EngineTape` lists.
+    (every row, the full sweep).  A training sweep runs the pivots of its
+    trailing segments with weights and keeps their steps in place of those
+    segments' snapshots; its values keep their bits either way.  The tape
+    holds what `EngineTape` lists.
     """
     m_input = validate_cost_matrix(m).copy()
     beta = check_beta(beta)
@@ -186,20 +219,27 @@ def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
     kept_rows = np.zeros(n, dtype=bool)
     kept_rows[s] = True
     stride = max(1, math.ceil(math.sqrt(n)))
-    snapshot = s.ndim == 1  # a query's one source takes none
+    training = sources is not None and s.ndim == 1
+    first_kept = _first_kept_pivot(kept_rows, stride) if training else n
+    # A query's one source takes no snapshot but the input, and a training
+    # tape none for the segments whose steps it keeps.
+    snapshot_end = first_kept if s.ndim == 1 else 0
     col = np.empty((n, n))
     row = np.empty((n, n))
-    snapshots = [m_input]
+    snapshots = [m_input] if first_kept else []
+    steps = []
     cur = m_input.copy()
     work = Workspace(n * n)
     for k in range(n):
-        if snapshot and k and k % stride == 0:
+        if k % stride == 0 and 0 < k < snapshot_end:
             snapshots.append(cur.copy())
         col[:, k] = cur[:, k]
         row[k, :] = cur[k, :]
-        _step(cur, k, beta, work, kept_rows)
+        step = _step(cur, k, beta, work, kept_rows, weights=k >= first_kept)
+        if step is not None:
+            steps.append(step)
     return EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
-                      stride=stride, snapshots=snapshots, kept_rows=kept_rows)
+                      stride=stride, snapshots=snapshots, kept_rows=kept_rows, steps=steps)
 
 
 def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
@@ -260,9 +300,13 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
     -beta * G[i, j, k] onto C[i, k] and R[k, j], and -beta * G[i, j, i] onto
     the input entry M[i, j].  The reverse sweep then carries the
     running-matrix gradient back through each pivot, adding the C and R
-    gradients of pivot k as it passes.  It ignores grad_m outside the kept
-    rows, where D is NaN, and skips each retired row after its pivot, where
-    its gradient is exactly zero, by retiring it as it recomputes a segment.
+    gradients of pivot k as it passes.  It takes each segment's steps from
+    the tape where the tape keeps them, and otherwise recomputes them from
+    the segment's snapshot; with nothing to recompute it allocates neither
+    a running matrix nor a V x V workspace.  It ignores grad_m outside the
+    kept rows, where D is NaN, and skips each retired row after its pivot,
+    where its gradient is exactly zero: the steps of a restricted tape leave
+    it out, kept or recomputed.
     """
     if tape.log_p is None:
         raise ValidationError("the backward needs the tape of datasp_forward_efficient; "
@@ -282,12 +326,19 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
     g_col *= -beta    # [i, k]
     g_row *= -beta    # [k, j]
 
-    cur = np.empty((n, n))
-    work = Workspace(n * n)
+    first_kept = n - len(tape.steps)
+    if first_kept:
+        cur = np.empty((n, n))
+        work = Workspace(n * n)
+    else:
+        work = Workspace(max((w_via.size for _, w_via in tape.steps), default=0))
     for start in reversed(range(0, n, tape.stride)):
-        np.copyto(cur, tape.snapshots[start // tape.stride])
-        steps = [_step(cur, k, beta, work, tape.kept_rows, weights=True)
-                 for k in range(start, min(start + tape.stride, n))]
+        if start >= first_kept:
+            steps = tape.steps[start - first_kept:start - first_kept + tape.stride]
+        else:
+            np.copyto(cur, tape.snapshots[start // tape.stride])
+            steps = [_step(cur, k, beta, work, tape.kept_rows, weights=True)
+                     for k in range(start, min(start + tape.stride, n))]
         for k in reversed(range(start, start + len(steps))):
             g[:, k] += g_col[:, k]
             g[k, :] += g_row[k, :]

@@ -21,7 +21,9 @@ and lives with the tests.
 writes its elementwise steps into a `Workspace` that its caller creates
 once per series of pivots and drops on return.  Its contents are garbage
 between pivots.  `pivot` computes the two-hop weights w_via only when asked
-for them, as a new array the caller keeps for the adjoint.
+for them, as a new array the caller keeps for the adjoint: node exclusion
+for every pivot, a training sweep for its trailing pivots within a float
+budget, and the engine's backward for each segment it recomputes.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def softmin_weights(values, beta: float) -> np.ndarray:
 
 class Workspace:
     """Scratch buffers for `pivot` and `pivot_adjoint`: three float buffers
-    and one bool buffer of `size` entries each.
+    and one bool buffer of `size` entries each, and the row positions
+    arange(rows) of the largest pivot so far.
 
     A caller that runs a series of pivots (a sweep, a backward segment loop,
     an exclusion or its adjoint) creates one workspace, sized for its
@@ -95,12 +98,21 @@ class Workspace:
     def __init__(self, size: int):
         self._floats = np.empty((3, size))
         self._mask = np.empty(size, dtype=bool)
+        self._index = np.arange(0)
 
-    def floats(self, rows: int, width: int) -> list[np.ndarray]:
-        return [buf[:rows * width].reshape(rows, width) for buf in self._floats]
+    def floats(self, rows: int, width: int) -> np.ndarray:
+        """A (3, rows, width) view: unpack it into three (rows, width) buffers."""
+        return self._floats[:, :rows * width].reshape(3, rows, width)
 
     def mask(self, rows: int, width: int) -> np.ndarray:
         return self._mask[:rows * width].reshape(rows, width)
+
+    def index(self, count: int) -> np.ndarray:
+        """arange(count), grown on demand: no more entries than the most rows
+        a pivot has updated, so at most V."""
+        if self._index.size < count:
+            self._index = np.arange(count)
+        return self._index[:count]
 
 
 def _gather_rows(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -134,11 +146,11 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     not updated; the running cost weighs 1 - w_via).  Otherwise returns
     None and computes no weights.
     """
-    rows = np.flatnonzero(np.isfinite(cur[:, k]))
+    rows = np.isfinite(cur[:, k]).nonzero()[0]
     old, two_hop, e = work.floats(rows.size, cur.shape[1])
     old = _gather_rows(cur, rows, old)
-    np.add(cur[rows, k, None], cur[None, k, :], out=two_hop)
-    two_hop[np.arange(rows.size), rows] = INF
+    np.add(cur[rows, k, None], cur[k], out=two_hop)
+    two_hop[work.index(rows.size), rows] = INF
     with np.errstate(invalid="ignore"):
         np.subtract(two_hop, old, out=e)  # NaN where both branches are inf
     np.abs(e, out=e)

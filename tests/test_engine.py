@@ -258,6 +258,12 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _live_row_bound(kept: np.ndarray, start: int) -> int:
+    """V floats for each row still live at each pivot from start on."""
+    n = kept.size
+    return sum(n * int((kept | (np.arange(n) >= k)).sum()) for k in range(start, n))
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(size=st.integers(2, 10), density=st.floats(0.1, 0.6),
        beta=st.sampled_from([0.5, 1.0, 5.0, 30.0]), seed=st.integers(0, 2**16),
@@ -266,14 +272,23 @@ def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed, data)
     """A tape restricted to sources S holds the rows of D at S, C[a, k] for a
     in S or a >= k, all of R and M, bit-equal to the full sweep's; every
     other dist and col entry is NaN.  A query's tape (one node index) holds
-    no snapshot but the input; a training tape's snapshots keep the full
-    sweep's rows that are still live.  The backward from a tape restricted
-    to the sources of random triples gives the full sweep's gradient, bit
-    for bit."""
+    no snapshot but the input and no steps.  A training tape, under a drawn
+    float budget, keeps the steps of the most trailing segments whose live
+    rows times V fit it, each bit-equal to the step a re-run from the full
+    sweep's snapshot gives, and the snapshots of the other segments only,
+    with the full sweep's rows that are still live.  The backward from a
+    tape restricted to the sources of random triples gives the full sweep's
+    gradient, bit for bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_FLOATS", data.draw(st.integers(0, size ** 3)))
+        _check_source_tapes(size, density, beta, seed, data)
+
+
+def _check_source_tapes(size, density, beta, seed, data):
     for m in _source_tape_cases(size, density, seed):
         n = m.shape[0]
         full = sweep(m, beta)
-        assert full.kept_rows.all()
+        assert full.kept_rows.all() and not full.steps
         below = np.tril(np.ones((n, n), dtype=bool))  # [a, k]: a >= k
         drawn = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
         for sources in [*range(n), drawn, np.arange(n), np.array([], dtype=np.intp)]:
@@ -290,12 +305,31 @@ def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed, data)
             assert np.isnan(tape.dist[~kept]).all()
             if np.ndim(sources) == 0:
                 assert len(tape.snapshots) == 1 and tape.snapshots[0] is tape.m_input
+                assert not tape.steps
                 continue
-            assert len(tape.snapshots) == len(full.snapshots)
+            stride = tape.stride
+            first_kept = n - len(tape.steps)
+            live = [kept | (np.arange(n) >= k) for k in range(n)]
+            starts = list(range(0, n, stride))
+            assert first_kept in starts + [n]
+            assert _live_row_bound(kept, first_kept) <= engine.BLOCK_FLOATS
+            if first_kept:  # the segment before the kept ones does not fit
+                previous = (first_kept - 1) // stride * stride
+                assert _live_row_bound(kept, previous) > engine.BLOCK_FLOATS
+            assert len(tape.snapshots) == math.ceil(first_kept / stride)
             for q, (snap, ref) in enumerate(zip(tape.snapshots, full.snapshots)):
-                live = kept | (np.arange(n) >= q * tape.stride)
-                assert np.array_equal(_bits(snap[live]), _bits(ref[live]))
-                assert np.isnan(snap[~live]).all()
+                assert np.array_equal(_bits(snap[live[q * stride]]), _bits(ref[live[q * stride]]))
+                assert np.isnan(snap[~live[q * stride]]).all()
+            work = Workspace(n * n)
+            for start in starts:
+                if start < first_kept:
+                    continue
+                cur = np.where(live[start][:, None], full.snapshots[start // stride], np.nan)
+                for k in range(start, min(start + stride, n)):
+                    rows, w_via = engine._step(cur, k, beta, work, kept, weights=True)
+                    kept_rows, kept_w_via = tape.steps[k - first_kept]
+                    assert np.array_equal(rows, kept_rows)
+                    assert np.array_equal(_bits(w_via), _bits(kept_w_via))
 
         rng = np.random.default_rng(seed)
         at = tuple(rng.integers(n, size=(3, data.draw(st.integers(1, 3 * n)))))
@@ -312,6 +346,54 @@ def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed, data)
                                         np.where(np.isfinite(dist), noise, 0.0))
         assert np.array_equal(_bits(log_p), _bits(full_log_p))
         assert np.array_equal(_bits(grad), _bits(full_grad))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kept_steps_give_the_rerun_gradient(seed, monkeypatch):
+    """The backward's gradient keeps its bits whether a training tape keeps
+    no step (budget 0), the steps of its last segment only, or all of them
+    (the default budget at these sizes)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 13))
+    graph, costs = random_connected_graph(n, rng, extra_edges=n)
+    m = build_cost_matrix(costs, graph)
+    at = tuple(rng.integers(n, size=(3, 2 * n)))
+    grad_log_p = rng.standard_normal(2 * n)
+    noise = rng.standard_normal((n, n))
+    kept = np.zeros(n, dtype=bool)
+    kept[at[0]] = True
+    last = (n - 1) // math.ceil(math.sqrt(n)) * math.ceil(math.sqrt(n))  # last segment's start
+    grads = []
+    for budget, steps in [(0, 0), (_live_row_bound(kept, last), n - last),
+                          (engine.BLOCK_FLOATS, n)]:
+        monkeypatch.setattr(engine, "BLOCK_FLOATS", budget)
+        _, dist, tape = datasp_forward_efficient(m, 3.0, at=at)
+        assert len(tape.steps) == steps
+        grads.append(datasp_backward(tape, grad_log_p, np.where(np.isfinite(dist), noise, 0.0)))
+    assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
+    assert np.array_equal(_bits(grads[0]), _bits(grads[2]))
+
+
+def test_training_tape_keeps_steps_within_the_float_budget(rng):
+    """At V = 100 the budget binds: a training tape keeps the steps of some
+    trailing segments but not all.  What it holds beyond its matrices and
+    snapshots stays within BLOCK_FLOATS floats, and the sweep's working
+    memory beyond the whole tape is a few V x V matrices."""
+    n = 100
+    graph, costs = random_connected_graph(n, rng)
+    m = build_cost_matrix(costs, graph)
+    sources = rng.choice(n, size=20, replace=False)
+    tracemalloc.start()
+    try:
+        tape = sweep(m, 5.0, sources)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(tape.steps) < n
+    arrays = {id(a): a for a in (tape.m_input, tape.col, tape.row, tape.dist, *tape.snapshots)}
+    steps = held - sum(a.nbytes for a in arrays.values())
+    assert steps <= engine.BLOCK_FLOATS * 8
+    assert peak - held <= 6 * n * n * 8
 
 
 @pytest.mark.parametrize("source", [-1, 4, 1.0, True, "0", np.int64(4), [0, 4], [2, -1],

@@ -384,6 +384,37 @@ def test_training_matches_the_full_sweep(monkeypatch):
             assert a.tobytes() == b.tobytes()
 
 
+def test_kept_steps_change_no_training_bit(monkeypatch):
+    """A backward that reads the forward's kept steps changes no log entry
+    and no parameter against one that re-runs every segment (budget 0),
+    with node exclusion and without."""
+    from datasp import engine
+
+    _, dataset = small_dataset(num_samples=30)
+    configs = [TrainConfig(epochs=2, learning_rate=1e-3, beta=3.0, hidden_sizes=[8],
+                           similarity_fraction=0.3, batch_size=4, seed=7, keep_count=keep)
+               for keep in (None, 6)]
+    sweep = engine.sweep
+    kept = []
+
+    def recorded(m, beta, sources=None):
+        tape = sweep(m, beta, sources)
+        kept.append(len(tape.steps))
+        return tape
+
+    monkeypatch.setattr(engine, "sweep", recorded)
+    reused = [train_loop(dataset, config) for config in configs]
+    assert all(kept)
+    monkeypatch.setattr(engine, "BLOCK_FLOATS", 0)
+    kept.clear()
+    for config, ours in zip(configs, reused):
+        rerun = train_loop(dataset, config)
+        assert json.dumps(rerun.log) == json.dumps(ours.log)
+        for a, b in zip(rerun.params.flat_arrays(), ours.params.flat_arrays()):
+            assert a.tobytes() == b.tobytes()
+    assert kept and not any(kept)
+
+
 def test_resuming_from_a_loaded_checkpoint_leaves_it_as_read(tmp_path):
     # A loaded checkpoint's arrays are read-only views of the file's bytes;
     # train_loop trains on copies, so the resumed run matches one from
