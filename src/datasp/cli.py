@@ -607,9 +607,10 @@ def cmd_verify(config: dict, out_dir: str) -> int:
 def _verify_gradients(m, beta) -> float:
     """Normwise relative error of the shortcut-loss gradient on `m`, taken
     as training takes it: log P and its adjoint at the observed triples only.
-    Node 1 is no source of them, so the sweep retires its row after pivot 1.
+    Node 1 is on none of the paths, so the sweep eliminates it right after
+    pivot 1, before the last pivot, and the backward runs its adjoint.
     The step shrinks with beta, as a smooth min's curvature grows with it."""
-    freq = build_frequency_tensor([(0, 2, 3), (3, 2, 1), (0, 3)])
+    freq = build_frequency_tensor([(0, 2, 3), (3, 2, 0), (0, 3)])
 
     def loss_of(matrix):
         log_p, _, _ = datasp_forward_efficient(matrix, beta, at=freq.triples)

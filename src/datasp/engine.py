@@ -9,8 +9,8 @@ fixed at initialization), and pairs whose two-hop cost through k is
 infinite.  One pivot is `smoothing.pivot` and its adjoint
 `smoothing.pivot_adjoint`; node exclusion (`graph.sample_subgraph`) runs the
 same pivot on ever smaller trailing blocks of a matrix whose removed nodes
-come first, so the sweep, the backward sweep and exclusion share one update
-and one adjoint.
+come first, and so does a training sweep (below), so the sweep, the backward
+sweep and exclusion share one update and one adjoint.
 
 The shortcut tensor P[i, j, k] is the probability that k is the highest
 intermediate node on an i -> j walk, and P[i, j, i] the probability of the
@@ -23,27 +23,37 @@ so log P has a closed form in values the sweep already passes through:
 where C[:, k] and R[k, :] are column k and row k of the running matrix just
 before pivot k, and M is the input matrix.  A slot whose P underflows keeps
 a finite log P; only a slot with no walk reads -inf.  The sweep keeps C, R
-and the running matrix, O(V^2) each, plus a snapshot of the running matrix
-every ceil(sqrt(V)) pivots, O(V^2.5) in all, in an `EngineTape`.  log P
-needs no softmin weights, but the backward needs those of every pivot.  A
-training sweep computes them for its trailing segments and keeps each
-pivot's (rows, w_via) step instead of the segment's snapshot, as many whole
-segments as fit `graph.BLOCK_FLOATS` floats; the backward recomputes the
-weights of every other segment from its snapshot.  A full sweep and a
-query's sweep keep no steps.  Its pivots share one `smoothing.Workspace` of
-three V x V float buffers.
+and the running matrix, O(V^2) each, in an `EngineTape`.  Its pivots share
+one `smoothing.Workspace` of three V x V float buffers.
 
-A query reads one source row s of D, and a training step the rows of the
-sources i of its triples; `sweep(m, beta, sources)` keeps only those rows.
-The sweep is Gaussian elimination over the (smooth min, +) semiring (Carre,
-"An algebra for network routing problems", 1971): pivot k' updates each row
-from that row's own entry in column k' and from row k'.  Row k is a pivot
-row only at pivot k, so once it is saved as R[k, :], no other row reads it
-again.  Unless k is a source, the sweep retires it then (writes NaN), and
-later pivots skip it: about V^3/2 + |S| V^2 updates for S sources, not V^3.
-A query's tape holds no snapshots, O(V^2) in all; the backward retires the
-same rows of a training tape as it recomputes each segment.  `EngineTape`
-lists the entries a restricted tape keeps, each with the full sweep's bits.
+A query reads one source row s of D, and a training step D[i, j], C[i, k]
+and R[k, j] at the triples its trajectories observe; `sweep(m, beta,
+sources)` keeps what they read.  The sweep is Gaussian elimination over the
+(smooth min, +) semiring (Carre, "An algebra for network routing problems",
+1971): pivot k' updates each entry from its row's entry in column k' and
+its column's entry in row k'.  Once pivot k has passed, row k and column k
+feed no entry outside them, so a node can leave the matrix right after its
+own pivot, as `graph.sample_subgraph` removes one.  A training sweep keeps
+U, the nodes that appear as an i or a j of its triples, and eliminates
+every other node.  It stores the matrix in `graph.sample_subgraph`'s order,
+the nodes outside U ascending and then U ascending, and runs pivot k, still
+in ascending k, on the trailing live block cur[t:, t:], t the number of
+nodes outside U below k: a node outside U leaves the block after its own
+pivot, and its row and column are never touched again.  That is about
+V^3/3 + |U| V^2 updates, not V^3.  A query keeps every column, in natural
+order, and retires each row but its source's after that row's pivot (writes
+NaN; later pivots skip it), about V^3/2 + V^2 updates.  The full sweep keeps
+every node.  `EngineTape` lists the entries a restricted tape keeps, each
+with the full sweep's bits.
+
+log P needs no softmin weights, but the backward needs those of every
+pivot.  A training sweep computes them for its first pivots and keeps each
+one's (rows, w_via) step, charged the floats it holds (its rows times the
+live block's width), while they fit `graph.BLOCK_FLOATS` floats in all.
+From the first pivot that does not fit on, it computes no weights and
+snapshots the live block every ceil(sqrt(V)) pivots instead, O(V^2.5)
+floats at most; the full sweep snapshots every segment and keeps no step,
+and a query keeps neither.
 
 The closed form has one home.  `shortcut_costs(tape, i, j, k)` returns the
 costs in it, C[i, k] + R[k, j] with M[i, j] where k == i, and
@@ -64,13 +74,13 @@ Any entry is therefore bit-equal to the same entry of the dense log P.
 its tape holds the log P it returned.  The backward pass, which needs such a
 tape, moves the upstream gradient on log P (in the shape of that log P) onto
 D, C, R and the direct slots, by axis sums of a dense gradient or a scatter
-of a 1-D one, then runs one reverse sweep over the pivots.  It reads the
-kept steps of the trailing segments and recomputes each other
-sqrt(V)-pivot segment from its snapshot: checkpointing within a float
-budget, as in Griewank & Walther, "Algorithm 799: revolve" (ACM TOMS
-2000).  The closed form and its adjoint follow Mensch &
-Blondel, "Differentiable Dynamic Programming for Structured Prediction and
-Attention" (ICML 2018).
+of a 1-D one, then runs one reverse sweep over the pivots, each on the same
+live block of the gradient as in the forward.  It reads the kept steps and
+recomputes each other segment's from the snapshot of its live block:
+checkpointing within a float budget, as in Griewank & Walther, "Algorithm
+799: revolve" (ACM TOMS 2000).  The closed form and its adjoint follow
+Mensch & Blondel, "Differentiable Dynamic Programming for Structured
+Prediction and Attention" (ICML 2018).
 """
 
 from __future__ import annotations
@@ -87,8 +97,8 @@ from .graph import BLOCK_FLOATS, validate_cost_matrix
 
 @dataclass
 class EngineTape:
-    """What queries and the adjoint need: O(V^2) arrays plus sqrt(V) snapshots
-    or the steps that stand in for them.
+    """What queries and the adjoint need: O(V^2) arrays plus the kept steps
+    and the snapshots of the segments the backward re-runs.
 
     `shortcut_costs` and `log_shortcuts` read the closed form from any
     tape.  A tape from `datasp_forward_efficient` also holds the log P it
@@ -98,31 +108,28 @@ class EngineTape:
     None) that the tests and the benchmark's engine sweep read.  A tape from
     `sweep` holds neither.
 
-    A tape restricted to sources S (`kept_rows` marks them; every row for a
-    full sweep), from `sweep` or from `datasp_forward_efficient` with `at`
-    (S the i of its triples), holds only these entries, each bit-equal to
-    the full sweep's:
+    `kept_nodes` marks the nodes that stay in the live block past their own
+    pivot (the others are eliminated), and `kept_rows` the rows of D kept
+    past it.  The full sweep keeps every node and row; a query (one node
+    index s) every node and row s; a training tape (from `sweep` with an
+    array, or from `datasp_forward_efficient` with `at`) keeps U, the nodes
+    of the array (the i and j of the triples), as both.  A restricted tape
+    holds only these entries, each bit-equal to the full sweep's:
 
-    - the rows of D at S, `dist[S, :]`;
-    - C[a, k] where a is in S or a >= k (C[k, k] is the diagonal, inf);
-    - all of R and `m_input`.
+    - D at kept_rows x kept_nodes, `dist[np.ix_(kept_rows, kept_nodes)]`;
+    - C[a, k] where a is a kept row or a >= k (C[k, k] is the diagonal, inf);
+    - R[k, b] where b is a kept node or b >= k;
+    - all of `m_input`.
 
-    Every other entry of `dist` and `col` is NaN, so a reader that strays
-    outside them gets NaN rather than a plausible cost.
+    Every other entry of `dist`, `col` and `row` is NaN, so a reader that
+    strays outside them gets NaN rather than a plausible cost.
 
-    The backward needs each segment of `stride` pivots either as the
-    snapshot it starts from or as its steps, `pivot`'s (rows, w_via) at
-    each of its pivots:
-
-    - a full sweep holds the snapshot of every segment (the first is
-      `m_input`) and no steps;
-    - a query's tape (S one node index) holds no snapshot but the input and
-      no steps;
-    - a training tape (S an array) holds the steps of its trailing segments,
-      pivots V - len(steps) to V - 1, as many whole segments as bound their
-      live rows times V within `graph.BLOCK_FLOATS` floats, and the
-      snapshots of the segments before them only.  Those hold NaN in the
-      rows retired before them.
+    The backward needs the step, `pivot`'s (rows, w_via), of every pivot.  A
+    training tape keeps those of pivots 0 to len(steps) - 1, as many as hold
+    at most `graph.BLOCK_FLOATS` floats of w_via in all, and a full sweep
+    none.  Both hold the live block before pivots len(steps), len(steps) +
+    stride, ..., in storage order (`_layout`), as `snapshots`: the segments
+    the backward re-runs.  A query's tape holds no steps and no snapshots.
     """
 
     beta: float
@@ -132,9 +139,10 @@ class EngineTape:
     row: np.ndarray        # row[k, :] = row k of the running matrix before pivot k
     dist: np.ndarray
     stride: int
-    snapshots: list[np.ndarray]  # running matrix before pivots 0, stride, ... of re-run segments
-    kept_rows: np.ndarray  # kept_rows[a]: row a outlives its pivot
-    steps: list[tuple[np.ndarray, np.ndarray]]  # `pivot`'s (rows, w_via) of the last pivots
+    snapshots: list[np.ndarray]  # live block before the pivots of each re-run segment
+    kept_rows: np.ndarray  # kept_rows[a]: row a of D outlives its pivot
+    kept_nodes: np.ndarray  # kept_nodes[a]: node a stays in the live block
+    steps: list[tuple[np.ndarray, np.ndarray]]  # `pivot`'s (rows, w_via) of the first pivots
     log_p: np.ndarray | None = None
     at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -175,39 +183,39 @@ def _check_triples(at, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i.astype(np.intp), j.astype(np.intp), k.astype(np.intp)
 
 
-def _step(cur: np.ndarray, k: int, beta: float, work: Workspace, kept_rows, weights=False):
-    """`pivot` k, then retire row k (write NaN) unless kept_rows[k]: later
-    pivots only update rows with a finite entry in their column."""
-    step = pivot(cur, k, beta, work, weights)
-    if not kept_rows[k]:
-        cur[k] = np.nan
-    return step
-
-
-def _first_kept_pivot(kept_rows: np.ndarray, stride: int) -> int:
-    """The first pivot of the trailing segments whose steps a training sweep
-    keeps: as many whole segments as fit BLOCK_FLOATS floats, counting V
-    floats for each row still live at each pivot (V when none fits)."""
-    n = kept_rows.size
-    live = np.arange(n, 0, -1) + np.cumsum(kept_rows) - kept_rows  # rows >= k, kept rows < k
-    tail = np.cumsum(live[::-1] * n)[::-1]  # tail[k]: the bound of pivots k, ..., V-1
-    return next((k for k in range(0, n, stride) if tail[k] <= BLOCK_FLOATS), n)
+def _layout(kept_nodes: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """Where a sweep that eliminates the nodes outside kept_nodes stores
+    them: (order, position, offset).  The matrix is stored in `order`, the
+    eliminated nodes ascending and then the kept ones ascending, as
+    `graph.sample_subgraph` stores removed and kept nodes; position[a] is
+    node a's index in it.  Pivot k runs on the trailing live block
+    [offset[k]:, offset[k]:], offset[k] the number of eliminated nodes
+    below k, which no longer holds them.  position and offset are lists,
+    read once per pivot."""
+    gone = ~kept_nodes
+    order = np.concatenate([np.flatnonzero(gone), np.flatnonzero(kept_nodes)])
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return order, position.tolist(), (np.cumsum(gone) - gone).tolist()
 
 
 def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
-    """The smoothed Floyd-Warshall sweep: D, C, R and the snapshots.
+    """The smoothed Floyd-Warshall sweep: D, C, R, the kept steps and the
+    snapshots.
 
     For a fixed pivot k the (i, j) updates are independent: row k and
     column k are never written during iteration k (those pairs are skipped
-    as redundant), so each pivot is one batched in-place operation.
+    as redundant), so each pivot is one batched in-place operation on its
+    live block.
 
-    `sources` names the rows kept past their own pivot: one node index (a
-    query: no snapshots), a 1-D integer array of them (training; repeats
-    allowed, and an empty array keeps no row, so D is all NaN), or None
-    (every row, the full sweep).  A training sweep runs the pivots of its
-    trailing segments with weights and keeps their steps in place of those
-    segments' snapshots; its values keep their bits either way.  The tape
-    holds what `EngineTape` lists.
+    `sources` is one node index (a query: every node is kept, and every row
+    but the source's retired after its pivot), a 1-D integer array of the
+    nodes U a training step reads (repeats allowed; every node outside U is
+    eliminated after its pivot, and an empty array keeps none, so D is all
+    NaN), or None (every node, the full sweep).  A training sweep runs its
+    first pivots with weights and keeps their steps while they fit
+    `graph.BLOCK_FLOATS` floats; its values keep their bits either way.
+    The tape holds what `EngineTape` lists.
     """
     m_input = validate_cost_matrix(m).copy()
     beta = check_beta(beta)
@@ -218,28 +226,48 @@ def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
                               f"integer array of them, got {sources!r}")
     kept_rows = np.zeros(n, dtype=bool)
     kept_rows[s] = True
-    stride = max(1, math.ceil(math.sqrt(n)))
     training = sources is not None and s.ndim == 1
-    first_kept = _first_kept_pivot(kept_rows, stride) if training else n
-    # A query's one source takes no snapshot but the input, and a training
-    # tape none for the segments whose steps it keeps.
-    snapshot_end = first_kept if s.ndim == 1 else 0
-    col = np.empty((n, n))
-    row = np.empty((n, n))
-    snapshots = [m_input] if first_kept else []
+    rerun = s.ndim == 1  # the backward re-runs segments; a query's tape goes to none
+    kept_nodes = kept_rows.copy() if training else np.ones(n, dtype=bool)
+    retired = (kept_nodes & ~kept_rows).tolist()  # a query's rows but its source's
+    order, position, offset = _layout(kept_nodes)
+    r = n - np.count_nonzero(kept_nodes)
+    stride = max(1, math.ceil(math.sqrt(n)))
+    col = np.full((n, n), np.nan)  # in storage order until the sweep ends
+    row = np.full((n, n), np.nan)
+    snapshots = []
     steps = []
-    cur = m_input.copy()
+    held = 0  # floats of w_via in the kept steps
+    keeping = training
+    cur = m_input[np.ix_(order, order)] if r else m_input.copy()  # order is the identity
     work = Workspace(n * n)
     for k in range(n):
-        if k % stride == 0 and 0 < k < snapshot_end:
-            snapshots.append(cur.copy())
-        col[:, k] = cur[:, k]
-        row[k, :] = cur[k, :]
-        step = _step(cur, k, beta, work, kept_rows, weights=k >= first_kept)
-        if step is not None:
+        t = offset[k]
+        block = cur[t:, t:] if t else cur
+        p = position[k] - t
+        if keeping and held + block.size > BLOCK_FLOATS:  # the step may not fit: count its rows
+            rows = np.count_nonzero(np.isfinite(block[:, p]))
+            keeping = held + rows * block.shape[1] <= BLOCK_FLOATS
+        # The re-run segments start at the first step not kept.  The first
+        # live block of a sweep that eliminates nothing is the input.
+        if rerun and not keeping and (k - len(steps)) % stride == 0:
+            snapshots.append(block.copy() if k or r else m_input)
+        col[t:, k] = block[:, p]
+        row[k, t:] = block[p]
+        step = pivot(block, p, beta, work, weights=keeping)
+        if keeping:
             steps.append(step)
+            held += step[1].size
+        if retired[k]:
+            block[p] = np.nan
+    if r:  # back to natural order, NaN at the eliminated nodes
+        cur[:r] = cur[:, :r] = np.nan
+        cur = cur[np.ix_(position, position)]
+        col = col[position]
+        row = row[:, position]
     return EngineTape(beta=beta, size=n, m_input=m_input, col=col, row=row, dist=cur,
-                      stride=stride, snapshots=snapshots, kept_rows=kept_rows, steps=steps)
+                      stride=stride, snapshots=snapshots, kept_rows=kept_rows,
+                      kept_nodes=kept_nodes, steps=steps)
 
 
 def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
@@ -248,13 +276,13 @@ def datasp_forward_efficient(m: np.ndarray, beta: float, at=None
 
     log P is `log_shortcuts` of the sweep's tape.  With at = (i, j, k),
     three equal-length integer arrays, it is the 1-D array of log P[i, j, k]
-    at those triples, from a sweep restricted to the rows i, so D is NaN in
-    every other row; without, the full sweep's dense log P on the open grid
-    np.ogrid[:V, :V, :V], the one V^3 array this allocates.
+    at those triples, from a training sweep that keeps U, the nodes of i and
+    j, so D is NaN outside U x U; without, the full sweep's dense log P on
+    the open grid np.ogrid[:V, :V, :V], the one V^3 array this allocates.
     """
     n = validate_cost_matrix(m).shape[0]
     triples = None if at is None else _check_triples(at, n)
-    tape = sweep(m, beta, None if at is None else triples[0])
+    tape = sweep(m, beta, None if at is None else np.concatenate(triples[:2]))
     tape.at = triples
     tape.log_p = log_shortcuts(tape, *(np.ogrid[:n, :n, :n] if at is None else triples))
     return tape.log_p, tape.dist, tape
@@ -284,7 +312,9 @@ def _shortcut_adjoint(tape: EngineTape, grad_log_p: np.ndarray):
         # pair observes at most two slots.
         order = np.argsort(along, kind="stable")
         flat = rows[order] * n + cols[order]
-        return np.bincount(flat, weights[order], minlength=n * n).reshape(n, n)
+        # bincount counts in int64 when there is nothing to add
+        sums = np.bincount(flat, weights[order], minlength=n * n).astype(float, copy=False)
+        return sums.reshape(n, n)
 
     return (scatter(i, j, g, k), scatter(i, k, g_via, j), scatter(k, j, g_via, i),
             scatter(i, j, np.where(is_direct, g, 0.0), k))
@@ -299,14 +329,13 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
     closed form, G = grad_log_p moves beta * sum_k G[i, j, k] onto D[i, j],
     -beta * G[i, j, k] onto C[i, k] and R[k, j], and -beta * G[i, j, i] onto
     the input entry M[i, j].  The reverse sweep then carries the
-    running-matrix gradient back through each pivot, adding the C and R
-    gradients of pivot k as it passes.  It takes each segment's steps from
-    the tape where the tape keeps them, and otherwise recomputes them from
-    the segment's snapshot; with nothing to recompute it allocates neither
-    a running matrix nor a V x V workspace.  It ignores grad_m outside the
-    kept rows, where D is NaN, and skips each retired row after its pivot,
-    where its gradient is exactly zero: the steps of a restricted tape leave
-    it out, kept or recomputed.
+    running-matrix gradient back through each pivot, on the live block the
+    forward ran it on (`_layout`), adding the C and R gradients of pivot k
+    as it passes.  It takes the steps the tape keeps and re-runs every other
+    segment from the snapshot of its live block; with nothing to re-run it
+    allocates neither a running matrix nor a V x V workspace.  It ignores
+    grad_m outside kept_nodes x kept_nodes, where D is NaN; an eliminated
+    node's gradient is exactly zero until its own pivot.
     """
     if tape.log_p is None:
         raise ValidationError("the backward needs the tape of datasp_forward_efficient; "
@@ -320,30 +349,44 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
             f"got {grad_log_p.shape} and {grad_m.shape}"
         )
     beta = tape.beta
+    order, position, offset = _layout(tape.kept_nodes)
+    r = n - np.count_nonzero(tape.kept_nodes)
     g_dist, g_col, g_row, g_direct = _shortcut_adjoint(tape, grad_log_p)
-    g = grad_m + beta * g_dist
-    g[~tape.kept_rows] = 0.0
-    g_col *= -beta    # [i, k]
-    g_row *= -beta    # [k, j]
+    # g, g_col's rows and g_row's columns in storage order
+    g = np.zeros((n, n))
+    g[r:, r:] = (grad_m + beta * g_dist)[np.ix_(order[r:], order[r:])]
+    g_col = -beta * g_col[order]    # [a, k]
+    g_row = -beta * g_row[:, order]  # [k, b]
 
-    first_kept = n - len(tape.steps)
-    if first_kept:
-        cur = np.empty((n, n))
+    def adjoint(k, step):
+        t = offset[k]
+        p = position[k] - t
+        block = g[t:, t:]
+        block[:, p] += g_col[t:, k]
+        block[p] += g_row[k, t:]
+        pivot_adjoint(block, p, step, work)
+
+    kept = len(tape.steps)
+    if tape.snapshots:
+        buffer = np.empty(n * n)
         work = Workspace(n * n)
     else:
         work = Workspace(max((w_via.size for _, w_via in tape.steps), default=0))
-    for start in reversed(range(0, n, tape.stride)):
-        if start >= first_kept:
-            steps = tape.steps[start - first_kept:start - first_kept + tape.stride]
-        else:
-            np.copyto(cur, tape.snapshots[start // tape.stride])
-            steps = [_step(cur, k, beta, work, tape.kept_rows, weights=True)
-                     for k in range(start, min(start + tape.stride, n))]
-        for k in reversed(range(start, start + len(steps))):
-            g[:, k] += g_col[:, k]
-            g[k, :] += g_row[k, :]
-            pivot_adjoint(g, k, steps[k - start], work)
+    for start, snapshot in reversed(list(zip(range(kept, n, tape.stride), tape.snapshots))):
+        cur = buffer[:snapshot.size].reshape(snapshot.shape)
+        np.copyto(cur, snapshot)
+        segment = range(start, min(start + tape.stride, n))
+        steps = []
+        for k in segment:  # cur holds the live block from index offset[start] on
+            t = offset[k] - offset[start]
+            steps.append(pivot(cur[t:, t:], position[k] - offset[k], beta, work, weights=True))
+        for k in reversed(segment):
+            adjoint(k, steps[k - start])
+    for k in reversed(range(kept)):
+        adjoint(k, tape.steps[k])
 
+    if r:
+        g = g[np.ix_(position, position)]
     g -= beta * g_direct
     g[~np.isfinite(tape.m_input)] = 0.0
     return g

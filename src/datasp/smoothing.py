@@ -20,10 +20,13 @@ and lives with the tests.
 `pivot` and `pivot_adjoint` allocate no matrix-sized temporaries: each
 writes its elementwise steps into a `Workspace` that its caller creates
 once per series of pivots and drops on return.  Its contents are garbage
-between pivots.  `pivot` computes the two-hop weights w_via only when asked
-for them, as a new array the caller keeps for the adjoint: node exclusion
-for every pivot, a training sweep for its trailing pivots within a float
-budget, and the engine's backward for each segment it recomputes.
+between pivots.  Both run on any square block: node exclusion and a
+training sweep pass the trailing live block that remains once the nodes
+they eliminate have left it (a non-contiguous view).  `pivot` computes the
+two-hop weights w_via only when asked for them, as a new array the caller
+keeps for the adjoint: node exclusion for every pivot, a training sweep for
+its first pivots while their w_via fit a float budget, and the engine's
+backward for each segment it re-runs.
 """
 
 from __future__ import annotations

@@ -11,8 +11,11 @@ log P, the log of the shortcut tensor, only at the observed (i, j, k)
 triples of the frequency tensor, and the exact loss on log P and the
 backward carry the gradient from those triples alone, so a step holds no
 V^3 array and no term's gradient is lost to an underflowing P.  Its sweep
-keeps only the rows of the sources i past their pivots, and its D is NaN in
-every other row (a restricted tape, `engine.EngineTape`).
+keeps only U, the nodes that appear as an i or a j of the triples: it
+eliminates every other node right after its pivot, as node exclusion does,
+so its D is NaN outside U x U (a restricted tape, `engine.EngineTape`), and
+it keeps each pivot's softmin weights for the backward while they fit
+`graph.BLOCK_FLOATS` floats.
 
 The context-similar trajectories are the training records nearest to the
 anchor, found at every step by `similar_indices` over the dataset's context

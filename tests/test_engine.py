@@ -258,10 +258,25 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def _live_row_bound(kept: np.ndarray, start: int) -> int:
-    """V floats for each row still live at each pivot from start on."""
-    n = kept.size
-    return sum(n * int((kept | (np.arange(n) >= k)).sum()) for k in range(start, n))
+def _eliminate(m: np.ndarray, kept_nodes: np.ndarray, beta: float):
+    """The training sweep's elimination, restated: the matrix stored with the
+    nodes outside kept_nodes first, each ascending, and pivot k run with
+    weights on the trailing block past the eliminated nodes below k.
+    Returns the live block before each pivot (a copy) and each step."""
+    order = np.r_[np.flatnonzero(~kept_nodes), np.flatnonzero(kept_nodes)]
+    cur = m[np.ix_(order, order)]
+    work = Workspace(m.size)
+    blocks, steps = [], []
+    for k in range(m.shape[0]):
+        t = int((~kept_nodes[:k]).sum())
+        blocks.append(cur[t:, t:].copy())
+        steps.append(pivot(cur[t:, t:], int(np.flatnonzero(order == k)[0]) - t, beta, work,
+                           weights=True))
+    return order, blocks, steps
+
+
+def _floats(steps) -> int:
+    return sum(w_via.size for _, w_via in steps)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -269,16 +284,19 @@ def _live_row_bound(kept: np.ndarray, start: int) -> int:
        beta=st.sampled_from([0.5, 1.0, 5.0, 30.0]), seed=st.integers(0, 2**16),
        data=st.data())
 def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed, data):
-    """A tape restricted to sources S holds the rows of D at S, C[a, k] for a
-    in S or a >= k, all of R and M, bit-equal to the full sweep's; every
-    other dist and col entry is NaN.  A query's tape (one node index) holds
-    no snapshot but the input and no steps.  A training tape, under a drawn
-    float budget, keeps the steps of the most trailing segments whose live
-    rows times V fit it, each bit-equal to the step a re-run from the full
-    sweep's snapshot gives, and the snapshots of the other segments only,
-    with the full sweep's rows that are still live.  The backward from a
-    tape restricted to the sources of random triples gives the full sweep's
-    gradient, bit for bit."""
+    """A query's tape (one node index s) holds D[s, :], C[a, k] for a == s
+    or a >= k, all of R and M; a training tape (an array of nodes U) holds
+    D at U x U, C[a, k] for a in U or a >= k, R[k, b] for b in U or b >= k,
+    and M: each bit-equal to the full sweep's, and every other dist, col and
+    row entry NaN.  A query's tape holds no steps and no snapshots.  A
+    training tape, under a drawn float budget, keeps the steps of its first
+    pivots while their w_via fit it, each bit-equal to the step of the
+    elimination that drops every node outside U after its pivot, and the
+    live blocks of that elimination, which hold the full sweep's bits, as
+    the snapshots of the segments after them.  The backward from a tape
+    restricted to the nodes of random triples gives the full sweep's
+    gradient within 1e-12 normwise: its pivot adjoints sum over the live
+    block in storage order."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "BLOCK_FLOATS", data.draw(st.integers(0, size ** 3)))
         _check_source_tapes(size, density, beta, seed, data)
@@ -288,71 +306,68 @@ def _check_source_tapes(size, density, beta, seed, data):
     for m in _source_tape_cases(size, density, seed):
         n = m.shape[0]
         full = sweep(m, beta)
-        assert full.kept_rows.all() and not full.steps
+        assert full.kept_rows.all() and full.kept_nodes.all() and not full.steps
         below = np.tril(np.ones((n, n), dtype=bool))  # [a, k]: a >= k
         drawn = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
         for sources in [*range(n), drawn, np.arange(n), np.array([], dtype=np.intp)]:
             tape = sweep(m, beta, sources=sources)
             kept = np.zeros(n, dtype=bool)
             kept[sources] = True
+            query = np.ndim(sources) == 0
+            kept_nodes = np.ones(n, dtype=bool) if query else kept
             assert np.array_equal(tape.kept_rows, kept)
-            for name in ("row", "m_input"):
-                assert np.array_equal(_bits(getattr(tape, name)), _bits(getattr(full, name)))
-            kept_col = below | kept[:, None]
-            assert np.array_equal(_bits(tape.col[kept_col]), _bits(full.col[kept_col]))
-            assert np.isnan(tape.col[~kept_col]).all()
-            assert np.array_equal(_bits(tape.dist[kept]), _bits(full.dist[kept]))
-            assert np.isnan(tape.dist[~kept]).all()
-            if np.ndim(sources) == 0:
-                assert len(tape.snapshots) == 1 and tape.snapshots[0] is tape.m_input
-                assert not tape.steps
+            assert np.array_equal(tape.kept_nodes, kept_nodes)
+            assert np.array_equal(_bits(tape.m_input), _bits(full.m_input))
+            for name, held in [("dist", kept[:, None] & kept_nodes),
+                               ("col", below | kept[:, None]),
+                               ("row", below.T | kept_nodes)]:
+                ours, ref = getattr(tape, name), getattr(full, name)
+                assert np.array_equal(_bits(ours[held]), _bits(ref[held]))
+                assert np.isnan(ours[~held]).all()
+            if query:
+                assert not tape.snapshots and not tape.steps
                 continue
             stride = tape.stride
-            first_kept = n - len(tape.steps)
-            live = [kept | (np.arange(n) >= k) for k in range(n)]
-            starts = list(range(0, n, stride))
-            assert first_kept in starts + [n]
-            assert _live_row_bound(kept, first_kept) <= engine.BLOCK_FLOATS
-            if first_kept:  # the segment before the kept ones does not fit
-                previous = (first_kept - 1) // stride * stride
-                assert _live_row_bound(kept, previous) > engine.BLOCK_FLOATS
-            assert len(tape.snapshots) == math.ceil(first_kept / stride)
-            for q, (snap, ref) in enumerate(zip(tape.snapshots, full.snapshots)):
-                assert np.array_equal(_bits(snap[live[q * stride]]), _bits(ref[live[q * stride]]))
-                assert np.isnan(snap[~live[q * stride]]).all()
-            work = Workspace(n * n)
-            for start in starts:
-                if start < first_kept:
-                    continue
-                cur = np.where(live[start][:, None], full.snapshots[start // stride], np.nan)
-                for k in range(start, min(start + stride, n)):
-                    rows, w_via = engine._step(cur, k, beta, work, kept, weights=True)
-                    kept_rows, kept_w_via = tape.steps[k - first_kept]
-                    assert np.array_equal(rows, kept_rows)
-                    assert np.array_equal(_bits(w_via), _bits(kept_w_via))
+            order, blocks, steps = _eliminate(m, kept_nodes, beta)
+            for start in range(0, n, stride):  # the elimination keeps the full sweep's bits
+                live = order[int((~kept_nodes[:start]).sum()):]
+                ref = full.snapshots[start // stride][np.ix_(live, live)]
+                assert np.array_equal(_bits(blocks[start]), _bits(ref))
+            first_rerun = len(tape.steps)
+            assert _floats(tape.steps) <= engine.BLOCK_FLOATS
+            if first_rerun < n:
+                assert _floats(steps[:first_rerun + 1]) > engine.BLOCK_FLOATS
+            for (rows, w_via), (ref_rows, ref_w_via) in zip(tape.steps, steps):
+                assert np.array_equal(rows, ref_rows)
+                assert np.array_equal(_bits(w_via), _bits(ref_w_via))
+            starts = range(first_rerun, n, stride)
+            assert len(tape.snapshots) == len(starts)
+            for start, snap in zip(starts, tape.snapshots):
+                assert np.array_equal(_bits(snap), _bits(blocks[start]))
 
         rng = np.random.default_rng(seed)
         at = tuple(rng.integers(n, size=(3, data.draw(st.integers(1, 3 * n)))))
         grad_log_p = rng.standard_normal(at[0].size)
         log_p, dist, tape = datasp_forward_efficient(m, beta, at=at)
-        # the restricted backward ignores grad_m in the retired (NaN) rows of D
+        # the restricted backward ignores grad_m at the eliminated (NaN) entries of D
         noise = rng.standard_normal((n, n))
         grad = datasp_backward(tape, grad_log_p, np.where(np.isinf(dist), 0.0, noise))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "sweep", lambda m, beta, sources=None: full_sweep(m, beta))
             full_log_p, _, full_tape = datasp_forward_efficient(m, beta, at=at)
-            assert full_tape.kept_rows.all()
+            assert full_tape.kept_nodes.all()
             full_grad = datasp_backward(full_tape, grad_log_p,
                                         np.where(np.isfinite(dist), noise, 0.0))
         assert np.array_equal(_bits(log_p), _bits(full_log_p))
-        assert np.array_equal(_bits(grad), _bits(full_grad))
+        assert np.linalg.norm(grad - full_grad) <= 1e-12 * np.linalg.norm(full_grad)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_kept_steps_give_the_rerun_gradient(seed, monkeypatch):
     """The backward's gradient keeps its bits whether a training tape keeps
-    no step (budget 0), the steps of its last segment only, or all of them
-    (the default budget at these sizes)."""
+    no step (budget 0), the steps of its first segment, or all of them (the
+    default budget at these sizes): a tape keeps the steps of its first
+    pivots while their w_via fit the budget."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 13))
     graph, costs = random_connected_graph(n, rng, extra_edges=n)
@@ -360,29 +375,28 @@ def test_kept_steps_give_the_rerun_gradient(seed, monkeypatch):
     at = tuple(rng.integers(n, size=(3, 2 * n)))
     grad_log_p = rng.standard_normal(2 * n)
     noise = rng.standard_normal((n, n))
-    kept = np.zeros(n, dtype=bool)
-    kept[at[0]] = True
-    last = (n - 1) // math.ceil(math.sqrt(n)) * math.ceil(math.sqrt(n))  # last segment's start
+    _, _, every = datasp_forward_efficient(m, 3.0, at=at)
+    assert len(every.steps) == n and not every.snapshots
+    floats = np.cumsum([w_via.size for _, w_via in every.steps])
     grads = []
-    for budget, steps in [(0, 0), (_live_row_bound(kept, last), n - last),
-                          (engine.BLOCK_FLOATS, n)]:
+    for budget in (0, floats[every.stride - 1], engine.BLOCK_FLOATS):
         monkeypatch.setattr(engine, "BLOCK_FLOATS", budget)
         _, dist, tape = datasp_forward_efficient(m, 3.0, at=at)
-        assert len(tape.steps) == steps
+        assert len(tape.steps) == np.searchsorted(floats, budget, side="right")
         grads.append(datasp_backward(tape, grad_log_p, np.where(np.isfinite(dist), noise, 0.0)))
     assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
     assert np.array_equal(_bits(grads[0]), _bits(grads[2]))
 
 
 def test_training_tape_keeps_steps_within_the_float_budget(rng):
-    """At V = 100 the budget binds: a training tape keeps the steps of some
-    trailing segments but not all.  What it holds beyond its matrices and
-    snapshots stays within BLOCK_FLOATS floats, and the sweep's working
-    memory beyond the whole tape is a few V x V matrices."""
+    """At V = 100 with 80 nodes kept the budget binds: a training tape keeps
+    the steps of its first pivots but not all, their w_via within
+    BLOCK_FLOATS floats, and the next step would not fit.  The sweep's
+    working memory beyond the whole tape is a few V x V matrices."""
     n = 100
     graph, costs = random_connected_graph(n, rng)
     m = build_cost_matrix(costs, graph)
-    sources = rng.choice(n, size=20, replace=False)
+    sources = rng.choice(n, size=80, replace=False)
     tracemalloc.start()
     try:
         tape = sweep(m, 5.0, sources)
@@ -390,10 +404,41 @@ def test_training_tape_keeps_steps_within_the_float_budget(rng):
     finally:
         tracemalloc.stop()
     assert 0 < len(tape.steps) < n
-    arrays = {id(a): a for a in (tape.m_input, tape.col, tape.row, tape.dist, *tape.snapshots)}
-    steps = held - sum(a.nbytes for a in arrays.values())
-    assert steps <= engine.BLOCK_FLOATS * 8
+    assert _floats(tape.steps) <= engine.BLOCK_FLOATS
+    kept = np.zeros(n, dtype=bool)
+    kept[sources] = True
+    _, _, steps = _eliminate(m, kept, 5.0)
+    assert _floats(steps[:len(tape.steps) + 1]) > engine.BLOCK_FLOATS
     assert peak - held <= 6 * n * n * 8
+
+
+def test_training_tape_of_one_path_keeps_every_step(monkeypatch):
+    """On the generator's V = 100 graph, one path's training step at beta = 5
+    keeps all 100 steps, and its backward re-runs no pivot."""
+    from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
+
+    data = generate_synthetic_dataset(GeneratorConfig(num_nodes=100, num_samples=1, seed=0))
+    m = build_cost_matrix(data.prior, data.graph)
+    freq = build_frequency_tensor(data.dataset.paths[:1])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pivot(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "pivot", counted)
+    log_p, dist, tape = datasp_forward_efficient(m, 5.0, at=freq.triples)
+    assert len(calls) == 100 and len(tape.steps) == 100 and not tape.snapshots
+    _, grad_log_p, _ = shortcut_loss(log_p, freq)
+    datasp_backward(tape, grad_log_p, np.zeros_like(dist))
+    assert len(calls) == 100
+
+
+def test_zero_node_backward_gives_an_empty_float_gradient():
+    e = np.zeros(0, dtype=int)
+    log_p, dist, tape = datasp_forward_efficient(np.zeros((0, 0)), 1.0, at=(e, e, e))
+    grad = datasp_backward(tape, np.zeros(0), np.zeros((0, 0)))
+    assert grad.shape == (0, 0) and grad.dtype == float
 
 
 @pytest.mark.parametrize("source", [-1, 4, 1.0, True, "0", np.int64(4), [0, 4], [2, -1],

@@ -357,8 +357,11 @@ def test_train_loop_deterministic():
 
 
 def test_training_matches_the_full_sweep(monkeypatch):
-    """Sweeping only the sources of each step's triples changes no log entry
-    and no parameter, bit for bit, with node exclusion and without."""
+    """Sweeping only the nodes of each step's triples, with node exclusion
+    and without, gives the full sweep's validation scores, and its losses,
+    gradient norms and parameters within 1e-12: log P keeps its bits, but
+    the pivot adjoints sum over the live block in storage order, so the
+    gradients may differ in their last bits."""
     from datasp import engine
 
     _, dataset = small_dataset(num_samples=30)
@@ -366,22 +369,29 @@ def test_training_matches_the_full_sweep(monkeypatch):
                            similarity_fraction=0.3, batch_size=4, seed=7, keep_count=keep)
                for keep in (None, 6)]
     full_sweep = engine.sweep
-    retired = []
+    eliminated = []
 
     def recorded(m, beta, sources=None):
         tape = full_sweep(m, beta, sources)
-        retired.append(not tape.kept_rows.all())
+        eliminated.append(not tape.kept_nodes.all())
         return tape
 
     monkeypatch.setattr(engine, "sweep", recorded)
     restricted = [train_loop(dataset, config) for config in configs]
-    assert any(retired)
+    assert any(eliminated)
     monkeypatch.setattr(engine, "sweep", lambda m, beta, sources=None: full_sweep(m, beta))
     for config, ours in zip(configs, restricted):
         full = train_loop(dataset, config)
-        assert json.dumps(full.log) == json.dumps(ours.log)
+        assert len(full.log) == len(ours.log)
+        for a, b in zip(full.log, ours.log):
+            assert a.keys() == b.keys()
+            for key in a:
+                if key in ("L_S", "L_P", "grad_norm"):
+                    assert abs(a[key] - b[key]) <= 1e-12 * max(1.0, abs(a[key]))
+                else:
+                    assert a[key] == b[key]
         for a, b in zip(full.params.flat_arrays(), ours.params.flat_arrays()):
-            assert a.tobytes() == b.tobytes()
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_kept_steps_change_no_training_bit(monkeypatch):
