@@ -16,10 +16,11 @@ after the query's compute, before any output is written (`_query_matrix`).
 
 `verify` checks the engine against the brute-force walk oracle on a bundled
 4-node fixture (and optionally an extra small graph): the walk census, the
-distances and shortcut tensor, the sampler, and the shortcut-loss gradient
-as training takes it, from log P at the observed triples only.  Its
-`num_samples` walks form one Monte-Carlo estimate that drives both sampling
-checks, the per-walk frequency bands and the total variation.
+distances and shortcut tensor on the full, query and training tapes, the
+sampler, and the shortcut-loss gradient as training takes it, from log P at
+the observed triples only.  Its `num_samples` walks form one Monte-Carlo
+estimate that drives both sampling checks, the per-walk frequency bands and
+the total variation.  Its thresholds are constants, not config fields.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import itertools
 import json
 import os
 import struct
@@ -36,7 +38,7 @@ import threading
 import numpy as np
 
 from .costmodel import predict_costs
-from .engine import datasp_backward, datasp_forward_efficient
+from .engine import datasp_backward, datasp_forward_efficient, sweep
 from .errors import (
     GenerationError,
     NoPathError,
@@ -134,13 +136,10 @@ DEFAULTS = {
         "num_samples": 100000,     # Monte-Carlo draws; one estimate serves both
                                    # the frequency bands and the total variation
         "beta": 1.0,
-        "graph": None,             # extra graph to check, besides the fixture; the
-                                   # visitable walks of all its pairs must number at
-                                   # most 1,000,000 (a 5-node generated graph fits,
-                                   # a 6-node one does not)
-        "tolerance": 1e-9,
-        "tv_tolerance": 0.01,
-        "gradcheck_tolerance": 1e-4,
+        "graph": None,             # extra graph, checked on its 2^V tapes like the
+                                   # fixture; the visitable walks of all its pairs must
+                                   # number at most 1,000,000 (a 5-node generated
+                                   # graph fits, a 6-node one does not)
     },
 }
 
@@ -229,12 +228,6 @@ def _positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     return value
-
-
-def _positive_float(value, name: str) -> float:
-    if not is_real(value) or value <= 0:
-        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
-    return float(value)
 
 
 @contextlib.contextmanager
@@ -541,17 +534,27 @@ def cmd_predict_dest(config: dict, out_dir: str) -> int:
 # theory, each cost with its tolerance band.
 FIXTURE_CENSUS = {3.0: 4, 5.0: 4, 7.0: 7, 9.0: 5, 11.0: 1}
 FIXTURE_FREQUENCY_BANDS = {3.0: 0.02, 5.0: 0.01}
+TOLERANCE = 1e-9            # the engine's D and P against the walk space
+TV_TOLERANCE = 0.01         # the sampler's total variation
+GRADCHECK_TOLERANCE = 1e-4  # the gradient's normwise relative error
 
 
 def cmd_verify(config: dict, out_dir: str) -> int:
     beta = check_beta(config["beta"])
-    tol, tv_tol, grad_tol = (_positive_float(config[name], name) for name in
-                             ("tolerance", "tv_tolerance", "gradcheck_tolerance"))
     num_samples = _positive_int(config["num_samples"], "num_samples")
     checks: dict = {}
 
     def check(name, ok, **fields):
         checks[name] = {**fields, "ok": bool(ok)}
+
+    def tape_deviations(enum):
+        # (distance, shortcut, tapes): the largest deviations over the full sweep,
+        # each source's query tape and each training tape of two or more nodes
+        nodes = range(enum.n)
+        sources = [None, *nodes, *(np.array(u) for size in range(2, enum.n + 1)
+                                   for u in itertools.combinations(nodes, size))]
+        devs = np.array([engine_deviations(enum, sweep(enum.m, beta, s)) for s in sources])
+        return *devs.max(axis=0).tolist(), len(sources)
 
     graph = complete_graph(4)
     m = build_cost_matrix([abs(u - v) for u, v in graph.edges], graph)
@@ -562,9 +565,9 @@ def cmd_verify(config: dict, out_dir: str) -> int:
           tabulated={str(k): v for k, v in sorted(census.items())},
           expected={str(k): v for k, v in sorted(FIXTURE_CENSUS.items())})
 
-    distance_dev, shortcut_dev = engine_deviations(fixture, beta)
-    check("distance_consistency", distance_dev <= tol, max_deviation=distance_dev)
-    check("shortcut_consistency", shortcut_dev <= tol, max_deviation=shortcut_dev)
+    dist_dev, short_dev, tapes = tape_deviations(fixture)
+    check("distance_consistency", dist_dev <= TOLERANCE, max_deviation=dist_dev, tapes=tapes)
+    check("shortcut_consistency", short_dev <= TOLERANCE, max_deviation=short_dev, tapes=tapes)
 
     # One Monte-Carlo estimate serves the per-walk bands and the total variation.
     theory = maxent_distribution(walks, beta)
@@ -579,18 +582,18 @@ def cmd_verify(config: dict, out_dir: str) -> int:
         band["ok"] = abs(band["observed"] - band["theory"]) <= band["tolerance"]
     check("sampling_frequencies", all(band["ok"] for band in bands), walks=bands)
     tv = total_variation(theory, observed)
-    check("sampling_total_variation", tv <= tv_tol, tv=tv)
+    check("sampling_total_variation", tv <= TV_TOLERANCE, tv=tv)
 
     grad_err = _verify_gradients(m, beta)
-    check("gradients", grad_err <= grad_tol, max_relative_error=grad_err)
+    check("gradients", grad_err <= GRADCHECK_TOLERANCE, max_relative_error=grad_err)
 
     if config["graph"] is not None:
         extra_graph, extra_prior, _ = load_graph_json(config["graph"])
         if extra_prior is None:
             raise ValidationError("extra verification graph needs prior costs")
-        d1, d2 = engine_deviations(WalkEnumerator(build_cost_matrix(extra_prior, extra_graph)),
-                                   beta)
-        check("extra_graph", d1 <= tol and d2 <= tol, distance=d1, shortcut=d2)
+        extra = WalkEnumerator(build_cost_matrix(extra_prior, extra_graph))
+        d1, d2, tapes = tape_deviations(extra)
+        check("extra_graph", max(d1, d2) <= TOLERANCE, distance=d1, shortcut=d2, tapes=tapes)
 
     failures = [name for name, result in checks.items() if not result["ok"]]
     _write_json(out_dir, "verify_report.json",

@@ -67,7 +67,7 @@ arrays, so one expression serves every shape a caller reads:
   sweep read;
 - the queries in `inference`: rows or single slots of pairs out of one
   source node, read from a query tape of `sweep`, and the oracle check,
-  read from a full one, so no V^3 array is allocated for them.
+  read from any tape, so no V^3 array is allocated for them.
 
 Any entry is therefore bit-equal to the same entry of the dense log P.
 `datasp_forward_efficient` is `sweep` plus log P at `at` or on the grid, and

@@ -10,9 +10,9 @@ sums over them grouped by highest intermediate node.
 
 Entry points: `WalkEnumerator(m).walks(i, j, bound)` lists one pair's
 visitable walks; `maxent_distribution` and `walk_cost_census` read a walk
-list; `engine_deviations` compares the engine's D and P with the walk space
-after one `engine.sweep`, reading each pair's row of log P through
-`engine.log_shortcuts`, so it builds no V^3 array;
+list; `engine_deviations` compares the D and P entries that any tape keeps,
+as `engine.EngineTape` lists them, with the walk space, reading each pair's
+row of log P through `engine.log_shortcuts`, so it builds no V^3 array;
 `total_variation` compares two walk distributions; and
 `normwise_gradient_error` compares an analytic gradient with central
 differences (its componentwise counterpart is a test reference).
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import EnumerationLimitError, ValidationError
 from .graph import validate_cost_matrix, path_cost
-from .smoothing import softmin_value, softmin_weights
-from .engine import log_shortcuts, sweep
+from .smoothing import INF, softmin_value, softmin_weights
+from .engine import EngineTape, log_shortcuts
 
 # MAX_ORACLE_NODES refuses a large graph before enumerating; the bound that
 # holds in practice is MAX_ORACLE_WALKS, which a 6-node generated graph
@@ -126,41 +126,38 @@ def walk_cost_census(walks) -> dict[float, int]:
     return dict(Counter(round(w.cost, 9) for w in walks))
 
 
-def engine_deviations(enum: WalkEnumerator, beta: float) -> tuple[float, float]:
-    """(distance_dev, shortcut_dev): max deviations of the engine's D and P
-    on `enum.m` from the walk-space smooth mins and Boltzmann ratios.
-
-    Runs one `sweep` and reads each pair's row P[i, j, :] through
-    `log_shortcuts`.  Compares off-diagonal pairs; a pair unreachable in the
-    walk space but at finite engine distance gives a distance deviation of
-    inf.
+def engine_deviations(enum: WalkEnumerator, tape: EngineTape) -> tuple[float, float]:
+    """(distance_dev, shortcut_dev): max deviations of the D and P that
+    `tape`, a tape of `enum.m`, keeps from the walk-space smooth mins and
+    Boltzmann ratios at the tape's beta: D[i, j] and the row P[i, j, :]
+    (through `log_shortcuts`) of each off-diagonal pair with i in
+    `kept_rows` and j in `kept_nodes`, the entries `EngineTape` lists.  A
+    pair unreachable in the walk space must be at infinite engine distance.
+    A NaN deviation counts as inf: a tape that reads outside the entries it
+    keeps gets NaN there.
     """
     n = enum.n
-    tape = sweep(enum.m, beta)
-    dist = tape.dist
-    distance_dev = shortcut_dev = 0.0
-    for i in range(n):
-        for j in range(n):
+    deviations = []  # (distance, shortcut) per pair
+    for i in np.flatnonzero(tape.kept_rows).tolist():
+        for j in np.flatnonzero(tape.kept_nodes).tolist():
             if i == j:
                 continue
             walks = enum.walks(i, j)
-            p_row = np.exp(log_shortcuts(tape, i, j, np.arange(n)))
-            if not walks:
-                if np.isfinite(dist[i, j]):
-                    distance_dev = float("inf")
-                shortcut_dev = max(shortcut_dev, float(p_row.max()))
-                continue
             costs = [w.cost for w in walks]
-            expected = softmin_value(costs, beta)
-            distance_dev = max(distance_dev, abs(float(dist[i, j]) - expected))
             # P[i, j, :] is the Boltzmann mass of the walks grouped by highest
             # intermediate node, slot i holding the direct edge.
             slots = [i if w.highest_intermediate is None else w.highest_intermediate
                      for w in walks]
-            expected_row = np.bincount(slots, weights=softmin_weights(costs, beta), minlength=n)
-            row_dev = np.abs(p_row - expected_row)
-            shortcut_dev = max(shortcut_dev, float(row_dev.max()))
-    return distance_dev, shortcut_dev
+            weights = softmin_weights(costs, tape.beta) if walks else []
+            expected = softmin_value(costs, tape.beta) if walks else INF
+            expected_row = np.bincount(slots, weights=weights, minlength=n)
+            d = float(tape.dist[i, j])  # a Python float: inf - inf is nan, unwarned
+            p_row = np.exp(log_shortcuts(tape, i, j, np.arange(n)))
+            deviations.append((0.0 if d == expected else abs(d - expected),
+                               np.abs(p_row - expected_row).max()))
+    deviations = np.array(deviations).reshape(-1, 2)
+    deviations[np.isnan(deviations)] = INF  # NaN fails the check, never hides in a max
+    return tuple(deviations.max(axis=0, initial=0.0).tolist())
 
 
 def total_variation(theory: dict, frequencies: dict) -> float:

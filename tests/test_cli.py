@@ -290,6 +290,19 @@ def test_verify_command(tmp_path):
     census = report["checks"]["walk_census"]
     assert census["expected"] == census["tabulated"]
     assert report["checks"]["distance_consistency"]["max_deviation"] <= 1e-9
+    # the full sweep, 4 query tapes and the training tapes of 11 node sets
+    assert report["checks"]["distance_consistency"]["tapes"] == 16
+    assert report["checks"]["shortcut_consistency"]["tapes"] == 16
+
+
+def test_verify_checks_every_tape_of_the_extra_graph(tmp_path):
+    graph = tmp_path / "three.json"
+    graph.write_text(json.dumps({"num_nodes": 3, "directed": False, "edges": [[0, 1], [1, 2]],
+                                 "prior_costs": [1.0, 2.0]}))
+    cfg = write_config(tmp_path, "v.json", {"graph": str(graph)})
+    assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
+    extra = json.load(open(tmp_path / "v" / "verify_report.json"))["checks"]["extra_graph"]
+    assert extra["ok"] and extra["tapes"] == 8  # 1 full, 3 query, 4 training
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 5.0, 10.0, 30.0, 1e4])
@@ -311,6 +324,48 @@ def test_verify_catches_an_adjoint_off_by_one_percent(monkeypatch, tmp_path):
         assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
         report = json.load(open(tmp_path / "v" / "verify_report.json"))
         assert report["failures"] == ["gradients"]
+
+
+def test_verify_catches_a_node_that_leaves_the_live_block_before_its_pivot(monkeypatch,
+                                                                           tmp_path):
+    # Offsets one too large at the eliminated nodes change only the
+    # restricted training tapes, and the gradient check differences the same
+    # broken sweep, so only the oracle comparison of those tapes sees it.
+    from datasp import engine
+
+    layout = engine._layout
+
+    def early(kept_nodes):
+        order, position, _ = layout(kept_nodes)
+        return order, position, np.cumsum(~kept_nodes).tolist()
+
+    monkeypatch.setattr(engine, "_layout", early)
+    for beta in (1.0, 1e4):
+        cfg = write_config(tmp_path, "v.json", {"beta": beta})
+        assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
+        report = json.load(open(tmp_path / "v" / "verify_report.json"))
+        assert report["failures"] == ["distance_consistency", "shortcut_consistency"]
+
+
+def test_verify_catches_a_nan_in_a_kept_entry_of_a_training_tape(monkeypatch, tmp_path):
+    from datasp import cli
+
+    exact = cli.sweep
+
+    def planted(m, beta, sources=None):
+        tape = exact(m, beta, sources)
+        if np.ndim(sources) == 1:  # a training tape: U x U is kept
+            u = np.flatnonzero(tape.kept_nodes)
+            tape.dist[u[0], u[-1]] = np.nan
+        return tape
+
+    monkeypatch.setattr(cli, "sweep", planted)
+    for beta in (1.0, 1e4):
+        cfg = write_config(tmp_path, "v.json", {"beta": beta})
+        assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
+        report = json.load(open(tmp_path / "v" / "verify_report.json"))
+        assert report["checks"]["distance_consistency"]["max_deviation"] == float("inf")
+        assert not report["checks"]["shortcut_consistency"]["ok"]
 
 
 def test_verify_gradients_retire_a_row_before_the_last_pivot(monkeypatch, k4):
@@ -627,8 +682,8 @@ def test_bad_query_config_exits_2_without_traceback(command, fields, gen_dir, tm
         "train-nested-seed-differs", "sample-paths-checkpoint-not-path",
         "eval-dataset-not-path", "train-resume-not-path", "verify-graph-not-path",
         "verify-beta-bool", "verify-beta-numeric-string",
-        "train-keep-count-differs-from-keep-fraction", "verify-tolerance-too-large",
-        "verify-tv-tolerance-too-large", "verify-gradcheck-tolerance-too-large",
+        "train-keep-count-differs-from-keep-fraction", "verify-removed-tolerance",
+        "verify-removed-tv-tolerance", "verify-removed-gradcheck-tolerance",
         "verify-removed-tv-num-samples", "train-similarity-fraction-above-one"])
 def test_bad_seed_or_verify_number_exits_2_without_traceback(command, fields, gen_dir,
                                                              tmp_path, capsys):

@@ -172,7 +172,8 @@ def test_shortcut_invariants_on_compressed_matrix_with_nonpositive_entries():
     assert (compressed[np.isfinite(compressed)] <= 0).any()
     p, _, _ = datasp_forward_efficient(compressed, 1.0)
     assert_shortcut_invariants(p)
-    distance_dev, shortcut_dev = engine_deviations(WalkEnumerator(compressed), 1.0)
+    distance_dev, shortcut_dev = engine_deviations(WalkEnumerator(compressed),
+                                                   sweep(compressed, 1.0))
     assert distance_dev <= 1e-9
     assert shortcut_dev <= 1e-9
 
@@ -190,12 +191,16 @@ def test_walk_space_consistency_over_random_graphs():
 
     for seed, size in enumerate((4, 5, 6, 7, 8)):
         _, m, walks = tractable_random_graph(size, seed=100 + seed)
+        # the full sweep, every query tape, and the training tape of every pair
+        sources = [None, *range(size),
+                   *(np.array([a, b]) for a in range(size) for b in range(a + 1, size))]
         for beta in (0.3, 0.5, 1.0, 2.0, 30.0):
             p, _, _ = datasp_forward_efficient(m, beta)
             assert_shortcut_invariants(p)
-            distance_dev, shortcut_dev = engine_deviations(walks, beta)
-            assert distance_dev <= 1e-9
-            assert shortcut_dev <= 1e-9
+            for s in sources:
+                distance_dev, shortcut_dev = engine_deviations(walks, sweep(m, beta, s))
+                assert distance_dev <= 1e-9, s
+                assert shortcut_dev <= 1e-9, s
 
 
 def test_hard_limit_matches_classical_solution(rng):

@@ -15,7 +15,7 @@ from datasp.oracle import (
     total_variation,
     walk_cost_census,
 )
-from datasp.engine import datasp_forward_efficient
+from datasp.engine import datasp_forward_efficient, sweep
 from datasp.smoothing import softmin_value
 
 # The tabulated walk census of the bundled fixture for pair (0, 3): every
@@ -103,15 +103,35 @@ def test_enumeration_guards():
 
 
 def test_fixture_consistency_checks(k4):
-    distance_dev, shortcut_dev = engine_deviations(WalkEnumerator(k4), 1.0)
+    distance_dev, shortcut_dev = engine_deviations(WalkEnumerator(k4), sweep(k4, 1.0))
     assert distance_dev <= 1e-9
     assert shortcut_dev <= 1e-9
+
+
+def test_a_nan_deviation_counts_as_infinite(k4):
+    # max(dev, nan) keeps dev, so a fold with Python's max would pass these
+    enum = WalkEnumerator(k4)
+    tape = sweep(k4, 1.0)
+    tape.dist[0, 3] = np.nan
+    assert engine_deviations(enum, tape)[0] == math.inf
+    tape = sweep(k4, 1.0)
+    tape.col[0, 2] = np.nan
+    assert engine_deviations(enum, tape) == (pytest.approx(0.0, abs=1e-15), math.inf)
+
+
+def test_deviations_read_only_the_entries_a_tape_keeps(k4):
+    enum = WalkEnumerator(k4)
+    training = sweep(k4, 1.0, np.array([0, 2]))
+    assert np.isnan(training.dist[1, 3])  # outside U x U, never compared
+    assert max(engine_deviations(enum, training)) <= 1e-9
+    training.dist[0, 2] = np.nan  # inside it
+    assert engine_deviations(enum, training)[0] == math.inf
 
 
 def test_two_node_consistency_is_exact():
     g = Graph(2, [(0, 1)])
     m = build_cost_matrix([4.0], g)
-    assert engine_deviations(WalkEnumerator(m), 1.0)[0] == 0.0
+    assert engine_deviations(WalkEnumerator(m), sweep(m, 1.0))[0] == 0.0
 
 
 def test_distance_consistency_direct_formula(k4):
