@@ -161,10 +161,11 @@ def log_shortcuts(tape: EngineTape, i, j, k) -> np.ndarray:
     """log P[i, j, k] = -beta * (costs - D[i, j]) at the broadcastable index
     arrays (i, j, k), costs from `shortcut_costs`; a new array."""
     # A pair at infinite distance (i == j, or unreachable) takes D = -inf,
-    # which sends every slot of it, finite cost or not, to -inf.
+    # which sends every slot of it, finite cost or not, to -inf; a NaN D (a
+    # pair a restricted tape does not keep) stays NaN.
     d = tape.dist[i, j]
     log_p = shortcut_costs(tape, i, j, k)
-    log_p -= np.where(np.isfinite(d), d, -INF)
+    log_p -= np.where(d == INF, -INF, d)
     log_p *= -tape.beta
     return log_p
 

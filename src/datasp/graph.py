@@ -27,12 +27,15 @@ compare the engine's beta -> inf limit against lives with the tests.
 Node exclusion reconnects the neighbors of each removed node through local
 smooth mins.  `draw_kept_nodes` picks the nodes a training step keeps, so a
 step can rewrite its paths through `kept_node_map` and skip before any
-exclusion runs; `sample_subgraph` then excludes the rest.  With the removed
-nodes permuted first, removed node t is the engine's smoothed Floyd-Warshall
+exclusion runs; `sample_subgraph` then excludes the rest in ascending
+`Graph.elimination_rank`, a minimum-degree order built once per graph that
+keeps the fill, and so each pivot's rows, few.  With the removed nodes
+permuted first, removed node t is the engine's smoothed Floyd-Warshall
 pivot (`smoothing.pivot`) on the trailing block cur[t:, t:], which no longer
 holds the nodes removed before it; the last block is the compressed matrix,
-and `smoothing.pivot_adjoint` run in reverse over the same blocks
-(`Compression.backward`) is its gradient.
+the smooth min over the walks through removed nodes that are visitable under
+that order, and `smoothing.pivot_adjoint` run in reverse over the same
+blocks (`Compression.backward`) is its gradient.
 """
 
 from __future__ import annotations
@@ -116,6 +119,41 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return tuple(tuple(sorted(s)) for s in nbrs)
+
+    @functools.cached_property
+    def elimination_rank(self) -> np.ndarray:
+        """Position of each node in a minimum-degree elimination order of
+        the edge pattern (George & Liu, SIAM Review 1989), a read-only int
+        array built once per graph, by the first exclusion that removes a node.
+
+        Each step eliminates the remaining node with the fewest in-entries
+        times out-entries in the fill graph, the smallest id on a tie, and
+        adds a fill edge i -> j (i != j) from each of its in-neighbors i to
+        each out-neighbor j, the entries its pivot makes finite; it updates
+        only the degrees of those rows and columns.
+        """
+        n = self.num_nodes
+        fill = np.zeros((n, n), dtype=bool)
+        fill[self._edge_array[:, 0], self._edge_array[:, 1]] = True
+        ins, outs = fill.sum(axis=0), fill.sum(axis=1)
+        score = ins * outs
+        rank = np.empty(n, dtype=np.int64)
+        for t in range(n):
+            k = int(score.argmin())
+            rank[k], score[k] = t, n * n  # above any remaining node's score
+            src, dst = fill[:, k].nonzero()[0], fill[k].nonzero()[0]
+            fill[src, k] = fill[k, dst] = False
+            fill[src, src] = True  # so that no self-loop counts as fill
+            block = np.ix_(src, dst)
+            new = ~fill[block]
+            fill[block] = True
+            fill[src, src] = False
+            outs[src] += new.sum(axis=1) - 1  # less the entry of k
+            ins[dst] += new.sum(axis=0) - 1
+            touched = np.concatenate((src, dst))
+            score[touched] = ins[touched] * outs[touched]
+        rank.flags.writeable = False
+        return rank
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -385,7 +423,7 @@ def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]
 
 @dataclass
 class Compression:
-    """Result of excluding the removed nodes, in ascending order.
+    """Result of excluding the removed nodes, in ascending elimination rank.
 
     steps[t] is the (rows, w_via) pair `pivot` returned for removed[t] on
     the trailing block whose nodes are removed[t:] + kept, in that order.
@@ -447,12 +485,15 @@ def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compressi
     """Exclude every node of the graph outside `kept` (see `draw_kept_nodes`),
     reconnecting their neighbors through local smooth mins.
 
-    The nodes are permuted to the order removed + kept, each ascending, and
+    The nodes are permuted to the order removed + kept, the removed ones in
+    ascending `graph.elimination_rank` and the kept ones ascending, and
     removed node t is the engine's pivot through index 0 of the trailing
     block cur[t:, t:], which holds no node removed before t.  That is
     deleting each removed node from a shrinking matrix, operand for
     operand, so no pivot computes or stores entries of removed nodes.  The
-    compressed matrix is the last block cur[r:, r:].
+    compressed matrix is the last block cur[r:, r:]: the smooth min over the
+    walks through removed nodes that are visitable (`oracle` module) with
+    the rank in place of the node id.
     """
     n = graph.num_nodes
     if np.shape(m) != (n, n):
@@ -463,6 +504,8 @@ def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compressi
     m = validate_cost_matrix(m)
     beta = check_beta(beta)
     removed = [x for x in range(n) if x not in keep]
+    if removed:
+        removed.sort(key=graph.elimination_rank.__getitem__)
     kept = [x for x in range(n) if x in keep]
     order = removed + kept
     r = len(removed)

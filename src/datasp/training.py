@@ -186,12 +186,10 @@ def anchor_gradients(
     The anchor trains on the `config.similarity_fraction` of `candidates`
     whose contexts are nearest to its own.  Returns (grads, entry), entry
     being the step's log entry without its step; grads is None when the
-    step must be skipped (no usable paths survive node exclusion).
+    step must be skipped (no usable paths survive node exclusion), which
+    it finds before it reads the parameters.
     """
     graph, prior = dataset.graph, dataset.prior
-    costs, cache = predict_costs(params, dataset.features[anchor], prior)
-    m_full = build_cost_matrix(costs, graph)
-
     keep = config.keep_count if config.keep_count is not None else graph.num_nodes
     kept = draw_kept_nodes(graph, keep, node_freqs, sample_seed)
     node_map = kept_node_map(graph.num_nodes, kept)
@@ -206,7 +204,8 @@ def anchor_gradients(
                       "kept_nodes": kept, "skipped": True,
                       "reason": "no trajectories survived node exclusion"}
 
-    compression = sample_subgraph(graph, m_full, kept, config.beta)
+    costs, cache = predict_costs(params, dataset.features[anchor], prior)
+    compression = sample_subgraph(graph, build_cost_matrix(costs, graph), kept, config.beta)
 
     freq = build_frequency_tensor(paths)
     log_p, _, tape = datasp_forward_efficient(compression.matrix, config.beta, at=freq.triples)

@@ -630,6 +630,19 @@ def test_triple_shortcuts_are_bit_equal_to_dense(beta, rng):
         assert (rows[1] == -INF).all() == (m is one_way)
 
 
+def test_a_nan_distance_reads_nan_shortcuts(k4):
+    # NaN marks an entry a tape does not hold; only D = +inf means "no walk"
+    nodes = np.arange(4)
+    tape = sweep(k4, 1.0)
+    tape.dist[0, 3] = np.nan
+    assert np.isnan(log_shortcuts(tape, 0, 3, nodes)).all()
+    assert (log_shortcuts(tape, 1, 1, nodes) == -INF).all()
+    training = sweep(k4, 1.0, np.array([0, 2]))
+    assert np.isnan(training.dist[1, 3])
+    assert np.isnan(log_shortcuts(training, 1, 3, nodes)).all()
+    assert np.isfinite(log_shortcuts(training, 0, 2, nodes)[[0, 1]]).all()
+
+
 @pytest.mark.parametrize("beta", [1.0, 3.0, 30.0])
 def test_triple_backward_matches_dense_backward(beta, rng):
     comp = sample_subgraph(complete_graph(9), _squared_gap_matrix(9), [0, 2, 3, 5, 6, 8], beta)

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import k4_cost_matrix, mostly, random_connected_graph
+from conftest import k4_cost_matrix, mostly, random_connected_graph, tractable_random_graph
 from reference import (
     classical_floyd_warshall,
     finite_difference_gradcheck,
@@ -30,7 +31,9 @@ from datasp.graph import (
     path_cost,
     sample_subgraph,
 )
-from datasp.smoothing import INF, Workspace, pivot, pivot_adjoint
+from datasp.oracle import WalkEnumerator
+from datasp.smoothing import INF, Workspace, pivot, pivot_adjoint, softmin_value
+from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
 
 
 # --- Graph / cost matrix construction ---------------------------------------
@@ -370,11 +373,11 @@ def test_dijkstra_rejects_nonpositive_costs():
 # --- node exclusion ----------------------------------------------------------
 
 def _shrinking_exclusion(m, removed, beta):
-    """Reference: delete each removed node, in ascending order, from a
+    """Reference: delete each removed node, in the order given, from a
     shrinking matrix, reconnecting its neighbors through pair_softmin."""
     cur = m
     alive = list(range(m.shape[0]))
-    for node in sorted(removed):
+    for node in removed:
         k = alive.index(node)
         two_hop = cur[:, k, None] + cur[None, k, :]
         value, _, _ = pair_softmin(two_hop, cur, beta)
@@ -429,13 +432,14 @@ def test_exclusion_is_bit_identical_to_shrinking_reference():
         for beta in (1.0, 30.0):
             comp = sample_subgraph(graph, m, kept, beta)
             assert np.array_equal(m, m_before)
-            assert np.array_equal(comp.matrix, _shrinking_exclusion(m, removed, beta))
+            assert comp.removed == sorted(removed, key=lambda x: graph.elimination_rank[x])
+            assert np.array_equal(comp.matrix, _shrinking_exclusion(m, comp.removed, beta))
             nonpositive |= bool((comp.matrix[np.isfinite(comp.matrix)] <= 0).any())
     assert nonpositive
 
 
 def _knockout_exclusion(m, removed, beta, upstream):
-    """Reference: pivot each removed node, in ascending order, on the full
+    """Reference: pivot each removed node, in the order given, on the full
     matrix, then set its row and column to inf.  Returns the kept block and
     the gradient of <upstream, kept block> w.r.t. m."""
     kept = [x for x in range(m.shape[0]) if x not in removed]
@@ -464,15 +468,105 @@ def test_exclusion_matches_both_references(num_nodes, seed, costs, beta, data):
                                        max_size=num_nodes - 1)))
     kept = [x for x in range(num_nodes) if x not in removed]
     comp = sample_subgraph(graph, m, kept, beta)
-    assert np.array_equal(comp.matrix, _shrinking_exclusion(m, removed, beta))
+    assert comp.removed == sorted(removed, key=lambda x: graph.elimination_rank[x])
+    assert np.array_equal(comp.matrix, _shrinking_exclusion(m, comp.removed, beta))
 
     upstream = np.where(np.isfinite(comp.matrix),
                         rng.standard_normal(comp.matrix.shape), 0.0)
-    ref_matrix, ref_grad = _knockout_exclusion(m, removed, beta, upstream)
+    ref_matrix, ref_grad = _knockout_exclusion(m, comp.removed, beta, upstream)
     assert np.array_equal(comp.matrix, ref_matrix)
     # Same terms, summed in another order.
     error = np.abs(comp.backward(upstream) - ref_grad).max(initial=0.0)
     assert error <= 1e-12 * np.abs(ref_grad).max(initial=0.0)
+
+
+def _minimum_degree_rank(graph):
+    """Reference: eliminate the remaining node with the fewest in-entries
+    times out-entries, recounted over the remaining nodes, the smallest id
+    on a tie, adding an edge i -> j (i != j) from each of its remaining
+    in-neighbors i to each remaining out-neighbor j."""
+    fill = set(graph.edges)
+    alive, rank = list(range(graph.num_nodes)), [0] * graph.num_nodes
+    for t in range(graph.num_nodes):
+        def score(x):
+            return sum((y, x) in fill for y in alive) * sum((x, y) in fill for y in alive)
+
+        k = min(alive, key=lambda x: (score(x), x))
+        alive.remove(k)
+        fill |= {(i, j) for i in alive for j in alive
+                 if i != j and (i, k) in fill and (k, j) in fill}
+        rank[k] = t
+    return rank
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 9).flatmap(lambda n: hnp.arrays(bool, (n, n))))
+def test_elimination_rank_is_a_minimum_degree_order(pattern):
+    pattern &= ~np.eye(len(pattern), dtype=bool)
+    graph = Graph(len(pattern), np.argwhere(pattern))
+    rank = graph.elimination_rank
+    assert rank.tolist() == _minimum_degree_rank(graph)
+    assert graph.elimination_rank is rank and not rank.flags.writeable
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2, 5, 12])
+def test_elimination_rank_is_ascending_on_a_complete_graph(num_nodes):
+    assert complete_graph(num_nodes).elimination_rank.tolist() == list(range(num_nodes))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(num_nodes=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       beta=st.sampled_from([1.0, 30.0]), data=st.data())
+def test_exclusion_is_the_ascending_reference_in_rank_order(num_nodes, seed, beta, data):
+    rng = np.random.default_rng(seed)
+    graph, edge_costs = random_connected_graph(num_nodes, rng)
+    m = build_cost_matrix(edge_costs, graph)
+    removed = data.draw(st.sets(st.integers(0, num_nodes - 1), min_size=1,
+                                max_size=num_nodes - 1))
+    comp = sample_subgraph(graph, m, [x for x in range(num_nodes) if x not in removed], beta)
+    order = comp.removed + comp.kept
+    permuted = m[np.ix_(order, order)]
+    assert np.array_equal(comp.matrix,
+                          _shrinking_exclusion(permuted, list(range(len(removed))), beta))
+
+
+def test_compressed_matrix_is_the_smooth_min_over_walks_visitable_in_rank_order():
+    # With the removed nodes first in rank order, an entry is the oracle's
+    # smooth min over walks whose intermediate nodes are all removed ones.
+    reordered = False
+    for seed in range(4):
+        graph, m, _ = tractable_random_graph(6, seed)
+        for removed in ([1, 2, 4], [0, 3, 5], [2, 5]):
+            kept = [x for x in range(6) if x not in removed]
+            comp = sample_subgraph(graph, m, kept, beta=2.0)
+            reordered |= comp.removed != removed
+            order = comp.removed + comp.kept
+            enum = WalkEnumerator(m[np.ix_(order, order)])
+            r = len(removed)
+            for a, b in itertools.permutations(range(len(kept)), 2):
+                walks = enum.walks(r + a, r + b, r - 1)
+                expected = softmin_value([w.cost for w in walks], 2.0) if walks else INF
+                assert comp.matrix[a, b] == pytest.approx(expected, rel=1e-12)
+    assert reordered
+
+
+def test_exclusion_steps_at_600_nodes_hold_at_most_30_mb():
+    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=600, num_samples=0))
+    graph = syn.graph
+    m = build_cost_matrix(syn.prior, graph)
+    graph.elimination_rank  # built once per graph, not charged to an exclusion
+    for seed in range(2):
+        kept = draw_kept_nodes(graph, 120, np.ones(600), rng_seed=seed)
+        tracemalloc.start()
+        try:
+            comp = sample_subgraph(graph, m, kept, beta=30.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(comp.steps) == 480
+        assert held <= 30e6
+        # beyond the steps: the working matrix and the workspace's buffers
+        assert peak - held <= 5 * m.nbytes
 
 
 def test_exclusion_steps_hold_no_removed_column(rng):
@@ -528,6 +622,7 @@ def test_sample_subgraph_keep_all_is_identity(k4):
     assert comp.kept == [0, 1, 2, 3]
     assert np.array_equal(comp.matrix, k4)
     assert not comp.steps
+    assert "elimination_rank" not in vars(g)  # removing nothing builds no rank
 
 
 def test_sample_subgraph_drop_one_preserves_hard_distances(k4):

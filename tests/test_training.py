@@ -527,3 +527,26 @@ def test_skipped_anchors_run_no_exclusion(monkeypatch):
     trained = [entry for entry in steps if not entry["skipped"]]
     assert 0 < len(trained) < len(steps)
     assert len(calls) == len(trained)
+
+
+def test_skipped_anchors_read_no_parameters(monkeypatch):
+    """An anchor finds that no path survives exclusion before it runs the
+    cost model, so only the anchors that train predict costs."""
+    import datasp.training
+
+    calls = []
+    original = datasp.training.predict_costs
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(datasp.training, "predict_costs", counting)
+    result, dataset = small_dataset(num_samples=30)
+    dataset.splits = assign_splits(30, (1.0, 0.0, 0.0))  # no validation predicts costs
+    config = TrainConfig(epochs=1, keep_count=2, hidden_sizes=[8],
+                         similarity_fraction=0.1, seed=0)
+    steps = [entry for entry in train_loop(dataset, config).log if "epoch" not in entry]
+    trained = [entry for entry in steps if not entry["skipped"]]
+    assert 0 < len(trained) < len(steps)
+    assert len(calls) == len(trained)
