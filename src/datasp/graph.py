@@ -36,6 +36,10 @@ holds the nodes removed before it; the last block is the compressed matrix,
 the smooth min over the walks through removed nodes that are visitable under
 that order, and `smoothing.pivot_adjoint` run in reverse over the same
 blocks (`Compression.backward`) is its gradient.
+
+Training excludes a chunk of anchors at once: their (B, V, V) stack, kept
+sets of one size, permuted into one (V, B, V) array x, step t pivoting all
+of them on x[t:, :, t:].reshape(-1, V - t), its steps in `block_floats` buffers.
 """
 
 from __future__ import annotations
@@ -333,10 +337,15 @@ def path_cost(m: np.ndarray, path) -> float:
 BLOCK_FLOATS = 2 ** 18
 
 
+def block_floats(num_nodes: int) -> int:
+    """The floats of as many whole V x V matrices as fit BLOCK_FLOATS (one at least)."""
+    return max(1, BLOCK_FLOATS // (num_nodes * num_nodes)) * num_nodes * num_nodes
+
+
 def block_slices(count: int, num_nodes: int) -> list[slice]:
     """Consecutive slices of range(count), each at most BLOCK_FLOATS // V^2
     long (at least 1): the blocks in which gen and eval search."""
-    size = max(1, BLOCK_FLOATS // (num_nodes * num_nodes))
+    size = block_floats(num_nodes) // (num_nodes * num_nodes)
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -421,29 +430,61 @@ def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]
             for path, total, ok in zip(paths, totals.tolist(), reachable.tolist())]
 
 
+class _StepStore:
+    """Steps in `smoothing.pivot_adjoint`'s compact form, their weights carved
+    from buffers of gen's and eval's block size (larger for a step that needs it)."""
+
+    def __init__(self, size: int):
+        self._free, self._size = np.empty(0), size
+
+    def keep(self, live: np.ndarray, stack: int, rows: np.ndarray, w_via: np.ndarray) -> tuple:
+        finite = np.isfinite(live[:stack])  # the pivot rows, which the pivot leaves as they were
+        mask = finite[rows % stack]
+        count = np.count_nonzero(mask)
+        if self._free.size < count:
+            self._free = np.empty(max(count, self._size))
+        values, self._free = self._free[:count], self._free[count:]
+        np.compress(mask.ravel(), w_via.ravel(), out=values)
+        return rows, finite, values
+
+
 @dataclass
 class Compression:
-    """Result of excluding the removed nodes, in ascending elimination rank.
+    """Result of excluding the removed nodes, in ascending elimination rank,
+    from a (V, V) matrix, or from a stack (then `matrix` is (B, n, n) and
+    `kept` and `removed` hold one list per matrix).
 
-    steps[t] is the (rows, w_via) pair `pivot` returned for removed[t] on
-    the trailing block whose nodes are removed[t:] + kept, in that order.
+    steps[t] is the compact step of `pivot` for each matrix's removed[t] on
+    the interleaved trailing blocks whose nodes are removed[t:] + kept.
     """
 
     matrix: np.ndarray
-    kept: list[int]
-    removed: list[int]
-    steps: list[tuple[np.ndarray, np.ndarray]]
+    kept: list
+    removed: list
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def floats(self) -> np.ndarray:
+        """The weights the steps hold for each matrix of the stack."""
+        stack = self.steps[0][1].shape[0] if self.steps else 1
+        return sum((np.bincount(rows % stack, minlength=stack) * finite.sum(axis=1)
+                    for rows, finite, _ in self.steps), np.zeros(stack))
 
     def backward(self, grad_compressed: np.ndarray) -> np.ndarray:
-        """Chain a gradient w.r.t. the compressed matrix back to the full one."""
-        r = len(self.removed)
-        grad = np.zeros((r + len(self.kept),) * 2)
-        grad[r:, r:] = grad_compressed
-        work = Workspace(max((w_via.size for _, w_via in self.steps), default=0))
+        """Chain a gradient w.r.t. the compressed matrix (a stack of them)
+        back to the full one (to the stack)."""
+        g = np.asarray(grad_compressed, dtype=float)
+        orders = [r + k for r, k in (zip(self.removed, self.kept) if g.ndim == 3
+                                     else [(self.removed, self.kept)])]
+        b, r, n = len(orders), len(self.steps), len(orders[0])
+        grad = np.zeros((n, b, n))
+        grad[r:, :, r:] = g.reshape(b, n - r, n - r).transpose(1, 0, 2)
+        work = Workspace(0)
         for t in reversed(range(r)):
-            pivot_adjoint(grad[t:, t:], 0, self.steps[t], work)
-        inverse = np.argsort(self.removed + self.kept)
-        return grad[np.ix_(inverse, inverse)]
+            pivot_adjoint(grad[t:, :, t:].reshape(-1, n - t), 0, self.steps[t], work, b)
+        out = np.empty((b, n, n))
+        for i, inverse in enumerate(map(np.argsort, orders)):
+            out[i] = grad[:, i][np.ix_(inverse, inverse)]
+        return out if g.ndim == 3 else out[0]
 
 
 def kept_node_map(num_nodes: int, kept) -> np.ndarray:
@@ -488,31 +529,43 @@ def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compressi
     The nodes are permuted to the order removed + kept, the removed ones in
     ascending `graph.elimination_rank` and the kept ones ascending, and
     removed node t is the engine's pivot through index 0 of the trailing
-    block cur[t:, t:], which holds no node removed before t.  That is
-    deleting each removed node from a shrinking matrix, operand for
-    operand, so no pivot computes or stores entries of removed nodes.  The
+    block cur[t:, t:], which holds no node removed before t: deleting each
+    removed node from a shrinking matrix, operand for operand.  The
     compressed matrix is the last block cur[r:, r:]: the smooth min over the
     walks through removed nodes that are visitable (`oracle` module) with
-    the rank in place of the node id.
+    the rank in place of the node id.  m may also be a (B, V, V) stack with
+    one kept set per matrix; each compressed matrix keeps its bits.
     """
     n = graph.num_nodes
-    if np.shape(m) != (n, n):
+    single = np.ndim(m) == 2
+    matrices, kept_sets = (np.asarray(m, dtype=float)[None], [kept]) if single else (m, kept)
+    if np.shape(matrices)[1:] != (n, n) or len(kept_sets) != len(matrices):
         raise ValidationError("cost matrix size does not match graph")
-    keep = set(kept)
-    if not keep <= set(range(n)):
-        raise ValidationError(f"kept nodes must lie in [0, {n}), got {sorted(keep)}")
-    m = validate_cost_matrix(m)
+    removed, kept = [], []
+    for keep in map(set, kept_sets):
+        if not keep <= set(range(n)):
+            raise ValidationError(f"kept nodes must lie in [0, {n}), got {sorted(keep)}")
+        removed.append(sorted(set(range(n)) - keep, key=lambda x: graph.elimination_rank[x]))
+        kept.append([x for x in range(n) if x in keep])
+    r = len(removed[0])
+    if any(len(nodes) != r for nodes in removed):
+        raise ValidationError("every matrix of a stack must keep as many nodes")
+    _check_entries(np.asarray(matrices), positive=False)
     beta = check_beta(beta)
-    removed = [x for x in range(n) if x not in keep]
-    if removed:
-        removed.sort(key=graph.elimination_rank.__getitem__)
-    kept = [x for x in range(n) if x in keep]
-    order = removed + kept
-    r = len(removed)
-    cur = m[np.ix_(order, order)]  # a copy: pivot writes in place
-    work = Workspace(n * n)
-    steps = [pivot(cur[t:, t:], 0, beta, work, weights=True) for t in range(r)]
-    return Compression(matrix=cur[r:, r:].copy(), kept=kept, removed=removed, steps=steps)
+    b = len(kept)
+    cur = np.empty((n, b, n))  # a copy: pivot writes in place
+    for i, order in enumerate(map(list.__add__, removed, kept)):
+        cur[:, i] = matrices[i][np.ix_(order, order)]
+    del m, matrices  # a caller that keeps no reference frees its stack here
+    store, work = _StepStore(block_floats(n)), Workspace(0)
+    steps = []
+    for t in range(r):
+        live = cur[t:, :, t:].reshape(-1, n - t)
+        steps.append(store.keep(live, b, *pivot(live, 0, beta, work, weights=True, stack=b)))
+    matrix = cur[r:, :, r:].transpose(1, 0, 2).copy()
+    if single:
+        matrix, removed, kept = matrix[0], removed[0], kept[0]
+    return Compression(matrix=matrix, kept=kept, removed=removed, steps=steps)
 
 
 def _grow_connected(graph: Graph, freqs: np.ndarray, target_size: int, rng) -> set[int]:

@@ -27,6 +27,10 @@ two-hop weights w_via only when asked for them, as a new array the caller
 keeps for the adjoint: node exclusion for every pivot, a training sweep for
 its first pivots while their w_via fit a float budget, and the engine's
 backward for each segment it re-runs.
+
+Both also run on a stack of blocks interleaved by row (row i * stack + b
+is row i of block b), as node exclusion runs a chunk of anchors; a stack of
+one is a square block.  Each block's values and w_via keep their bits.
 """
 
 from __future__ import annotations
@@ -91,11 +95,10 @@ class Workspace:
     arange(rows) of the largest pivot so far.
 
     A caller that runs a series of pivots (a sweep, a backward segment loop,
-    an exclusion or its adjoint) creates one workspace, sized for its
-    largest (rows, width) block, and drops it when it returns; nothing is
-    kept between calls.  Each pivot carves (rows, width) views from the
-    front of the buffers, so their contents are garbage between pivots and
-    only the pages the largest block touches are ever used.
+    an exclusion or its adjoint) creates one workspace, sized for its largest
+    (rows, width) block or left to grow to it, and drops it when it returns.
+    Each pivot carves (rows, width) views from the front of the buffers, so
+    their contents are garbage between pivots; only the largest block's pages are used.
     """
 
     def __init__(self, size: int):
@@ -105,9 +108,13 @@ class Workspace:
 
     def floats(self, rows: int, width: int) -> np.ndarray:
         """A (3, rows, width) view: unpack it into three (rows, width) buffers."""
+        if self._floats.shape[1] < rows * width:  # grown on demand
+            self._floats = np.empty((3, rows * width))
         return self._floats[:, :rows * width].reshape(3, rows, width)
 
     def mask(self, rows: int, width: int) -> np.ndarray:
+        if self._mask.size < rows * width:
+            self._mask = np.empty(rows * width, dtype=bool)
         return self._mask[:rows * width].reshape(rows, width)
 
     def index(self, count: int) -> np.ndarray:
@@ -127,7 +134,8 @@ def _gather_rows(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray
     return a[rows]
 
 
-def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool = False):
+def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool = False,
+          stack: int = 1):
     """One smoothed Floyd-Warshall pivot through node k, applied to cur in place.
 
     Every pair (i, j) with a finite two-hop cost cur[i, k] + cur[k, j] takes
@@ -136,6 +144,10 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     i == k or j == k never have a finite two-hop cost, and row k and
     column k are read but never changed.  Only the rows i with a finite
     cur[i, k] can change, so only those are computed.
+
+    cur may be a stack of `stack` interleaved blocks: the rows are gathered
+    block-major, block b's pivot row is k * stack + b, and row i * stack + b
+    has its diagonal at i.
 
     Every elementwise step is written into `work`, which must hold
     rows x width entries (at most cur.size).  The arithmetic matches the
@@ -149,11 +161,19 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     not updated; the running cost weighs 1 - w_via).  Otherwise returns
     None and computes no weights.
     """
-    rows = np.isfinite(cur[:, k]).nonzero()[0]
+    if stack > 1:  # (block, node) pairs, block-major
+        block, nodes = np.isfinite(cur[:, k]).reshape(-1, stack).T.nonzero()
+        rows = nodes * stack + block
+    else:
+        rows = nodes = np.isfinite(cur[:, k]).nonzero()[0]
     old, two_hop, e = work.floats(rows.size, cur.shape[1])
     old = _gather_rows(cur, rows, old)
-    np.add(cur[rows, k, None], cur[k], out=two_hop)
-    two_hop[work.index(rows.size), rows] = INF
+    if stack > 1:  # each row's own block's pivot row, then its entry in column k
+        np.take(cur[k * stack:(k + 1) * stack], block, axis=0, out=two_hop, mode="clip")
+        two_hop += cur[rows, k, None]
+    else:
+        np.add(cur[rows, k, None], cur[k], out=two_hop)
+    two_hop[work.index(rows.size), nodes] = INF
     with np.errstate(invalid="ignore"):
         np.subtract(two_hop, old, out=e)  # NaN where both branches are inf
     np.abs(e, out=e)
@@ -179,18 +199,27 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     return (rows, w_via) if weights else None
 
 
-def pivot_adjoint(g: np.ndarray, k: int, step, work: Workspace) -> None:
+def pivot_adjoint(g: np.ndarray, k: int, step, work: Workspace, stack: int = 1) -> None:
     """Carry a gradient w.r.t. the output of `pivot` back to its input, in place.
 
-    step is the (rows, w_via) pair `pivot` returned for node k.  An updated
-    pair passes the share w_via of its gradient to the two-hop branch, that
-    is to the entries (i, k) and (k, j); the rest stays on (i, j).  `work`
-    must hold w_via.size entries.
+    step is the (rows, w_via) pair `pivot` returned for node k (on a stack
+    as `pivot` takes it), or (rows, finite, values): w_via is values at the
+    finite entries of each row's pivot row, row by row, and 0 elsewhere.
+    An updated pair passes the share w_via of its gradient to the two-hop
+    branch, that is to the entries (i, k) and (k, j) of its own block; the
+    rest stays on (i, j).
     """
-    rows, w_via = step
+    rows, w_via = step[0], step[-1]
+    if len(step) == 3:  # expanded into the third buffer, which is free here
+        w_via = work.floats(rows.size, step[1].shape[1])[2]
+        w_via.fill(0.0)
+        np.place(w_via, step[1][rows % stack], step[2])
     g_rows, g_two_hop, _ = work.floats(*w_via.shape)
     g_rows = _gather_rows(g, rows, g_rows)
     np.multiply(g_rows, w_via, out=g_two_hop)
     g[rows] = np.subtract(g_rows, g_two_hop, out=g_rows)
     g[rows, k] += g_two_hop.sum(axis=1)
-    g[k, :] += g_two_hop.sum(axis=0)
+    if stack == 1:
+        g[k, :] += g_two_hop.sum(axis=0)
+    else:  # each block's rows add to its own pivot row
+        g[k * stack:(k + 1) * stack] += (rows % stack == np.arange(stack)[:, None]) @ g_two_hop

@@ -1,9 +1,10 @@
 """Losses and the learning loop.
 
-Each anchor context drives one gradient contribution: predict edge costs,
-fill the cost matrix, compress the graph by excluding randomly sampled
-nodes, rewrite the context-similar trajectories onto the compressed node
-set, encode them as shortcut frequencies, run the differentiable
+Each anchor context drives one gradient contribution: draw the nodes it
+keeps and rewrite the context-similar trajectories onto them (its plan,
+`plan_anchor`, made before any parameter is read), predict edge costs,
+fill the cost matrix, compress the graph by excluding the other nodes,
+encode the trajectories as shortcut frequencies, run the differentiable
 shortest-path forward pass, and backpropagate the KL divergence between
 observed and inferred shortcut distributions (plus a prior regularizer on
 the costs) all the way to the network weights.  The forward pass evaluates
@@ -17,6 +18,11 @@ so its D is NaN outside U x U (a restricted tape, `engine.EngineTape`), and
 it keeps each pivot's softmin weights for the backward while they fit
 `graph.BLOCK_FLOATS` floats.
 
+`train_loop` plans every anchor of a block, the anchors between two Adam
+updates, and `anchor_gradients` runs the block's node exclusions and their
+adjoints by chunk, one stack of matrices at a time.  Gradients are added
+and log entries written in step order.
+
 The context-similar trajectories are the training records nearest to the
 anchor, found at every step by `similar_indices` over the dataset's context
 matrix; that is cheap next to the step, so nothing is cached.
@@ -25,8 +31,8 @@ Every function here reads the graph and the prior costs from the `Dataset`:
 
 - `train_loop(dataset, config, checkpoint_path=None, log_path=None, ...)`
   runs the epochs (the dataset must carry a prior);
-- `anchor_gradients(params, anchor, dataset, config, node_freqs,
-  candidates, sample_seed)` is one anchor's forward and backward pass;
+- `plan_anchor(anchor, dataset, config, node_freqs, candidates, sample_seed)`
+  plans an anchor, and `anchor_gradients` runs a block of plans;
 - `predicted_paths(params, dataset, indices)` is each record's best path
   under its predicted costs, searched by block (one
   `inference.expected_optimal_path` call per `graph.block_slices` slice of
@@ -38,14 +44,15 @@ A training run's state has one form each, the one its files hold:
 - the Adam state is the checkpoint's dict `{"m": [...], "v": [...], "t": int}`
   (`init_adam`, `adam_update`, `TrainResult.opt_state`, `save_checkpoint`);
 - a step's record is its `train_log.jsonl` entry: `anchor_gradients` returns
-  `{L_S, L_P, grad_norm, kept_nodes, skipped, reason}` and the loop
-  writes it with its `step` (an epoch's entry is `{epoch, val_jaccard, step}`).
+  `{L_S, L_P, grad_norm, kept_nodes, skipped, reason}` for each plan and the
+  loop writes it with its `step` (an epoch's entry is `{epoch, val_jaccard, step}`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +61,7 @@ from .costmodel import ModelParams, backward_params, init_params, predict_costs
 from .engine import datasp_backward, datasp_forward_efficient
 from .errors import NumericalError, ValidationError, is_int, require_types
 from .graph import (
+    block_floats,
     block_slices,
     build_cost_matrix,
     draw_kept_nodes,
@@ -120,18 +128,22 @@ def init_adam(params: ModelParams) -> dict:
 
 def adam_update(params: ModelParams, grads: list[np.ndarray], state: dict,
                 config: TrainConfig) -> None:
-    """In-place Adam step on `params` and `state`; grads follow `flat_arrays()`."""
+    """In-place Adam step on `params` and `state`; grads follow `flat_arrays()`.
+    It runs in two scratch arrays per parameter array, with the textbook
+    formula's operations in its order, so with its bits."""
     state["t"] += 1
     correction1 = 1.0 - ADAM_BETA1 ** state["t"]
     correction2 = 1.0 - ADAM_BETA2 ** state["t"]
     for arr, g, m, v in zip(params.flat_arrays(), grads, state["m"], state["v"]):
+        a, b = np.empty_like(arr), np.empty_like(arr)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=a), g, out=a)
+        np.multiply(np.divide(m, correction1, out=a), config.learning_rate, out=a)
+        np.sqrt(np.divide(v, correction2, out=b), out=b)
+        b += ADAM_EPS
+        arr -= np.divide(a, b, out=a)
 
 
 def shortcut_loss(log_p: np.ndarray, freq: FrequencyTensor) -> tuple[float, np.ndarray, int]:
@@ -172,58 +184,83 @@ def prior_loss(costs, prior) -> tuple[float, np.ndarray]:
     return float((diff * diff).mean()), 2.0 * diff / diff.size
 
 
-def anchor_gradients(
-    params: ModelParams,
-    anchor: int,
-    dataset: Dataset,
-    config: TrainConfig,
-    node_freqs: np.ndarray,
-    candidates: list[int],
-    sample_seed: int,
-) -> tuple[list[np.ndarray] | None, dict]:
-    """Full forward/backward for one anchor context.
+# A step's kept set and the similar paths rewritten onto it (none: skipped).
+AnchorPlan = namedtuple("AnchorPlan", "anchor kept paths")
 
-    The anchor trains on the `config.similarity_fraction` of `candidates`
-    whose contexts are nearest to its own.  Returns (grads, entry), entry
-    being the step's log entry without its step; grads is None when the
-    step must be skipped (no usable paths survive node exclusion), which
-    it finds before it reads the parameters.
-    """
-    graph, prior = dataset.graph, dataset.prior
+
+def plan_anchor(anchor: int, dataset: Dataset, config: TrainConfig, node_freqs: np.ndarray,
+                candidates: list[int], sample_seed: int) -> AnchorPlan:
+    """An anchor trains on the `similarity_fraction` of `candidates` nearest it."""
+    graph = dataset.graph
     keep = config.keep_count if config.keep_count is not None else graph.num_nodes
     kept = draw_kept_nodes(graph, keep, node_freqs, sample_seed)
     node_map = kept_node_map(graph.num_nodes, kept)
-
     paths = []
     for idx in similar_indices(dataset, anchor, config.similarity_fraction, candidates):
         rewritten = apply_node_exclusion_to_path(dataset.paths[idx], node_map)
         if rewritten is not None:
             paths.append(rewritten)
-    if not paths:
-        return None, {"L_S": float("nan"), "L_P": float("nan"), "grad_norm": 0.0,
-                      "kept_nodes": kept, "skipped": True,
-                      "reason": "no trajectories survived node exclusion"}
+    return AnchorPlan(anchor, kept, paths)
 
-    costs, cache = predict_costs(params, dataset.features[anchor], prior)
-    compression = sample_subgraph(graph, build_cost_matrix(costs, graph), kept, config.beta)
 
-    freq = build_frequency_tensor(paths)
-    log_p, _, tape = datasp_forward_efficient(compression.matrix, config.beta, at=freq.triples)
-    l_s, grad_log_p, _ = shortcut_loss(log_p, freq)
-    l_p, grad_costs_prior = prior_loss(costs, prior)
-
-    grad_m_c = datasp_backward(tape, grad_log_p, np.zeros_like(compression.matrix))
-    grad_m_full = compression.backward(grad_m_c)
-    ea = graph.edge_array()
-    grad_costs = grad_m_full[ea[:, 0], ea[:, 1]] + config.alpha * grad_costs_prior
-    grads = backward_params(cache, grad_costs)
-
-    if not (math.isfinite(l_s) and math.isfinite(l_p)):
-        raise NumericalError(f"non-finite loss at anchor {anchor}: L_S={l_s} L_P={l_p}")
-
-    return grads, {"L_S": float(l_s), "L_P": float(l_p),
-                   "grad_norm": math.sqrt(sum(float((g * g).sum()) for g in grads)),
-                   "kept_nodes": kept, "skipped": False, "reason": ""}
+def anchor_gradients(params: ModelParams, plans: list[AnchorPlan], dataset: Dataset,
+                     config: TrainConfig, pending: list[np.ndarray], per_anchor: float = 0.0):
+    """Forward and backward passes of a block of plans: adds the gradients
+    of the anchors that train to `pending` and returns (entries, error,
+    per_anchor): each plan's log entry (no step) up to the first non-finite
+    loss, that NumericalError (else None), and the most floats one anchor's
+    exclusion steps have held so far.  Chunks of anchors share one
+    `sample_subgraph` and `Compression.backward`: as many as fit
+    `graph.block_floats` at that, at most twice the last, one while unknown."""
+    graph, prior, ea = dataset.graph, dataset.prior, dataset.graph.edge_array()
+    entries = [{"L_S": float("nan"), "L_P": float("nan"), "grad_norm": 0.0,
+                "kept_nodes": plan.kept, "skipped": True,
+                "reason": "no trajectories survived node exclusion"} for plan in plans]
+    todo = [i for i, plan in enumerate(plans) if plan.paths]
+    size = max(1, int(block_floats(graph.num_nodes) // per_anchor)) if per_anchor else 1
+    while todo:
+        chunk, todo = todo[:size], todo[size:]
+        predicted = [predict_costs(params, dataset.features[plans[i].anchor], prior)
+                     for i in chunk]
+        edge_costs = np.stack([costs for costs, _ in predicted])
+        compression = None
+        if len(plans[chunk[0]].kept) < graph.num_nodes:  # the stack lives only in the call
+            compression = sample_subgraph(graph, build_cost_matrix(edge_costs, graph),
+                                          [plans[i].kept for i in chunk], config.beta)
+            per_anchor = max(per_anchor, compression.floats().max())
+        matrices = compression.matrix if compression else build_cost_matrix(edge_costs, graph)
+        grads_m, losses, error = np.zeros_like(matrices), [], None
+        for i, (costs, _), m, grad_m in zip(chunk, predicted, matrices, grads_m):
+            freq = build_frequency_tensor(plans[i].paths)
+            log_p, _, tape = datasp_forward_efficient(m, config.beta, at=freq.triples)
+            try:
+                l_s, grad_log_p, _ = shortcut_loss(log_p, freq)
+                l_p, grad_costs_prior = prior_loss(costs, prior)
+                if not (math.isfinite(l_s) and math.isfinite(l_p)):
+                    raise NumericalError(f"non-finite loss at anchor {plans[i].anchor}: "
+                                         f"L_S={l_s} L_P={l_p}")
+            except NumericalError as exc:
+                error = exc
+                break
+            grad_m[...] = datasp_backward(tape, grad_log_p, np.zeros_like(m))
+            losses.append((i, l_s, l_p, grad_costs_prior))
+        if compression is not None:
+            grads_m = compression.backward(grads_m)
+        for (i, l_s, l_p, grad_costs_prior), (_, cache), grad_m in zip(losses, predicted,
+                                                                       grads_m):
+            grads = backward_params(cache, grad_m[ea[:, 0], ea[:, 1]]
+                                    + config.alpha * grad_costs_prior)
+            for acc, g in zip(pending, grads):
+                acc += g
+            entries[i] = {"L_S": float(l_s), "L_P": float(l_p),
+                          "grad_norm": math.sqrt(sum(float((g * g).sum()) for g in grads)),
+                          "kept_nodes": plans[i].kept, "skipped": False, "reason": ""}
+        if error is not None:
+            return entries[:chunk[len(losses)]], error, per_anchor
+        del tape, grads, grads_m  # before the next chunk allocates its own
+        if per_anchor:
+            size = max(1, min(2 * size, int(block_floats(graph.num_nodes) // per_anchor)))
+    return entries, None, per_anchor
 
 
 @dataclass
@@ -318,32 +355,33 @@ def train_loop(
     step = initial_step
     best_val = float("nan")
     shuffle_rng = np.random.default_rng([config.seed, 0xD5])
+    pending, per_anchor = [np.zeros_like(a) for a in params.flat_arrays()], 0.0
     try:
         for epoch in range(config.epochs):
             order = list(train_idx)
             shuffle_rng.shuffle(order)
-            pending = [np.zeros_like(a) for a in params.flat_arrays()]
-            pending_count = 0
-            for anchor in order:
-                sample_seed = _step_seed(config.seed, step)
-                grads, entry = anchor_gradients(
-                    params, anchor, dataset, config, node_freqs, train_idx, sample_seed,
-                )
-                emit({"step": step, **entry})
-                step += 1
-                if grads is None:
-                    continue
-                for acc, g in zip(pending, grads):
-                    acc += g
-                pending_count += 1
-                if pending_count == config.batch_size:
-                    adam_update(params, [g * (1.0 / pending_count) for g in pending],
-                                opt_state, config)
-                    pending = [np.zeros_like(a) for a in pending]
-                    pending_count = 0
-            if pending_count:
-                adam_update(params, [g * (1.0 / pending_count) for g in pending],
-                            opt_state, config)
+            pos = 0
+            while pos < len(order):  # a block: up to the batch_size-th anchor that trains
+                plans: list[AnchorPlan] = []
+                trained = 0
+                while pos < len(order) and trained < config.batch_size:
+                    plans.append(plan_anchor(order[pos], dataset, config, node_freqs, train_idx,
+                                             _step_seed(config.seed, step + len(plans))))
+                    trained += bool(plans[-1].paths)
+                    pos += 1
+                entries, error, per_anchor = anchor_gradients(params, plans, dataset, config,
+                                                              pending, per_anchor)
+                for entry in entries:
+                    emit({"step": step, **entry})
+                    step += 1
+                if error is not None:
+                    raise error
+                if trained:
+                    for g in pending:
+                        g *= 1.0 / trained
+                    adam_update(params, pending, opt_state, config)
+                    for g in pending:
+                        g.fill(0.0)
 
             val_jaccard = (evaluate_jaccard(params, dataset, val_idx) if val_idx
                            else float("nan"))

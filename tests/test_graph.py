@@ -480,6 +480,54 @@ def test_exclusion_matches_both_references(num_nodes, seed, costs, beta, data):
     assert error <= 1e-12 * np.abs(ref_grad).max(initial=0.0)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(num_nodes=st.integers(2, 14), seed=st.integers(0, 2**32 - 1),
+       beta=st.sampled_from([1.0, 30.0]), data=st.data())
+def test_a_chunk_of_exclusions_is_each_matrix_excluded_alone(num_nodes, seed, beta, data):
+    # A stack of 1-5 matrices on one graph, each with its own costs and kept
+    # set of one size, excluded in one call and in two other chunkings.
+    rng = np.random.default_rng(seed)
+    graph, edge_costs = random_connected_graph(num_nodes, rng, low=0.5, high=40.0)
+    stack = data.draw(st.integers(1, 5))
+    keep = data.draw(st.integers(1, num_nodes - 1))
+    matrices = np.stack([build_cost_matrix(edge_costs * rng.uniform(0.5, 2.0, edge_costs.size),
+                                           graph) for _ in range(stack)])
+    kept = [sorted(int(x) for x in rng.choice(num_nodes, keep, replace=False))
+            for _ in range(stack)]
+    chunk = sample_subgraph(graph, matrices, kept, beta)
+    assert chunk.matrix.shape == (stack, keep, keep)
+    upstream = np.where(np.isfinite(chunk.matrix), rng.standard_normal(chunk.matrix.shape), 0.0)
+    grads = chunk.backward(upstream)
+    assert grads.shape == matrices.shape
+    cut = data.draw(st.integers(0, stack))
+    order = list(reversed(range(stack)))
+    others = [(range(cut), range(cut, stack)), (order,)]
+    other_grads = np.zeros((len(others),) + grads.shape)
+    for which, chunking in enumerate(others):
+        for part in map(list, chunking):
+            if part:
+                comp = sample_subgraph(graph, matrices[part], [kept[b] for b in part], beta)
+                assert np.array_equal(comp.matrix, chunk.matrix[part])
+                other_grads[which, part] = comp.backward(upstream[part])
+    for b in range(stack):
+        alone = sample_subgraph(graph, matrices[b], kept[b], beta)
+        assert alone.kept == chunk.kept[b] and alone.removed == chunk.removed[b]
+        assert np.array_equal(alone.matrix, chunk.matrix[b])
+        expected = alone.backward(upstream[b])
+        scale = np.linalg.norm(expected)
+        # the same terms, summed in another order
+        for got in (grads[b], *other_grads[:, b]):
+            assert np.linalg.norm(got - expected) <= 1e-12 * scale
+
+
+def test_a_chunk_rejects_kept_sets_of_different_sizes(k4):
+    g = complete_graph(4)
+    with pytest.raises(ValidationError, match="as many nodes"):
+        sample_subgraph(g, np.stack([k4, k4]), [[0, 1], [0, 1, 2]], beta=1.0)
+    with pytest.raises(ValidationError, match="size does not match"):
+        sample_subgraph(g, np.stack([k4, k4]), [[0, 1]], beta=1.0)
+
+
 def _minimum_degree_rank(graph):
     """Reference: eliminate the remaining node with the fewest in-entries
     times out-entries, recounted over the remaining nodes, the smallest id
@@ -575,9 +623,11 @@ def test_exclusion_steps_hold_no_removed_column(rng):
     removed = [int(x) for x in rng.choice(40, size=32, replace=False)]
     comp = sample_subgraph(graph, m, [x for x in range(40) if x not in removed], beta=30.0)
     assert len(comp.steps) == 32
-    for t, (rows, w_via) in enumerate(comp.steps):
-        # step t sees removed[t:] + kept, one column per node
-        assert w_via.shape == (rows.size, 40 - t)
+    for t, (rows, finite, values) in enumerate(comp.steps):
+        # step t sees removed[t:] + kept, one column per node; it keeps the
+        # weights of its rows at the finite columns of the pivot row
+        assert finite.shape == (1, 40 - t)
+        assert values.size == rows.size * np.count_nonzero(finite)
 
 
 def test_exclusion_preserves_hard_distances(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from reference import pair_softmin
 from datasp.errors import ValidationError
-from datasp.smoothing import INF, softmin_value, softmin_weights
+from datasp.smoothing import INF, Workspace, pivot, pivot_adjoint, softmin_value, softmin_weights
 
 # Walk costs of the bundled 4-node fixture's tabulated pair: 4 walks of cost
 # 3, 4 of cost 5, 7 of cost 7, 5 of cost 9.
@@ -163,3 +163,39 @@ def test_pair_softmin_matches_scalar_ops(rng):
             expected_w = softmin_weights(pair, 1.3)
             assert wa[i, j] == pytest.approx(expected_w[0], abs=1e-14)
             assert wb[i, j] == pytest.approx(expected_w[1], abs=1e-14)
+
+
+@pytest.mark.parametrize("stack", [2, 3, 5])
+def test_a_stacked_pivot_is_each_block_pivoted_alone(rng, stack):
+    # Blocks interleaved by row: row i * stack + b of the 2-D view is row i
+    # of block b.  Some entries are inf, so rows and columns drop out.
+    width, k, beta = 7, 2, 3.0
+    blocks = np.where(rng.random((stack, width, width)) < 0.6,
+                      rng.uniform(0.5, 3.0, (stack, width, width)), INF)
+    blocks[:, np.arange(width), np.arange(width)] = INF
+    blocks[1, :, k] = INF  # block 1 has no row to update
+    interleaved = blocks.transpose(1, 0, 2).copy()
+    flat = interleaved.reshape(-1, width)
+    work = Workspace(flat.size)
+    rows, w_via = pivot(flat, k, beta, work, weights=True, stack=stack)
+    assert (np.diff(rows % stack) >= 0).all()  # gathered block-major
+    upstream = rng.standard_normal(flat.shape)
+    g = upstream.copy()
+    pivot_adjoint(g, k, (rows, w_via), work, stack=stack)
+    finite = np.isfinite(flat[k * stack:(k + 1) * stack])
+    compact = (rows, finite, w_via[finite[rows % stack]])
+    g_compact = upstream.copy()
+    pivot_adjoint(g_compact, k, compact, work, stack=stack)
+    assert np.array_equal(g_compact, g)
+    for b in range(stack):
+        alone = blocks[b].copy()
+        alone_rows, alone_w_via = pivot(alone, k, beta, Workspace(alone.size), weights=True)
+        assert np.array_equal(interleaved[:, b], alone)
+        mine = rows % stack == b
+        assert np.array_equal(rows[mine] // stack, alone_rows)
+        assert np.array_equal(w_via[mine], alone_w_via)
+        g_alone = upstream.reshape(width, stack, width)[:, b].copy()
+        pivot_adjoint(g_alone, k, (alone_rows, alone_w_via), Workspace(alone.size))
+        np.testing.assert_allclose(g.reshape(width, stack, width)[:, b], g_alone,
+                                   rtol=1e-14, atol=1e-14)
+

@@ -34,6 +34,7 @@ from datasp.training import (
     anchor_gradients,
     evaluate_jaccard,
     init_adam,
+    plan_anchor,
     prior_loss,
     shortcut_loss,
     train_loop,
@@ -170,6 +171,17 @@ def small_dataset(num_samples=60, num_nodes=12, seed=0):
 
 # --- anchor step ----------------------------------------------------------------
 
+def one_anchor(params, anchor, dataset, config, node_freqs, candidates, sample_seed):
+    """(grads, entry) of the anchor run as a block of its own; grads is None
+    when it is skipped."""
+    plan = plan_anchor(anchor, dataset, config, node_freqs, candidates, sample_seed)
+    grads = [np.zeros_like(a) for a in params.flat_arrays()]
+    entries, error, _ = anchor_gradients(params, [plan], dataset, config, grads)
+    if error is not None:
+        raise error
+    return (None if entries[0]["skipped"] else grads), entries[0]
+
+
 def test_train_step_zero_learning_rate_keeps_params():
     result, dataset = small_dataset()
     config = TrainConfig(learning_rate=0.0, epochs=1, seed=0,
@@ -178,9 +190,9 @@ def test_train_step_zero_learning_rate_keeps_params():
     before = [w.copy() for w in params.weights]
     state = init_adam(params)
     everyone = list(range(len(dataset.paths)))
-    grads, metrics = anchor_gradients(params, 0, dataset, config,
-                                      node_visit_frequencies(dataset, everyone),
-                                      everyone, sample_seed=0)
+    grads, metrics = one_anchor(params, 0, dataset, config,
+                                node_visit_frequencies(dataset, everyone),
+                                everyone, sample_seed=0)
     assert not metrics["skipped"]
     assert math.isfinite(metrics["L_S"])
     adam_update(params, grads, state, config)
@@ -197,11 +209,11 @@ def test_anchor_step_allocates_less_than_one_v3_array():
     params = init_params(3, [8], result.graph.num_edges, seed=0)
     everyone = list(range(len(dataset.paths)))
     args = (params, 0, dataset, config, node_visit_frequencies(dataset, everyone), everyone)
-    anchor_gradients(*args, sample_seed=0)  # warm caches outside the trace
+    one_anchor(*args, sample_seed=0)  # warm caches outside the trace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grads, entry = anchor_gradients(*args, sample_seed=0)
+        grads, entry = one_anchor(*args, sample_seed=0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -216,23 +228,47 @@ def test_alpha_zero_equals_dropping_prior_loss():
     params = init_params(3, [8], result.graph.num_edges, seed=0)
 
     cfg0 = TrainConfig(alpha=0.0, similarity_fraction=0.2, hidden_sizes=[8])
-    grads0, _ = anchor_gradients(params, 0, dataset, cfg0, node_freqs, candidates,
-                                 sample_seed=1)
+    grads0, _ = one_anchor(params, 0, dataset, cfg0, node_freqs, candidates,
+                           sample_seed=1)
     # alpha=0 must match a hand-built gradient without any prior term
     cfg1 = TrainConfig(alpha=1.0, similarity_fraction=0.2, hidden_sizes=[8])
-    grads1, _ = anchor_gradients(params, 0, dataset, cfg1, node_freqs, candidates,
-                                 sample_seed=1)
+    grads1, _ = one_anchor(params, 0, dataset, cfg1, node_freqs, candidates,
+                           sample_seed=1)
     # initial params predict exactly the prior -> prior-loss gradient is zero,
     # so both must coincide at initialization
     for a, b in zip(grads0[0::2], grads1[0::2]):
         assert np.allclose(a, b)
     # push params away from the prior and the two must differ
     params.biases[-1][:] += 0.3
-    grads0b, _ = anchor_gradients(params, 0, dataset, cfg0, node_freqs, candidates,
-                                  sample_seed=1)
-    grads1b, _ = anchor_gradients(params, 0, dataset, cfg1, node_freqs, candidates,
-                                  sample_seed=1)
+    grads0b, _ = one_anchor(params, 0, dataset, cfg0, node_freqs, candidates,
+                            sample_seed=1)
+    grads1b, _ = one_anchor(params, 0, dataset, cfg1, node_freqs, candidates,
+                            sample_seed=1)
     assert not np.allclose(grads0b[-1], grads1b[-1])
+
+
+def test_adam_update_is_the_textbook_step_bit_for_bit():
+    rng = np.random.default_rng(3)
+    params = init_params(3, [5, 4], 7, seed=1)
+    config = TrainConfig(learning_rate=3e-3)
+    state = init_adam(params)
+    arrays = [a.copy() for a in params.flat_arrays()]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t in range(1, 4):
+        grads = [rng.standard_normal(a.shape) * 10.0 ** rng.integers(-8, 3) for a in arrays]
+        adam_update(params, grads, state, config)
+        for i, g in enumerate(grads):
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+            m_hat = m[i] / (1.0 - 0.9 ** t)
+            v_hat = v[i] / (1.0 - 0.999 ** t)
+            arrays[i] = arrays[i] - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert state["t"] == t
+        for ours, ref, ours_m, ref_m, ours_v, ref_v in zip(
+                params.flat_arrays(), arrays, state["m"], m, state["v"], v):
+            assert ours.tobytes() == ref.tobytes()
+            assert ours_m.tobytes() == ref_m.tobytes() and ours_v.tobytes() == ref_v.tobytes()
 
 
 def test_descent_on_fixed_instance():
@@ -245,8 +281,8 @@ def test_descent_on_fixed_instance():
     candidates = list(range(len(dataset.paths)))
     losses = []
     for step in range(50):
-        grads, metrics = anchor_gradients(params, 0, dataset, config, node_freqs,
-                                          candidates, sample_seed=0)
+        grads, metrics = one_anchor(params, 0, dataset, config, node_freqs,
+                                    candidates, sample_seed=0)
         losses.append(metrics["L_S"])
         from datasp.training import adam_update
 
@@ -260,10 +296,8 @@ def test_descent_on_fixed_instance():
 def _pipeline_loss_and_grads(params, dataset, config, anchor, node_freqs, candidates,
                              sample_seed):
     """Total loss L_S + alpha * L_P and its parameter gradients."""
-    from datasp.training import anchor_gradients
-
-    grads, metrics = anchor_gradients(params, anchor, dataset, config, node_freqs,
-                                      candidates, sample_seed)
+    grads, metrics = one_anchor(params, anchor, dataset, config, node_freqs,
+                                candidates, sample_seed)
     return metrics["L_S"] + config.alpha * metrics["L_P"], grads
 
 
@@ -516,7 +550,7 @@ def test_skipped_anchors_run_no_exclusion(monkeypatch):
     original = datasp.training.sample_subgraph
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.extend(args[2])  # one kept set per matrix of the chunk
         return original(*args, **kwargs)
 
     monkeypatch.setattr(datasp.training, "sample_subgraph", counting)
@@ -526,7 +560,91 @@ def test_skipped_anchors_run_no_exclusion(monkeypatch):
     steps = [entry for entry in train_loop(dataset, config).log if "epoch" not in entry]
     trained = [entry for entry in steps if not entry["skipped"]]
     assert 0 < len(trained) < len(steps)
-    assert len(calls) == len(trained)
+    assert calls == [entry["kept_nodes"] for entry in trained]
+
+
+def test_a_non_finite_loss_raises_after_the_entries_before_it(tmp_path, monkeypatch):
+    """The anchors of a chunk run their losses in step order; the first
+    non-finite one raises NumericalError once the log holds every step
+    before it, the skipped ones and those of its own chunk included."""
+    import datasp.training
+
+    chunks, losses = [], []
+    original_subgraph = datasp.training.sample_subgraph
+    original_loss = datasp.training.shortcut_loss
+
+    def recording(*args, **kwargs):
+        chunks.append(len(args[2]))
+        return original_subgraph(*args, **kwargs)
+
+    def failing(log_p, freq):
+        losses.append(len(losses))
+        if len(losses) == 6:
+            raise NumericalError("an observed shortcut has a non-finite log P")
+        return original_loss(log_p, freq)
+
+    monkeypatch.setattr(datasp.training, "sample_subgraph", recording)
+    monkeypatch.setattr(datasp.training, "shortcut_loss", failing)
+    _, dataset = small_dataset(num_samples=60)
+    config = TrainConfig(epochs=1, keep_count=3, hidden_sizes=[8], similarity_fraction=0.1,
+                         seed=0, batch_size=32)
+    log_path = tmp_path / "train_log.jsonl"
+    with pytest.raises(NumericalError, match="non-finite log P"):
+        train_loop(dataset, config, log_path=log_path)
+    # chunks of 1, 2, 4, ...: the sixth anchor that trains is third in its chunk
+    assert chunks[:3] == [1, 2, 4]
+    steps = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert [entry["step"] for entry in steps] == list(range(len(steps)))
+    assert sum(not entry["skipped"] for entry in steps) == 5
+    monkeypatch.setattr(datasp.training, "shortcut_loss", original_loss)
+    full = train_loop(dataset, config).log
+    failed = next(i for i, entry in enumerate(full) if i >= len(steps) and not entry["skipped"])
+    assert failed == len(steps) and any(entry["skipped"] for entry in steps)
+    assert [json.dumps(entry, sort_keys=True) for entry in full[:len(steps)]] == \
+        log_path.read_text().splitlines()
+
+
+def test_a_chunk_of_exclusions_at_150_nodes_holds_its_steps_within_the_budget(monkeypatch):
+    """At V=150, keep 30 (the real profile's shape) chunks of several
+    anchors form, and the weights each chunk's exclusion keeps fit
+    `graph.BLOCK_FLOATS` floats; beside them each step holds only its row
+    indices, the finite entries of its pivot rows and a few array headers."""
+    import datasp.training
+    from datasp.graph import BLOCK_FLOATS
+
+    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=150, num_samples=80, seed=0))
+    dataset = Dataset(graph=syn.graph, paths=syn.dataset.paths, features=syn.dataset.features,
+                      prior=syn.prior, splits=assign_splits(80, (1.0, 0.0, 0.0)))
+    config = TrainConfig(beta=30.0, keep_count=30, similarity_fraction=0.1, hidden_sizes=[8])
+    everyone = list(range(80))
+    node_freqs = node_visit_frequencies(dataset, everyone)
+    plans = [plan_anchor(anchor, dataset, config, node_freqs, everyone, sample_seed=anchor)
+             for anchor in everyone[:40]]
+    syn.graph.elimination_rank  # built once per graph, not charged to a chunk
+    original = datasp.training.sample_subgraph
+    chunks = []
+
+    def measured(graph, matrices, kept, beta):
+        before = tracemalloc.get_traced_memory()[0]
+        comp = original(graph, matrices, kept, beta)
+        held = tracemalloc.get_traced_memory()[0] - before - comp.matrix.nbytes
+        chunks.append((len(kept), comp.floats().sum(), held, len(comp.steps)))
+        return comp
+
+    monkeypatch.setattr(datasp.training, "sample_subgraph", measured)
+    params = init_params(syn.dataset.features.shape[1], [8], syn.graph.num_edges, seed=0)
+    pending = [np.zeros_like(a) for a in params.flat_arrays()]
+    tracemalloc.start()
+    try:
+        entries, error, _ = anchor_gradients(params, plans, dataset, config, pending)
+    finally:
+        tracemalloc.stop()
+    assert error is None and len(entries) == len(plans)
+    assert sum(chunk[0] for chunk in chunks) == sum(not e["skipped"] for e in entries)
+    assert max(chunk[0] for chunk in chunks) >= 4
+    for size, weights, held, steps in chunks:
+        assert weights <= BLOCK_FLOATS
+        assert held <= 8 * BLOCK_FLOATS + steps * (1024 + 200 * size)
 
 
 def test_skipped_anchors_read_no_parameters(monkeypatch):
