@@ -17,8 +17,9 @@ after the query's compute, before any output is written (`_query_matrix`).
 `verify` checks the engine against the brute-force walk oracle on a bundled
 4-node fixture (and optionally an extra small graph): the walk census, the
 distances and shortcut tensor on the full, query and training tapes, the
-sampler, and the shortcut-loss gradient as training takes it, from log P at
-the observed triples only.  Its `num_samples` walks form one Monte-Carlo
+sampler, the shortcut-loss gradient as training takes it, from log P at the
+observed triples only, and node exclusion, its values and the gradient
+through it, on both graphs.  Its `num_samples` walks form one Monte-Carlo
 estimate that drives both sampling checks, the per-walk frequency bands and
 the total variation.  Its thresholds are constants, not config fields.
 """
@@ -53,6 +54,7 @@ from .graph import (
     complete_graph,
     graph_to_json_dict,
     load_graph_json,
+    sample_subgraph,
 )
 from .inference import (
     destination_likelihood,
@@ -78,7 +80,7 @@ from .serialize import (
     save_checkpoint,
     save_tensor,
 )
-from .smoothing import check_beta
+from .smoothing import INF, check_beta, softmin_value
 from .synthetic import GeneratorConfig, assign_splits, generate_synthetic_dataset
 from .trajectories import build_frequency_tensor, load_dataset, write_trajectories_jsonl
 from .training import TrainConfig, predicted_paths, shortcut_loss, train_loop
@@ -586,6 +588,7 @@ def cmd_verify(config: dict, out_dir: str) -> int:
 
     grad_err = _verify_gradients(m, beta)
     check("gradients", grad_err <= GRADCHECK_TOLERANCE, max_relative_error=grad_err)
+    checks["exclusion_consistency"] = _verify_exclusion(graph, m, beta)
 
     if config["graph"] is not None:
         extra_graph, extra_prior, _ = load_graph_json(config["graph"])
@@ -594,6 +597,7 @@ def cmd_verify(config: dict, out_dir: str) -> int:
         extra = WalkEnumerator(build_cost_matrix(extra_prior, extra_graph))
         d1, d2, tapes = tape_deviations(extra)
         check("extra_graph", max(d1, d2) <= TOLERANCE, distance=d1, shortcut=d2, tapes=tapes)
+        checks["extra_graph_exclusion_consistency"] = _verify_exclusion(extra_graph, extra.m, beta)
 
     failures = [name for name, result in checks.items() if not result["ok"]]
     _write_json(out_dir, "verify_report.json",
@@ -624,6 +628,47 @@ def _verify_gradients(m, beta) -> float:
     _, grad_log_p, _ = shortcut_loss(log_p, freq)
     grad_m = datasp_backward(tape, grad_log_p, np.zeros_like(dist))
     return normwise_gradient_error(loss_of, grad_m, m, step=1e-5 / max(1.0, beta))
+
+
+def _verify_exclusion(graph, m, beta) -> dict:
+    """Each kept set of 2 to V - 1 nodes excluded in one stack per size:
+    every compressed entry against the walk oracle, the removed nodes first
+    in `graph.elimination_rank` order (ordered here, not read from the
+    compression), and the gradient of a shortcut loss over every finite pair
+    through the stack's exclusion, training sweep and `Compression.backward`
+    against central differences."""
+    n, devs, errs, count = graph.num_nodes, [0.0], [0.0], 0
+    for size in range(2, n):
+        kept_sets, r = [list(u) for u in itertools.combinations(range(n), size)], n - size
+        count += len(kept_sets)
+        comp = sample_subgraph(graph, np.repeat(m[None], len(kept_sets), 0), kept_sets, beta)
+        observed = []
+        for kept, c in zip(kept_sets, comp.matrix):
+            removed = sorted(set(range(n)) - set(kept), key=lambda x: graph.elimination_rank[x])
+            enum = WalkEnumerator(m[np.ix_(removed + kept, removed + kept)])
+            for x, y in itertools.permutations(range(size), 2):
+                costs = [w.cost for w in enum.walks(r + x, r + y, r - 1)]
+                expected = softmin_value(costs, beta) if costs else INF
+                devs.append(0.0 if c[x, y] == expected else abs(c[x, y] - expected))
+            paths = np.argwhere(np.isfinite(c)).tolist()  # each finite pair, a direct edge
+            observed += [(kept, build_frequency_tensor(paths))] if paths else []
+
+        def loss(full, backward=False):
+            comp = sample_subgraph(graph, np.repeat(full[None], len(observed), 0),
+                                   [kept for kept, _ in observed], beta)
+            total, grads = 0.0, []
+            for c, (_, freq) in zip(comp.matrix, observed):
+                log_p, _, tape = datasp_forward_efficient(c, beta, at=freq.triples)
+                value, grad_log_p, _ = shortcut_loss(log_p, freq)
+                total += value
+                grads.append(datasp_backward(tape, grad_log_p, np.zeros_like(c)))
+            return comp.backward(np.array(grads)).sum(axis=0) if backward else total
+
+        if observed:  # the step of `_verify_gradients`
+            errs.append(normwise_gradient_error(loss, loss(m, True), m, 1e-5 / max(1.0, beta)))
+    dev, err = float(np.max(devs)), float(np.max(errs))  # a NaN fails the check
+    return {"max_value_deviation": dev, "max_gradient_error": err, "kept_sets": count,
+            "ok": bool(dev <= TOLERANCE and err <= GRADCHECK_TOLERANCE)}
 
 
 # ---------------------------------------------------------------------------

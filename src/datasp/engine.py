@@ -24,7 +24,7 @@ where C[:, k] and R[k, :] are column k and row k of the running matrix just
 before pivot k, and M is the input matrix.  A slot whose P underflows keeps
 a finite log P; only a slot with no walk reads -inf.  The sweep keeps C, R
 and the running matrix, O(V^2) each, in an `EngineTape`.  Its pivots share
-one `smoothing.Workspace` of three V x V float buffers.
+one `smoothing.Workspace`, which grows to at most three V x V float buffers.
 
 A query reads one source row s of D, and a training step D[i, j], C[i, k]
 and R[k, j] at the triples its trajectories observe; `sweep(m, beta,
@@ -241,7 +241,7 @@ def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
     held = 0  # floats of w_via in the kept steps
     keeping = training
     cur = m_input[np.ix_(order, order)] if r else m_input.copy()  # order is the identity
-    work = Workspace(n * n)
+    work = Workspace()
     for k in range(n):
         t = offset[k]
         block = cur[t:, t:] if t else cur
@@ -333,8 +333,8 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
     running-matrix gradient back through each pivot, on the live block the
     forward ran it on (`_layout`), adding the C and R gradients of pivot k
     as it passes.  It takes the steps the tape keeps and re-runs every other
-    segment from the snapshot of its live block; with nothing to re-run it
-    allocates neither a running matrix nor a V x V workspace.  It ignores
+    segment from the snapshot of its live block, in a buffer the size of the
+    first snapshot, the largest live block it re-runs.  It ignores
     grad_m outside kept_nodes x kept_nodes, where D is NaN; an eliminated
     node's gradient is exactly zero until its own pivot.
     """
@@ -368,11 +368,7 @@ def datasp_backward(tape: EngineTape, grad_log_p: np.ndarray, grad_m: np.ndarray
         pivot_adjoint(block, p, step, work)
 
     kept = len(tape.steps)
-    if tape.snapshots:
-        buffer = np.empty(n * n)
-        work = Workspace(n * n)
-    else:
-        work = Workspace(max((w_via.size for _, w_via in tape.steps), default=0))
+    work, buffer = Workspace(), np.empty(tape.snapshots[0].size if tape.snapshots else 0)
     for start, snapshot in reversed(list(zip(range(kept, n, tape.stride), tape.snapshots))):
         cur = buffer[:snapshot.size].reshape(snapshot.shape)
         np.copyto(cur, snapshot)

@@ -478,7 +478,7 @@ class Compression:
         b, r, n = len(orders), len(self.steps), len(orders[0])
         grad = np.zeros((n, b, n))
         grad[r:, :, r:] = g.reshape(b, n - r, n - r).transpose(1, 0, 2)
-        work = Workspace(0)
+        work = Workspace()
         for t in reversed(range(r)):
             pivot_adjoint(grad[t:, :, t:].reshape(-1, n - t), 0, self.steps[t], work, b)
         out = np.empty((b, n, n))
@@ -557,7 +557,7 @@ def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compressi
     for i, order in enumerate(map(list.__add__, removed, kept)):
         cur[:, i] = matrices[i][np.ix_(order, order)]
     del m, matrices  # a caller that keeps no reference frees its stack here
-    store, work = _StepStore(block_floats(n)), Workspace(0)
+    store, work = _StepStore(block_floats(n)), Workspace()
     steps = []
     for t in range(r):
         live = cur[t:, :, t:].reshape(-1, n - t)

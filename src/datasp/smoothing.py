@@ -18,15 +18,15 @@ min that `pivot` matches bit for bit, `pair_softmin`, is a test reference
 and lives with the tests.
 
 `pivot` and `pivot_adjoint` allocate no matrix-sized temporaries: each
-writes its elementwise steps into a `Workspace` that its caller creates
-once per series of pivots and drops on return.  Its contents are garbage
-between pivots.  Both run on any square block: node exclusion and a
-training sweep pass the trailing live block that remains once the nodes
-they eliminate have left it (a non-contiguous view).  `pivot` computes the
-two-hop weights w_via only when asked for them, as a new array the caller
-keeps for the adjoint: node exclusion for every pivot, a training sweep for
-its first pivots while their w_via fit a float budget, and the engine's
-backward for each segment it re-runs.
+writes its elementwise steps into a `Workspace`, which grows to the largest
+block it serves and frees its buffers before it grows.  Both run on any
+square block: node exclusion and a training sweep pass the trailing live
+block that remains once the nodes they eliminate have left it (a
+non-contiguous view).  `pivot` computes the two-hop weights w_via only when
+asked for them, as a new array the caller keeps for the adjoint: node
+exclusion for every pivot, a training sweep for its first pivots while
+their w_via fit a float budget, and the engine's backward for each segment
+it re-runs.
 
 Both also run on a stack of blocks interleaved by row (row i * stack + b
 is row i of block b), as node exclusion runs a chunk of anchors; a stack of
@@ -91,29 +91,31 @@ def softmin_weights(values, beta: float) -> np.ndarray:
 
 class Workspace:
     """Scratch buffers for `pivot` and `pivot_adjoint`: three float buffers
-    and one bool buffer of `size` entries each, and the row positions
-    arange(rows) of the largest pivot so far.
+    and one bool buffer of the largest (rows, width) block served so far,
+    and the row positions arange(rows) of the largest pivot so far.
 
     A caller that runs a series of pivots (a sweep, a backward segment loop,
-    an exclusion or its adjoint) creates one workspace, sized for its largest
-    (rows, width) block or left to grow to it, and drops it when it returns.
-    Each pivot carves (rows, width) views from the front of the buffers, so
-    their contents are garbage between pivots; only the largest block's pages are used.
+    an exclusion or its adjoint) creates one empty workspace and drops it
+    when it returns.  A buffer is freed before a larger one is allocated, so
+    a growth never holds both.  Each pivot carves (rows, width) views from
+    the front of the buffers, so their contents are garbage between pivots.
     """
 
-    def __init__(self, size: int):
-        self._floats = np.empty((3, size))
-        self._mask = np.empty(size, dtype=bool)
+    def __init__(self):
+        self._floats = np.empty((3, 0))
+        self._mask = np.empty(0, dtype=bool)
         self._index = np.arange(0)
 
     def floats(self, rows: int, width: int) -> np.ndarray:
         """A (3, rows, width) view: unpack it into three (rows, width) buffers."""
-        if self._floats.shape[1] < rows * width:  # grown on demand
+        if self._floats.shape[1] < rows * width:
+            self._floats = None  # freed before the larger buffer is allocated
             self._floats = np.empty((3, rows * width))
         return self._floats[:, :rows * width].reshape(3, rows, width)
 
     def mask(self, rows: int, width: int) -> np.ndarray:
         if self._mask.size < rows * width:
+            self._mask = None
             self._mask = np.empty(rows * width, dtype=bool)
         return self._mask[:rows * width].reshape(rows, width)
 
@@ -149,8 +151,8 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     block-major, block b's pivot row is k * stack + b, and row i * stack + b
     has its diagonal at i.
 
-    Every elementwise step is written into `work`, which must hold
-    rows x width entries (at most cur.size).  The arithmetic matches the
+    Every elementwise step is written into `work`, which grows to rows x
+    width entries if it holds fewer.  The arithmetic matches the
     test reference `pair_softmin` operation for operation, so the values are
     bit-identical to it.  A pair that is not updated (an infinite two-hop cost, or
     i == j) comes out of the same arithmetic unchanged: its two-hop branch

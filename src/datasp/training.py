@@ -20,8 +20,8 @@ it keeps each pivot's softmin weights for the backward while they fit
 
 `train_loop` plans every anchor of a block, the anchors between two Adam
 updates, and `anchor_gradients` runs the block's node exclusions and their
-adjoints by chunk, one stack of matrices at a time.  Gradients are added
-and log entries written in step order.
+adjoints by chunk, one stack of matrices at a time, each block sizing its
+chunks alone.  Gradients are added and log entries written in step order.
 
 The context-similar trajectories are the training records nearest to the
 anchor, found at every step by `similar_indices` over the dataset's context
@@ -204,20 +204,20 @@ def plan_anchor(anchor: int, dataset: Dataset, config: TrainConfig, node_freqs: 
 
 
 def anchor_gradients(params: ModelParams, plans: list[AnchorPlan], dataset: Dataset,
-                     config: TrainConfig, pending: list[np.ndarray], per_anchor: float = 0.0):
+                     config: TrainConfig, pending: list[np.ndarray]):
     """Forward and backward passes of a block of plans: adds the gradients
-    of the anchors that train to `pending` and returns (entries, error,
-    per_anchor): each plan's log entry (no step) up to the first non-finite
-    loss, that NumericalError (else None), and the most floats one anchor's
-    exclusion steps have held so far.  Chunks of anchors share one
-    `sample_subgraph` and `Compression.backward`: as many as fit
-    `graph.block_floats` at that, at most twice the last, one while unknown."""
+    of the anchors that train to `pending` and returns (entries, error):
+    each plan's log entry (no step) up to the first non-finite loss, and
+    that NumericalError (else None).  Chunks of anchors share one
+    `sample_subgraph` and `Compression.backward`: one anchor first, then at
+    most twice the last, as many as fit `graph.block_floats` at the most
+    floats one anchor of this block has held in exclusion steps."""
     graph, prior, ea = dataset.graph, dataset.prior, dataset.graph.edge_array()
     entries = [{"L_S": float("nan"), "L_P": float("nan"), "grad_norm": 0.0,
                 "kept_nodes": plan.kept, "skipped": True,
                 "reason": "no trajectories survived node exclusion"} for plan in plans]
     todo = [i for i, plan in enumerate(plans) if plan.paths]
-    size = max(1, int(block_floats(graph.num_nodes) // per_anchor)) if per_anchor else 1
+    size, per_anchor = 1, 0.0
     while todo:
         chunk, todo = todo[:size], todo[size:]
         predicted = [predict_costs(params, dataset.features[plans[i].anchor], prior)
@@ -256,11 +256,11 @@ def anchor_gradients(params: ModelParams, plans: list[AnchorPlan], dataset: Data
                           "grad_norm": math.sqrt(sum(float((g * g).sum()) for g in grads)),
                           "kept_nodes": plans[i].kept, "skipped": False, "reason": ""}
         if error is not None:
-            return entries[:chunk[len(losses)]], error, per_anchor
+            return entries[:chunk[len(losses)]], error
         del tape, grads, grads_m  # before the next chunk allocates its own
         if per_anchor:
             size = max(1, min(2 * size, int(block_floats(graph.num_nodes) // per_anchor)))
-    return entries, None, per_anchor
+    return entries, None
 
 
 @dataclass
@@ -355,7 +355,7 @@ def train_loop(
     step = initial_step
     best_val = float("nan")
     shuffle_rng = np.random.default_rng([config.seed, 0xD5])
-    pending, per_anchor = [np.zeros_like(a) for a in params.flat_arrays()], 0.0
+    pending = [np.zeros_like(a) for a in params.flat_arrays()]
     try:
         for epoch in range(config.epochs):
             order = list(train_idx)
@@ -369,8 +369,7 @@ def train_loop(
                                              _step_seed(config.seed, step + len(plans))))
                     trained += bool(plans[-1].paths)
                     pos += 1
-                entries, error, per_anchor = anchor_gradients(params, plans, dataset, config,
-                                                              pending, per_anchor)
+                entries, error = anchor_gradients(params, plans, dataset, config, pending)
                 for entry in entries:
                     emit({"step": step, **entry})
                     step += 1

@@ -305,6 +305,45 @@ def test_verify_checks_every_tape_of_the_extra_graph(tmp_path):
     assert extra["ok"] and extra["tapes"] == 8  # 1 full, 3 query, 4 training
 
 
+FIVE_NODE_GRAPH = {"num_nodes": 5, "directed": False,
+                   "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]],
+                   "prior_costs": [1.0, 1.5, 1.0, 2.0, 1.0, 2.5]}
+
+
+def test_verify_checks_node_exclusion_on_each_graph(tmp_path):
+    # every kept set of 2 to V - 1 nodes: 10 on the fixture, 25 on 5 nodes
+    graph = tmp_path / "five.json"
+    graph.write_text(json.dumps(FIVE_NODE_GRAPH))
+    cfg = write_config(tmp_path, "v.json", {"beta": 1.0, "graph": str(graph)})
+    assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
+    checks = json.load(open(tmp_path / "v" / "verify_report.json"))["checks"]
+    for name, kept_sets in (("exclusion_consistency", 10),
+                            ("extra_graph_exclusion_consistency", 25)):
+        assert checks[name]["ok"] and checks[name]["kept_sets"] == kept_sets
+        assert checks[name]["max_value_deviation"] <= 1e-12
+        assert checks[name]["max_gradient_error"] <= 1e-6
+
+
+def test_verify_catches_exclusion_weights_off_by_one_percent(monkeypatch, tmp_path):
+    from datasp import cli
+
+    exact = cli.sample_subgraph
+
+    def scaled(*args):
+        comp = exact(*args)
+        for _, _, values in comp.steps:
+            values *= 0.99
+        return comp
+
+    monkeypatch.setattr(cli, "sample_subgraph", scaled)
+    graph = tmp_path / "five.json"
+    graph.write_text(json.dumps(FIVE_NODE_GRAPH))
+    cfg = write_config(tmp_path, "v.json", {"beta": 1.0, "graph": str(graph)})
+    assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
+    report = json.load(open(tmp_path / "v" / "verify_report.json"))
+    assert report["failures"] == ["exclusion_consistency", "extra_graph_exclusion_consistency"]
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 5.0, 10.0, 30.0, 1e4])
 def test_verify_passes_at_each_beta(beta, tmp_path):
     cfg = write_config(tmp_path, "v.json", {"beta": beta})
@@ -323,7 +362,8 @@ def test_verify_catches_an_adjoint_off_by_one_percent(monkeypatch, tmp_path):
         cfg = write_config(tmp_path, "v.json", {"beta": beta})
         assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
         report = json.load(open(tmp_path / "v" / "verify_report.json"))
-        assert report["failures"] == ["gradients"]
+        # the exclusion check runs the same adjoint behind its exclusion
+        assert report["failures"] == ["gradients", "exclusion_consistency"]
 
 
 def test_verify_catches_a_node_that_leaves_the_live_block_before_its_pivot(monkeypatch,

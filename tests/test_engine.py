@@ -111,7 +111,7 @@ def _assert_pivot_matches_reference(cur, k, beta, work):
 def test_pivot_is_bit_identical_to_pair_softmin(rng):
     graph, costs = random_connected_graph(9, rng)
     cur = build_cost_matrix(costs, graph)
-    work = Workspace(cur.size)
+    work = Workspace()
     for k in range(9):
         _assert_pivot_matches_reference(cur, k, 0.7, work)
 
@@ -119,7 +119,7 @@ def test_pivot_is_bit_identical_to_pair_softmin(rng):
     # writes through it and leaves the rest of the matrix alone
     graph, costs = random_connected_graph(14, rng, extra_edges=10)
     big = build_cost_matrix(costs, graph)
-    work = Workspace(big.size)
+    work = Workspace()
     for t in range(0, 12, 3):
         before = big.copy()
         _assert_pivot_matches_reference(big[t:, t:], 0, 3.0, work)
@@ -129,7 +129,7 @@ def test_pivot_is_bit_identical_to_pair_softmin(rng):
 
     # one workspace across pivots whose row counts and widths fall and then
     # rise: no entry left by an earlier, larger pivot may leak into a later one
-    work = Workspace(16 * 16)
+    work = Workspace()
     for size, extra in ((16, 40), (11, 3), (5, 1), (3, 0), (8, 2), (13, 6), (16, 40)):
         graph, costs = random_connected_graph(size, rng, extra_edges=extra, low=0.1, high=3.0)
         cur = build_cost_matrix(costs, graph)
@@ -141,7 +141,7 @@ def test_pivot_is_bit_identical_to_pair_softmin(rng):
     graph, costs = random_connected_graph(12, rng, extra_edges=12, low=0.1, high=50.0)
     for beta in (30.0, 1000.0):
         cur = build_cost_matrix(costs, graph)
-        work = Workspace(cur.size)
+        work = Workspace()
         for k in range(12):
             _assert_pivot_matches_reference(cur, k, beta, work)
 
@@ -270,7 +270,7 @@ def _eliminate(m: np.ndarray, kept_nodes: np.ndarray, beta: float):
     Returns the live block before each pivot (a copy) and each step."""
     order = np.r_[np.flatnonzero(~kept_nodes), np.flatnonzero(kept_nodes)]
     cur = m[np.ix_(order, order)]
-    work = Workspace(m.size)
+    work = Workspace()
     blocks, steps = [], []
     for k in range(m.shape[0]):
         t = int((~kept_nodes[:k]).sum())

@@ -444,7 +444,7 @@ def _knockout_exclusion(m, removed, beta, upstream):
     the gradient of <upstream, kept block> w.r.t. m."""
     kept = [x for x in range(m.shape[0]) if x not in removed]
     cur, steps = m.copy(), []
-    work = Workspace(m.size)
+    work = Workspace()
     for k in removed:
         steps.append(pivot(cur, k, beta, work, weights=True))
         cur[k, :] = INF

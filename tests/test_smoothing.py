@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ def test_a_stacked_pivot_is_each_block_pivoted_alone(rng, stack):
     blocks[1, :, k] = INF  # block 1 has no row to update
     interleaved = blocks.transpose(1, 0, 2).copy()
     flat = interleaved.reshape(-1, width)
-    work = Workspace(flat.size)
+    work = Workspace()
     rows, w_via = pivot(flat, k, beta, work, weights=True, stack=stack)
     assert (np.diff(rows % stack) >= 0).all()  # gathered block-major
     upstream = rng.standard_normal(flat.shape)
@@ -189,13 +190,28 @@ def test_a_stacked_pivot_is_each_block_pivoted_alone(rng, stack):
     assert np.array_equal(g_compact, g)
     for b in range(stack):
         alone = blocks[b].copy()
-        alone_rows, alone_w_via = pivot(alone, k, beta, Workspace(alone.size), weights=True)
+        alone_rows, alone_w_via = pivot(alone, k, beta, Workspace(), weights=True)
         assert np.array_equal(interleaved[:, b], alone)
         mine = rows % stack == b
         assert np.array_equal(rows[mine] // stack, alone_rows)
         assert np.array_equal(w_via[mine], alone_w_via)
         g_alone = upstream.reshape(width, stack, width)[:, b].copy()
-        pivot_adjoint(g_alone, k, (alone_rows, alone_w_via), Workspace(alone.size))
+        pivot_adjoint(g_alone, k, (alone_rows, alone_w_via), Workspace())
         np.testing.assert_allclose(g.reshape(width, stack, width)[:, b], g_alone,
                                    rtol=1e-14, atol=1e-14)
 
+
+
+def test_a_workspace_frees_its_buffers_before_it_grows():
+    # grown from a block of half the rows, it never holds both sizes at once
+    rows, width = 60, 80
+    work = Workspace()
+    tracemalloc.start()
+    try:
+        for count in (rows // 2, rows):
+            assert work.floats(count, width).shape == (3, count, width)
+            assert work.mask(count, width).shape == (count, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows * width * 8 + rows * width + 1024

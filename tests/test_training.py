@@ -176,7 +176,7 @@ def one_anchor(params, anchor, dataset, config, node_freqs, candidates, sample_s
     when it is skipped."""
     plan = plan_anchor(anchor, dataset, config, node_freqs, candidates, sample_seed)
     grads = [np.zeros_like(a) for a in params.flat_arrays()]
-    entries, error, _ = anchor_gradients(params, [plan], dataset, config, grads)
+    entries, error = anchor_gradients(params, [plan], dataset, config, grads)
     if error is not None:
         raise error
     return (None if entries[0]["skipped"] else grads), entries[0]
@@ -636,7 +636,7 @@ def test_a_chunk_of_exclusions_at_150_nodes_holds_its_steps_within_the_budget(mo
     pending = [np.zeros_like(a) for a in params.flat_arrays()]
     tracemalloc.start()
     try:
-        entries, error, _ = anchor_gradients(params, plans, dataset, config, pending)
+        entries, error = anchor_gradients(params, plans, dataset, config, pending)
     finally:
         tracemalloc.stop()
     assert error is None and len(entries) == len(plans)
@@ -645,6 +645,40 @@ def test_a_chunk_of_exclusions_at_150_nodes_holds_its_steps_within_the_budget(mo
     for size, weights, held, steps in chunks:
         assert weights <= BLOCK_FLOATS
         assert held <= 8 * BLOCK_FLOATS + steps * (1024 + 200 * size)
+
+
+def test_a_block_sizes_its_chunks_from_its_own_anchors(monkeypatch):
+    """A block's chunks start at one anchor whatever block ran before it:
+    the second block of a run chunks as it does when it is trained first."""
+    import datasp.training
+
+    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=40, num_samples=40, seed=0))
+    dataset = Dataset(graph=syn.graph, paths=syn.dataset.paths, features=syn.dataset.features,
+                      prior=syn.prior, splits=assign_splits(40, (1.0, 0.0, 0.0)))
+    config = TrainConfig(beta=30.0, keep_count=8, similarity_fraction=0.1, hidden_sizes=[8],
+                         batch_size=12)
+    blocks = []  # (plans, the stack sizes its exclusions receive)
+    run_block, exclude = datasp.training.anchor_gradients, datasp.training.sample_subgraph
+
+    def recorded_block(params, plans, *args):
+        blocks.append((plans, []))
+        return run_block(params, plans, *args)
+
+    def recorded_chunk(graph, matrices, kept, beta):
+        blocks[-1][1].append(len(kept))
+        return exclude(graph, matrices, kept, beta)
+
+    monkeypatch.setattr(datasp.training, "anchor_gradients", recorded_block)
+    monkeypatch.setattr(datasp.training, "sample_subgraph", recorded_chunk)
+    train_loop(dataset, config)
+    assert len(blocks) >= 2
+    plans, after = blocks[1]
+    params = init_params(syn.dataset.features.shape[1], [8], syn.graph.num_edges, seed=0)
+    _, error = recorded_block(params, plans, dataset, config,
+                              [np.zeros_like(a) for a in params.flat_arrays()])
+    first = blocks[-1][1]
+    assert error is None
+    assert after == first and first[0] == 1 and max(first) > 2
 
 
 def test_skipped_anchors_read_no_parameters(monkeypatch):
