@@ -89,9 +89,12 @@ class ForwardCache:
 
 
 def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCache]:
+    """Edge costs of one context (F,), or of each row of a block (B, F) of
+    contexts, through the same expressions, and the forward cache that
+    `backward_params` reads (one context's)."""
     x = np.asarray(x, dtype=float)
     prior = np.asarray(prior, dtype=float)
-    if x.shape != (params.feature_dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != params.feature_dim:
         raise ValidationError(f"expected context of dim {params.feature_dim}, got {x.shape}")
     if prior.shape != (params.edge_count,):
         raise ValidationError(f"expected {params.edge_count} priors, got {prior.shape}")
@@ -102,11 +105,11 @@ def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCac
         pre_acts: list[np.ndarray] = []
         acts: list[np.ndarray] = [x]
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
-            z = w @ h + b
+            z = h @ w.T + b
             pre_acts.append(z)
             h = np.maximum(z, 0.0)
             acts.append(h)
-        raw = params.weights[-1] @ h + params.biases[-1]
+        raw = h @ params.weights[-1].T + params.biases[-1]
 
         shift = inv_softplus(np.maximum(prior - params.cost_floor, 1e-9))
         costs = params.cost_floor + softplus(raw + shift)

@@ -39,7 +39,7 @@ blocks (`Compression.backward`) is its gradient.
 
 Training excludes a chunk of anchors at once: their (B, V, V) stack, kept
 sets of one size, permuted into one (V, B, V) array x, step t pivoting all
-of them on x[t:, :, t:].reshape(-1, V - t), its steps in `block_floats` buffers.
+of them on x[t:, :, t:].reshape(-1, V - t), each step's weights a plain array.
 """
 
 from __future__ import annotations
@@ -430,32 +430,15 @@ def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]
             for path, total, ok in zip(paths, totals.tolist(), reachable.tolist())]
 
 
-class _StepStore:
-    """Steps in `smoothing.pivot_adjoint`'s compact form, their weights carved
-    from buffers of gen's and eval's block size (larger for a step that needs it)."""
-
-    def __init__(self, size: int):
-        self._free, self._size = np.empty(0), size
-
-    def keep(self, live: np.ndarray, stack: int, rows: np.ndarray, w_via: np.ndarray) -> tuple:
-        finite = np.isfinite(live[:stack])  # the pivot rows, which the pivot leaves as they were
-        mask = finite[rows % stack]
-        count = np.count_nonzero(mask)
-        if self._free.size < count:
-            self._free = np.empty(max(count, self._size))
-        values, self._free = self._free[:count], self._free[count:]
-        np.compress(mask.ravel(), w_via.ravel(), out=values)
-        return rows, finite, values
-
-
 @dataclass
 class Compression:
     """Result of excluding the removed nodes, in ascending elimination rank,
     from a (V, V) matrix, or from a stack (then `matrix` is (B, n, n) and
     `kept` and `removed` hold one list per matrix).
 
-    steps[t] is the compact step of `pivot` for each matrix's removed[t] on
-    the interleaved trailing blocks whose nodes are removed[t:] + kept.
+    steps[t] is the compact step (rows, finite, values) of `pivot` for each
+    matrix's removed[t] on the interleaved trailing blocks whose nodes are
+    removed[t:] + kept; values is a plain array of the two-hop weights.
     """
 
     matrix: np.ndarray
@@ -480,7 +463,7 @@ class Compression:
         grad[r:, :, r:] = g.reshape(b, n - r, n - r).transpose(1, 0, 2)
         work = Workspace()
         for t in reversed(range(r)):
-            pivot_adjoint(grad[t:, :, t:].reshape(-1, n - t), 0, self.steps[t], work, b)
+            pivot_adjoint(grad[t:, :, t:].reshape(-1, n - t), 0, self.steps[t], work)
         out = np.empty((b, n, n))
         for i, inverse in enumerate(map(np.argsort, orders)):
             out[i] = grad[:, i][np.ix_(inverse, inverse)]
@@ -557,11 +540,12 @@ def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compressi
     for i, order in enumerate(map(list.__add__, removed, kept)):
         cur[:, i] = matrices[i][np.ix_(order, order)]
     del m, matrices  # a caller that keeps no reference frees its stack here
-    store, work = _StepStore(block_floats(n)), Workspace()
-    steps = []
+    work, steps = Workspace(), []
     for t in range(r):
         live = cur[t:, :, t:].reshape(-1, n - t)
-        steps.append(store.keep(live, b, *pivot(live, 0, beta, work, weights=True, stack=b)))
+        rows, w_via = pivot(live, 0, beta, work, weights=True)
+        finite = np.isfinite(live[:b])  # the pivot rows, which the pivot leaves as they were
+        steps.append((rows, finite, w_via[finite[rows % b]]))
     matrix = cur[r:, :, r:].transpose(1, 0, 2).copy()
     if single:
         matrix, removed, kept = matrix[0], removed[0], kept[0]

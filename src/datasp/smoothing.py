@@ -29,8 +29,9 @@ their w_via fit a float budget, and the engine's backward for each segment
 it re-runs.
 
 Both also run on a stack of blocks interleaved by row (row i * stack + b
-is row i of block b), as node exclusion runs a chunk of anchors; a stack of
-one is a square block.  Each block's values and w_via keep their bits.
+is row i of block b), as node exclusion runs a chunk of anchors.  The stack
+is read from the block's shape, its rows over its width, so a square block
+is a stack of one.  Each block's values and w_via keep their bits.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ def _gather_rows(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray
     return a[rows]
 
 
-def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool = False,
-          stack: int = 1):
+def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool = False):
     """One smoothed Floyd-Warshall pivot through node k, applied to cur in place.
 
     Every pair (i, j) with a finite two-hop cost cur[i, k] + cur[k, j] takes
@@ -147,9 +147,9 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     column k are read but never changed.  Only the rows i with a finite
     cur[i, k] can change, so only those are computed.
 
-    cur may be a stack of `stack` interleaved blocks: the rows are gathered
-    block-major, block b's pivot row is k * stack + b, and row i * stack + b
-    has its diagonal at i.
+    cur may be a stack of interleaved blocks, as many as its rows over its
+    width: the rows are gathered block-major, block b's pivot row is
+    k * stack + b, and row i * stack + b has its diagonal at i.
 
     Every elementwise step is written into `work`, which grows to rows x
     width entries if it holds fewer.  The arithmetic matches the
@@ -163,6 +163,7 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     not updated; the running cost weighs 1 - w_via).  Otherwise returns
     None and computes no weights.
     """
+    stack = cur.shape[0] // cur.shape[1]
     if stack > 1:  # (block, node) pairs, block-major
         block, nodes = np.isfinite(cur[:, k]).reshape(-1, stack).T.nonzero()
         rows = nodes * stack + block
@@ -201,7 +202,7 @@ def pivot(cur: np.ndarray, k: int, beta: float, work: Workspace, weights: bool =
     return (rows, w_via) if weights else None
 
 
-def pivot_adjoint(g: np.ndarray, k: int, step, work: Workspace, stack: int = 1) -> None:
+def pivot_adjoint(g: np.ndarray, k: int, step, work: Workspace) -> None:
     """Carry a gradient w.r.t. the output of `pivot` back to its input, in place.
 
     step is the (rows, w_via) pair `pivot` returned for node k (on a stack
@@ -212,6 +213,7 @@ def pivot_adjoint(g: np.ndarray, k: int, step, work: Workspace, stack: int = 1) 
     rest stays on (i, j).
     """
     rows, w_via = step[0], step[-1]
+    stack = g.shape[0] // g.shape[1]
     if len(step) == 3:  # expanded into the third buffer, which is free here
         w_via = work.floats(rows.size, step[1].shape[1])[2]
         w_via.fill(0.0)

@@ -34,7 +34,7 @@ Every function here reads the graph and the prior costs from the `Dataset`:
 - `plan_anchor(anchor, dataset, config, node_freqs, candidates, sample_seed)`
   plans an anchor, and `anchor_gradients` runs a block of plans;
 - `predicted_paths(params, dataset, indices)` is each record's best path
-  under its predicted costs, searched by block (one
+  under its predicted costs, by block (one `predict_costs` call and one
   `inference.expected_optimal_path` call per `graph.block_slices` slice of
   the records), and `evaluate_jaccard(params, dataset, indices)` scores
   them against the observed paths.
@@ -274,13 +274,13 @@ class TrainResult:
 
 def predicted_paths(params: ModelParams, dataset: Dataset, indices) -> list[list[int]]:
     """Each record's best path between its endpoints under its predicted costs
-    (one exists: the record's path runs over graph edges), searched one block
-    of records at a time."""
+    (one exists: the record's path runs over graph edges), one block of
+    records at a time: one `predict_costs` call predicts the block's costs
+    and one search finds its paths."""
     preds = []
     for block in block_slices(len(indices), dataset.graph.num_nodes):
         records = indices[block]
-        costs = np.stack([predict_costs(params, dataset.features[idx], dataset.prior)[0]
-                          for idx in records])
+        costs, _ = predict_costs(params, dataset.features[records], dataset.prior)
         ends = [(dataset.paths[idx][0], dataset.paths[idx][-1]) for idx in records]
         preds += [path for path, _ in expected_optimal_path(costs, dataset.graph, ends)]
     return preds

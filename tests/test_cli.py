@@ -841,6 +841,45 @@ def test_eval_search_memory_stays_within_a_block():
     assert peaks[1] <= 2 * block_bytes
 
 
+def test_eval_predicts_costs_once_per_block(monkeypatch):
+    # one cost-model pass over each block of records eval searches
+    import datasp.training
+    from datasp.cli import _metric_rows
+    from datasp.graph import block_slices
+    from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
+
+    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=60, num_samples=150, seed=1))
+    params = init_params(syn.config.feature_dim, [8], syn.graph.num_edges, seed=0)
+    syn.dataset.splits = {"test": list(range(150))}
+    calls = []
+    original = datasp.training.predict_costs
+
+    def counting(params, x, prior):
+        calls.append(np.shape(x))
+        return original(params, x, prior)
+
+    monkeypatch.setattr(datasp.training, "predict_costs", counting)
+    _metric_rows(syn.dataset, params, "test", syn.true_costs)
+    blocks = block_slices(150, 60)
+    assert len(blocks) == 3
+    assert calls == [(b.stop - b.start, syn.config.feature_dim) for b in blocks]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_betas_keep_the_walk_series_of_the_default_graph_convergent(seed):
+    # rho(exp(-beta * M_prior)) < 1, or the smoothed distances diverge; the
+    # graph is drawn before any sample, so a dataset of none has the default one
+    from datasp.cli import DEFAULTS, PROFILES
+    from datasp.graph import build_cost_matrix
+    from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
+
+    syn = generate_synthetic_dataset(GeneratorConfig(seed=seed, num_samples=0))
+    m = build_cost_matrix(syn.prior, syn.graph)
+    for beta in (PROFILES["synthetic"]["beta"], DEFAULTS["sample-paths"]["beta"],
+                 DEFAULTS["predict-dest"]["beta"]):
+        assert np.abs(np.linalg.eigvals(np.exp(-beta * m))).max() < 1
+
+
 def test_overflowing_checkpoint_prints_only_the_error_line(gen_dir, tmp_path):
     # A fresh process, so numpy's warnings reach stderr as a user would see them.
     graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))

@@ -21,6 +21,20 @@ def test_initial_prediction_equals_prior():
         assert costs == pytest.approx(prior, abs=1e-12)
 
 
+def test_a_block_of_contexts_costs_what_each_context_costs():
+    rng = np.random.default_rng(4)
+    params = init_params(5, [16, 8], 40, seed=2)
+    for arr in params.flat_arrays():  # a trained model: the last layer is not zero
+        arr[...] = rng.standard_normal(arr.shape)
+    prior = rng.uniform(0.5, 3.0, 40)
+    contexts = rng.standard_normal((7, 5))
+    block, _ = predict_costs(params, contexts, prior)
+    assert block.shape == (7, 40)
+    for x, costs in zip(contexts, block):
+        np.testing.assert_allclose(costs, predict_costs(params, x, prior)[0],
+                                   rtol=1e-12, atol=0)
+
+
 def test_init_deterministic():
     a = init_params(3, [8], 5, seed=11)
     b = init_params(3, [8], 5, seed=11)

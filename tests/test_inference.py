@@ -10,7 +10,7 @@ from conftest import random_connected_graph, tractable_random_graph
 from reference import classical_floyd_warshall
 import datasp.inference
 from datasp import engine
-from datasp.engine import datasp_forward_efficient, sweep
+from datasp.engine import datasp_backward, datasp_forward_efficient, sweep
 from datasp.errors import NoPathError, NumericalError, ValidationError
 from datasp.graph import (
     Graph,
@@ -28,6 +28,7 @@ from datasp.inference import (
     optimal_cost_rate,
 )
 from datasp.oracle import WalkEnumerator, maxent_distribution
+from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
 
 
 def test_sample_path_direct_tensor(rng):
@@ -190,6 +191,37 @@ def test_sampler_never_dead_ends_and_stays_in_walk_space():
                     est = monte_carlo_path_distribution(m, beta, i, j, 20, rng)
                     assert est.sample_count == 20
                     assert set(est.counts) <= walks
+
+
+@pytest.mark.parametrize("num_nodes, beta, s, t", [(30, 3.0, 0, 17), (100, 5.0, 3, 71),
+                                                  (100, 30.0, 3, 71)])
+def test_sampled_edge_counts_match_the_backwards_expected_counts(num_nodes, beta, s, t):
+    # dD[s, t]/dM is the expected number of traversals of each edge under the
+    # walk distribution the sampler draws from, an independent code path.
+    # Each edge's mean count over N draws gives z = (mean - expected) /
+    # sqrt(var / N), and the sum of z^2 over k edges stays within about four
+    # standard deviations of a chi-square of k degrees.
+    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=num_nodes, num_samples=0))
+    m = build_cost_matrix(syn.prior, syn.graph)
+    log_p, _, tape = datasp_forward_efficient(m, beta, at=([s], [t], [s]))
+    one_hot = np.zeros_like(m)
+    one_hot[s, t] = 1.0
+    expected = datasp_backward(tape, np.zeros_like(log_p), one_hot).ravel()
+    draws = 100_000
+    est = monte_carlo_path_distribution(m, beta, s, t, draws, np.random.default_rng(0))
+    total, squares = np.zeros(m.size), np.zeros(m.size)
+    for walk, count in est.counts.items():
+        per_walk = np.bincount(np.ravel_multi_index((walk[:-1], walk[1:]), m.shape),
+                               minlength=m.size)
+        total += count * per_walk
+        squares += count * per_walk ** 2
+    mean = total / draws
+    compared = expected > 1e-3
+    var = squares[compared] / draws - mean[compared] ** 2
+    assert (var > 0).all()  # every compared edge varies from walk to walk
+    z = (mean[compared] - expected[compared]) / np.sqrt(var / draws)
+    k = np.count_nonzero(compared)
+    assert (z ** 2).sum() <= k + 4 * np.sqrt(2 * k)
 
 
 def test_sampling_memory_is_bounded_by_blocks(k4):

@@ -178,15 +178,15 @@ def test_a_stacked_pivot_is_each_block_pivoted_alone(rng, stack):
     interleaved = blocks.transpose(1, 0, 2).copy()
     flat = interleaved.reshape(-1, width)
     work = Workspace()
-    rows, w_via = pivot(flat, k, beta, work, weights=True, stack=stack)
+    rows, w_via = pivot(flat, k, beta, work, weights=True)
     assert (np.diff(rows % stack) >= 0).all()  # gathered block-major
     upstream = rng.standard_normal(flat.shape)
     g = upstream.copy()
-    pivot_adjoint(g, k, (rows, w_via), work, stack=stack)
+    pivot_adjoint(g, k, (rows, w_via), work)
     finite = np.isfinite(flat[k * stack:(k + 1) * stack])
     compact = (rows, finite, w_via[finite[rows % stack]])
     g_compact = upstream.copy()
-    pivot_adjoint(g_compact, k, compact, work, stack=stack)
+    pivot_adjoint(g_compact, k, compact, work)
     assert np.array_equal(g_compact, g)
     for b in range(stack):
         alone = blocks[b].copy()
