@@ -16,7 +16,7 @@ after the query's compute, before any output is written (`_query_matrix`).
 
 `verify` checks the engine against the brute-force walk oracle on a bundled
 4-node fixture (and optionally an extra small graph): the walk census, the
-distances and shortcut tensor on the full, query and training tapes, the
+distances and shortcut tensor on the query and training tapes, the
 sampler, the shortcut-loss gradient as training takes it, from log P at the
 observed triples only, and node exclusion, its values and the gradient
 through it, on both graphs.  Its `num_samples` walks form one Monte-Carlo
@@ -86,13 +86,10 @@ from .trajectories import build_frequency_tensor, load_dataset, write_trajectori
 from .training import TrainConfig, predicted_paths, shortcut_loss, train_loop
 
 # Hyperparameter profiles, the only valid values of train's "profile":
-# "synthetic" (generated-route experiments) and "real" (taxi-style ones).
-# The synthetic profile and the queries take beta=3: at beta=1 the walk series
-# of the default graph diverges, rho(exp(-beta * M_prior)) = 1.45-1.83 on
-# generator seeds 0-2, against 0.45-0.63 at 3.  One epoch at lr 1e-4 barely
-# moves the model off the prior; at 1e-3 it beats it.
+# "synthetic" (generated-route experiments; `TrainConfig`'s defaults) and
+# "real" (taxi-style ones).  The queries default to the same beta=3.
 PROFILES = {
-    "synthetic": {"learning_rate": 1e-3, "beta": 3.0, "batch_size": 16, "alpha": 1e-5},
+    "synthetic": {},
     "real": {"learning_rate": 1e-4, "beta": 30.0, "batch_size": 32, "alpha": 1e-5,
              "keep_fraction": 0.2},
 }
@@ -554,10 +551,10 @@ def cmd_verify(config: dict, out_dir: str) -> int:
         checks[name] = {**fields, "ok": bool(ok)}
 
     def tape_deviations(enum):
-        # (distance, shortcut, tapes): the largest deviations over the full sweep,
-        # each source's query tape and each training tape of two or more nodes
+        # (distance, shortcut, tapes): the largest deviations over each source's
+        # query tape and each training tape of two or more nodes (all nodes: the full sweep)
         nodes = range(enum.n)
-        sources = [None, *nodes, *(np.array(u) for size in range(2, enum.n + 1)
+        sources = [*nodes, *(np.array(u) for size in range(2, enum.n + 1)
                                    for u in itertools.combinations(nodes, size))]
         devs = np.array([engine_deviations(enum, sweep(enum.m, beta, s)) for s in sources])
         return *devs.max(axis=0).tolist(), len(sources)

@@ -24,7 +24,8 @@ where C[:, k] and R[k, :] are column k and row k of the running matrix just
 before pivot k, and M is the input matrix.  A slot whose P underflows keeps
 a finite log P; only a slot with no walk reads -inf.  The sweep keeps C, R
 and the running matrix, O(V^2) each, in an `EngineTape`.  Its pivots share
-one `smoothing.Workspace`, which grows to at most three V x V float buffers.
+one `smoothing.Workspace`, which grows to at most three V x V float buffers,
+one V x V bool mask and an index of V entries.
 
 A query reads one source row s of D, and a training step D[i, j], C[i, k]
 and R[k, j] at the triples its trajectories observe; `sweep(m, beta,
@@ -42,9 +43,9 @@ nodes outside U below k: a node outside U leaves the block after its own
 pivot, and its row and column are never touched again.  That is about
 V^3/3 + |U| V^2 updates, not V^3.  A query keeps every column, in natural
 order, and retires each row but its source's after that row's pivot (writes
-NaN; later pivots skip it), about V^3/2 + V^2 updates.  The full sweep keeps
-every node.  `EngineTape` lists the entries a restricted tape keeps, each
-with the full sweep's bits.
+NaN; later pivots skip it), about V^3/2 + V^2 updates.  The full sweep is
+the training sweep of every node.  `EngineTape` lists the entries a
+restricted tape keeps, each with the full sweep's bits.
 
 log P needs no softmin weights, but the backward needs those of every
 pivot.  A training sweep computes them for its first pivots and keeps each
@@ -52,8 +53,7 @@ one's (rows, w_via) step, charged the floats it holds (its rows times the
 live block's width), while they fit `graph.BLOCK_FLOATS` floats in all.
 From the first pivot that does not fit on, it computes no weights and
 snapshots the live block every ceil(sqrt(V)) pivots instead, O(V^2.5)
-floats at most; the full sweep snapshots every segment and keeps no step,
-and a query keeps neither.
+floats at most.  A query's tape, the only other kind, keeps neither.
 
 The closed form has one home.  `shortcut_costs(tape, i, j, k)` returns the
 costs in it, C[i, k] + R[k, j] with M[i, j] where k == i, and
@@ -110,11 +110,11 @@ class EngineTape:
 
     `kept_nodes` marks the nodes that stay in the live block past their own
     pivot (the others are eliminated), and `kept_rows` the rows of D kept
-    past it.  The full sweep keeps every node and row; a query (one node
-    index s) every node and row s; a training tape (from `sweep` with an
-    array, or from `datasp_forward_efficient` with `at`) keeps U, the nodes
-    of the array (the i and j of the triples), as both.  A restricted tape
-    holds only these entries, each bit-equal to the full sweep's:
+    past it.  A query (one node index s) keeps every node and row s.  A
+    training tape keeps U, the nodes of `sweep`'s array (every node for the
+    full sweep) or the i and j of `datasp_forward_efficient`'s triples, as
+    both.  A restricted tape holds only these entries, each bit-equal to
+    the full sweep's:
 
     - D at kept_rows x kept_nodes, `dist[np.ix_(kept_rows, kept_nodes)]`;
     - C[a, k] where a is a kept row or a >= k (C[k, k] is the diagonal, inf);
@@ -126,10 +126,10 @@ class EngineTape:
 
     The backward needs the step, `pivot`'s (rows, w_via), of every pivot.  A
     training tape keeps those of pivots 0 to len(steps) - 1, as many as hold
-    at most `graph.BLOCK_FLOATS` floats of w_via in all, and a full sweep
-    none.  Both hold the live block before pivots len(steps), len(steps) +
-    stride, ..., in storage order (`_layout`), as `snapshots`: the segments
-    the backward re-runs.  A query's tape holds no steps and no snapshots.
+    at most `graph.BLOCK_FLOATS` floats of w_via in all.  It holds the live
+    block before pivots len(steps), len(steps) + stride, ..., in storage
+    order (`_layout`), as `snapshots`: the segments the backward re-runs.  A
+    query's tape holds no steps and no snapshots.
     """
 
     beta: float
@@ -213,7 +213,7 @@ def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
     but the source's retired after its pivot), a 1-D integer array of the
     nodes U a training step reads (repeats allowed; every node outside U is
     eliminated after its pivot, and an empty array keeps none, so D is all
-    NaN), or None (every node, the full sweep).  A training sweep runs its
+    NaN), or None, np.arange(V), the full sweep.  A training sweep runs its
     first pivots with weights and keeps their steps while they fit
     `graph.BLOCK_FLOATS` floats; its values keep their bits either way.
     The tape holds what `EngineTape` lists.
@@ -227,8 +227,7 @@ def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
                               f"integer array of them, got {sources!r}")
     kept_rows = np.zeros(n, dtype=bool)
     kept_rows[s] = True
-    training = sources is not None and s.ndim == 1
-    rerun = s.ndim == 1  # the backward re-runs segments; a query's tape goes to none
+    training = s.ndim == 1
     kept_nodes = kept_rows.copy() if training else np.ones(n, dtype=bool)
     retired = (kept_nodes & ~kept_rows).tolist()  # a query's rows but its source's
     order, position, offset = _layout(kept_nodes)
@@ -251,7 +250,7 @@ def sweep(m: np.ndarray, beta: float, sources=None) -> EngineTape:
             keeping = held + rows * block.shape[1] <= BLOCK_FLOATS
         # The re-run segments start at the first step not kept.  The first
         # live block of a sweep that eliminates nothing is the input.
-        if rerun and not keeping and (k - len(steps)) % stride == 0:
+        if training and not keeping and (k - len(steps)) % stride == 0:
             snapshots.append(block.copy() if k or r else m_input)
         col[t:, k] = block[:, p]
         row[k, t:] = block[p]

@@ -312,13 +312,13 @@ def validate_cost_matrix(m: np.ndarray, positive: bool = False) -> np.ndarray:
 
 
 def _check_entries(m: np.ndarray, positive: bool) -> np.ndarray:
-    """The entry checks of `validate_cost_matrix` on a (..., V, V) array."""
-    if np.isnan(m).any():
-        raise ValidationError("cost matrix contains NaN")
-    if (m == -INF).any():
-        raise ValidationError("cost entries must not be -inf")
-    # With NaN and -inf ruled out, an entry <= 0 is a finite one.
-    if positive and (m <= 0).any():
+    """The entry checks of `validate_cost_matrix` on a (..., V, V) array: m > floor
+    is false exactly at NaN, -inf and (under `positive`) entries <= 0."""
+    if not (m > (0.0 if positive else -INF)).all():
+        if np.isnan(m).any():
+            raise ValidationError("cost matrix contains NaN")
+        if (m == -INF).any():
+            raise ValidationError("cost entries must not be -inf")
         raise ValidationError("finite cost entries must be strictly positive")
     if np.isfinite(np.diagonal(m, axis1=-2, axis2=-1)).any():
         raise ValidationError("diagonal entries must be inf (no self-loops)")

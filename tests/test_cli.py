@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def read_text(path):
+    return Path(path).read_text(encoding="utf-8")
+
+
+def read_json(path):
+    return json.loads(read_text(path))
 
 
 def read_all(directory):
@@ -55,7 +64,7 @@ def test_gen_outputs_exist(gen_dir):
     for name in ("graph.json", "trajectories.jsonl", "manifest.json",
                  "true_costs.bin", "gen_config.json"):
         assert os.path.exists(os.path.join(gen_dir, name))
-    manifest = json.load(open(os.path.join(gen_dir, "manifest.json")))
+    manifest = read_json(os.path.join(gen_dir, "manifest.json"))
     assert manifest["provenance"]["seed"] == 3
     assert set(manifest["splits"]) == {"train", "val", "test"}
 
@@ -75,7 +84,7 @@ def test_gen_zero_samples(tmp_path):
                                       "pair_pool_size": 2, "feature_dim": 2}})
     assert run_cli("gen", "--config", cfg, "--out", str(tmp_path / "empty")) == 0
     assert (tmp_path / "empty" / "trajectories.jsonl").read_text() == ""
-    manifest = json.load(open(tmp_path / "empty" / "manifest.json"))
+    manifest = read_json(tmp_path / "empty" / "manifest.json")
     assert manifest["splits"]["train"] == []
     costs = load_tensor(tmp_path / "empty" / "true_costs.bin")
     assert costs.shape[0] == 0
@@ -91,7 +100,7 @@ def test_train_eval_cycle(gen_dir, tmp_path):
     out = str(tmp_path / "run")
     assert run_cli("train", "--config", train_cfg, "--out", out, "--seed", "0") == 0
     assert os.path.exists(os.path.join(out, "checkpoint.bin"))
-    log_lines = open(os.path.join(out, "train_log.jsonl")).read().splitlines()
+    log_lines = read_text(os.path.join(out, "train_log.jsonl")).splitlines()
     steps = [json.loads(line) for line in log_lines if "L_S" in line]
     assert steps and all("grad_norm" in s and "kept_nodes" in s for s in steps)
 
@@ -102,10 +111,10 @@ def test_train_eval_cycle(gen_dir, tmp_path):
     })
     eval_out = str(tmp_path / "eval")
     assert run_cli("eval", "--config", eval_cfg, "--out", eval_out) == 0
-    rows = json.load(open(os.path.join(eval_out, "metrics.json")))["rows"]
+    rows = read_json(os.path.join(eval_out, "metrics.json"))["rows"]
     methods = {r["method"] for r in rows}
     assert methods == {"PRIOR", "DataSP"}
-    csv_text = open(os.path.join(eval_out, "metrics.csv")).read()
+    csv_text = read_text(os.path.join(eval_out, "metrics.csv"))
     assert csv_text.startswith(
         "method,jaccard_mean,jaccard_std,match_pct,optimal_cost_pct,n_test")
     for row in rows:
@@ -126,9 +135,9 @@ def test_train_real_profile_steps_are_finite(tmp_path):
         "training": {"epochs": 1, "hidden_sizes": [8], "similarity_fraction": 0.2},
     })
     assert run_cli("train", "--config", train_cfg, "--out", str(tmp_path / "run")) == 0
-    resolved = json.load(open(tmp_path / "run" / "train_config.json"))
+    resolved = read_json(tmp_path / "run" / "train_config.json")
     assert resolved["training"]["beta"] == 30.0 and resolved["training"]["keep_count"] == 6
-    log_lines = open(tmp_path / "run" / "train_log.jsonl").read().splitlines()
+    log_lines = read_text(tmp_path / "run" / "train_log.jsonl").splitlines()
     steps = [json.loads(line) for line in log_lines if "L_S" in line]
     trained = [s for s in steps if not s["skipped"]]
     assert trained
@@ -156,7 +165,7 @@ def test_train_epochs_zero_equals_prior_model(gen_dir, tmp_path):
     })
     eval_out = str(tmp_path / "eval0")
     assert run_cli("eval", "--config", eval_cfg, "--out", eval_out) == 0
-    rows = json.load(open(os.path.join(eval_out, "metrics.json")))["rows"]
+    rows = read_json(os.path.join(eval_out, "metrics.json"))["rows"]
     by_method = {r["method"]: r for r in rows}
     assert by_method["DataSP"]["jaccard_mean"] == pytest.approx(
         by_method["PRIOR"]["jaccard_mean"])
@@ -181,7 +190,7 @@ def test_train_resume_continues_step_counter(gen_dir, tmp_path):
     out2 = str(tmp_path / "r2")
     assert run_cli("train", "--config", second_cfg, "--out", out2) == 0
     log_lines = [json.loads(line) for line in
-                 open(os.path.join(out2, "train_log.jsonl")).read().splitlines()]
+                 read_text(os.path.join(out2, "train_log.jsonl")).splitlines()]
     first_step = next(e["step"] for e in log_lines if "L_S" in e)
     assert first_step == step1
 
@@ -195,7 +204,7 @@ def test_train_seed_flag_sets_config_seed(gen_dir, tmp_path):
     })
     out = str(tmp_path / "seed_run")
     assert run_cli("train", "--config", cfg, "--out", out, "--seed", "99") == 0
-    resolved = json.load(open(os.path.join(out, "train_config.json")))
+    resolved = read_json(os.path.join(out, "train_config.json"))
     assert resolved["seed"] == 99
     assert resolved["training"]["seed"] == 99
 
@@ -207,11 +216,11 @@ def test_sample_paths_command(gen_dir, tmp_path):
     })
     out = str(tmp_path / "sp")
     assert run_cli("sample-paths", "--config", cfg, "--out", out) == 0
-    lines = open(os.path.join(out, "samples.jsonl")).read().splitlines()
+    lines = read_text(os.path.join(out, "samples.jsonl")).splitlines()
     records = [json.loads(line) for line in lines]
     assert sum(r["count"] for r in records) == 50
     assert abs(sum(r["freq"] for r in records) - 1.0) < 1e-9
-    meta = json.load(open(os.path.join(out, "samples_meta.json")))
+    meta = read_json(os.path.join(out, "samples_meta.json"))
     assert meta["beta"] == 1.0
     assert meta["checkpoint_sha256"] is None
 
@@ -223,7 +232,7 @@ def test_sample_paths_single_sample(gen_dir, tmp_path):
     })
     out = str(tmp_path / "sp1")
     assert run_cli("sample-paths", "--config", cfg, "--out", out) == 0
-    lines = open(os.path.join(out, "samples.jsonl")).read().splitlines()
+    lines = read_text(os.path.join(out, "samples.jsonl")).splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["count"] == 1
 
@@ -245,7 +254,7 @@ def test_predict_dest_command(gen_dir, tmp_path):
     })
     out = str(tmp_path / "pd")
     assert run_cli("predict-dest", "--config", cfg, "--out", out) == 0
-    doc = json.load(open(os.path.join(out, "destinations.json")))
+    doc = read_json(os.path.join(out, "destinations.json"))
     total = sum(doc["probabilities"].values())
     assert total == pytest.approx(1.0, abs=1e-9)
     assert "0" not in doc["probabilities"]
@@ -265,7 +274,7 @@ def test_predict_dest_custom_two_candidates(gen_dir, tmp_path):
     })
     out = str(tmp_path / "pd2")
     assert run_cli("predict-dest", "--config", cfg, "--out", out) == 0
-    doc = json.load(open(os.path.join(out, "destinations.json")))
+    doc = read_json(os.path.join(out, "destinations.json"))
     probs = doc["probabilities"]
     assert set(probs) <= {"2", "3"}
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
@@ -285,14 +294,14 @@ def test_duplicate_undirected_edge_exits_2(tmp_path):
 def test_verify_command(tmp_path):
     out = str(tmp_path / "verify")
     assert run_cli("verify", "--out", out) == 0
-    report = json.load(open(os.path.join(out, "verify_report.json")))
+    report = read_json(os.path.join(out, "verify_report.json"))
     assert report["ok"]
     census = report["checks"]["walk_census"]
     assert census["expected"] == census["tabulated"]
     assert report["checks"]["distance_consistency"]["max_deviation"] <= 1e-9
-    # the full sweep, 4 query tapes and the training tapes of 11 node sets
-    assert report["checks"]["distance_consistency"]["tapes"] == 16
-    assert report["checks"]["shortcut_consistency"]["tapes"] == 16
+    # 4 query tapes and the training tapes of 11 node sets, the full sweep's among them
+    assert report["checks"]["distance_consistency"]["tapes"] == 15
+    assert report["checks"]["shortcut_consistency"]["tapes"] == 15
 
 
 def test_verify_checks_every_tape_of_the_extra_graph(tmp_path):
@@ -301,8 +310,8 @@ def test_verify_checks_every_tape_of_the_extra_graph(tmp_path):
                                  "prior_costs": [1.0, 2.0]}))
     cfg = write_config(tmp_path, "v.json", {"graph": str(graph)})
     assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
-    extra = json.load(open(tmp_path / "v" / "verify_report.json"))["checks"]["extra_graph"]
-    assert extra["ok"] and extra["tapes"] == 8  # 1 full, 3 query, 4 training
+    extra = read_json(tmp_path / "v" / "verify_report.json")["checks"]["extra_graph"]
+    assert extra["ok"] and extra["tapes"] == 7  # 3 query, 4 training (1 full)
 
 
 FIVE_NODE_GRAPH = {"num_nodes": 5, "directed": False,
@@ -316,7 +325,7 @@ def test_verify_checks_node_exclusion_on_each_graph(tmp_path):
     graph.write_text(json.dumps(FIVE_NODE_GRAPH))
     cfg = write_config(tmp_path, "v.json", {"beta": 1.0, "graph": str(graph)})
     assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
-    checks = json.load(open(tmp_path / "v" / "verify_report.json"))["checks"]
+    checks = read_json(tmp_path / "v" / "verify_report.json")["checks"]
     for name, kept_sets in (("exclusion_consistency", 10),
                             ("extra_graph_exclusion_consistency", 25)):
         assert checks[name]["ok"] and checks[name]["kept_sets"] == kept_sets
@@ -340,7 +349,7 @@ def test_verify_catches_exclusion_weights_off_by_one_percent(monkeypatch, tmp_pa
     graph.write_text(json.dumps(FIVE_NODE_GRAPH))
     cfg = write_config(tmp_path, "v.json", {"beta": 1.0, "graph": str(graph)})
     assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
-    report = json.load(open(tmp_path / "v" / "verify_report.json"))
+    report = read_json(tmp_path / "v" / "verify_report.json")
     assert report["failures"] == ["exclusion_consistency", "extra_graph_exclusion_consistency"]
 
 
@@ -348,7 +357,7 @@ def test_verify_catches_exclusion_weights_off_by_one_percent(monkeypatch, tmp_pa
 def test_verify_passes_at_each_beta(beta, tmp_path):
     cfg = write_config(tmp_path, "v.json", {"beta": beta})
     assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 0
-    report = json.load(open(tmp_path / "v" / "verify_report.json"))
+    report = read_json(tmp_path / "v" / "verify_report.json")
     assert report["ok"] and report["checks"]["walk_census"]["ok"]
     assert len(report["checks"]["sampling_frequencies"]["walks"]) == 8
 
@@ -361,7 +370,7 @@ def test_verify_catches_an_adjoint_off_by_one_percent(monkeypatch, tmp_path):
     for beta in (1.0, 5.0, 1e4):
         cfg = write_config(tmp_path, "v.json", {"beta": beta})
         assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
-        report = json.load(open(tmp_path / "v" / "verify_report.json"))
+        report = read_json(tmp_path / "v" / "verify_report.json")
         # the exclusion check runs the same adjoint behind its exclusion
         assert report["failures"] == ["gradients", "exclusion_consistency"]
 
@@ -383,7 +392,7 @@ def test_verify_catches_a_node_that_leaves_the_live_block_before_its_pivot(monke
     for beta in (1.0, 1e4):
         cfg = write_config(tmp_path, "v.json", {"beta": beta})
         assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
-        report = json.load(open(tmp_path / "v" / "verify_report.json"))
+        report = read_json(tmp_path / "v" / "verify_report.json")
         assert report["failures"] == ["distance_consistency", "shortcut_consistency"]
 
 
@@ -403,7 +412,7 @@ def test_verify_catches_a_nan_in_a_kept_entry_of_a_training_tape(monkeypatch, tm
     for beta in (1.0, 1e4):
         cfg = write_config(tmp_path, "v.json", {"beta": beta})
         assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "v")) == 4
-        report = json.load(open(tmp_path / "v" / "verify_report.json"))
+        report = read_json(tmp_path / "v" / "verify_report.json")
         assert report["checks"]["distance_consistency"]["max_deviation"] == float("inf")
         assert not report["checks"]["shortcut_consistency"]["ok"]
 
@@ -431,8 +440,8 @@ def test_resolved_train_config_runs_again(gen_dir, tmp_path):
                                             "training": {"epochs": 0, "hidden_sizes": [8]}})
     assert run_cli("train", "--config", cfg, "--out", str(tmp_path / "a")) == 0
     resolved = str(tmp_path / "a" / "train_config.json")
-    assert json.load(open(resolved))["training"]["seed"] == 4
-    assert json.load(open(resolved))["training"]["keep_count"] == 7
+    assert read_json(resolved)["training"]["seed"] == 4
+    assert read_json(resolved)["training"]["keep_count"] == 7
     assert run_cli("train", "--config", resolved, "--out", str(tmp_path / "b")) == 0
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
@@ -793,9 +802,9 @@ def test_eval_runs_each_hard_path_search_once(gen_dir, tmp_path, monkeypatch):
     graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
     checkpoint = tmp_path / "init.bin"
     save_checkpoint(checkpoint, init_params(3, [4], graph.num_edges, seed=0))
-    manifest = json.load(open(os.path.join(gen_dir, "manifest.json")))
+    manifest = read_json(os.path.join(gen_dir, "manifest.json"))
     records = [json.loads(line) for line in
-               open(os.path.join(gen_dir, "trajectories.jsonl"))]
+               read_text(os.path.join(gen_dir, "trajectories.jsonl")).splitlines()]
     ends = [(records[i]["path"][0], records[i]["path"][-1])
             for i in manifest["splits"]["test"]]
     assert len(set(ends)) < len(ends)
@@ -869,13 +878,14 @@ def test_eval_predicts_costs_once_per_block(monkeypatch):
 def test_default_betas_keep_the_walk_series_of_the_default_graph_convergent(seed):
     # rho(exp(-beta * M_prior)) < 1, or the smoothed distances diverge; the
     # graph is drawn before any sample, so a dataset of none has the default one
-    from datasp.cli import DEFAULTS, PROFILES
+    from datasp.cli import DEFAULTS
     from datasp.graph import build_cost_matrix
     from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
+    from datasp.training import TrainConfig
 
     syn = generate_synthetic_dataset(GeneratorConfig(seed=seed, num_samples=0))
     m = build_cost_matrix(syn.prior, syn.graph)
-    for beta in (PROFILES["synthetic"]["beta"], DEFAULTS["sample-paths"]["beta"],
+    for beta in (TrainConfig().beta, DEFAULTS["sample-paths"]["beta"],
                  DEFAULTS["predict-dest"]["beta"]):
         assert np.abs(np.linalg.eigvals(np.exp(-beta * m))).max() < 1
 

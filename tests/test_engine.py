@@ -158,7 +158,7 @@ def test_sweep_working_memory_is_a_few_matrices(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arrays = {id(a): a for a in (tape.m_input, tape.col, tape.row, tape.dist, *tape.snapshots)}
+    arrays = {id(a): a for a in (tape.m_input, *_tape_arrays(tape))}
     tape_bytes = sum(a.nbytes for a in arrays.values())
     assert peak - tape_bytes <= 6 * n * n * 8
 
@@ -294,11 +294,12 @@ def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed, data)
     D at U x U, C[a, k] for a in U or a >= k, R[k, b] for b in U or b >= k,
     and M: each bit-equal to the full sweep's, and every other dist, col and
     row entry NaN.  A query's tape holds no steps and no snapshots.  A
-    training tape, under a drawn float budget, keeps the steps of its first
-    pivots while their w_via fit it, each bit-equal to the step of the
-    elimination that drops every node outside U after its pivot, and the
-    live blocks of that elimination, which hold the full sweep's bits, as
-    the snapshots of the segments after them.  The backward from a tape
+    training tape, the full sweep's (every node) included, under a drawn
+    float budget, keeps the steps of its first pivots while their w_via fit
+    it, each bit-equal to the step of the elimination that drops every node
+    outside U after its pivot, and the live blocks of that elimination,
+    which hold the bits of the elimination that keeps every node, as the
+    snapshots of the segments after them.  The backward from a tape
     restricted to the nodes of random triples gives the full sweep's
     gradient within 1e-12 normwise: its pivot adjoints sum over the live
     block in storage order."""
@@ -307,11 +308,36 @@ def test_source_tape_keeps_the_full_sweeps_bits(size, density, beta, seed, data)
         _check_source_tapes(size, density, beta, seed, data)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(size=st.integers(2, 10), density=st.floats(0.1, 0.6),
+       beta=st.sampled_from([0.5, 1.0, 5.0, 30.0]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_the_full_sweep_is_the_every_node_training_tape(size, density, beta, seed, data):
+    """Under a drawn float budget, sweep(m, beta) and sweep(m, beta,
+    np.arange(V)) hold the same bits of D, C and R, the same kept steps and
+    the same snapshots."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_FLOATS", data.draw(st.integers(0, size ** 3)))
+        for m in _source_tape_cases(size, density, seed):
+            full, every = sweep(m, beta), sweep(m, beta, np.arange(m.shape[0]))
+            assert len(full.steps) == len(every.steps)
+            assert len(full.snapshots) == len(every.snapshots)
+            for ours, ref in zip(_tape_arrays(full), _tape_arrays(every)):
+                assert np.array_equal(_bits(ours), _bits(ref))
+
+
+def _tape_arrays(tape):
+    return [tape.dist, tape.col, tape.row, *tape.snapshots,
+            *(a for step in tape.steps for a in step)]
+
+
 def _check_source_tapes(size, density, beta, seed, data):
     for m in _source_tape_cases(size, density, seed):
         n = m.shape[0]
         full = sweep(m, beta)
-        assert full.kept_rows.all() and full.kept_nodes.all() and not full.steps
+        assert full.kept_rows.all() and full.kept_nodes.all()
+        _, every_blocks, every_steps = _eliminate(m, full.kept_nodes, beta)
+        _check_kept(full, every_blocks, every_steps)
         below = np.tril(np.ones((n, n), dtype=bool))  # [a, k]: a >= k
         drawn = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
         for sources in [*range(n), drawn, np.arange(n), np.array([], dtype=np.intp)]:
@@ -332,23 +358,11 @@ def _check_source_tapes(size, density, beta, seed, data):
             if query:
                 assert not tape.snapshots and not tape.steps
                 continue
-            stride = tape.stride
             order, blocks, steps = _eliminate(m, kept_nodes, beta)
-            for start in range(0, n, stride):  # the elimination keeps the full sweep's bits
-                live = order[int((~kept_nodes[:start]).sum()):]
-                ref = full.snapshots[start // stride][np.ix_(live, live)]
-                assert np.array_equal(_bits(blocks[start]), _bits(ref))
-            first_rerun = len(tape.steps)
-            assert _floats(tape.steps) <= engine.BLOCK_FLOATS
-            if first_rerun < n:
-                assert _floats(steps[:first_rerun + 1]) > engine.BLOCK_FLOATS
-            for (rows, w_via), (ref_rows, ref_w_via) in zip(tape.steps, steps):
-                assert np.array_equal(rows, ref_rows)
-                assert np.array_equal(_bits(w_via), _bits(ref_w_via))
-            starts = range(first_rerun, n, stride)
-            assert len(tape.snapshots) == len(starts)
-            for start, snap in zip(starts, tape.snapshots):
-                assert np.array_equal(_bits(snap), _bits(blocks[start]))
+            for k, block in enumerate(blocks):  # the elimination keeps every node's bits
+                live = order[int((~kept_nodes[:k]).sum()):]
+                assert np.array_equal(_bits(block), _bits(every_blocks[k][np.ix_(live, live)]))
+            _check_kept(tape, blocks, steps)
 
         rng = np.random.default_rng(seed)
         at = tuple(rng.integers(n, size=(3, data.draw(st.integers(1, 3 * n)))))
@@ -365,6 +379,24 @@ def _check_source_tapes(size, density, beta, seed, data):
                                         np.where(np.isfinite(dist), noise, 0.0))
         assert np.array_equal(_bits(log_p), _bits(full_log_p))
         assert np.linalg.norm(grad - full_grad) <= 1e-12 * np.linalg.norm(full_grad)
+
+
+def _check_kept(tape, blocks, steps):
+    """A training tape keeps the steps of its first pivots while they fit the
+    budget, each bit-equal to the elimination's step, and the elimination's
+    live block before each re-run segment as that segment's snapshot."""
+    n = len(blocks)
+    first_rerun = len(tape.steps)
+    assert _floats(tape.steps) <= engine.BLOCK_FLOATS
+    if first_rerun < n:
+        assert _floats(steps[:first_rerun + 1]) > engine.BLOCK_FLOATS
+    for (rows, w_via), (ref_rows, ref_w_via) in zip(tape.steps, steps):
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(_bits(w_via), _bits(ref_w_via))
+    starts = range(first_rerun, n, tape.stride)
+    assert len(tape.snapshots) == len(starts)
+    for start, snap in zip(starts, tape.snapshots):
+        assert np.array_equal(_bits(snap), _bits(blocks[start]))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -437,6 +469,25 @@ def test_training_tape_of_one_path_keeps_every_step(monkeypatch):
     _, grad_log_p, _ = shortcut_loss(log_p, freq)
     datasp_backward(tape, grad_log_p, np.zeros_like(dist))
     assert len(calls) == 100
+
+
+def test_the_dense_backward_reruns_no_pivot(monkeypatch):
+    """On the generator's V = 30 graph at beta = 3, the dense log P's tape
+    keeps every step, so its backward re-runs no pivot."""
+    from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
+
+    data = generate_synthetic_dataset(GeneratorConfig(num_nodes=30, num_samples=0, seed=0))
+    m = build_cost_matrix(data.prior, data.graph)
+    log_p, dist, tape = datasp_forward_efficient(m, 3.0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pivot(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "pivot", counted)
+    datasp_backward(tape, np.full(log_p.shape, 1.0 / 30), np.zeros_like(dist))
+    assert not calls
 
 
 def test_zero_node_backward_gives_an_empty_float_gradient():

@@ -370,6 +370,27 @@ def test_dijkstra_rejects_nonpositive_costs():
         dijkstra(m[None], [(0, 1)])
 
 
+def test_entry_checks_name_nan_then_minus_inf_then_sign():
+    """Each search and validation names the first fault in the order NaN,
+    -inf, sign, wherever in the block it lies; a nonpositive entry passes
+    outside the searches."""
+    from datasp.graph import validate_cost_matrix
+
+    clean = np.array([[INF, 1.0], [2.0, INF]])
+    block = np.stack([clean] * 3)
+    block[0, 0, 1], block[1, 1, 0], block[2, 0, 1] = -0.5, -INF, np.nan
+    with pytest.raises(ValidationError, match="contains NaN"):
+        dijkstra(block, [(0, 1)] * 3)
+    with pytest.raises(ValidationError, match="must not be -inf"):
+        dijkstra(block[:2], [(0, 1)] * 2)
+    with pytest.raises(ValidationError, match="strictly positive"):
+        dijkstra(block[:1], [(0, 1)])
+    for m, message in ((block[2], "contains NaN"), (block[1], "must not be -inf")):
+        with pytest.raises(ValidationError, match=message):
+            validate_cost_matrix(m)
+    assert validate_cost_matrix(block[0])[0, 1] == -0.5
+
+
 # --- node exclusion ----------------------------------------------------------
 
 def _shrinking_exclusion(m, removed, beta):
