@@ -12,7 +12,7 @@ undecodable text and malformed JSON or binary input), 3 numerical failure,
 
 `sample-paths` and `predict-dest` record the sha256 of their checkpoint.  It
 is hashed on a worker thread, started once the checkpoint loads and joined
-after the query's compute, before any output is written (`_query_matrix`).
+after the query's compute, before any output is written (`_query_costs`).
 
 `verify` checks the engine against the brute-force walk oracle on a bundled
 4-node fixture (and optionally an extra small graph): the walk census, the
@@ -49,12 +49,12 @@ from .errors import (
     is_real,
 )
 from .graph import (
-    block_slices,
     build_cost_matrix,
     complete_graph,
     graph_to_json_dict,
     load_graph_json,
     sample_subgraph,
+    search_slices,
 )
 from .inference import (
     destination_likelihood,
@@ -234,8 +234,8 @@ def _positive_int(value, name: str) -> int:
 
 
 @contextlib.contextmanager
-def _query_matrix(config, graph, prior):
-    """A query's cost matrix, from a checkpoint + context or else the prior,
+def _query_costs(config, graph, prior):
+    """A query's edge costs, from a checkpoint + context or else the prior,
     and a dict whose "sha256" is the checkpoint's digest (None without one)
     once the block exits.
 
@@ -251,7 +251,7 @@ def _query_matrix(config, graph, prior):
                                   "or drop context")
         if prior is None:
             raise ValidationError("graph has neither prior costs nor node positions")
-        yield build_cost_matrix(prior, graph), digest
+        yield prior, digest
         return
     checkpoint = load_checkpoint(config["checkpoint"])
     worker = threading.Thread(target=lambda: digest.update(sha256=checkpoint.sha256))
@@ -264,7 +264,7 @@ def _query_matrix(config, graph, prior):
             raise ValidationError(f"a checkpoint needs a context list of finite numbers, "
                                   f"got {context!r}")
         costs, _ = predict_costs(checkpoint.params, np.asarray(context, dtype=float), prior)
-        yield build_cost_matrix(costs, graph), digest
+        yield costs, digest
     finally:
         worker.join()
 
@@ -367,18 +367,18 @@ def cmd_train(config: dict, out_dir: str) -> int:
 
 def _metric_rows(dataset, params, split, true_costs):
     """One metrics row per method.  Each distinct PRIOR (source, target) path
-    and each record's true optimum is searched for once, by block: the
-    matrices of one `block_slices` slice are built, searched and dropped
-    before the next."""
+    and each record's true optimum is searched for once, by block: the edge
+    costs of one `search_slices` slice are searched and dropped before the
+    next."""
     graph, prior = dataset.graph, dataset.prior
     indices = dataset.split_indices(split)
     if not indices:
         raise ValidationError(f"split {split!r} is empty")
-    obs = [list(dataset.paths[idx]) for idx in indices]
+    obs = [dataset.paths[idx] for idx in indices]
     ends = [(path[0], path[-1]) for path in obs]
     distinct = list(dict.fromkeys(ends))
     prior_paths = {}
-    for block in block_slices(len(distinct), graph.num_nodes):
+    for block in search_slices(len(distinct), graph):
         pairs = distinct[block]
         costs = np.broadcast_to(prior, (len(pairs), graph.num_edges))
         found = expected_optimal_path(costs, graph, pairs)
@@ -388,7 +388,7 @@ def _metric_rows(dataset, params, split, true_costs):
         methods.append(("DataSP", predicted_paths(params, dataset, indices)))
     if true_costs is not None:
         optima = []
-        for block in block_slices(len(indices), graph.num_nodes):
+        for block in search_slices(len(indices), graph):
             optima += [cost for _, cost in
                        expected_optimal_path(true_costs[indices[block]], graph, ends[block])]
         record_costs = [true_costs[idx] for idx in indices]
@@ -453,7 +453,8 @@ def cmd_sample_paths(config: dict, out_dir: str) -> int:
     if not isinstance(config["reject_cycles"], bool):
         raise ValidationError(f"reject_cycles must be true or false, "
                               f"got {config['reject_cycles']!r}")
-    with _query_matrix(config, graph, prior) as (m, digest):
+    with _query_costs(config, graph, prior) as (costs, digest):
+        m = build_cost_matrix(costs, graph)
         rng = np.random.default_rng(config["seed"])
         estimate = monte_carlo_path_distribution(m, config["beta"], source, target,
                                                  num_samples, rng,
@@ -503,11 +504,12 @@ def cmd_predict_dest(config: dict, out_dir: str) -> int:
 
     graph, prior, _ = load_graph_json(config["graph"])
     partial = [_node_index(x, graph.num_nodes, "partial path node") for x in config["partial"]]
-    with _query_matrix(config, graph, prior) as (m, digest):
+    with _query_costs(config, graph, prior) as (costs, digest):
+        m = build_cost_matrix(costs, graph)
         if kind == "uniform":
             weights = np.ones(graph.num_nodes)
         elif kind == "exp-negative-distance":
-            weights = exp_negative_distance_weights(m, partial[-1])
+            weights = exp_negative_distance_weights(costs, graph, partial[-1])
         else:
             weights = prior_cfg.get("weights")
             if not isinstance(weights, list) or not all(is_real(w) for w in weights):

@@ -84,7 +84,7 @@ def init_params(feature_dim: int, hidden_sizes, edge_count: int, seed: int,
 class ForwardCache:
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
-    gate: np.ndarray  # sigmoid(raw + shift), the d(cost)/d(raw) factor
+    z: np.ndarray  # raw + shift, whose sigmoid is the d(cost)/d(raw) factor
     params: ModelParams = field(repr=False, default=None)
 
 
@@ -99,7 +99,7 @@ def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCac
     if prior.shape != (params.edge_count,):
         raise ValidationError(f"expected {params.edge_count} priors, got {prior.shape}")
 
-    # Huge finite weights overflow to inf or nan; build_cost_matrix rejects those.
+    # Huge finite weights overflow to inf or nan; graph.check_edge_costs rejects those.
     with np.errstate(over="ignore", invalid="ignore"):
         h = x
         pre_acts: list[np.ndarray] = []
@@ -112,10 +112,9 @@ def predict_costs(params: ModelParams, x, prior) -> tuple[np.ndarray, ForwardCac
         raw = h @ params.weights[-1].T + params.biases[-1]
 
         shift = inv_softplus(np.maximum(prior - params.cost_floor, 1e-9))
-        costs = params.cost_floor + softplus(raw + shift)
-        gate = np.exp(-np.logaddexp(0.0, -(raw + shift)))  # stable sigmoid
-    cache = ForwardCache(pre_activations=pre_acts, activations=acts, gate=gate,
-                         params=params)
+        z = raw + shift
+        costs = params.cost_floor + softplus(z)
+    cache = ForwardCache(pre_activations=pre_acts, activations=acts, z=z, params=params)
     return costs, cache
 
 
@@ -126,7 +125,8 @@ def backward_params(cache: ForwardCache, grad_costs) -> list[np.ndarray]:
     grad_costs = np.asarray(grad_costs, dtype=float)
     if grad_costs.shape != (params.edge_count,):
         raise ValidationError(f"expected gradient of shape ({params.edge_count},)")
-    delta = grad_costs * cache.gate
+    gate = np.exp(-np.logaddexp(0.0, -cache.z))  # stable sigmoid
+    delta = grad_costs * gate
     grads = [np.outer(delta, cache.activations[-1]), delta]
     upstream = delta
     for layer in range(len(params.weights) - 2, -1, -1):

@@ -13,16 +13,20 @@ first self-loop, out-of-range or repeated edge in list order on the (E, 2)
 array.  The messages are those a per-edge check in list order gives, also
 for ids beyond int64 and prior costs beyond float64.
 
-`distances_to` is the one hard-distance routine, a dense Dijkstra over a
-block: a (B, V, V) stack of cost matrices, each searched towards its own
-target, advanced together one settled node per matrix a round.  `dijkstra`
-walks each matrix's lexicographically smallest best path from those
-distances.  Gen searches its trajectories and eval its best paths (through
-`inference.expected_optimal_path`) by block, one block per `block_slices`
-slice of their records, whose matrices fill at most BLOCK_FLOATS floats; the
-exp-negative-distance destination prior and the generator's connectivity
-check pass a block of one.  The all-pairs hard-min reference that tests
-compare the engine's beta -> inf limit against lives with the tests.
+`distances_to` is the one hard-distance routine, a Dijkstra over a block of
+edge-cost rows on one graph, each row searched towards its own target,
+advanced together one settled node per row a round; a round relaxes only the
+in-edges of each row's settled node (`Graph.in_edges`).  `dijkstra` stops
+each row once its source's distance is settled with some margin, and walks
+the row's lexicographically smallest best path from those distances over
+out-edges (`Graph.out_edges`).  Gen searches its trajectories and eval its
+best paths (through `inference.expected_optimal_path`) by block, one block
+per `search_slices` slice of their records, whose costs and search state
+fill at most BLOCK_FLOATS floats; the exp-negative-distance destination
+prior and the generator's connectivity check pass a block of one.  No search
+builds a cost matrix.  The all-pairs hard-min reference that tests compare
+the engine's beta -> inf limit against, and the dense search over (B, V, V)
+cost matrices that the edge search must match, live with the tests.
 
 Node exclusion reconnects the neighbors of each removed node through local
 smooth mins.  `draw_kept_nodes` picks the nodes a training step keeps, so a
@@ -113,6 +117,41 @@ class Graph:
             return [self._edge_index[step] for step in zip(path[:-1], path[1:])]
         except KeyError as exc:
             raise ValidationError(f"path step {exc.args[0]} is not an edge") from None
+
+    @functools.cached_property
+    def in_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, nodes), read-only (V, D) int arrays built once per graph by
+        its first search: row u holds the index and the tail v of each edge
+        v -> u, ascending in v, padded to the largest in-degree D with edge 0
+        and node u itself."""
+        return self._incidence(1)
+
+    @functools.cached_property
+    def out_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, nodes) as `in_edges`, for the edges u -> v out of each node u,
+        ascending in v, padded with edge 0 and node u itself."""
+        return self._incidence(0)
+
+    @functools.cached_property
+    def reverse(self) -> "Graph":
+        """The graph with every edge reversed, in the same edge order, so that
+        edge costs align; built on first use."""
+        return Graph(self.num_nodes, self._edge_array[:, ::-1])
+
+    def _incidence(self, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """The edges whose end `end` (0 tail, 1 head) is each node, by the
+        other end; see `in_edges`."""
+        ea, n = self._edge_array, self.num_nodes
+        order = np.lexsort((ea[:, 1 - end], ea[:, end]))
+        node = ea[order, end]
+        counts = np.bincount(node, minlength=n)
+        slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        edges = np.zeros((n, counts.max(initial=0)), dtype=np.int64)
+        nodes = np.repeat(np.arange(n)[:, None], edges.shape[1], axis=1)
+        edges[node, slot] = order
+        nodes[node, slot] = ea[order, 1 - end]
+        edges.flags.writeable = nodes.flags.writeable = False
+        return edges, nodes
 
     @functools.cached_property
     def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -275,19 +314,31 @@ def graph_to_json_dict(graph: Graph, prior=None, positions=None) -> dict:
     return doc
 
 
+def check_edge_costs(costs, graph: Graph) -> np.ndarray:
+    """costs as a float array of the graph's E edge costs, or of B rows of
+    them, each finite and strictly positive.  A fault is named in the order
+    NaN, -inf, then any other cost that is not finite and positive."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim not in (1, 2) or costs.shape[-1] != graph.num_edges:
+        raise ValidationError(
+            f"expected {graph.num_edges} edge costs, got shape {costs.shape}"
+        )
+    if costs.size and not (costs.min() > 0.0 and costs.max() < INF):  # false at NaN
+        if np.isnan(costs).any():
+            raise ValidationError("edge costs contain NaN")
+        if (costs == -INF).any():
+            raise ValidationError("edge costs must not be -inf")
+        raise ValidationError("edge costs must be finite and strictly positive")
+    return costs
+
+
 def build_cost_matrix(edge_costs, graph: Graph) -> np.ndarray:
     """Dense cost matrix with inf off-edges and an inf diagonal.
 
     A (B, E) array of edge-cost rows gives the (B, V, V) block of their
     matrices.
     """
-    costs = np.asarray(edge_costs, dtype=float)
-    if costs.ndim not in (1, 2) or costs.shape[-1] != graph.num_edges:
-        raise ValidationError(
-            f"expected {graph.num_edges} edge costs, got shape {costs.shape}"
-        )
-    if graph.num_edges and (not np.isfinite(costs).all() or (costs <= 0).any()):
-        raise ValidationError("edge costs must be finite and strictly positive")
+    costs = check_edge_costs(edge_costs, graph)
     m = np.full(costs.shape[:-1] + (graph.num_nodes, graph.num_nodes), INF)
     if graph.num_edges:
         ea = graph.edge_array()
@@ -295,31 +346,28 @@ def build_cost_matrix(edge_costs, graph: Graph) -> np.ndarray:
     return m
 
 
-def validate_cost_matrix(m: np.ndarray, positive: bool = False) -> np.ndarray:
-    """Shape/diagonal/NaN checks; `positive` additionally requires every
-    finite entry to be strictly positive.
+def validate_cost_matrix(m: np.ndarray) -> np.ndarray:
+    """Shape/diagonal/NaN/-inf checks.
 
     Matrices built from edge costs are always positive, but node-exclusion
     smooth mins undershoot the hard min by up to ln(2)/beta, so compressed
     matrices can legitimately carry nonpositive entries at small beta; the
-    smoothing recursions are sign-agnostic, only path algorithms that rely
-    on nonnegativity (Dijkstra) insist on `positive`.
+    smoothing recursions are sign-agnostic.  The hard searches, which rely
+    on positive costs, take edge costs (`check_edge_costs`).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"cost matrix must be square, got shape {m.shape}")
-    return _check_entries(m, positive)
+    return _check_entries(m)
 
 
-def _check_entries(m: np.ndarray, positive: bool) -> np.ndarray:
-    """The entry checks of `validate_cost_matrix` on a (..., V, V) array: m > floor
-    is false exactly at NaN, -inf and (under `positive`) entries <= 0."""
-    if not (m > (0.0 if positive else -INF)).all():
+def _check_entries(m: np.ndarray) -> np.ndarray:
+    """The entry checks of `validate_cost_matrix` on a (..., V, V) array: m > -inf
+    is false exactly at NaN and -inf."""
+    if not (m > -INF).all():
         if np.isnan(m).any():
             raise ValidationError("cost matrix contains NaN")
-        if (m == -INF).any():
-            raise ValidationError("cost entries must not be -inf")
-        raise ValidationError("finite cost entries must be strictly positive")
+        raise ValidationError("cost entries must not be -inf")
     if np.isfinite(np.diagonal(m, axis1=-2, axis2=-1)).any():
         raise ValidationError("diagonal entries must be inf (no self-loops)")
     return m
@@ -332,8 +380,9 @@ def path_cost(m: np.ndarray, path) -> float:
     return float(total)
 
 
-# Cost-matrix floats one block of hard searches holds; `block_slices` cuts a
-# run of records into blocks of as many V x V matrices as fit.
+# The floats one block of work holds: a block of hard searches
+# (`search_slices`), a training chunk's exclusion steps, a training tape's
+# kept weights.
 BLOCK_FLOATS = 2 ** 18
 
 
@@ -344,59 +393,113 @@ def block_floats(num_nodes: int) -> int:
 
 def block_slices(count: int, num_nodes: int) -> list[slice]:
     """Consecutive slices of range(count), each at most BLOCK_FLOATS // V^2
-    long (at least 1): the blocks in which gen and eval search."""
+    long (at least 1): the blocks in which eval predicts costs."""
     size = block_floats(num_nodes) // (num_nodes * num_nodes)
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def distances_to(matrices: np.ndarray, targets) -> np.ndarray:
-    """Hard shortest distance from every node to the target of each matrix of
-    a block (inf if unreachable): row b of the (B, V) result is matrix b's
-    distances to targets[b].
+def search_slices(count: int, graph: Graph) -> list[slice]:
+    """Consecutive slices of range(count), each at most BLOCK_FLOATS // (E + 3V)
+    long (at least 1): the blocks in which gen and eval search, a record
+    taking its E edge costs and the V distances, settled marks and keys of
+    its search."""
+    size = max(1, BLOCK_FLOATS // (graph.num_edges + 3 * graph.num_nodes))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
-    Dense Dijkstra on all B matrices at once: each round settles, in every
-    matrix, the open node u with the smallest tentative distance and relaxes
-    every node v through its edge v -> u, with one argmin, one gather of the
-    B columns u and one minimum over (B, V) arrays.  Finite entries must be
-    strictly positive (see `validate_cost_matrix`).  Then each node is
-    settled at its final distance, in the order and with the additions of a
-    search of its matrix alone, and relaxing a settled node again cannot
-    lower it, so the relaxation needs no mask; a matrix whose open nodes are
-    all unreachable takes no-op rounds until the block is done.
+
+def distances_to(costs, graph: Graph, targets, sources) -> np.ndarray:
+    """Hard shortest distance from every node to the target of each row of a
+    (B, E) block of edge costs on the graph (inf if unreachable): row b of
+    the (B, V) result holds the distances to targets[b] under costs[b].
+
+    Dijkstra on all B rows at once: each round settles, in every row, the
+    open node u with the smallest tentative distance and relaxes only the
+    edges v -> u into it (`Graph.in_edges`), through flat indices into the
+    block's costs and distances; a padding slot relaxes u itself, which a
+    positive cost cannot lower.  Costs must be finite and strictly positive
+    (see `check_edge_costs`).  Then each node is settled at its final
+    distance, in the order and with the additions of a dense search of the
+    row's cost matrix alone, and relaxing a settled node again cannot lower
+    it, so the relaxation needs no mask.
+
+    With `sources` None a row ends once its open nodes are all unreachable.
+    Else row b also ends once its smallest open key exceeds the stop
+    dist[s] + 2n t max(1, dist[s]), s = sources[b] and t = 1e-12: every
+    node whose distance is at most the stop is settled, and every other one
+    keeps a tentative distance no lower than its final one.  The stop covers
+    the walk of `dijkstra`.  From node u the walk accepts w only if
+    c(u, w) + dist[w] <= dist[u] + t max(1, dist[u]); as c(u, w) > 0, then
+    dist[w] < dist[u] + t' max(1, dist[u]), with t' = 1.001 t covering the
+    rounding of both sides.  So max(1, dist) grows by a factor of at most
+    1 + t' a step, and whatever step k of the walk can accept lies below
+    dist[s] + k t' (1 + t')^k max(1, dist[s]).  A walk takes at most n - 1
+    steps, and (n - 1) t' (1 + t')^(n - 1) < 2n t, so each node a step can
+    accept is settled, with the distance a dense search gives it; each
+    other node fails the step's test under its final distance, and so under
+    its tentative one too.
+    Finished rows are dropped from the search once they make up a quarter
+    of it.
     """
-    b, n = matrices.shape[0], matrices.shape[-1]
-    rows = np.arange(b)
-    dist = np.full((b, n), INF)  # tentative while open, final once settled
-    dist[rows, targets] = 0.0
+    n, num_edges = graph.num_nodes, graph.num_edges
+    in_edges, in_nodes = graph.in_edges
+    flat_costs = np.reshape(costs, -1)
+    b = len(targets)
+    out = np.full((b, n), INF)
+    out[np.arange(b), targets] = 0.0
+    live = np.arange(b)  # the block's rows still searching
+    dist = out  # theirs: tentative while open, final once settled
     settled = np.zeros((b, n))  # +inf once settled, so argmin skips the node
     key = np.empty((b, n))
+    starts = None if sources is None else np.asarray(sources)
+    row_at, cost_at = np.arange(0, b * n, n), (live * num_edges)[:, None]  # flat offsets
     for _ in range(n):
         np.add(dist, settled, out=key)
         u = key.argmin(axis=1)
-        d = key[rows, u]
-        settled[rows, u] = INF
-        relaxed = matrices[rows, :, u]  # relaxed[b, v] = matrices[b, v, u[b]]
-        relaxed += d[:, None]
-        np.minimum(dist, relaxed, out=dist)
-    return dist
+        at = row_at + u
+        d = key.reshape(-1)[at]
+        settled.reshape(-1)[at] = INF
+        cand = flat_costs[cost_at + in_edges[u]]
+        cand += d[:, None]
+        flat, tentative = row_at[:, None] + in_nodes[u], dist.reshape(-1)
+        tentative[flat] = np.minimum(tentative[flat], cand)
+        done = d == INF
+        if starts is not None:
+            reach = tentative[row_at + starts]
+            done |= d > reach + 2 * n * 1e-12 * np.maximum(1.0, reach)
+        count = np.count_nonzero(done)
+        if count == len(live):
+            break
+        if 4 * count < len(live):
+            settled[done] = INF  # a finished row settles nothing more
+            continue
+        keep = ~done
+        out[live[done]] = dist[done]
+        live, dist, settled = live[keep], dist[keep], settled[keep]
+        key, row_at, cost_at = key[:len(live)], row_at[:len(live)], (live * num_edges)[:, None]
+        starts = None if starts is None else starts[keep]
+    if dist is not out:
+        out[live] = dist
+    return out
 
 
-def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]:
-    """Minimum-cost path of each (source, target) pair of `ends` on the cost
-    matrix at the same index of the (B, V, V) block, with ties broken by the
-    lexicographically smallest node sequence.
+def dijkstra(costs, graph: Graph, ends) -> list[tuple[list[int] | None, float]]:
+    """Minimum-cost path of each (source, target) pair of `ends` under the
+    edge costs of the same row of the (B, E) block `costs` on the graph,
+    with ties broken by the lexicographically smallest node sequence.
 
     Returns one (path, cost) per pair; (None, inf) when the target is
     unreachable.  The tie-break is realized by computing exact
-    distances-to-target (`distances_to`, one search for the block) and then
-    greedily walking from each source, always taking the smallest-indexed
-    next node that stays on an optimal path; the walks advance together.
+    distances-to-target (`distances_to`, one search for the block, each row
+    ending a margin beyond its source) and then greedily walking from each
+    source, always taking the smallest-indexed out-neighbour that stays on
+    an optimal path (`Graph.out_edges`); the walks advance together.  The
+    costs are checked once, by `check_edge_costs`.
     """
-    m = np.asarray(matrices, dtype=float)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValidationError(f"expected a block of square cost matrices, got shape {m.shape}")
-    m = _check_entries(m, positive=True)
-    b, n = m.shape[0], m.shape[1]
+    costs = check_edge_costs(costs, graph)
+    if costs.ndim != 2:
+        raise ValidationError(f"expected a block of edge-cost rows, got shape {costs.shape}")
+    costs = np.ascontiguousarray(costs)
+    (b, num_edges), n = costs.shape, graph.num_nodes
     ends = np.asarray(ends, dtype=np.int64)
     if ends.shape != (b, 2):
         raise ValidationError(f"expected {b} (source, target) pairs, got shape {ends.shape}")
@@ -405,11 +508,12 @@ def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]
     sources, targets = ends[:, 0], ends[:, 1]
 
     rows = np.arange(b)
-    dist_to = distances_to(m, targets)
+    dist_to = distances_to(costs, graph, targets, sources)
     totals = dist_to[rows, sources]  # 0 where source == target
     reachable = np.isfinite(totals)
     paths = [[s] for s in sources.tolist()]
     at = np.where(reachable, sources, targets)  # an unreachable pair walks nowhere
+    out_edges, out_nodes = graph.out_edges
     for _ in range(n - 1):  # a best path has at most n - 1 edges
         walking = np.flatnonzero(at != targets)
         if not walking.size:
@@ -417,11 +521,14 @@ def dijkstra(matrices: np.ndarray, ends) -> list[tuple[list[int] | None, float]]
         u = at[walking]
         remaining = dist_to[walking, u]
         tol = 1e-12 * np.maximum(1.0, np.abs(remaining))
-        on_path = m[walking, u] + dist_to[walking] <= (remaining + tol)[:, None]
-        nxt = on_path.argmax(axis=1)
-        if not on_path[np.arange(walking.size), nxt].all():
+        heads = out_nodes[u]
+        step = (costs.reshape(-1)[(walking * num_edges)[:, None] + out_edges[u]]
+                + dist_to.reshape(-1)[(walking * n)[:, None] + heads])
+        on_path = (step <= (remaining + tol)[:, None]) & (heads != u[:, None])
+        pick = np.arange(walking.size), on_path.argmax(axis=1)
+        if not on_path[pick].all():
             raise ValidationError("optimal successor not found; inconsistent distances")
-        at[walking] = nxt
+        at[walking] = nxt = heads[pick]
         for row, v in zip(walking.tolist(), nxt.tolist()):
             paths[row].append(v)
     if (at != targets).any():
@@ -533,7 +640,7 @@ def sample_subgraph(graph: Graph, m: np.ndarray, kept, beta: float) -> Compressi
     r = len(removed[0])
     if any(len(nodes) != r for nodes in removed):
         raise ValidationError("every matrix of a stack must keep as many nodes")
-    _check_entries(np.asarray(matrices), positive=False)
+    _check_entries(np.asarray(matrices))
     beta = check_beta(beta)
     b = len(kept)
     cur = np.empty((n, b, n))  # a copy: pivot writes in place

@@ -56,7 +56,7 @@ from .errors import NoPathError, NumericalError, ValidationError
 from .graph import (
     BLOCK_FLOATS,
     Graph,
-    build_cost_matrix,
+    check_edge_costs,
     dijkstra,
     distances_to,
     validate_cost_matrix,
@@ -65,7 +65,7 @@ from .smoothing import INF
 
 # Walks drawn together.  A walk's segments and node row hold a few dozen
 # 8-byte entries in all, so a block stays within the float budget that
-# gen and eval give a block of cost matrices.
+# gen and eval give a block of searches.
 WALK_BLOCK = BLOCK_FLOATS // 32
 
 
@@ -215,15 +215,18 @@ def monte_carlo_path_distribution(
     return PathDistributionEstimate(counts=counts, rejected_count=attempts - accepted)
 
 
-def exp_negative_distance_weights(m: np.ndarray, origin: int) -> np.ndarray:
+def exp_negative_distance_weights(costs, graph: Graph, origin: int) -> np.ndarray:
     """Destination weights exp(-d/scale) from the hard shortest distances d
-    out of the origin node (weight 0 where unreachable), scale being the mean
-    finite distance.  The distances are one dense Dijkstra on the reversed
-    graph, so the finite entries of m must be strictly positive."""
-    m = validate_cost_matrix(m, positive=True)
-    if not 0 <= origin < m.shape[0]:
-        raise ValidationError(f"origin {origin} out of range for {m.shape[0]} nodes")
-    row = distances_to(m.T[None], [origin])[0]
+    out of the origin node under the graph's E edge costs (weight 0 where
+    unreachable), scale being the mean finite distance.  The distances are
+    one `graph.distances_to` search on the reversed graph, so the costs must
+    be finite and strictly positive."""
+    costs = check_edge_costs(costs, graph)
+    if costs.ndim != 1:
+        raise ValidationError(f"expected {graph.num_edges} edge costs, got shape {costs.shape}")
+    if not 0 <= origin < graph.num_nodes:
+        raise ValidationError(f"origin {origin} out of range for {graph.num_nodes} nodes")
+    row = distances_to(costs[None], graph.reverse, [origin], None)[0]
     finite = np.isfinite(row)
     scale = float(row[finite].mean()) if row[finite].max() > 0 else 1.0
     return np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
@@ -296,10 +299,11 @@ def expected_optimal_path(costs, graph: Graph, ends) -> list[tuple[list[int] | N
     the edge costs of the same row of the (B, E) array `costs`, as `dijkstra`
     returns it.
 
-    The rows are one block: their B cost matrices are built and searched
-    together, so callers pass at most one `block_slices` slice of records.
+    The rows are one block: they are searched together, and the search keeps
+    about E + 3V floats per row beside them, so callers pass at most one
+    `graph.search_slices` slice of records.
     """
-    return dijkstra(build_cost_matrix(costs, graph), ends)
+    return dijkstra(costs, graph, ends)
 
 
 def jaccard_edges(pred, obs) -> float:

@@ -9,8 +9,8 @@ prior.  Observed trajectories are exact shortest paths under the per-sample
 latent costs between source/target pairs drawn from a fixed limited pool.
 
 Every sample's context, pair and latent costs are drawn first, in sample
-order; the paths are then searched by block, one `dijkstra` over the cost
-matrices of each `graph.block_slices` slice of the samples.
+order; the paths are then searched by block, one `dijkstra` over the edge
+costs of each `graph.search_slices` slice of the samples.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ValidationError, is_real, require_types
-from .graph import Graph, block_slices, build_cost_matrix, dijkstra, distances_to
+from .graph import Graph, dijkstra, distances_to, search_slices
 from .trajectories import Dataset
 
 COST_FLOOR_FRACTION = 0.05
@@ -115,10 +115,8 @@ def _candidate_pairs(positions: np.ndarray, k: int) -> list[tuple[int, int]]:
 
 def _is_connected(n: int, pairs) -> bool:
     """Whether the undirected graph on n nodes with these pairs is connected."""
-    adjacency = np.full((n, n), np.inf)
-    for u, v in pairs:
-        adjacency[u, v] = adjacency[v, u] = 1.0
-    return bool(np.isfinite(distances_to(adjacency[None], [0])).all())
+    graph = Graph(n, [edge for u, v in set(pairs) for edge in ((u, v), (v, u))])
+    return bool(np.isfinite(distances_to(np.ones((1, graph.num_edges)), graph, [0], None)).all())
 
 
 def generate_synthetic_dataset(config: GeneratorConfig) -> SyntheticDataset:
@@ -172,8 +170,8 @@ def generate_synthetic_dataset(config: GeneratorConfig) -> SyntheticDataset:
         ends.append(pair_pool[int(rng.integers(len(pair_pool)))])
         true_costs[idx] = latent.sample_costs(x, rng)
     paths = []
-    for block in block_slices(config.num_samples, graph.num_nodes):
-        found = dijkstra(build_cost_matrix(true_costs[block], graph), ends[block])
+    for block in search_slices(config.num_samples, graph):
+        found = dijkstra(true_costs[block], graph, ends[block])
         for (path, _), (s, t) in zip(found, ends[block]):
             if path is None:
                 raise GenerationError(f"pair ({s}, {t}) unreachable in a connected graph")

@@ -34,10 +34,11 @@ Every function here reads the graph and the prior costs from the `Dataset`:
 - `plan_anchor(anchor, dataset, config, node_freqs, candidates, sample_seed)`
   plans an anchor, and `anchor_gradients` runs a block of plans;
 - `predicted_paths(params, dataset, indices)` is each record's best path
-  under its predicted costs, by block (one `predict_costs` call and one
-  `inference.expected_optimal_path` call per `graph.block_slices` slice of
-  the records), and `evaluate_jaccard(params, dataset, indices)` scores
-  them against the observed paths.
+  under its predicted costs (one `predict_costs` call per `graph.block_slices`
+  slice of the records, written into the edge costs of one
+  `inference.expected_optimal_path` call per `graph.search_slices` slice),
+  and `evaluate_jaccard(params, dataset, indices)` scores them against the
+  observed paths.
 
 A training run's state has one form each, the one its files hold:
 
@@ -67,6 +68,7 @@ from .graph import (
     draw_kept_nodes,
     kept_node_map,
     sample_subgraph,
+    search_slices,
 )
 from .inference import expected_optimal_path, jaccard_edges
 from .serialize import save_checkpoint
@@ -277,15 +279,27 @@ class TrainResult:
 
 def predicted_paths(params: ModelParams, dataset: Dataset, indices) -> list[list[int]]:
     """Each record's best path between its endpoints under its predicted costs
-    (one exists: the record's path runs over graph edges), one block of
-    records at a time: one `predict_costs` call predicts the block's costs
-    and one search finds its paths."""
+    (one exists: the record's path runs over graph edges).  One
+    `predict_costs` call predicts the costs of each `graph.block_slices`
+    slice of the records into the buffer of their `graph.search_slices`
+    slice, which one search takes once it is full; the smaller predicting
+    blocks keep the cost model's temporaries small."""
+    graph = dataset.graph
+    searches = search_slices(len(indices), graph)
+    buffer = np.empty((searches[0].stop if searches else 0, graph.num_edges))
     preds = []
-    for block in block_slices(len(indices), dataset.graph.num_nodes):
-        records = indices[block]
-        costs, _ = predict_costs(params, dataset.features[records], dataset.prior)
-        ends = [(dataset.paths[idx][0], dataset.paths[idx][-1]) for idx in records]
-        preds += [path for path, _ in expected_optimal_path(costs, dataset.graph, ends)]
+    for block in block_slices(len(indices), graph.num_nodes):
+        costs = predict_costs(params, dataset.features[indices[block]], dataset.prior)[0]
+        lo = block.start
+        while lo < block.stop:  # a predicting block may straddle two searches
+            search = searches[lo // len(buffer)]
+            hi = min(block.stop, search.stop)
+            buffer[lo - search.start:hi - search.start] = costs[lo - block.start:hi - block.start]
+            if hi == search.stop:
+                ends = [(dataset.paths[idx][0], dataset.paths[idx][-1]) for idx in indices[search]]
+                found = expected_optimal_path(buffer[:hi - search.start], graph, ends)
+                preds += [path for path, _ in found]
+            lo = hi
     return preds
 
 

@@ -2,7 +2,10 @@
 
 `pair_softmin` is the elementwise smooth min that `smoothing.pivot` must
 match bit for bit, `classical_floyd_warshall` the hard all-pairs distances
-that are the engine's beta -> inf limit, `finite_difference_gradcheck`
+that are the engine's beta -> inf limit, `dense_distances_to` and
+`dense_dijkstra` the search over a block of cost matrices that the edge
+search of `graph.distances_to` and `graph.dijkstra` must match bit for bit
+(`edge_costs` turns a matrix into a graph and its edge costs), `finite_difference_gradcheck`
 the componentwise counterpart of `oracle.normwise_gradient_error`, and
 `reference_graph_from_json_dict` the per-value, per-edge reading of a graph
 document that `graph.graph_from_json_dict` must match.
@@ -11,7 +14,7 @@ document that `graph.graph_from_json_dict` must match.
 import numpy as np
 
 from datasp.errors import ValidationError, is_int, is_real
-from datasp.graph import validate_cost_matrix
+from datasp.graph import Graph, validate_cost_matrix
 from datasp.oracle import _differences
 from datasp.smoothing import INF, check_beta
 
@@ -55,6 +58,71 @@ def classical_floyd_warshall(m: np.ndarray) -> np.ndarray:
     for k in range(dist.shape[0]):
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
     return dist
+
+
+def edge_costs(m: np.ndarray):
+    """(graph, costs): the graph of a (V, V) matrix's finite off-diagonal
+    entries, in row-major order, and their values as its edge costs."""
+    u, v = np.nonzero(np.isfinite(m) & ~np.eye(len(m), dtype=bool))
+    return Graph(len(m), np.stack([u, v], axis=1)), m[u, v]
+
+
+def dense_distances_to(matrices: np.ndarray, targets) -> np.ndarray:
+    """Hard shortest distance from every node to the target of each matrix of
+    a (B, V, V) block: each round settles, in every matrix, the open node u
+    with the smallest tentative distance and relaxes every node v through
+    its entry (v, u), a full column per matrix."""
+    b, n = matrices.shape[0], matrices.shape[-1]
+    rows = np.arange(b)
+    dist = np.full((b, n), INF)
+    dist[rows, targets] = 0.0
+    settled = np.zeros((b, n))
+    key = np.empty((b, n))
+    for _ in range(n):
+        np.add(dist, settled, out=key)
+        u = key.argmin(axis=1)
+        d = key[rows, u]
+        settled[rows, u] = INF
+        relaxed = matrices[rows, :, u]
+        relaxed += d[:, None]
+        np.minimum(dist, relaxed, out=dist)
+    return dist
+
+
+def dense_dijkstra(matrices: np.ndarray, ends) -> list:
+    """(path, cost) of each (source, target) pair on the matrix at its index,
+    a block built from checked edge costs: exact distances to the target
+    from `dense_distances_to`, then a walk from the source that always takes
+    the smallest-indexed next node that stays on a best path, up to a
+    tolerance of 1e-12 * max(1, |dist|)."""
+    m = np.asarray(matrices, dtype=float)
+    b, n = m.shape[0], m.shape[1]
+    ends = np.asarray(ends, dtype=np.int64)
+    sources, targets = ends[:, 0], ends[:, 1]
+    rows = np.arange(b)
+    dist_to = dense_distances_to(m, targets)
+    totals = dist_to[rows, sources]
+    reachable = np.isfinite(totals)
+    paths = [[s] for s in sources.tolist()]
+    at = np.where(reachable, sources, targets)
+    for _ in range(n - 1):
+        walking = np.flatnonzero(at != targets)
+        if not walking.size:
+            break
+        u = at[walking]
+        remaining = dist_to[walking, u]
+        tol = 1e-12 * np.maximum(1.0, np.abs(remaining))
+        on_path = m[walking, u] + dist_to[walking] <= (remaining + tol)[:, None]
+        nxt = on_path.argmax(axis=1)
+        if not on_path[np.arange(walking.size), nxt].all():
+            raise ValidationError("optimal successor not found; inconsistent distances")
+        at[walking] = nxt
+        for row, v in zip(walking.tolist(), nxt.tolist()):
+            paths[row].append(v)
+    if (at != targets).any():
+        raise ValidationError("optimal path exceeded node count; nonpositive costs?")
+    return [(path, total) if ok else (None, INF)
+            for path, total, ok in zip(paths, totals.tolist(), reachable.tolist())]
 
 
 def finite_difference_gradcheck(func, analytic_grad, x, step: float = 1e-5) -> float:

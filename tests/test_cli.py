@@ -794,10 +794,10 @@ def test_unknown_profile_exits_2(profile, gen_dir, tmp_path, capsys):
 
 def test_eval_runs_each_hard_path_search_once(gen_dir, tmp_path, monkeypatch):
     # Every dijkstra call runs exactly one graph.distances_to over its block,
-    # so counting the (matrix, target) pairs of the latter counts the
-    # hard-path searches of one eval.
+    # so counting the rows of the latter counts the hard-path searches of
+    # one eval.
     import datasp.graph
-    from datasp.graph import block_slices, load_graph_json
+    from datasp.graph import load_graph_json, search_slices
 
     graph, _, _ = load_graph_json(os.path.join(gen_dir, "graph.json"))
     checkpoint = tmp_path / "init.bin"
@@ -811,33 +811,40 @@ def test_eval_runs_each_hard_path_search_once(gen_dir, tmp_path, monkeypatch):
 
     calls = []
     search = datasp.graph.distances_to
-    monkeypatch.setattr(datasp.graph, "distances_to",
-                        lambda m, targets: calls.append(len(targets)) or search(m, targets))
+
+    def counting(costs, graph, targets, sources):
+        calls.append(len(targets))
+        return search(costs, graph, targets, sources)
+
+    monkeypatch.setattr(datasp.graph, "distances_to", counting)
     cfg = write_config(tmp_path, "e.json", {"dataset": os.path.join(gen_dir, "manifest.json"),
                                             "checkpoint": str(checkpoint)})
     assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 0
     # PRIOR: one per distinct pair; DataSP: one per record; true optimum: one
     # per record, shared by both methods.
     assert sum(calls) == len(set(ends)) + 2 * len(ends)
-    # Each kind of search runs one dense search per block of its pairs.
-    blocks = [len(block_slices(count, graph.num_nodes))
+    # Each kind of search runs one edge search per block of its pairs.
+    blocks = [len(search_slices(count, graph))
               for count in (len(set(ends)), len(ends), len(ends))]
     assert len(calls) == sum(blocks)
 
 
 def test_eval_search_memory_stays_within_a_block():
-    # Eval builds, searches and drops one block of cost matrices at a time,
-    # so its peak allocation does not grow with the number of records.
+    # Eval searches and drops one block of edge costs at a time, so its peak
+    # allocation does not grow with the number of records.
     import tracemalloc
 
     from datasp.cli import _metric_rows
     from datasp.graph import BLOCK_FLOATS
     from datasp.synthetic import GeneratorConfig, generate_synthetic_dataset
 
-    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=60, num_samples=300, seed=1))
+    # the graph is drawn before any sample, so a dataset of none has it
+    graph = generate_synthetic_dataset(GeneratorConfig(num_nodes=60, num_samples=0, seed=1)).graph
+    size = BLOCK_FLOATS // (graph.num_edges + 3 * graph.num_nodes)  # records per search block
+    syn = generate_synthetic_dataset(GeneratorConfig(num_nodes=60, num_samples=4 * size, seed=1))
     params = init_params(syn.config.feature_dim, [8], syn.graph.num_edges, seed=0)
     peaks = []
-    for count in (150, 300):  # three and five blocks of up to 72 records
+    for count in (2 * size, 4 * size):  # two and four search blocks
         syn.dataset.splits = {"test": list(range(count))}
         tracemalloc.start()
         try:

@@ -213,7 +213,7 @@ def test_hard_limit_matches_classical_solution(rng):
             for j in range(7):
                 if i == j or not np.isfinite(dist[i, j]):
                     continue
-                path, _ = dijkstra(m[None], [(i, j)])[0]
+                path, _ = dijkstra([costs], graph, [(i, j)])[0]
                 expected_slot = i if len(path) == 2 else max(path[1:-1])
                 assert int(np.argmax(p[i, j, :])) == expected_slot
 

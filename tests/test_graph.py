@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 from conftest import k4_cost_matrix, mostly, random_connected_graph, tractable_random_graph
 from reference import (
     classical_floyd_warshall,
+    dense_dijkstra,
+    edge_costs,
     finite_difference_gradcheck,
     pair_softmin,
     reference_graph_from_json_dict,
@@ -264,22 +266,36 @@ def test_fw_matches_simple_path_enumeration(rng):
 
 # --- Dijkstra ----------------------------------------------------------------
 
-def test_dijkstra_k4_lexicographic_tie_break(k4):
+def _k4_costs():
+    graph = complete_graph(4)
+    return graph, np.array([[abs(u - v) for u, v in graph.edges]], dtype=float)
+
+
+def _outcome(search, *args):
+    """A search's (path, cost) list, or the message of the error it raised."""
+    try:
+        return search(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_dijkstra_k4_lexicographic_tie_break():
     # four cost-3 routes tie: [0,3], [0,1,3], [0,2,3], [0,1,2,3]; the
     # lexicographically smallest node sequence wins.
-    path, cost = dijkstra(k4[None], [(0, 3)])[0]
+    graph, costs = _k4_costs()
+    path, cost = dijkstra(costs, graph, [(0, 3)])[0]
     assert cost == 3.0
     assert path == [0, 1, 2, 3]
 
 
-def test_dijkstra_source_equals_target(k4):
-    assert dijkstra(k4[None], [(2, 2)]) == [([2], 0.0)]
+def test_dijkstra_source_equals_target():
+    graph, costs = _k4_costs()
+    assert dijkstra(costs, graph, [(2, 2)]) == [([2], 0.0)]
 
 
 def test_dijkstra_unreachable():
     g = Graph(3, [(0, 1)])
-    m = build_cost_matrix([1.0], g)
-    path, cost = dijkstra(m[None], [(0, 2)])[0]
+    path, cost = dijkstra([[1.0]], g, [(0, 2)])[0]
     assert path is None and cost == INF
 
 
@@ -292,7 +308,7 @@ def test_dijkstra_agrees_with_fw(rng):
             for j in range(7):
                 if i == j:
                     continue
-                path, cost = dijkstra(m[None], [(i, j)])[0]
+                path, cost = dijkstra([costs], graph, [(i, j)])[0]
                 assert cost == pytest.approx(dist[i, j], rel=1e-12)
                 assert path_cost(m, path) == pytest.approx(cost, rel=1e-12)
 
@@ -338,36 +354,88 @@ def _heap_dijkstra(m, source, target):
     lambda n: hnp.arrays(np.float64, (n, n), elements=st.sampled_from([INF, 1.0, 2.0, 3.0]))))
 def test_dijkstra_matches_heap_reference(m):
     # Integer costs tie often, so the lexicographic tie-break is exercised.
-    # Every (i, j) of the matrix and of its transpose, i == j and unreachable
-    # targets included, is one row of a single block, so a row that read
-    # another row's matrix or target would show.
+    # Every (i, j) of the matrix, i == j and unreachable targets included, is
+    # one row of a single block on its graph, and so is every (i, j) of the
+    # transpose on the reversed graph.
     np.fill_diagonal(m, INF)
     n = m.shape[0]
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    cases = [(mat, i, j) for mat in (m, m.T) for i, j in pairs]
-    block = np.stack([mat for mat, _, _ in cases])
-    dist = distances_to(block, [j for _, _, j in cases])
-    found = dijkstra(block, [(i, j) for _, i, j in cases])
-    for row, (mat, i, j) in enumerate(cases):
-        assert np.array_equal(dist[row], _heap_distances(mat.T, j))
-        assert found[row] == _heap_dijkstra(mat, i, j)
+    for mat in (m, m.T):
+        graph, costs = edge_costs(mat)
+        block = np.broadcast_to(costs, (len(pairs), graph.num_edges))
+        dist = distances_to(block, graph, [j for _, j in pairs], None)
+        found = dijkstra(block, graph, pairs)
+        for row, (i, j) in enumerate(pairs):
+            assert np.array_equal(dist[row], _heap_distances(mat.T, j))
+            assert found[row] == _heap_dijkstra(mat, i, j)
 
 
-def test_dijkstra_block_takes_one_pair_per_matrix(k4):
-    block = np.stack([k4, k4])
+_SEARCH_COSTS = {
+    "integer": st.sampled_from([1.0, 2.0, 3.0]),  # ties
+    "continuous": st.floats(0.1, 10.0),
+    # mostly below the walk's tolerance, so that walks climb or cycle
+    "sub-tolerance": st.sampled_from([1e-14, 5e-13, 1.0, 2.0, 3.0]) | st.floats(1e-16, 1e-12),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.data())
+def test_edge_search_matches_dense_reference(data):
+    # Each row of a block of 1-6 rows on one random graph has its own costs
+    # and its own pair, source == target and unreachable pairs included; the
+    # edge search returns the dense search's (path, cost) list, or raises its
+    # error.
+    n = data.draw(st.integers(2, 12), label="nodes")
+    mask = data.draw(hnp.arrays(bool, (n, n)), label="edges")
+    np.fill_diagonal(mask, False)
+    graph = Graph(n, np.argwhere(mask))
+    rows = data.draw(st.integers(1, 6), label="rows")
+    elements = _SEARCH_COSTS[data.draw(st.sampled_from(sorted(_SEARCH_COSTS)), label="costs")]
+    costs = data.draw(hnp.arrays(np.float64, (rows, graph.num_edges), elements=elements))
+    ends = data.draw(hnp.arrays(np.int64, (rows, 2), elements=st.integers(0, n - 1)))
+    expected = _outcome(dense_dijkstra, build_cost_matrix(costs, graph), ends)
+    assert _outcome(dijkstra, costs, graph, ends) == expected
+
+
+def test_search_margin_covers_the_walks_tolerance_creep():
+    # Edges below the walk's tolerance (1e-12) let the walk climb above
+    # dist[source].  In the first graph the walk from 3 passes node 1, whose
+    # distance to 4 is 1 + 1.31e-12 against dist[3] = 1.  The search settles
+    # the first node beyond where it stops, so the second graph climbs one
+    # node further: a search that stopped one tolerance above dist[3] would
+    # settle node 5 last and leave node 1 at its tentative distance 5, and
+    # the walk would take [3, 0, 4].
+    cases = [
+        ([(3, 4), (3, 0), (0, 4), (0, 1), (1, 2), (2, 4), (1, 4)],
+         [1.0, 1e-14, 1 + 5e-13, 1e-14, 1e-14, 1 + 1.3e-12, 5.0], [3, 0, 1, 2, 4]),
+        ([(3, 4), (3, 0), (0, 4), (0, 1), (1, 2), (2, 5), (5, 4), (1, 4)],
+         [1.0, 1e-14, 1 + 5e-13, 1e-14, 1e-14, 1e-14, 1 + 1.25e-12, 5.0], [3, 0, 1, 2, 5, 4]),
+    ]
+    for edges, costs, path in cases:
+        graph = Graph(max(map(max, edges)) + 1, edges)
+        expected = dense_dijkstra(build_cost_matrix([costs], graph), [(3, 4)])
+        assert expected == [(path, 1.0)]
+        assert dijkstra([costs], graph, [(3, 4)]) == expected
+
+
+def test_dijkstra_block_takes_one_pair_per_matrix():
+    graph, costs = _k4_costs()
+    block = np.concatenate([costs, costs])
     for ends in ([(0, 3)], [(0, 3), (1, 2), (2, 1)], [0, 3]):
         with pytest.raises(ValidationError):
-            dijkstra(block, ends)
+            dijkstra(block, graph, ends)
     with pytest.raises(ValidationError):
-        dijkstra(k4, [(0, 3)])
+        dijkstra(costs[0], graph, [(0, 3)])
     with pytest.raises(ValidationError):
-        dijkstra(block, [(0, 3), (1, 4)])
+        dijkstra(block, graph, [(0, 3), (1, 4)])
+    with pytest.raises(ValidationError):
+        dijkstra(block[:, 1:], graph, [(0, 3), (1, 2)])
 
 
 def test_dijkstra_rejects_nonpositive_costs():
-    m = np.array([[INF, -0.5], [INF, INF]])
-    with pytest.raises(ValidationError):
-        dijkstra(m[None], [(0, 1)])
+    for cost in (-0.5, 0.0, INF):
+        with pytest.raises(ValidationError):
+            dijkstra([[cost]], Graph(2, [(0, 1)]), [(0, 1)])
 
 
 def test_entry_checks_name_nan_then_minus_inf_then_sign():
@@ -376,19 +444,22 @@ def test_entry_checks_name_nan_then_minus_inf_then_sign():
     outside the searches."""
     from datasp.graph import validate_cost_matrix
 
-    clean = np.array([[INF, 1.0], [2.0, INF]])
-    block = np.stack([clean] * 3)
-    block[0, 0, 1], block[1, 1, 0], block[2, 0, 1] = -0.5, -INF, np.nan
-    with pytest.raises(ValidationError, match="contains NaN"):
-        dijkstra(block, [(0, 1)] * 3)
+    graph = Graph(2, [(0, 1), (1, 0)])
+    block = np.array([[1.0, 2.0]] * 3)
+    block[0, 0], block[1, 1], block[2, 0] = -0.5, -INF, np.nan
+    with pytest.raises(ValidationError, match="contain NaN"):
+        dijkstra(block, graph, [(0, 1)] * 3)
     with pytest.raises(ValidationError, match="must not be -inf"):
-        dijkstra(block[:2], [(0, 1)] * 2)
+        dijkstra(block[:2], graph, [(0, 1)] * 2)
     with pytest.raises(ValidationError, match="strictly positive"):
-        dijkstra(block[:1], [(0, 1)])
-    for m, message in ((block[2], "contains NaN"), (block[1], "must not be -inf")):
+        dijkstra(block[:1], graph, [(0, 1)])
+    clean = np.array([[INF, 1.0], [2.0, INF]])
+    matrices = np.stack([clean] * 3)
+    matrices[0, 0, 1], matrices[1, 1, 0], matrices[2, 0, 1] = -0.5, -INF, np.nan
+    for m, message in ((matrices[2], "contains NaN"), (matrices[1], "must not be -inf")):
         with pytest.raises(ValidationError, match=message):
             validate_cost_matrix(m)
-    assert validate_cost_matrix(block[0])[0, 1] == -0.5
+    assert validate_cost_matrix(matrices[0])[0, 1] == -0.5
 
 
 # --- node exclusion ----------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph, tractable_random_graph
-from reference import classical_floyd_warshall
+from reference import classical_floyd_warshall, dense_dijkstra, edge_costs
 import datasp.inference
 from datasp import engine
 from datasp.engine import datasp_backward, datasp_forward_efficient, sweep
@@ -244,7 +244,7 @@ def test_sampling_memory_is_bounded_by_blocks(k4):
 def test_hard_limit_sampling_returns_optimal_path(rng):
     graph, costs = random_connected_graph(7, rng, extra_edges=2)
     m = build_cost_matrix(costs, graph)
-    best, _ = dijkstra(m[None], [(0, 6)])[0]
+    best, _ = dijkstra([costs], graph, [(0, 6)])[0]
     est = monte_carlo_path_distribution(m, 1000.0, 0, 6, 3000, np.random.default_rng(1))
     assert est.frequencies.get(tuple(best), 0.0) >= 0.999
 
@@ -371,7 +371,8 @@ def test_destination_validates_weights(weights):
 
 
 def test_exp_negative_distance_prior(k4):
-    weights = exp_negative_distance_weights(k4, 0)
+    graph, costs = edge_costs(k4)
+    weights = exp_negative_distance_weights(costs, graph, 0)
     assert weights[1] > weights[3]
 
 
@@ -387,7 +388,8 @@ def test_exp_negative_distance_matches_floyd_warshall_row(case):
     finite = np.isfinite(row)
     scale = row[finite].mean() if row[finite].max() > 0 else 1.0
     expected = np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
-    weights = exp_negative_distance_weights(m, origin)
+    graph, costs = edge_costs(m)
+    weights = exp_negative_distance_weights(costs, graph, origin)
     np.testing.assert_array_equal(weights == 0.0, expected == 0.0)
     np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=0.0)
 
@@ -399,7 +401,7 @@ def test_expected_optimal_path_prior_baseline(k4):
     costs = [abs(u - v) for u, v in graph.edges]
     [(path, cost)] = expected_optimal_path([costs], graph, [(0, 3)])
     assert cost == 3.0
-    assert path == dijkstra(k4[None], [(0, 3)])[0][0]
+    assert path == dense_dijkstra(k4[None], [(0, 3)])[0][0]
 
 
 def test_expected_optimal_path_uniform_grid_tie_break():
@@ -427,7 +429,7 @@ def test_match_rate():
 def test_optimal_cost_rate(k4, rng):
     k4_graph = complete_graph(4)
     k4_costs = np.array([abs(u - v) for u, v in k4_graph.edges], dtype=float)
-    best, best_cost = dijkstra(k4[None], [(0, 3)])[0]
+    best, best_cost = dijkstra([k4_costs], k4_graph, [(0, 3)])[0]
     assert optimal_cost_rate([best], [k4_costs], k4_graph, [best_cost]) == 1.0
     assert optimal_cost_rate([[0, 1, 0, 3]], [k4_costs], k4_graph, [best_cost]) == 0.0
     with pytest.raises(ValidationError):
@@ -449,10 +451,10 @@ def test_optimal_cost_rate(k4, rng):
             preds.append(walk)
     if preds:
         rate = optimal_cost_rate(preds, [costs] * len(preds), graph,
-                                 [dijkstra(m[None], [(0, 5)])[0][1]] * len(preds))
+                                 [dijkstra([costs], graph, [(0, 5)])[0][1]] * len(preds))
         from datasp.graph import path_cost
 
         expected = np.mean([
-            1.0 if path_cost(m, p) <= dijkstra(m[None], [(0, 5)])[0][1] * (1 + 1e-9) else 0.0
+            1.0 if path_cost(m, p) <= dijkstra([costs], graph, [(0, 5)])[0][1] * (1 + 1e-9) else 0.0
             for p in preds])
         assert rate == pytest.approx(expected)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import dense_dijkstra
 from datasp.errors import ValidationError
 from datasp.graph import path_cost, build_cost_matrix
 from datasp.synthetic import (
@@ -68,20 +69,20 @@ def test_observed_paths_are_optimal_under_true_costs():
 
     for observed, costs in zip(result.dataset.paths, result.true_costs):
         m = build_cost_matrix(costs, result.graph)
-        [(path, best)] = dijkstra(m[None], [(observed[0], observed[-1])])
+        [(path, best)] = dijkstra([costs], result.graph, [(observed[0], observed[-1])])
         assert path_cost(m, observed) == pytest.approx(best, rel=1e-12)
 
 
 def test_block_search_matches_per_sample_dijkstra(monkeypatch):
     # gen draws every sample before it searches, so the block size changes no
-    # draw: blocks of three matrices (the last one partial) and blocks of one
+    # draw: blocks of three records (the last one partial) and blocks of one
     # (a per-sample dijkstra loop) give the dataset of the default block.
     import datasp.graph
-    from datasp.graph import dijkstra
 
     config = GeneratorConfig(num_nodes=12, num_samples=10, seed=2)
     results = [generate_synthetic_dataset(config)]
-    for floats in (3 * 12 * 12, 1):
+    graph = results[0].graph
+    for floats in (3 * (graph.num_edges + 3 * graph.num_nodes), 1):
         monkeypatch.setattr(datasp.graph, "BLOCK_FLOATS", floats)
         results.append(generate_synthetic_dataset(config))
     first = results[0]
@@ -89,10 +90,10 @@ def test_block_search_matches_per_sample_dijkstra(monkeypatch):
         assert other.dataset.paths == first.dataset.paths
         assert np.array_equal(other.true_costs, first.true_costs)
         assert np.array_equal(other.dataset.features, first.dataset.features)
-    # and each path is the search of its own sample's costs alone
+    # and each path is the dense reference search of its own sample's costs alone
     for path, costs in zip(first.dataset.paths, first.true_costs):
         m = build_cost_matrix(costs, first.graph)
-        [(single, best)] = dijkstra(m[None], [(path[0], path[-1])])
+        [(single, best)] = dense_dijkstra(m[None], [(path[0], path[-1])])
         assert tuple(single) == path and best == path_cost(m, path)
 
 

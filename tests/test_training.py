@@ -340,7 +340,7 @@ def test_exclusion_chain_cost_gradient():
 
     m_true = build_cost_matrix(costs, graph)
     for (s, t) in [(0, 7), (1, 6), (2, 5)]:
-        [(path, _)] = dijkstra(m_true[None], [(s, t)])
+        [(path, _)] = dijkstra([costs], graph, [(s, t)])
         if path is not None and len(path) >= 2:
             paths.append(tuple(path))
     node_freqs = np.ones(8)
