@@ -132,12 +132,6 @@ class Graph:
         ascending in v, padded with edge 0 and node u itself."""
         return self._incidence(0)
 
-    @functools.cached_property
-    def reverse(self) -> "Graph":
-        """The graph with every edge reversed, in the same edge order, so that
-        edge costs align; built on first use."""
-        return Graph(self.num_nodes, self._edge_array[:, ::-1])
-
     def _incidence(self, end: int) -> tuple[np.ndarray, np.ndarray]:
         """The edges whose end `end` (0 tail, 1 head) is each node, by the
         other end; see `in_edges`."""
@@ -498,8 +492,7 @@ def dijkstra(costs, graph: Graph, ends) -> list[tuple[list[int] | None, float]]:
     costs = check_edge_costs(costs, graph)
     if costs.ndim != 2:
         raise ValidationError(f"expected a block of edge-cost rows, got shape {costs.shape}")
-    costs = np.ascontiguousarray(costs)
-    (b, num_edges), n = costs.shape, graph.num_nodes
+    b, n = len(costs), graph.num_nodes
     ends = np.asarray(ends, dtype=np.int64)
     if ends.shape != (b, 2):
         raise ValidationError(f"expected {b} (source, target) pairs, got shape {ends.shape}")
@@ -522,9 +515,8 @@ def dijkstra(costs, graph: Graph, ends) -> list[tuple[list[int] | None, float]]:
         remaining = dist_to[walking, u]
         tol = 1e-12 * np.maximum(1.0, np.abs(remaining))
         heads = out_nodes[u]
-        step = (costs.reshape(-1)[(walking * num_edges)[:, None] + out_edges[u]]
-                + dist_to.reshape(-1)[(walking * n)[:, None] + heads])
-        on_path = (step <= (remaining + tol)[:, None]) & (heads != u[:, None])
+        step = costs[walking[:, None], out_edges[u]] + dist_to[walking[:, None], heads]
+        on_path = (step <= (remaining + tol)[:, None]) & (heads != u[:, None])  # not padding
         pick = np.arange(walking.size), on_path.argmax(axis=1)
         if not on_path[pick].all():
             raise ValidationError("optimal successor not found; inconsistent distances")

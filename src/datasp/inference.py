@@ -226,7 +226,8 @@ def exp_negative_distance_weights(costs, graph: Graph, origin: int) -> np.ndarra
         raise ValidationError(f"expected {graph.num_edges} edge costs, got shape {costs.shape}")
     if not 0 <= origin < graph.num_nodes:
         raise ValidationError(f"origin {origin} out of range for {graph.num_nodes} nodes")
-    row = distances_to(costs[None], graph.reverse, [origin], None)[0]
+    reverse = Graph(graph.num_nodes, graph.edge_array()[:, ::-1])  # same edge order
+    row = distances_to(costs[None], reverse, [origin], None)[0]
     finite = np.isfinite(row)
     scale = float(row[finite].mean()) if row[finite].max() > 0 else 1.0
     return np.where(finite, np.exp(-row / max(scale, 1e-12)), 0.0)
