@@ -454,11 +454,11 @@ def distances_to(costs, graph: Graph, targets, sources) -> np.ndarray:
         settled.reshape(-1)[at] = INF
         cand = flat_costs[cost_at + in_edges[u]]
         cand += d[:, None]
-        flat, tentative = row_at[:, None] + in_nodes[u], dist.reshape(-1)
-        tentative[flat] = np.minimum(tentative[flat], cand)
+        flat, flat_dist = row_at[:, None] + in_nodes[u], dist.reshape(-1)  # views: contiguous
+        flat_dist[flat] = np.minimum(flat_dist[flat], cand)
         done = d == INF
         if starts is not None:
-            reach = tentative[row_at + starts]
+            reach = flat_dist[row_at + starts]
             done |= d > reach + 2 * n * 1e-12 * np.maximum(1.0, reach)
         count = np.count_nonzero(done)
         if count == len(live):
